@@ -18,6 +18,7 @@ from .errors import (
     NonUnique,
     NoSolution,
     SingularPoint,
+    SpecError,
     UnknownReproduction,
     WrongOrder,
     ZeroDivisorEncountered,

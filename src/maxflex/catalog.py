@@ -25,10 +25,12 @@ from .geometry import (
     line_cubic_residual,
     tangent_line,
 )
+from .combinatorics import concurrent_line_triples
 from .torsion import ArrangementSpec, ComponentData, TorsionClass, Triangle
 from .weierstrass import (
     halve_point,
     rational_points_of_order,
+    signed_preimage,
     trisection_polynomial,
     weierstrass_model,
 )
@@ -149,36 +151,21 @@ def fermat_triangle(data, name_hint="v"):
     packet = root_packets(tri_poly, tower, enumerate_conjugates=False, name_hint=name_hint)[0]
     ext = packet.tower
     x0 = packet.element
-    m1 = model.embedded(ext)
-    a = m1.a1 * x0 + m1.a3
-    rhs = x0**3 + m1.a2 * x0 * x0 + m1.a4 * x0 + m1.a6
-    disc = a * a + 4 * rhs
+    a, disc = model.embedded(ext).y_discriminant(x0)
     ext2 = ext.extend(
         UniPoly(ext, (-disc, ext.zero(), ext.one())), name="%sy" % name_hint
     )
     y0 = (-(a.embedded(ext2)) + ext2.generator()) * Fraction(1, 2)
 
     def locate(tw):
-        m = model.embedded(tw)
-        pt = (x0.embedded(ext2).migrated(tw), y0.migrated(tw))
-        if not m.on_curve(pt):
-            return None
-        trip = m.mul(3, pt)
-        if trip is None:
-            return None
-        tgt = (mt[0].embedded(tw), mt[1].embedded(tw))
-        if not (trip[0] - tgt[0]).is_zero():
-            return None
-        if (trip[1] - tgt[1]).is_zero():
-            return pt
-        return m.neg(pt)
+        return signed_preimage(model, 3, (x0.embedded(ext2).migrated(tw), y0.migrated(tw)), mt)
 
     for branch, found in with_splitting(ext2, locate):
         if found is None:
             continue
         m = model.embedded(branch)
         verts_model = (found, m.mul(-2, found), m.mul(4, found))
-        verts = tuple(m.point_to_source(v, branch) for v in verts_model)
+        verts = tuple(m.point_to_source(v) for v in verts_model)
         eb = e.embedded(branch)
         lines = tuple(tangent_line(eb.cubic, v) for v in verts)
         assoc = ec_mul(eb, 3, verts[0])
@@ -212,21 +199,6 @@ def fermat_offline_flexes(data):
     return out
 
 
-def no_three_concurrent(lines):
-    """True when no three of the given lines pass through a common point."""
-    from .polysolve import mat3_det
-
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    n = len(lines)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                rows = [[lines[t].coefficient(a) for a in axes] for t in (i, j, k)]
-                if mat3_det(rows).is_zero():
-                    return False
-    return True
-
-
 def fermat_witness(degree_cap=64):
     """The full witness arrangement: L_T1, L_2T1, a triangle, and a third
     inflectional tangent chosen so that no three of the six lines meet.
@@ -239,7 +211,7 @@ def fermat_witness(degree_cap=64):
     chosen = None
     for t2, line in fermat_offline_flexes(data):
         lines = [l_t1, l_2t1, line.embedded(tower)] + list(tri.lines)
-        if no_three_concurrent(lines):
+        if not any(concurrent_line_triples(lines)):
             chosen = (t2, line, lines)
             break
     if chosen is None:
@@ -346,7 +318,7 @@ def bigon_points(entry_data, r):
         m2 = model.embedded(tw)
         if m2.order(pt, r) != r:
             raise WrongOrder("halving candidate has unexpected order")
-        P = m2.point_to_source(pt, tw)
+        P = m2.point_to_source(pt)
         E = e.embedded(tw)
     else:
         raise WrongOrder("supported residual orders are 4, 8, 12, 24")

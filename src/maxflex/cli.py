@@ -15,7 +15,7 @@ import sys
 
 from .catalog import bigon_conics, bigon_points, catalog_entry, fermat_witness
 from .combinatorics import fingerprint
-from .errors import MaxflexError, UnknownReproduction
+from .errors import MaxflexError, malformed
 from .fields import FieldTower
 from .geometry import PlaneCurve
 from .reproductions import REPRODUCTION_NAMES, run_reproduction
@@ -39,14 +39,9 @@ def _emit(text, out_path):
 
 
 def _cmd_reproduce(args):
-    name = args.name
-    try:
-        report = run_reproduction(
-            name, extended=args.extended, tower_budget=args.tower_budget
-        )
-    except UnknownReproduction as err:
-        sys.stderr.write("%s\n" % err)
-        return 2
+    report = run_reproduction(
+        args.name, extended=args.extended, tower_budget=args.tower_budget
+    )
     _emit(report.render(), args.out)
     return 0 if report.ok else 1
 
@@ -137,10 +132,10 @@ def _cmd_realize(args):
 
 
 def _cmd_fingerprint(args):
-    with open(args.arrangement) as fh:
+    with open(args.arrangement) as fh, malformed("arrangement file %s" % args.arrangement):
         data = json.load(fh)
-    tower = FieldTower.from_data(data.get("tower", []), args.tower_budget or 64)
-    pieces = [PlaneCurve.from_data(tower, entry) for entry in data["curves"]]
+        tower = FieldTower.from_data(data.get("tower", []), args.tower_budget or 64)
+        pieces = [PlaneCurve.from_data(tower, entry) for entry in data["curves"]]
     f = fingerprint(pieces, tower)
     _emit(f.canonical(), args.out)
     return 0
@@ -152,8 +147,6 @@ def build_parser():
         description="Exact arrangements of cubics with maximal flexes: "
         "torsion invariants, splitting numbers, and Zariski-pair certificates.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property sweeps (never affects certificates)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", help="run a named reproduction")

@@ -16,9 +16,10 @@ certificates built on top.
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import CommonComponent
+from .fields import rep_to_data, with_splitting
 from .geometry import (
     intersection_multiplicity,
     intersection_points,
@@ -37,8 +38,6 @@ def _point_key(point, base):
     coordinates and of a fixed linear combination, collapsing each conjugate
     orbit over the base to a single combinatorial point.
     """
-    from .fields import rep_to_data
-
     demoted = []
     for c in point.coords:
         d = c.demoted_rep(base.height)
@@ -147,8 +146,6 @@ def _point_profiles(herd, tower):
     are deduplicated across pair sweeps by minimal-polynomial keys.
     Returns {key: {"pairs": {(a, b): mult}, "incident": set, "orbit": int}}.
     """
-    from .geometry import _local_splitting
-
     profiles = {}
     n = len(herd)
     for i in range(n):
@@ -161,20 +158,20 @@ def _point_profiles(herd, tower):
                     pt = rec.point.migrated(tw)
                     incident = []
                     for k in range(n):
-                        piece = herd[k].embedded(tw) if tw != tower else herd[k]
+                        piece = herd[k].embedded(tw)
                         if piece.evaluate(pt).is_zero():
                             incident.append(k)
                     pairs = {}
                     for a_idx in range(len(incident)):
                         for b_idx in range(a_idx + 1, len(incident)):
                             a, b = incident[a_idx], incident[b_idx]
-                            pa = herd[a].embedded(tw) if tw != tower else herd[a]
-                            pb = herd[b].embedded(tw) if tw != tower else herd[b]
+                            pa = herd[a].embedded(tw)
+                            pb = herd[b].embedded(tw)
                             pairs[(a, b)] = intersection_multiplicity(pa, pb, pt)
                     return pt, tuple(incident), pairs
 
-                for tw, (pt, incident, pairs) in _local_splitting(
-                    tower.height, rec.tower, profile
+                for tw, (pt, incident, pairs) in with_splitting(
+                    rec.tower, profile, tower.height
                 ):
                     orbit = tw.absolute_degree // tower.absolute_degree
                     key = _point_key(pt, tower)
@@ -202,7 +199,7 @@ def fingerprint(pieces, tower=None):
     if not pieces:
         raise ValueError("empty arrangement")
     tower = tower or pieces[0].tower
-    herd = [p.embedded(tower) if p.tower != tower else p for p in pieces]
+    herd = [p.embedded(tower) for p in pieces]
     piece_data = tuple((p.degree, is_smooth_curve(p)) for p in herd)
     profiles = _point_profiles(herd, tower)
     records = [(entry["pairs"], entry["orbit"]) for entry in profiles.values()]
@@ -237,7 +234,7 @@ def admissible_permutations(f1, f2, grouping1, grouping2=None):
         return set()
     if len(f1.piece_data) != len(f2.piece_data):
         return set()
-    records2 = _record_multiset(f2, identity=True)
+    records2 = _record_multiset(f2)
     out = set()
     sig1 = [_group_signature(f1, g) for g in grouping1]
     sig2 = [_group_signature(f2, g) for g in grouping2]
@@ -253,16 +250,15 @@ def _group_signature(f, group):
     return tuple(sorted(f.piece_data[i] for i in group))
 
 
-def _record_multiset(f, identity=False, sigma=None):
+def _record_multiset(f, sigma=None):
+    if sigma is None:
+        sigma = range(len(f.piece_data))
     recs = []
     for pairs, orbit in f.records:
-        if sigma is None:
-            mapped = sorted((min(i, j), max(i, j), m) for (i, j), m in pairs.items())
-        else:
-            mapped = sorted(
-                (min(sigma[i], sigma[j]), max(sigma[i], sigma[j]), m)
-                for (i, j), m in pairs.items()
-            )
+        mapped = sorted(
+            (min(sigma[i], sigma[j]), max(sigma[i], sigma[j]), m)
+            for (i, j), m in pairs.items()
+        )
         recs.append((tuple(mapped), orbit))
     recs.sort()
     return recs
@@ -304,6 +300,16 @@ def _exists_piece_bijection(f1, f2, grouping1, grouping2, rho, records2):
 # incidence checks
 # ---------------------------------------------------------------------------
 
+def concurrent_line_triples(lines):
+    """Yield the index triples (i, j, k), i < j < k, of lines through a common
+    point, found by the determinant of their coefficients."""
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for triple in combinations(range(len(lines)), 3):
+        rows = [[lines[t].coefficient(a) for a in axes] for t in triple]
+        if mat3_det(rows).is_zero():
+            yield triple
+
+
 def check_incidence(pieces, tower=None):
     """Exhaustive incidence report over an arrangement of pieces.
 
@@ -312,26 +318,17 @@ def check_incidence(pieces, tower=None):
     pairs, and points where three or more pieces meet.
     """
     tower = tower or pieces[0].tower
-    herd = [p.embedded(tower) if p.tower != tower else p for p in pieces]
+    herd = [p.embedded(tower) for p in pieces]
     lines = [i for i, p in enumerate(herd) if p.degree == 1]
     report = {
-        "concurrent_line_triples": [],
+        "concurrent_line_triples": [
+            tuple(lines[t] for t in triple)
+            for triple in concurrent_line_triples([herd[i] for i in lines])
+        ],
         "tangencies": [],
         "transversal_pairs": [],
         "triple_points": [],
     }
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            for c in range(b + 1, len(lines)):
-                rows = [
-                    [herd[lines[t]].coefficient(e) for e in axes]
-                    for t in (a, b, c)
-                ]
-                if mat3_det(rows).is_zero():
-                    report["concurrent_line_triples"].append(
-                        (lines[a], lines[b], lines[c])
-                    )
     profiles = _point_profiles(herd, tower)
     tangent_pairs = set()
     for entry in profiles.values():
@@ -404,7 +401,7 @@ def _pair_transversal(a, b, tower):
 
 def _triple_empty(l0, c1, c2, tower):
     for rec in intersection_points(l0, c1, tower):
-        other = c2.embedded(rec.tower) if rec.tower != tower else c2
+        other = c2.embedded(rec.tower)
         if other.evaluate(rec.point).is_zero():
             return False
     return True

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class MaxflexError(Exception):
     """Base class for all package errors."""
@@ -69,3 +71,16 @@ class EmptyAdmissibleSet(MaxflexError):
 
 class UnknownReproduction(MaxflexError):
     """CLI reproduction name not in the catalog."""
+
+
+class SpecError(MaxflexError):
+    """A spec, tower or arrangement read from outside the program is malformed."""
+
+
+@contextmanager
+def malformed(what):
+    """Turn the errors a malformed JSON-shaped input raises into SpecError."""
+    try:
+        yield
+    except (AttributeError, LookupError, TypeError, ValueError) as err:
+        raise SpecError("malformed %s: %s: %s" % (what, type(err).__name__, err)) from err

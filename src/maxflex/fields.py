@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered
+from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
 
 #: Canonical reduced p/q with q > 0; the coefficient domain for everything.
 BigRational = Fraction
@@ -414,13 +414,14 @@ class FieldTower:
     @classmethod
     def from_data(cls, data, degree_cap=DEFAULT_DEGREE_CAP):
         tower = cls((), degree_cap)
-        for entry in data:
-            coeffs = tuple(
-                rep_from_data(tower.levels, tower.height, c) for c in entry["minpoly"]
-            )
-            tower = FieldTower(
-                tower.levels + (TowerLevel(entry["name"], coeffs, False),), degree_cap
-            )
+        with malformed("tower data"):
+            for entry in data:
+                coeffs = tuple(
+                    rep_from_data(tower.levels, tower.height, c) for c in entry["minpoly"]
+                )
+                tower = FieldTower(
+                    tower.levels + (TowerLevel(entry["name"], coeffs, False),), degree_cap
+                )
         return tower
 
 
@@ -583,17 +584,14 @@ class TowerElement:
             h -= 1
         return rep
 
-    def is_rational(self):
-        try:
-            self.as_rational()
-        except ValueError:
-            return False
-        return True
-
     def embedded(self, tower):
+        if tower == self.tower:
+            return self
         return TowerElement(tower, embed_rep(self.tower, tower, self.rep))
 
     def migrated(self, tower):
+        if tower == self.tower:
+            return self
         return TowerElement(tower, migrate_rep(self.tower, tower, self.rep))
 
     def minimal_polynomial(self, base_height=0):
@@ -691,9 +689,6 @@ class UniPoly:
             return t.zero()
         return TowerElement(t, self.coeffs[i])
 
-    def leading(self):
-        return self.coefficient(self.degree)
-
     def __eq__(self, other):
         if not isinstance(other, UniPoly) or other.tower != self.tower:
             return NotImplemented
@@ -748,14 +743,6 @@ class UniPoly:
         t = self.tower
         return UniPoly(t, _pl_derivative(t.levels, t.height, list(self.coeffs)))
 
-    def shift(self, k):
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        t = self.tower
-        z = _rzero(t.levels, t.height)
-        return UniPoly(t, [z] * k + list(self.coeffs))
-
     def evaluate(self, x):
         t = self.tower
         rep = x.rep if isinstance(x, TowerElement) else _rfrom_rational(
@@ -763,13 +750,14 @@ class UniPoly:
         )
         return TowerElement(t, _pl_eval(t.levels, t.height, list(self.coeffs), rep))
 
-    def is_squarefree(self):
-        return poly_gcd(self, self.derivative()).degree == 0
-
     def embedded(self, tower):
+        if tower == self.tower:
+            return self
         return UniPoly(tower, [embed_rep(self.tower, tower, c) for c in self.coeffs])
 
     def migrated(self, tower):
+        if tower == self.tower:
+            return self
         return UniPoly(tower, [migrate_rep(self.tower, tower, c) for c in self.coeffs])
 
     def rational_coeffs(self):
@@ -866,19 +854,23 @@ def invert(x):
     return x.invert()
 
 
-def with_splitting(tower, fn):
+def with_splitting(tower, fn, base_height=0):
     """Run ``fn(tower)``, splitting and retrying on zero divisors.
 
     Returns a list of (branch_tower, result) pairs, one per branch in which
     ``fn`` completed.  ``fn`` must accept any descendant tower and rebuild
-    its own inputs there (typically via ``migrated``/``embedded``).
+    its own inputs there (typically via ``migrated``/``embedded``).  Zero
+    divisors at levels below ``base_height`` belong to the caller's tower and
+    are re-raised for the caller to handle.
     """
     try:
         return [(tower, fn(tower))]
     except ZeroDivisorEncountered as err:
+        if err.level < base_height:
+            raise
         out = []
         for branch in tower.branches_for(err):
-            out.extend(with_splitting(branch, fn))
+            out.extend(with_splitting(branch, fn, base_height))
         return out
 
 

@@ -12,6 +12,7 @@ ZeroDivisorEncountered, which callers handle by splitting the tower.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb
 
 from .errors import (
@@ -20,16 +21,16 @@ from .errors import (
     NonUnique,
     NoSolution,
     SingularPoint,
+    malformed,
 )
 from .fields import (
     TowerElement,
     UniPoly,
     _is_szero,
-    embed_rep,
-    migrate_rep,
     poly_gcd,
     rep_from_data,
     rep_to_data,
+    with_splitting,
 )
 from .polysolve import (
     kernel_basis,
@@ -97,9 +98,13 @@ class ProjPoint:
         return self.coords[others[0]], self.coords[others[1]]
 
     def embedded(self, tower):
+        if tower == self.tower:
+            return self
         return ProjPoint(tower, [c.embedded(tower) for c in self.coords])
 
     def migrated(self, tower):
+        if tower == self.tower:
+            return self
         return ProjPoint(tower, [c.migrated(tower) for c in self.coords])
 
     def to_data(self):
@@ -297,10 +302,6 @@ class PlaneCurve:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, tower, degree, terms, components=None):
-        return cls(tower, degree, terms, components)
-
-    @classmethod
     def line(cls, tower, coeffs):
         a, b, c = coeffs
         return cls(tower, 1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
@@ -387,14 +388,18 @@ class PlaneCurve:
         raise ValueError("zero form")
 
     def embedded(self, tower):
-        form = {k: TowerElement(tower, embed_rep(self.tower, tower, c.rep)) for k, c in self.form.items()}
+        if tower == self.tower:
+            return self
+        form = {k: c.embedded(tower) for k, c in self.form.items()}
         comps = None
         if self.components:
             comps = [comp.embedded(tower) for comp in self.components]
         return PlaneCurve(tower, self.degree, form, comps)
 
     def migrated(self, tower):
-        form = {k: TowerElement(tower, migrate_rep(self.tower, tower, c.rep)) for k, c in self.form.items()}
+        if tower == self.tower:
+            return self
+        form = {k: c.migrated(tower) for k, c in self.form.items()}
         comps = None
         if self.components:
             comps = [comp.migrated(tower) for comp in self.components]
@@ -410,11 +415,12 @@ class PlaneCurve:
 
     @classmethod
     def from_data(cls, tower, data):
-        form = {}
-        for key, val in data["terms"].items():
-            exps = tuple(int(s) for s in key.split(","))
-            form[exps] = TowerElement(tower, rep_from_data(tower.levels, tower.height, val))
-        return cls(tower, data["degree"], form)
+        with malformed("curve data"):
+            form = {}
+            for key, val in data["terms"].items():
+                exps = tuple(int(s) for s in key.split(","))
+                form[exps] = TowerElement(tower, rep_from_data(tower.levels, tower.height, val))
+            return cls(tower, data["degree"], form)
 
     def __repr__(self):
         return "PlaneCurve(degree=%d, %d terms)" % (self.degree, len(self.form))
@@ -443,6 +449,24 @@ def _proportional_forms(a, b):
     return ratio is not None
 
 
+def form_sum(tower, degree, terms):
+    """The form sum(c * f) over (c, f) pairs, or None when it vanishes.
+
+    A None ``f`` stands for the zero form; terms with a structurally zero
+    scalar and structurally zero coefficients of the sum are dropped.
+    """
+    acc = {}
+    for c, f in terms:
+        c = _coerce_elem(tower, c)
+        if f is None or _is_szero(c.rep, tower.height):
+            continue
+        for k, v in f.form.items():
+            p = v * c
+            acc[k] = acc[k] + p if k in acc else p
+    acc = {k: v for k, v in acc.items() if not _is_szero(v.rep, tower.height)}
+    return PlaneCurve(tower, degree, acc) if acc else None
+
+
 def line_through(p, q):
     """The unique line through two distinct points (over their common tower)."""
     if p.tower != q.tower:
@@ -464,43 +488,14 @@ def hessian(c):
         pi = c.partial(i)
         for j in range(3):
             second[i][j] = None if pi is None else pi.partial(j)
-
-    def mul(a, b):
-        if a is None or b is None:
-            return None
-        return a * b
-
-    def sub(a, b):
-        if a is None:
-            return None if b is None else b.scale(c.tower.rational(-1))
-        if b is None:
-            return a
-        diff = {}
-        for k, v in a.form.items():
-            diff[k] = v
-        for k, v in b.form.items():
-            diff[k] = diff[k] - v if k in diff else -v
-        if all(_is_szero(v.rep, c.tower.height) for v in diff.values()):
-            return None
-        return PlaneCurve(c.tower, a.degree, diff)
-
-    def add(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        tot = dict(a.form)
-        for k, v in b.form.items():
-            tot[k] = tot[k] + v if k in tot else v
-        if all(_is_szero(v.rep, c.tower.height) for v in tot.values()):
-            return None
-        return PlaneCurve(c.tower, a.degree, tot)
-
-    m = second
-    t1 = mul(m[0][0], sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-    t2 = mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
-    t3 = mul(m[0][2], sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
-    det = add(sub(t1, t2), t3)
+    terms = []
+    for i, j, k in permutations(range(3)):
+        factors = (second[0][i], second[1][j], second[2][k])
+        if None not in factors:
+            # (j - i) % 3 == 1 exactly for the even permutations of (0, 1, 2)
+            sign = 1 if (j - i) % 3 == 1 else -1
+            terms.append((sign, factors[0] * factors[1] * factors[2]))
+    det = form_sum(c.tower, 3, terms)
     if det is None:
         raise ValueError("hessian vanishes identically")
     return det
@@ -518,21 +513,11 @@ def tangent_line(c, p):
 
 def polar_curve(c, q):
     """First polar of c with respect to q; vanishes at tangency points from q."""
-    acc = None
-    for axis in range(3):
-        part = c.partial(axis)
-        if part is None or _is_szero(q.coords[axis].rep, c.tower.height):
-            continue
-        scaled = part.scale(q.coords[axis])
-        if acc is None:
-            acc = dict(scaled.form)
-        else:
-            for k, v in scaled.form.items():
-                acc[k] = acc[k] + v if k in acc else v
-    acc = {k: v for k, v in acc.items() if not _is_szero(v.rep, c.tower.height)}
-    if not acc:
+    terms = [(q.coords[axis], c.partial(axis)) for axis in range(3)]
+    pol = form_sum(c.tower, c.degree - 1, terms)
+    if pol is None:
         raise ValueError("polar vanishes identically")
-    return PlaneCurve(c.tower, c.degree - 1, acc)
+    return pol
 
 
 def is_smooth_curve(c):
@@ -552,7 +537,7 @@ def is_smooth_curve(c):
     except CommonComponent:
         return False
     for rec in candidates:
-        third = parts[2].embedded(rec.tower) if rec.tower != c.tower else parts[2]
+        third = parts[2].embedded(rec.tower)
         if third.evaluate(rec.point).is_zero():
             return False
     return True
@@ -565,17 +550,17 @@ def tangents_through(c, q, tower=None):
     Lines are returned normalized, each with the tower it lives in.
     """
     tower = tower or c.tower
-    base = c.embedded(tower) if tower != c.tower else c
-    qq = q.embedded(tower) if q.tower != tower else q
+    base = c.embedded(tower)
+    qq = q.embedded(tower)
     pol = polar_curve(base, qq)
     out = []
     for rec in intersection_points(base, pol, tower, multiplicities=False, enumerate_conjugates=True):
-        cur = base.embedded(rec.tower) if rec.tower != tower else base
+        cur = base.embedded(rec.tower)
         grad = cur.gradient(rec.point)
         if all(g.is_zero() for g in grad):
             continue
         line = PlaneCurve.line(rec.tower, grad).normalized()
-        qh = qq.embedded(rec.tower) if rec.tower != tower else qq
+        qh = qq.embedded(rec.tower)
         if not line.contains(qh):
             continue
         if not any(
@@ -623,11 +608,15 @@ class EllipticStructure:
         return self.cubic.tower
 
     def embedded(self, tower):
+        if tower == self.tower:
+            return self
         return EllipticStructure(
             self.cubic.embedded(tower), self.origin.embedded(tower), check=False
         )
 
     def migrated(self, tower):
+        if tower == self.tower:
+            return self
         return EllipticStructure(
             self.cubic.migrated(tower), self.origin.migrated(tower), check=False
         )
@@ -921,8 +910,8 @@ def intersection_points(
     exceed the degree cap instead of raising BudgetExceeded.
     """
     tower = tower or c.tower
-    cc = c.embedded(tower) if c.tower != tower else c
-    dd = d.embedded(tower) if d.tower != tower else d
+    cc = c.embedded(tower)
+    dd = d.embedded(tower)
     records = []
 
     # points on the line z = 0
@@ -941,25 +930,6 @@ def intersection_points(
         _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_budget)
     )
     return records
-
-
-def _local_splitting(cutoff, tower, fn):
-    """with_splitting restricted to levels created at or above ``cutoff``.
-
-    Zero divisors discovered below the cutoff belong to the caller's tower
-    and are re-raised for the caller to handle.
-    """
-    from .errors import ZeroDivisorEncountered
-
-    try:
-        return [(tower, fn(tower))]
-    except ZeroDivisorEncountered as err:
-        if err.level < cutoff:
-            raise
-        out = []
-        for branch in tower.branches_for(err):
-            out.extend(_local_splitting(cutoff, branch, fn))
-        return out
 
 
 def _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities, on_budget):
@@ -990,20 +960,22 @@ def _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities,
         mult = intersection_multiplicity(cc, dd, p) if multiplicities else 0
         out.append(IntersectionRecord(p, mult, tower, 1))
     if common.degree >= 1:
-        packets = _budgeted_packets(common, tower, enumerate_conjugates, on_budget, "w")
+        packets = root_packets(
+            common, tower, enumerate_conjugates, name_hint="w", on_budget=on_budget
+        )
         for rp in packets:
 
             def probe(tw, x0=rp.element):
                 x = x0.migrated(tw)
                 pt = ProjPoint(tw, [x, tw.one(), tw.zero()])
-                ch = cc.embedded(tw) if tw != tower else cc
-                dh = dd.embedded(tw) if tw != tower else dd
+                ch = cc.embedded(tw)
+                dh = dd.embedded(tw)
                 if not (ch.contains(pt) and dh.contains(pt)):
                     return None
                 mult = intersection_multiplicity(ch, dh, pt) if multiplicities else 0
                 return pt, mult
 
-            for tw, res in _local_splitting(tower.height, rp.tower, probe):
+            for tw, res in with_splitting(rp.tower, probe, tower.height):
                 if res is None:
                     continue
                 pt, mult = res
@@ -1029,13 +1001,13 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
     if res.degree < 1:
         return []
     out = []
-    packets = _budgeted_packets(res, tower, enumerate_conjugates, on_budget, "x")
+    packets = root_packets(res, tower, enumerate_conjugates, name_hint="x", on_budget=on_budget)
     for rp in packets:
 
         def stage(ext, x0=rp.element):
             x = x0.migrated(ext)
-            Fh = F if ext == tower else _bipoly_embed(F, ext)
-            Gh = G if ext == tower else _bipoly_embed(G, ext)
+            Fh = _bipoly_embed(F, ext)
+            Gh = _bipoly_embed(G, ext)
             fu = Fh.specialize_u(x)
             gu = Gh.specialize_u(x)
             if fu.is_zero() and gu.is_zero():
@@ -1049,24 +1021,24 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
             if h.degree < 1:
                 return []  # spurious resultant root
             found = []
-            for yp in _budgeted_packets(h, ext, enumerate_conjugates, on_budget, "y"):
+            for yp in root_packets(h, ext, enumerate_conjugates, name_hint="y", on_budget=on_budget):
 
                 def measure(final, y0=yp.element, x=x):
                     y = y0.migrated(final)
-                    xf = x.embedded(final) if final != ext else x
+                    xf = x.embedded(final)
                     pt = point_from_affine(final, 2, xf, y)
-                    ch = cc.embedded(final) if final != tower else cc
-                    dh = dd.embedded(final) if final != tower else dd
+                    ch = cc.embedded(final)
+                    dh = dd.embedded(final)
                     mult = (
                         intersection_multiplicity(ch, dh, pt) if multiplicities else 0
                     )
                     return pt, mult
 
-                for tw, res2 in _local_splitting(ext.height, yp.tower, measure):
+                for tw, res2 in with_splitting(yp.tower, measure, ext.height):
                     found.append((tw, res2))
             return found
 
-        for ext_tower, results in _local_splitting(tower.height, rp.tower, stage):
+        for ext_tower, results in with_splitting(rp.tower, stage, tower.height):
             for tw, (pt, mult) in results:
                 orbit = 1 if enumerate_conjugates else (
                     tw.absolute_degree // tower.absolute_degree
@@ -1075,17 +1047,10 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
     return out
 
 
-def _budgeted_packets(poly, tower, enumerate_conjugates, on_budget, hint):
-    return root_packets(
-        poly, tower, enumerate_conjugates, name_hint=hint, on_budget=on_budget
-    )
-
-
 def _bipoly_embed(F, tower):
-    return BiPoly(
-        tower,
-        {k: TowerElement(tower, embed_rep(F.tower, tower, c.rep)) for k, c in F.terms.items()},
-    )
+    if tower == F.tower:
+        return F
+    return BiPoly(tower, {k: c.embedded(tower) for k, c in F.terms.items()})
 
 
 def flex_points(c, tower=None, on_budget="raise"):

@@ -20,14 +20,15 @@ from .catalog import (
     cyclic_triangle_chain,
     fermat_witness,
     fermat_witness_spec,
-    no_three_concurrent,
 )
-from .combinatorics import admissible_permutations, fingerprint, verify_bigon
+from .combinatorics import admissible_permutations, concurrent_line_triples, fingerprint, verify_bigon
 from .errors import UnknownReproduction
 from .fields import QQ
 from .geometry import (
     EllipticStructure,
+    PlaneCurve,
     ProjPoint,
+    _proportional_forms,
     ec_add,
     flex_points,
     point_order,
@@ -242,8 +243,6 @@ def repro_fermat_existence(extended=False, tower_budget=None):
     # nine flexes over Q, grouped by which coordinate vanishes
     cubic_q = catalog_entry("fermat").build(budget)
     # build a rational-coefficient copy for the flex scan
-    from .geometry import PlaneCurve
-
     base = QQ.with_cap(budget)
     fq = PlaneCurve(base, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     flexes = flex_points(fq, base)
@@ -296,15 +295,14 @@ def repro_fermat_existence(extended=False, tower_budget=None):
     if tangents:
         prod = None
         for line in tangents:
-            lifted = line.embedded(deepest) if line.tower != deepest else line
+            lifted = line.embedded(deepest)
             prod = lifted if prod is None else prod * lifted
         target = PlaneCurve(deepest, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
-        from .geometry import _proportional_forms
-
         rep.check("tangent-product-x3-plus-y3", True, _proportional_forms(prod, target))
 
     witness = fermat_witness(budget)
-    rep.check("witness-gate-no-three-concurrent", True, no_three_concurrent(witness["lines"]))
+    concurrent = list(concurrent_line_triples(witness["lines"]))
+    rep.check("witness-gate-no-three-concurrent", True, not concurrent)
     spec = fermat_witness_spec(witness)
     rep.check(
         "witness-orders",
@@ -330,7 +328,7 @@ def repro_appendix_triangle(extended=False, tower_budget=None):
     rep.check("computable-flex-origins", True, len(origins) >= 1)
     orders = []
     for origin, tw in origins:
-        cubic = data["cubic"].embedded(tw) if tw != data["tower"] else data["cubic"]
+        cubic = data["cubic"].embedded(tw)
         e = EllipticStructure(cubic, origin, check=False)
         for coords in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
             p = ProjPoint(tw, coords)

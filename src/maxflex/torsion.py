@@ -23,6 +23,7 @@ from .errors import (
     ModulusMismatch,
     WrongOrder,
     ZeroVector,
+    malformed,
 )
 from .geometry import ec_add, ec_mul, point_order, tangent_line
 
@@ -210,10 +211,6 @@ class ArrangementSpec:
                 mod = _lcm(mod, c.cls.modulus)
         return mod
 
-    def abstract_classes(self):
-        mod = self.lattice_modulus()
-        return [c.cls.rescaled(mod) for c in self.components]
-
     def weight_box(self):
         """Upper bound (exclusive) for each weight entry in searches."""
         box = 1
@@ -282,10 +279,10 @@ class ArrangementSpec:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path) as fh, malformed("spec file %s" % path):
             data = json.load(fh)
-        spec = cls.from_data(data)
-        admissible = [tuple(p) for p in data.get("admissible", [])]
+            spec = cls.from_data(data)
+            admissible = [tuple(p) for p in data.get("admissible", [])]
         return spec, admissible
 
 
@@ -474,19 +471,6 @@ def uniform_group(spec):
     for comp in spec.components:
         gens.append(comp.cls.rescaled(mod).scale(comp.m // n))
     return GroupDescriptor(n, gens, mod)
-
-
-def uniform_point_sums(spec):
-    """Geometric counterpart of uniform_group: the points sum <mult/n> P."""
-    e = spec.structure
-    n = spec.uniform_gcd()
-    out = []
-    for comp in spec.components:
-        acc = e.origin
-        for p, mult in comp.divisor:
-            acc = ec_add(e, acc, ec_mul(e, mult // n, p))
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import SingularPoint
-from .fields import TowerElement, UniPoly, _is_szero, embed_rep, with_splitting
-from .geometry import PlaneCurve, ProjPoint, _proportional_forms
+from .fields import UniPoly, poly_gcd, squarefree_part, with_splitting
+from .geometry import PlaneCurve, ProjPoint, _line_frame, _proportional_forms, form_sum
 from .polysolve import mat3_adjugate, mat3_apply, rational_roots, root_packets
 
 
@@ -85,6 +85,15 @@ class WeierstrassModel:
         rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
         return (lhs - rhs).is_zero()
 
+    def y_discriminant(self, x):
+        """(a, disc) with the points (x, y) on the model solving (2y + a)^2 = disc.
+
+        a = a1 x + a3 and disc = a^2 + 4 (x^3 + a2 x^2 + a4 x + a6).
+        """
+        a = self.a1 * x + self.a3
+        rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
+        return a, a * a + 4 * rhs
+
     def neg(self, pt):
         if pt is None:
             return None
@@ -136,14 +145,13 @@ class WeierstrassModel:
 
     # -- moving points between the model and the source cubic --------------------
 
-    def point_to_source(self, pt, tower=None):
-        tower = tower or self.tower
+    def point_to_source(self, pt):
+        t = self.tower
         if pt is None:
-            v = (tower.zero(), tower.one(), tower.zero())
+            v = (t.zero(), t.one(), t.zero())
         else:
-            v = (pt[0], pt[1], tower.one())
-        mat = self._embedded_matrix(self.to_source, tower)
-        return ProjPoint(tower, mat3_apply(mat, v))
+            v = (pt[0], pt[1], t.one())
+        return ProjPoint(t, mat3_apply(self.to_source, v))
 
     def point_from_source(self, p):
         tower = p.tower
@@ -155,18 +163,12 @@ class WeierstrassModel:
         return (img.coords[0] * zinv, img.coords[1] * zinv)
 
     def _embedded_matrix(self, mat, tower):
-        if tower == self.tower:
-            return mat
-        return [
-            [TowerElement(tower, embed_rep(self.tower, tower, e.rep)) for e in row]
-            for row in mat
-        ]
+        return [[e.embedded(tower) for e in row] for row in mat]
 
     def embedded(self, tower):
-        ai = tuple(
-            TowerElement(tower, embed_rep(self.tower, tower, a.rep))
-            for a in (self.a1, self.a2, self.a3, self.a4, self.a6)
-        )
+        if tower == self.tower:
+            return self
+        ai = tuple(a.embedded(tower) for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
         to_src = self._embedded_matrix(self.to_source, tower)
         from_src = self._embedded_matrix(self.from_source, tower)
         return WeierstrassModel(tower, ai, to_src, from_src)
@@ -183,8 +185,6 @@ def weierstrass_model(e):
     cubic = e.cubic
     O = e.origin
     LO = e.origin_tangent
-    from .geometry import _line_frame
-
     A, B0 = _line_frame(LO)
     A_pt = A if A != O else B0
     # a third basis point off the tangent line
@@ -239,23 +239,17 @@ def _pullback(curve, mat):
         )
         for i in range(3)
     ]
-    total = None
+    terms = []
     for exps, c in curve.form.items():
         term = None
         for axis, e in enumerate(exps):
             for _ in range(e):
                 term = rows[axis] if term is None else term * rows[axis]
-        term = term.scale(c) if term is not None else None
-        if term is None:
-            # constant term cannot occur for positive degree forms
-            continue
-        if total is None:
-            total = dict(term.form)
-        else:
-            for k, v in term.form.items():
-                total[k] = total[k] + v if k in total else v
-    total = {k: v for k, v in total.items() if not _is_szero(v.rep, t.height)}
-    return PlaneCurve(t, curve.degree, total)
+        terms.append((c, term))
+    total = form_sum(t, curve.degree, terms)
+    if total is None:
+        raise ValueError("zero form")
+    return total
 
 
 def _mat_mul(a, b, tower):
@@ -351,8 +345,6 @@ class DivisionPolynomials:
             raise ValueError("order must be at least 2")
         if n == 2:
             return self.doubling_cubic.monic()
-        from .fields import poly_gcd, squarefree_part
-
         q = squarefree_part(self.raw(n))
         strip = [self.doubling_cubic]
         for d in range(3, n):
@@ -368,8 +360,12 @@ class DivisionPolynomials:
         return q.monic()
 
 
-def _rational_sqrt(q):
-    """Exact square root of a nonnegative rational, or None."""
+def _rational_sqrt(x):
+    """Exact rational square root of a structurally rational element, or None."""
+    try:
+        q = x.as_rational()
+    except ValueError:
+        return None
     if q < 0:
         return None
     num, den = q.numerator, q.denominator
@@ -382,14 +378,8 @@ def _rational_sqrt(q):
 def curve_y_solutions(model, x0):
     """Points (x0, y) on the model with rational y, given rational-ish x0."""
     t = model.tower
-    a = model.a1 * x0 + model.a3
-    rhs = x0 * x0 * x0 + model.a2 * x0 * x0 + model.a4 * x0 + model.a6
-    disc = a * a + 4 * rhs
-    try:
-        d = disc.as_rational()
-    except ValueError:
-        return []
-    root = _rational_sqrt(d)
+    a, disc = model.y_discriminant(x0)
+    root = _rational_sqrt(disc)
     if root is None:
         return []
     half = Fraction(1, 2)
@@ -397,7 +387,7 @@ def curve_y_solutions(model, x0):
     return [(x0, y) for y in ys]
 
 
-def rational_points_of_order(model, n, bound=None):
+def rational_points_of_order(model, n):
     """All model points of exact order n with rational coordinates.
 
     The x-coordinates are rational roots of the reduced division polynomial;
@@ -424,6 +414,26 @@ def halving_polynomial(model, target):
     return num - UniPoly(model.tower, (xq,)) * den
 
 
+def signed_preimage(model, n, pt, target):
+    """Whichever of pt and -pt has n-th multiple ``target``, or None.
+
+    ``model`` and ``target`` live in a prefix of pt's tower and are embedded
+    there.  None when pt is off the model or x(n pt) differs from x(target).
+    """
+    tower = pt[0].tower
+    m = model.embedded(tower)
+    if not m.on_curve(pt):
+        return None
+    img = m.mul(n, pt)
+    if img is None:
+        return None
+    if not (img[0] - target[0].embedded(tower)).is_zero():
+        return None
+    if (img[1] - target[1].embedded(tower)).is_zero():
+        return pt
+    return m.neg(pt)
+
+
 def halve_point(model, target, name_hint="h"):
     """Points P with 2P = target, each with the tower it needs.
 
@@ -441,35 +451,13 @@ def halve_point(model, target, name_hint="h"):
     def y_case(tower, x0):
         """Classify the y-solution over ``tower``: the discriminant and whether
         a square root extension is needed."""
-        m = model.embedded(tower)
-        a = m.a1 * x0 + m.a3
-        rhs = x0 * x0 * x0 + m.a2 * x0 * x0 + m.a4 * x0 + m.a6
-        disc = a * a + 4 * rhs
-        try:
-            d = disc.as_rational()
-        except ValueError:
-            d = None
-        root = _rational_sqrt(d) if d is not None else None
+        a, disc = model.embedded(tower).y_discriminant(x0)
+        root = _rational_sqrt(disc)
         if root is not None:
             return ("direct", (-a + tower.rational(root)) * half, disc)
         if disc.is_zero():
             return ("direct", -a * half, disc)
         return ("sqrt", a, disc)
-
-    def verify(tower, x0, y0):
-        m = model.embedded(tower)
-        pt = (x0, y0)
-        if not m.on_curve(pt):
-            return None
-        dbl = m.mul(2, pt)
-        if dbl is None:
-            return None
-        tgt = (target[0].embedded(tower), target[1].embedded(tower))
-        if not (dbl[0] - tgt[0]).is_zero():
-            return None
-        if (dbl[1] - tgt[1]).is_zero():
-            return pt
-        return m.neg(pt)
 
     for packet in root_packets(quartic, t, enumerate_conjugates=False, name_hint=name_hint):
         ext = packet.tower
@@ -489,7 +477,9 @@ def halve_point(model, target, name_hint="h"):
             for tower2, xx, yy in pairs:
                 for final, res in with_splitting(
                     tower2,
-                    lambda tw, xx=xx, yy=yy: verify(tw, xx.migrated(tw), yy.migrated(tw)),
+                    lambda tw, xx=xx, yy=yy: signed_preimage(
+                        model, 2, (xx.migrated(tw), yy.migrated(tw)), target
+                    ),
                 ):
                     if res is not None:
                         out.append((final, res))

@@ -113,3 +113,39 @@ def test_realize_unknown_recipe(capsys):
     code, _, err = run_cli(capsys, "realize", "nonsense")
     assert code == 2
     assert "unknown recipe" in err
+
+
+def test_invariants_on_spec_without_components_is_a_spec_error(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"d0": 3}))
+    code, _, err = run_cli(capsys, "invariants", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed spec file")
+    assert "components" in err
+
+
+def test_fingerprint_on_tower_without_minpoly_is_a_spec_error(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"tower": [{"name": "t"}], "curves": []}))
+    code, _, err = run_cli(capsys, "fingerprint", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed tower data")
+    assert "minpoly" in err
+
+
+def test_fingerprint_on_curve_without_terms_is_a_spec_error(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"tower": [], "curves": [{"degree": 1}]}))
+    code, _, err = run_cli(capsys, "fingerprint", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed curve data")
+    assert "terms" in err
+
+
+def test_fingerprint_on_file_without_curves_is_a_spec_error(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"tower": []}))
+    code, _, err = run_cli(capsys, "fingerprint", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed arrangement file")
+    assert "curves" in err

@@ -1,17 +1,23 @@
-"""Dynamic evaluation under deliberately reducible moduli."""
+"""Dynamic evaluation under deliberately reducible moduli, and moving values
+between related towers."""
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from maxflex import (
     QQ,
     PlaneCurve,
     ProjPoint,
     UniPoly,
+    ZeroDivisorEncountered,
     intersection_points,
     intersection_multiplicity,
+    weierstrass_model,
     with_splitting,
 )
+from maxflex.catalog import catalog_entry
 
 
 def test_uniform_arithmetic_covers_all_factors():
@@ -97,3 +103,55 @@ def test_bezout_cubic_times_cubic():
             continue
         assert sum(r.multiplicity * r.orbit for r in recs) == 9
         done += 1
+
+
+def test_with_splitting_cutoff_reraises_below_base_height():
+    # Q[t]/(t^2 - 1)[s]/(s^2 - 4): both levels are reducible
+    low = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1]), name="t")
+    tower = low.extend(UniPoly.from_rationals(low, [-4, 0, 1]), name="s")
+
+    def t_is_one(tw):
+        return (tw.generator(0) - tw.one()).is_zero()
+
+    def s_is_two(tw):
+        return (tw.generator(1) - tw.rational(2)).is_zero()
+
+    with pytest.raises(ZeroDivisorEncountered) as err:
+        with_splitting(tower, t_is_one, base_height=1)
+    assert err.value.level == 0
+    assert sorted(r for _tw, r in with_splitting(tower, t_is_one)) == [False, True]
+    results = with_splitting(tower, s_is_two, base_height=1)
+    assert sorted(r for _tw, r in results) == [False, True]
+    assert all(tw.levels[0] == tower.levels[0] for tw, _r in results)
+
+
+def _i_tower():
+    return QQ.extend(UniPoly.from_rationals(QQ, [1, 0, 1]), name="i")
+
+
+def _structure_over_i():
+    return catalog_entry("90c3").build()["structure"].embedded(_i_tower())
+
+
+@pytest.mark.parametrize(
+    "make, methods",
+    [
+        (lambda: _i_tower().generator(), ("embedded", "migrated")),
+        (lambda: UniPoly(_i_tower(), [_i_tower().generator(), 1]), ("embedded", "migrated")),
+        (lambda: ProjPoint(_i_tower(), [1, _i_tower().generator(), 0]), ("embedded", "migrated")),
+        (lambda: _structure_over_i().cubic, ("embedded", "migrated")),
+        (_structure_over_i, ("embedded", "migrated")),
+        # a Weierstrass model is only ever embedded, never migrated
+        (lambda: weierstrass_model(_structure_over_i()), ("embedded",)),
+    ],
+    ids=["TowerElement", "UniPoly", "ProjPoint", "PlaneCurve", "EllipticStructure",
+         "WeierstrassModel"],
+)
+def test_same_tower_move_is_identity(make, methods):
+    x = make()
+    for method in methods:
+        assert getattr(x, method)(x.tower) is x
+    # Q(sqrt 2) does not extend Q(i): embedding still refuses it
+    other = QQ.extend(UniPoly.from_rationals(QQ, [-2, 0, 1]), name="r")
+    with pytest.raises(ValueError, match="prefix-compatible"):
+        x.embedded(other)
