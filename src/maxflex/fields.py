@@ -413,15 +413,21 @@ class FieldTower:
 
     @classmethod
     def from_data(cls, data, degree_cap=DEFAULT_DEGREE_CAP):
+        """Rebuild a tower from ``to_data`` output, each level through ``extend``
+        and its checks; a monic linear level is the trivial level a split
+        leaves."""
         tower = cls((), degree_cap)
         with malformed("tower data"):
             for entry in data:
-                coeffs = tuple(
-                    rep_from_data(tower.levels, tower.height, c) for c in entry["minpoly"]
-                )
-                tower = FieldTower(
-                    tower.levels + (TowerLevel(entry["name"], coeffs, False),), degree_cap
-                )
+                coeffs = [rep_from_data(tower.levels, tower.height, c) for c in entry["minpoly"]]
+                minpoly = UniPoly(tower, coeffs)
+                if len(coeffs) == 2 and minpoly.degree == 1:
+                    if minpoly.coeffs[-1] != tower.one().rep:
+                        raise DegenerateModulus("modulus must be monic")
+                    lv = TowerLevel(entry["name"], minpoly.coeffs, False)
+                    tower = FieldTower(tower.levels + (lv,), degree_cap)
+                else:
+                    tower = tower.extend(minpoly, name=entry["name"])
         return tower
 
 

@@ -772,16 +772,32 @@ def ec_neg(e, p):
 
 
 def ec_mul(e, n, p):
+    """n*p by double-and-add; raises LineNotIncident for p off the cubic."""
+    if n == 0:
+        return e.origin
+    if not e.cubic.contains(p):
+        raise LineNotIncident("point is not on the cubic")
     if n < 0:
-        return ec_mul(e, -n, ec_neg(e, p))
-    acc = e.origin
+        n, p = -n, ec_neg(e, p)
+    acc = None
     base = p
-    while n:
+    while True:
         if n & 1:
-            acc = ec_add(e, acc, base)
-        base = ec_add(e, base, base)
+            acc = base if acc is None else ec_add(e, acc, base)
         n >>= 1
-    return acc
+        if not n:
+            return acc
+        base = ec_add(e, base, base)
+
+
+def ec_sum(e, terms):
+    """The sum of n*p over the (n, p) pairs; the origin when all n vanish."""
+    acc = None
+    for n, p in terms:
+        if n:
+            q = ec_mul(e, n, p)
+            acc = q if acc is None else ec_add(e, acc, q)
+    return e.origin if acc is None else acc
 
 
 def point_order(e, p, bound):

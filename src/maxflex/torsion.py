@@ -8,7 +8,11 @@ covers and, through order/multiset/group comparisons, certify Zariski pairs.
 Classes live either in the abstract lattice (Z/N)^2 standing for the
 N-torsion of the Picard group, or as honest points on a cubic through the
 chord-tangent law; a spec may carry both backends, which are required to
-agree.
+agree.  A maximal flex makes the map from classes to points a group
+homomorphism, so the two backends are cross-checked once per spec: the
+map is verified to be well defined and injective on the degree-0 part of
+the span of the classes (``ArrangementSpec.class_points``), after which
+every weighted order is a lattice computation read off that map.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     ZeroVector,
     malformed,
 )
-from .geometry import ec_add, ec_mul, point_order, tangent_line
+from .geometry import ec_add, ec_mul, ec_sum, point_order, tangent_line
 
 
 def _lcm(a, b):
@@ -164,8 +168,9 @@ class ArrangementSpec:
     """A maximal-flex arrangement (D; C_1, ..., C_k) for the invariant calculus.
 
     ``structure`` is the EllipticStructure of the distinguished cubic when a
-    geometric backend is available; abstract classes may coexist with it and
-    are then cross-checked on every order computation.
+    geometric backend is available; abstract classes may coexist with it.
+    The two are then cross-checked once per spec, when the first order
+    computation builds the verified class -> point map (``class_points``).
     """
 
     def __init__(self, d0, components, structure=None, check=True):
@@ -173,6 +178,7 @@ class ArrangementSpec:
         self.components = tuple(components)
         self.structure = structure
         self._point_cache = {}
+        self._class_points = None
         if not self.components:
             raise ValueError("at least one component required")
         if check:
@@ -234,15 +240,70 @@ class ArrangementSpec:
 
     def component_point(self, index):
         """The E-point sum of the component's normalized intersection divisor."""
-        if index in self._point_cache:
-            return self._point_cache[index]
+        if index not in self._point_cache:
+            comp = self.components[index]
+            self._point_cache[index] = ec_sum(
+                self.structure, [(mult // comp.m, p) for p, mult in comp.divisor]
+            )
+        return self._point_cache[index]
+
+    def class_points(self):
+        """The verified map from lattice classes to points on the cubic.
+
+        Built once per spec, on first use, over the degree-0 combinations
+        sum b_j t_j only: P_j sums e_j = 3 d_j / m_j points and two flexes
+        differ by a 3-torsion point, so sum b_j P_j is free of the choice of
+        origin exactly when sum b_j e_j = 0 (mod 3), and torsion_order forms
+        no other sums.  The sublattice is generated by 3 u_j0 and
+        u_j - (e_j e_j0 mod 3) u_j0, j0 the first j with e_j != 0 (mod 3), or
+        by the unit vectors when there is none.  A breadth-first walk over
+        the span of the generators' classes checks every edge (the map is
+        well defined) and that only 0 goes to the origin (it is injective),
+        raising BackendDisagreement otherwise.  The map is then an
+        isomorphism onto its image, and this is where the abstract lattice
+        and the geometric group law are cross-checked.
+        """
+        if self._class_points is not None:
+            return self._class_points
         e = self.structure
-        comp = self.components[index]
-        acc = e.origin
-        for p, mult in comp.divisor:
-            acc = ec_add(e, acc, ec_mul(e, mult // comp.m, p))
-        self._point_cache[index] = acc
-        return acc
+        mod = self.lattice_modulus()
+        counts = [sum(mult // c.m for _, mult in c.divisor) % 3 for c in self.components]
+        j0 = next((j for j, ej in enumerate(counts) if ej), None)
+        if j0 is None:
+            combos = [{j: 1} for j in range(self.k)]
+        else:
+            combos = [{j0: 3}] + [
+                {j: 1, j0: -(ej * counts[j0] % 3)}
+                for j, ej in enumerate(counts)
+                if j != j0
+            ]
+        gens = {}
+        for combo in combos:
+            cls = TorsionClass(mod, (0, 0))
+            for j, n in combo.items():
+                cls = cls + self.components[j].cls.rescaled(mod).scale(n)
+            pt = ec_sum(e, [(n, self.component_point(j)) for j, n in combo.items()])
+            if gens.setdefault(cls.coords, pt) != pt:
+                raise BackendDisagreement("the class map is not well defined")
+        zero = (0, 0)
+        if gens.pop(zero, e.origin) != e.origin:
+            raise BackendDisagreement("the class map is not well defined")
+        table = {zero: e.origin}
+        frontier = [zero]
+        for x in frontier:
+            for g, gp in gens.items():
+                y = ((x[0] + g[0]) % mod, (x[1] + g[1]) % mod)
+                yp = gp if x == zero else ec_add(e, table[x], gp)
+                if y in table:
+                    if table[y] != yp:
+                        raise BackendDisagreement("the class map is not well defined")
+                elif yp == e.origin:
+                    raise BackendDisagreement("the class map is not injective")
+                else:
+                    table[y] = yp
+                    frontier.append(y)
+        self._class_points = table
+        return table
 
     # -- serialization ------------------------------------------------------------
 
@@ -360,38 +421,53 @@ def reduce_weights(spec, weights):
 def torsion_order(spec, weights):
     """Order of the weighted torsion class sum(a_j m_j / n_a * t_j).
 
-    Computed on every backend the spec carries; disagreement between the
-    abstract lattice and the geometric group law raises BackendDisagreement.
+    With the abstract backend the order is lattice arithmetic.  When the spec
+    also carries the geometric one, the same class is looked up in the
+    spec's verified class -> point map (``ArrangementSpec.class_points``,
+    checked once per spec) and its order read off by walking multiples
+    there, within the bound n_a; a disagreement raises BackendDisagreement.
+    A geometry-only spec sums the points on the cubic.
     """
     na = cover_order(spec, weights)
-    orders = {}
     if spec.has_abstract:
         mod = spec.lattice_modulus()
         acc = TorsionClass(mod, (0, 0))
         for a, comp in zip(weights, spec.components):
             acc = acc + comp.cls.rescaled(mod).scale(a * comp.m // na)
-        orders["abstract"] = acc.order()
-    if spec.has_geometric:
-        e = spec.structure
-        acc = e.origin
-        for idx, (a, comp) in enumerate(zip(weights, spec.components)):
-            pt = spec.component_point(idx)
-            acc = ec_add(e, acc, ec_mul(e, a * comp.m // na, pt))
-        if acc == e.origin:
-            orders["geometric"] = 1
-        else:
-            found = point_order(e, acc, na)
-            if found is None:
-                raise BackendDisagreement(
-                    "geometric order exceeds the cover order bound"
-                )
-            orders["geometric"] = found
-    if not orders:
+        order = acc.order()
+        if spec.has_geometric and _class_point_order(spec, acc, na) != order:
+            raise BackendDisagreement("backends disagree on the order of %r" % (acc,))
+        return order
+    if not spec.has_geometric:
         raise ValueError("spec carries no backend")
-    vals = set(orders.values())
-    if len(vals) > 1:
-        raise BackendDisagreement("backends disagree: %r" % orders)
-    return vals.pop()
+    e = spec.structure
+    acc = ec_sum(
+        e,
+        [
+            (a * comp.m // na, spec.component_point(idx))
+            for idx, (a, comp) in enumerate(zip(weights, spec.components))
+        ],
+    )
+    found = point_order(e, acc, na)
+    if found is None:
+        raise BackendDisagreement("geometric order exceeds the cover order bound")
+    return found
+
+
+def _class_point_order(spec, cls, bound):
+    """Least n <= bound such that n * cls maps to the origin."""
+    table = spec.class_points()
+    origin = spec.structure.origin
+    mod = cls.modulus
+    coords = y = cls.coords
+    for n in range(1, bound + 1):
+        pt = table.get(y)
+        if pt is None:
+            raise BackendDisagreement("class outside the verified class map")
+        if pt == origin:
+            return n
+        y = ((y[0] + coords[0]) % mod, (y[1] + coords[1]) % mod)
+    raise BackendDisagreement("geometric order exceeds the cover order bound")
 
 
 def splitting_number(spec, weights):
@@ -658,9 +734,10 @@ def distinguish(spec1, spec2, admissible):
             kernel_hits = {}
             for rho in admissible:
                 witness = None
+                inv = _inv(rho)
                 for vec in box:
                     in1 = g1.kernel_contains(vec)
-                    rvec = tuple(vec[_inv(rho)[j]] for j in range(k))
+                    rvec = tuple([vec[i] for i in inv])
                     in2 = g2.kernel_contains(rvec)
                     if in1 != in2:
                         witness = {
@@ -685,13 +762,20 @@ def distinguish(spec1, spec2, admissible):
     t1 = _order_table(spec1, vectors)
     t2 = _order_table(spec2, vectors)
 
-    # multiset witness over the signature-preserving self sets
+    # multiset witness over the signature-preserving self sets.  The tables
+    # are read with plain index tuples: entry j of a.permuted(r) is a[inv_r[j]]
+    # and of a.permuted(rho).permuted(r) is a[inv_rho[inv_r[j]]].
     s1 = self_admissible(spec1)
     s2 = self_admissible(spec2)
+    take1 = [_inv(r1) for r1 in s1]
+    take2 = {}
+    for rho0 in admissible:
+        inv = _inv(rho0)
+        take2[rho0] = [tuple([inv[i] for i in _inv(r2)]) for r2 in s2]
     for a0 in vectors:
-        m1 = sorted(t1[a0.permuted(r1)] for r1 in s1)
+        m1 = sorted([t1[tuple([a0[i] for i in ix])] for ix in take1])
         for rho0 in admissible:
-            m2 = sorted(t2[a0.permuted(rho0).permuted(r2)] for r2 in s2)
+            m2 = sorted([t2[tuple([a0[i] for i in ix])] for ix in take2[rho0]])
             if m1 != m2:
                 _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2)
                 return ZariskiCertificate(
@@ -709,13 +793,11 @@ def distinguish(spec1, spec2, admissible):
     per = {}
     for rho in admissible:
         found = None
+        inv = _inv(rho)
         for a in vectors:
-            if t1[a] != t2[a.permuted(rho)]:
-                found = {
-                    "weights": list(a),
-                    "order1": t1[a],
-                    "order2": t2[a.permuted(rho)],
-                }
+            order2 = t2[tuple([a[i] for i in inv])]
+            if t1[a] != order2:
+                found = {"weights": list(a), "order1": t1[a], "order2": order2}
                 break
         if found is None:
             per = None
@@ -730,10 +812,11 @@ def distinguish(spec1, spec2, admissible):
 
 
 def _inv(perm):
+    """The inverse permutation as an index tuple."""
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
         inv[v] = i
-    return inv
+    return tuple(inv)
 
 
 def _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2):

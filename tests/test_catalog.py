@@ -1,9 +1,16 @@
 """Catalog curves and arrangement recipes."""
 
+import pytest
+
 from maxflex import (
     QQ,
+    ArrangementSpec,
+    BackendDisagreement,
+    ComponentData,
     ProjPoint,
+    TorsionClass,
     WeightVector,
+    distinguish,
     flex_points,
     intersection_points,
     point_order,
@@ -44,15 +51,49 @@ def test_bigon_intersection_divisors():
 
 
 def test_backend_agreement_over_the_search_box():
-    # every torsion_order call cross-checks the lattice against the honest
-    # group law when both backends are present; sweep the whole reduced box
+    # with both backends the class -> point map is verified once per spec;
+    # the same arrangement without classes sums the points on the cubic for
+    # every vector, and the two must agree over the whole reduced box
     entry = catalog_entry("90c3").build(64)
     for r in (4, 12):
         tw, e, p, q = bigon_points(entry, r)
         c1, c2 = bigon_conics(e, p, q)
         spec, _ = bigon_spec(e, p, q, c1, c2, r, with_line=True)
+        bare = [ComponentData(c.degree, c.m, c.divisor) for c in spec.components]
+        geometric = ArrangementSpec(3, bare, structure=e)
         for w in weight_vectors(spec.k, spec.weight_box()):
-            torsion_order(spec, w)
+            assert torsion_order(spec, w) == torsion_order(geometric, w), w
+
+
+def _relabelled_r12_line_spec(coords):
+    """The r = 12 line-augmented bi-gon spec with the conic pair's class
+    replaced by ``coords``."""
+    entry = catalog_entry("90c3").build(64)
+    tw, e, p, q = bigon_points(entry, 12)
+    c1, c2 = bigon_conics(e, p, q)
+    spec, _ = bigon_spec(e, p, q, c1, c2, 12, with_line=True)
+    line, pair = spec.components
+    relabelled = ComponentData(pair.degree, pair.m, pair.divisor, TorsionClass(12, coords))
+    return ArrangementSpec(3, [line, relabelled], structure=e)
+
+
+@pytest.mark.parametrize(
+    "coords, failure",
+    [
+        # P + Q has order 3, so 0 |-> P + Q
+        ((0, 0), "not well defined"),
+        # order 2 |-> order 3: the edge (6, 0) + (6, 0) = 0 breaks
+        ((6, 0), "not well defined"),
+        # order 6 |-> order 3: 3 * (2, 0) goes to the origin
+        ((2, 0), "not injective"),
+    ],
+)
+def test_mislabelled_class_raises(coords, failure):
+    spec = _relabelled_r12_line_spec(coords)
+    with pytest.raises(BackendDisagreement, match=failure):
+        torsion_order(spec, WeightVector((2, 1)))
+    with pytest.raises(BackendDisagreement, match=failure):
+        distinguish(spec, spec, [(0, 1)])
 
 
 def test_cyclic_chain_vertices_have_order_nine():

@@ -149,3 +149,23 @@ def test_fingerprint_on_file_without_curves_is_a_spec_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: malformed arrangement file")
     assert "curves" in err
+
+
+def test_fingerprint_on_non_squarefree_tower_is_rejected(capsys, tmp_path):
+    # a (t+1)^2 level is not a field; it must be refused like extend refuses it
+    t = ["0/1", "1/1"]
+    one = ["1/1", "0/1"]
+    arrangement = {
+        "tower": [{"name": "t", "minpoly": ["1/1", "2/1", "1/1"]}],
+        "curves": [
+            {"degree": 3, "terms": {"3,0,0": one, "0,3,0": one, "0,0,3": one}},
+            {"degree": 1, "terms": {"1,0,0": one, "0,1,0": t}},
+        ],
+    }
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(arrangement))
+    code, out, err = run_cli(capsys, "fingerprint", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "squarefree" in err

@@ -178,6 +178,26 @@ def test_tower_serialization_round_trip():
     assert data[0]["minpoly"][0] == "9/1"
 
 
+def test_tower_from_data_checks_each_level_like_extend():
+    # a split leaves a monic linear level, which reads back as it was
+    k = extend_field(QQ, qpoly(-1, 0, 1), name="b")
+    lin, _ = k.split(0, [Fraction(-1), Fraction(1)])
+    k2 = extend_field(lin, UniPoly.from_rationals(lin, [-2, 0, 1]), name="s")
+    back = FieldTower.from_data(k2.to_data())
+    assert [lv.modulus for lv in back.levels] == [lv.modulus for lv in k2.levels]
+    assert not any(lv.irreducible for lv in back.levels)
+    bad = (
+        ["1/1", "2/1", "1/1"],  # (t+1)^2: not squarefree
+        ["1/1", "0/1", "2/1"],  # not monic
+        ["1/1", "2/1", "0/1"],  # zero leading coefficient
+        ["1/1", "2/1"],  # linear, not monic
+        ["1/1", "0/1"],  # a constant
+    )
+    for minpoly in bad:
+        with pytest.raises(DegenerateModulus):
+            FieldTower.from_data([{"name": "t", "minpoly": minpoly}])
+
+
 def test_minimal_polynomial_of_generator():
     k = extend_field(QQ, qpoly(9, -3, 1), name="b")
     mp = k.generator().minimal_polynomial()

@@ -1,6 +1,7 @@
 """The invariant calculus over the abstract lattice and its geometric twin."""
 
 import random
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -364,6 +365,47 @@ def test_multiset_witness_survives_brute_reverification():
         c = comp.cls.rescaled(mod).scale(x * comp.m // na)
         acc = ((acc[0] + c.coords[0]) % mod, (acc[1] + c.coords[1]) % mod)
     assert brute_order(acc, mod) == torsion_order(s4, a0) or acc == (0, 0)
+
+
+def _first_multiset_witness(spec1, spec2, admissible):
+    """The multiset search by its definition, through WeightVector.permuted."""
+    s1, s2 = self_admissible(spec1), self_admissible(spec2)
+    box = max(spec1.weight_box(), spec2.weight_box())
+    for a0 in weight_vectors(spec1.k, box):
+        m1 = sorted(torsion_order(spec1, a0.permuted(r)) for r in s1)
+        for rho in admissible:
+            m2 = sorted(torsion_order(spec2, a0.permuted(rho).permuted(r)) for r in s2)
+            if m1 != m2:
+                return list(a0), list(rho), m1, m2
+    return None
+
+
+def test_multiset_search_matches_its_definition():
+    # tangents and triangles in random positions: a self set that is not
+    # normal in S3 makes the order in which the permutations act matter
+    rng = random.Random(5)
+    found = 0
+    for _ in range(60):
+        specs = []
+        for _ in range(2):
+            comps = []
+            for j in range(3):
+                cls = TorsionClass(9, (3 * rng.randrange(3), 3 * rng.randrange(3)))
+                d = rng.choice((1, 3))
+                divisor = [("p%d_%d" % (j, i), 3) for i in range(d)]
+                comps.append(ComponentData(d, 3, divisor, cls))
+            specs.append(ArrangementSpec(3, comps))
+        admissible = rng.sample(list(permutations(range(3))), 2)
+        cert = distinguish(specs[0], specs[1], admissible)
+        want = _first_multiset_witness(specs[0], specs[1], admissible)
+        if cert.mode == "multiset-witness":
+            w = cert.witnesses
+            got = (w["base_weights"], w["pair_permutation"], w["multiset1"], w["multiset2"])
+            assert got == want
+            found += 1
+        elif cert.mode != "group-witness":
+            assert want is None
+    assert found
 
 
 def test_spec_serialization_round_trip(tmp_path):

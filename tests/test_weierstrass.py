@@ -2,14 +2,21 @@
 
 from fractions import Fraction
 
+import pytest
+
 from maxflex import (
     QQ,
+    ArrangementSpec,
+    ComponentData,
     DivisionPolynomials,
     EllipticStructure,
+    LineNotIncident,
     PlaneCurve,
     ProjPoint,
     UniPoly,
+    ec_add,
     ec_mul,
+    ec_neg,
     halve_point,
     point_order,
     poly_gcd,
@@ -90,6 +97,46 @@ def test_twelve_torsion_generator_via_reduced_division_polynomial():
     assert ec_mul(e, 12, P) == e.origin
     for n in range(1, 12):
         assert ec_mul(e, n, P) != e.origin
+
+
+def _order_twelve_point():
+    e = structure_90c3()
+    m = weierstrass_model(e)
+    return e, m.point_to_source(rational_points_of_order(m, 12)[0])
+
+
+def _repeated_sum(e, terms):
+    acc = e.origin
+    for n, p in terms:
+        step = p if n > 0 else ec_neg(e, p)
+        for _ in range(abs(n)):
+            acc = ec_add(e, acc, step)
+    return acc
+
+
+def test_ec_mul_matches_repeated_addition():
+    e, P = _order_twelve_point()
+    for n in range(-13, 14):
+        assert ec_mul(e, n, P) == _repeated_sum(e, [(n, P)]), n
+
+
+def test_ec_mul_rejects_a_point_off_the_cubic():
+    e = structure_90c3()
+    off = ProjPoint(QQ, [1, 2, 3])
+    assert not e.cubic.contains(off)
+    for n in (1, -1, 2, 7):
+        with pytest.raises(LineNotIncident):
+            ec_mul(e, n, off)
+    assert ec_mul(e, 0, off) == e.origin
+
+
+def test_component_point_matches_the_divisor_sum():
+    e, P = _order_twelve_point()
+    Q = ec_mul(e, 5, P)
+    divisor = [(P, 1), (Q, 2)]
+    spec = ArrangementSpec(3, [ComponentData(1, 1, divisor)], structure=e)
+    assert spec.component_point(0) == _repeated_sum(e, [(1, P), (2, Q)])
+    assert spec.component_point(0) == ec_mul(e, 11, P)
 
 
 def test_no_rational_eight_torsion():
