@@ -120,12 +120,16 @@ def catalog_entry(name):
 # Fermat witness: two inflectional tangents plus a triangle
 # ---------------------------------------------------------------------------
 
+def fermat_t1(data):
+    """The point T1 = [1:-w:0] of the Fermat cubic over Q(w)."""
+    tower = data["tower"]
+    return ProjPoint(tower, [tower.one(), -data["w"], tower.zero()])
+
+
 def fermat_torsion_frame(data):
     """The flex origin, T1 = [1:-w:0], its double, and their tangents."""
-    tower = data["tower"]
     e = data["structure"]
-    w = data["w"]
-    t1 = ProjPoint(tower, [tower.one(), -w, tower.zero()])
+    t1 = fermat_t1(data)
     t2x = ec_add(e, t1, t1)
     return {
         "T1": t1,
@@ -143,8 +147,7 @@ def fermat_triangle(data, name_hint="v"):
     """
     tower = data["tower"]
     e = data["structure"]
-    w = data["w"]
-    t1 = ProjPoint(tower, [tower.one(), -w, tower.zero()])
+    t1 = fermat_t1(data)
     model = weierstrass_model(e)
     mt = model.point_from_source(t1)
     tri_poly = trisection_polynomial(model, mt[0])

@@ -7,15 +7,28 @@ divisor the offending factor is reported via ZeroDivisorEncountered and the
 caller splits the tower on it (dynamic evaluation).
 
 Element representation: an element of a tower of height h is a "rep".  A rep
-at height 0 is a Fraction; a rep at height k is a tuple of exactly deg(f_k)
-reps at height k-1 (the residue polynomial in the k-th generator, lowest
-degree first, zero-padded).  Reps are always kept canonically reduced.
+at height 0 is a Fraction.  A rep at height k >= 1 is a pair (den, Z): den is
+a positive int, and Z holds integer numerators in the tower's shape, a tuple
+of deg(f_k) entries of the shape one level down, with plain ints at height 0.
+The value is the residue polynomial in the generators (lowest degree first,
+zero-padded) whose coefficients are the entries of Z divided by den.  Reps
+are canonical: residues are reduced and gcd(den, every entry of Z) == 1, so
+equal values have equal reps and hashes.
+
+A product is formed in the integers and reduced by each level's modulus with
+its denominators cleared, a pseudo-remainder whose scale is fixed per level,
+then normalised with one gcd.  An inverse at height 1 runs an integer
+remainder sequence with content stripping; an inverse at a linear level (the
+trivial level a split leaves) is the inverse of its one coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
 
@@ -41,10 +54,221 @@ class TowerLevel:
     name: str
     modulus: tuple
     irreducible: bool = False
+    #: The level's integer data (``_ZLevel``), built on first use from the
+    #: levels below, which are fixed when the level is made.
+    _z: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def degree(self):
         return len(self.modulus) - 1
+
+
+# ---------------------------------------------------------------------------
+# integer numerators: Z at "int-height" k is an int for k = 0 and a tuple of
+# deg(f_k) numerators at int-height k - 1 otherwise
+# ---------------------------------------------------------------------------
+
+def _zany(Z, k):
+    """True when some entry of Z is nonzero."""
+    if k == 0:
+        return Z != 0
+    if k == 1:
+        return any(Z)
+    return any(_zany(z, k - 1) for z in Z)
+
+
+def _zop(op, A, B, k):
+    if k == 1:
+        return tuple(map(op, A, B))
+    return tuple(_zop(op, a, b, k - 1) for a, b in zip(A, B))
+
+
+def _zscale(A, c, k):
+    if c == 1:
+        return A
+    if k == 1:
+        return tuple(x * c for x in A)
+    return tuple(_zscale(a, c, k - 1) for a in A)
+
+
+def _zcontent(Z, k, g):
+    """gcd of g and every entry of Z."""
+    if k == 1:
+        return gcd(g, *Z)
+    for z in Z:
+        g = _zcontent(z, k - 1, g)
+        if g == 1:
+            break
+    return g
+
+
+def _zdiv(Z, g, k):
+    if k == 1:
+        return tuple(x // g for x in Z)
+    return tuple(_zdiv(z, g, k - 1) for z in Z)
+
+
+def _znorm(den, Z, k):
+    """The canonical rep of Z / den at height k (den > 0)."""
+    if den == 1:
+        return (1, Z)
+    g = _zcontent(Z, k, den)
+    if g == 1:
+        return (den, Z)
+    return (den // g, _zdiv(Z, g, k))
+
+
+class _ZLevel:
+    """Integer data of level k (1-based) of a tower.
+
+    With D the lcm of the denominators of the modulus coefficients, D times
+    the modulus is ``cleared``: integer numerators N_0 .. N_{d-1} (at
+    int-height k - 1) and the leading D.  Reducing a product of two reduced
+    numerators by it takes d - 1 pseudo-remainder steps, each scaling by
+    ``step`` = D * S_{k-1}, so the reduced product carries the fixed factor
+    ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.
+    """
+
+    __slots__ = ("degree", "cleared", "terms", "step", "scale", "zero", "one")
+
+    def __init__(self, levels, k):
+        mod = levels[k - 1].modulus
+        d = len(mod) - 1
+        if k == 1:
+            below_scale, zero, one = 1, 0, 1
+            D = lcm(*(c.denominator for c in mod))
+            N = [c.numerator * (D // c.denominator) for c in mod[:d]]
+        else:
+            below = _zlevel(levels, k - 1)
+            below_scale, zero, one = below.scale, below.zero, below.one
+            D = lcm(*(c[0] for c in mod))
+            N = [_zscale(c[1], D // c[0], k - 1) for c in mod[:d]]
+        self.degree = d
+        self.cleared = tuple(N) + (D,)
+        self.terms = tuple((t, n) for t, n in enumerate(N) if _zany(n, k - 1))
+        self.step = D * below_scale
+        self.scale = below_scale * self.step ** (d - 1)
+        self.zero = (zero,) * d
+        self.one = (one,) + (zero,) * (d - 1)
+
+
+def _zlevel(levels, k):
+    lv = levels[k - 1]
+    z = lv._z
+    if z is None:
+        z = _ZLevel(levels, k)
+        object.__setattr__(lv, "_z", z)
+    return z
+
+
+def _zmul(levels, k, A, B):
+    """The product of numerators A and B at int-height k >= 1, reduced, times
+    the level's fixed ``scale``."""
+    zl = _zlevel(levels, k)
+    d = zl.degree
+    step = zl.step
+    if k == 1:
+        P = _zz_mul(A, B)
+        for n in range(2 * d - 2, d - 1, -1):
+            c = P.pop()
+            if step != 1:
+                P = [p * step for p in P]
+            if c:
+                for t, m in zl.terms:
+                    P[n - d + t] -= c * m
+        return tuple(P)
+    low = k - 1
+    P = [_zlevel(levels, low).zero] * (2 * d - 1)
+    nonzero_b = [(j, y) for j, y in enumerate(B) if _zany(y, low)]
+    for i, x in enumerate(A):
+        if _zany(x, low):
+            for j, y in nonzero_b:
+                P[i + j] = _zop(add, P[i + j], _zmul(levels, low, x, y), low)
+    # each reduction step scales every lower entry by ``step``; an entry
+    # takes the steps it missed (done - seen[i]) only when it is next used
+    seen = [0] * len(P)
+    done = 0
+    for n in range(2 * d - 2, d - 1, -1):
+        c = _zscale(P.pop(), step ** (done - seen[n]), low)
+        done += 1
+        if _zany(c, low):
+            for t, m in zl.terms:
+                i = n - d + t
+                caught_up = _zscale(P[i], step ** (done - seen[i]), low)
+                P[i] = _zop(sub, caught_up, _zmul(levels, low, c, m), low)
+                seen[i] = done
+    return tuple(_zscale(p, step ** (done - seen[i]), low) for i, p in enumerate(P))
+
+
+def _zz_trim(v):
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _zz_pseudo_divmod(f, g):
+    """Integer q and r with lc(g)^(deg f - deg g + 1) * f = q * g + r."""
+    dg = len(g) - 1
+    lg = g[-1]
+    q = [0] * (len(f) - dg)
+    r = list(f)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        q = [lg * x for x in q]
+        q[k] += c
+        r = [lg * x for x in r]
+        if c:
+            for j in range(dg):
+                r[k + j] -= c * g[j]
+    return q, _zz_trim(r)
+
+
+def _zz_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+    return out
+
+
+def _zinv1(zl, a):
+    """Inverse of a rep at height 1 by an integer remainder sequence.
+
+    Each remainder r_i comes with an integer cofactor s_i and an integer
+    l_i such that s_i * A = l_i * r_i modulo the level's modulus; remainders
+    are stripped of their content and (s_i, l_i) of their common factor.
+    """
+    den, A = a
+    r1 = _zz_trim(list(A))
+    if not r1:
+        raise ZeroDivisionError("inverting zero")
+    c = gcd(*r1)
+    r0, s0, l0 = _zz_primitive(list(zl.cleared)), [], 1
+    r1, s1, l1 = [x // c for x in r1], [1], c
+    while len(r1) > 1:
+        q, r = _zz_pseudo_divmod(r0, r1)
+        if not r:
+            raise ZeroDivisorEncountered(0, [Fraction(x, r1[-1]) for x in r1])
+        # r = L r0 - q r1 with L = lc(r1)^(deg r0 - deg r1 + 1), so that
+        # l0 l1 r = (L l1 s0 - l0 q s1) A
+        f0 = r1[-1] ** (len(r0) - len(r1) + 1) * l1
+        qs = _zz_mul(q, s1)
+        s = _zz_trim([f0 * x - l0 * y for x, y in zip_longest(s0, qs, fillvalue=0)])
+        cr = gcd(*r)
+        r = [x // cr for x in r]
+        lam = l0 * l1 * cr
+        g = gcd(lam, *s)
+        if g > 1:
+            lam //= g
+            s = [x // g for x in s]
+        r0, s0, l0, r1, s1, l1 = r1, s1, l1, r, s, lam
+    # s1 * A = l1 * r1[0], so 1 / (A / den) = den * s1 / (l1 * r1[0])
+    inv_den = l1 * r1[0]
+    if inv_den < 0:
+        inv_den, den = -inv_den, -den
+    Z = [den * x for x in s1] + [0] * (zl.degree - len(s1))
+    return _znorm(inv_den, tuple(Z), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -54,64 +278,99 @@ class TowerLevel:
 def _rzero(levels, h):
     if h == 0:
         return _ZERO
-    return (_rzero(levels, h - 1),) * levels[h - 1].degree
+    return (1, _zlevel(levels, h).zero)
 
 
 def _rone(levels, h):
     if h == 0:
         return _ONE
-    below = [_rzero(levels, h - 1)] * levels[h - 1].degree
-    below[0] = _rone(levels, h - 1)
-    return tuple(below)
+    return (1, _zlevel(levels, h).one)
 
 
 def _rfrom_rational(levels, h, q):
-    if h == 0:
-        return Fraction(q)
-    below = [_rzero(levels, h - 1)] * levels[h - 1].degree
-    below[0] = _rfrom_rational(levels, h - 1, q)
-    return tuple(below)
+    rep = Fraction(q)
+    for k in range(h):
+        rep = _lift(levels, k, rep)
+    return rep
+
+
+def _lift(levels, k, rep):
+    """A rep at height k as the constant residue at height k + 1."""
+    pad = levels[k].degree - 1
+    if k == 0:
+        return (rep.denominator, (rep.numerator,) + (0,) * pad)
+    return (rep[0], (rep[1],) + (_zlevel(levels, k).zero,) * pad)
+
+
+def _coeffs(rep, h):
+    """The residue coefficients of a rep at height h >= 1, as reps at h - 1."""
+    den, Z = rep
+    if h == 1:
+        return [Fraction(z, den) for z in Z]
+    return [_znorm(den, z, h - 1) for z in Z]
+
+
+def _join(levels, h, coeffs):
+    """The rep at height h >= 1 with the given residue coefficients (reps at
+    height h - 1), zero-padded or cut to the level's degree."""
+    d = levels[h - 1].degree
+    coeffs = coeffs[:d]
+    if h == 1:
+        den = lcm(*(c.denominator for c in coeffs))
+        Z = [c.numerator * (den // c.denominator) for c in coeffs]
+        zero = 0
+    else:
+        den = lcm(*(c[0] for c in coeffs))
+        Z = [_zscale(c[1], den // c[0], h - 1) for c in coeffs]
+        zero = _zlevel(levels, h - 1).zero
+    return (den, tuple(Z) + (zero,) * (d - len(Z)))
 
 
 def _is_szero(rep, h):
     """Structural zero test (zero in every branch of the tower)."""
     if h == 0:
         return rep == 0
-    return all(_is_szero(c, h - 1) for c in rep)
+    return not _zany(rep[1], h)
+
+
+def _rsum(a, b, h, op):
+    da, A = a
+    db, B = b
+    if da == db:
+        return _znorm(da, _zop(op, A, B, h), h)
+    g = gcd(da, db)
+    Z = _zop(op, _zscale(A, db // g, h), _zscale(B, da // g, h), h)
+    if g == 1:
+        return (da * db, Z)
+    # a prime outside g divides one denominator only and cannot divide
+    # every entry of Z, so the content to remove divides g
+    g2 = _zcontent(Z, h, g)
+    return (da // g * (db // g2), _zdiv(Z, g2, h) if g2 > 1 else Z)
 
 
 def _radd(levels, h, a, b):
     if h == 0:
         return a + b
-    return tuple(_radd(levels, h - 1, x, y) for x, y in zip(a, b))
+    return _rsum(a, b, h, add)
 
 
 def _rneg(levels, h, a):
     if h == 0:
         return -a
-    return tuple(_rneg(levels, h - 1, x) for x in a)
+    return (a[0], _zscale(a[1], -1, h))
 
 
 def _rsub(levels, h, a, b):
     if h == 0:
         return a - b
-    return tuple(_rsub(levels, h - 1, x, y) for x, y in zip(a, b))
+    return _rsum(a, b, h, sub)
 
 
 def _rmul(levels, h, a, b):
     if h == 0:
         return a * b
-    d = levels[h - 1].degree
-    prod = [_rzero(levels, h - 1)] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if _is_szero(x, h - 1):
-            continue
-        for j, y in enumerate(b):
-            if _is_szero(y, h - 1):
-                continue
-            prod[i + j] = _radd(levels, h - 1, prod[i + j], _rmul(levels, h - 1, x, y))
-    _pl_reduce_inplace(levels, h - 1, prod, levels[h - 1].modulus)
-    return tuple(prod[:d])
+    P = _zmul(levels, h, a[1], b[1])
+    return _znorm(a[0] * b[0] * _zlevel(levels, h).scale, P, h)
 
 
 def _rinv(levels, h, a):
@@ -120,17 +379,18 @@ def _rinv(levels, h, a):
         if a == 0:
             raise ZeroDivisionError("inverting zero")
         return 1 / a
-    coeffs = _pl_trim(list(a), h - 1)
+    if levels[h - 1].degree == 1:
+        return _lift(levels, h - 1, _rinv(levels, h - 1, _coeffs(a, h)[0]))
+    if h == 1:
+        return _zinv1(_zlevel(levels, 1), a)
+    coeffs = _pl_trim(_coeffs(a, h), h - 1)
     if not coeffs:
         raise ZeroDivisionError("inverting zero")
     g, u = _pl_half_xgcd(levels, h - 1, coeffs, list(levels[h - 1].modulus))
     if len(g) > 1:
         raise ZeroDivisorEncountered(h - 1, _pl_monic(levels, h - 1, g))
     ginv = _rinv(levels, h - 1, g[0])
-    out = [_rmul(levels, h - 1, c, ginv) for c in u]
-    d = levels[h - 1].degree
-    out += [_rzero(levels, h - 1)] * (d - len(out))
-    return tuple(out[:d])
+    return _join(levels, h, [_rmul(levels, h - 1, c, ginv) for c in u])
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +575,15 @@ class FieldTower:
     def generator(self, index=-1):
         """The distinguished root adjoined at the given level."""
         index = index % self.height
-        d = self.levels[index].degree
-        coeffs = [_rzero(self.levels, index)] * d
-        if d > 1:
-            coeffs[1] = _rone(self.levels, index)
+        lv = self.levels[index]
+        if lv.degree > 1:
+            coeffs = [_rzero(self.levels, index), _rone(self.levels, index)]
         else:
             # degree-1 level from a split: the generator equals -constant term
-            coeffs[0] = _rneg(self.levels, index, self.levels[index].modulus[0])
-        rep = tuple(coeffs)
+            coeffs = [_rneg(self.levels, index, lv.modulus[0])]
+        rep = _join(self.levels, index + 1, coeffs)
         for k in range(index + 1, self.height):
-            lifted = [_rzero(self.levels, k)] * self.levels[k].degree
-            lifted[0] = rep
-            rep = tuple(lifted)
+            rep = _lift(self.levels, k, rep)
         return TowerElement(self, rep)
 
     def element(self, rep):
@@ -444,9 +701,7 @@ def embed_rep(src, dst, rep):
     if src.levels != dst.levels[: src.height]:
         raise ValueError("towers are not prefix-compatible")
     for k in range(src.height, dst.height):
-        lifted = [_rzero(dst.levels, k)] * dst.levels[k].degree
-        lifted[0] = rep
-        rep = tuple(lifted)
+        rep = _lift(dst.levels, k, rep)
     return rep
 
 
@@ -463,12 +718,9 @@ def migrate_rep(src, dst, rep, height=None):
         height = src.height
     if height == 0:
         return rep
-    coeffs = [migrate_rep(src, dst, c, height - 1) for c in rep]
-    lv = dst.levels[height - 1]
-    _pl_reduce_inplace(dst.levels, height - 1, coeffs, lv.modulus)
-    coeffs = coeffs[: lv.degree]
-    coeffs += [_rzero(dst.levels, height - 1)] * (lv.degree - len(coeffs))
-    return tuple(coeffs)
+    coeffs = [migrate_rep(src, dst, c, height - 1) for c in _coeffs(rep, height)]
+    _pl_reduce_inplace(dst.levels, height - 1, coeffs, dst.levels[height - 1].modulus)
+    return _join(dst.levels, height, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +832,10 @@ class TowerElement:
 
     def as_rational(self):
         """The value as a Fraction, if it is structurally rational."""
-        rep = self.rep
-        h = self.tower.height
-        while h > 0:
-            for c in rep[1:]:
-                if not _is_szero(c, h - 1):
-                    raise ValueError("element is not rational")
-            rep = rep[0]
-            h -= 1
-        return rep
+        q = self.demoted_rep(0)
+        if q is None:
+            raise ValueError("element is not rational")
+        return q
 
     def embedded(self, tower):
         if tower == self.tower:
@@ -620,13 +867,16 @@ class TowerElement:
         Succeeds exactly when every residue above the prefix is structurally
         constant, i.e. the value already lives in the prefix tower.
         """
-        rep = self.rep
-        for k in range(self.tower.height - 1, base_height - 1, -1):
-            for c in rep[1:]:
-                if not _is_szero(c, k):
-                    return None
-            rep = rep[0]
-        return rep
+        h = self.tower.height
+        if h == base_height:
+            return self.rep
+        den, Z = self.rep
+        for k in range(h, base_height, -1):
+            if any(_zany(z, k - 1) for z in Z[1:]):
+                return None
+            Z = Z[0]
+        # the entries dropped are zero, so (den, Z) is still canonical
+        return Fraction(Z, den) if base_height == 0 else (den, Z)
 
 
 def _eliminate_top_level(p):
@@ -643,10 +893,8 @@ def _eliminate_top_level(p):
     sub = FieldTower(t.levels[:-1], t.degree_cap)
     lv = t.levels[-1]
     d = lv.degree
-    cols = []
-    for j in range(d):
-        col = [c[j] for c in p.coeffs]
-        cols.append(UniPoly(sub, col))
+    rows = [_coeffs(c, t.height) for c in p.coeffs]
+    cols = [UniPoly(sub, [row[j] for row in rows]) for j in range(d)]
     modulus = [UniPoly(sub, (c,)) for c in lv.modulus]
     return resultant_bivariate(cols, modulus, sub)
 
@@ -789,13 +1037,7 @@ def poly_gcd(f, g):
 
 def _zz_primitive(v):
     """Integer coefficient list divided by its content, leading sign positive."""
-    from math import gcd as _gcd
-
-    c = 0
-    for x in v:
-        c = _gcd(c, abs(x))
-        if c == 1:
-            break
+    c = gcd(*v)
     if c > 1:
         v = [x // c for x in v]
     if v and v[-1] < 0:
@@ -804,12 +1046,8 @@ def _zz_primitive(v):
 
 
 def _qq_to_int(coeffs):
-    from math import gcd as _gcd
-
-    den = 1
-    for q in coeffs:
-        den = den * q.denominator // _gcd(den, q.denominator)
-    return _zz_primitive([int(q * den) for q in coeffs])
+    den = lcm(*(q.denominator for q in coeffs))
+    return _zz_primitive([q.numerator * (den // q.denominator) for q in coeffs])
 
 
 def _qq_gcd(fc, gc):
@@ -887,7 +1125,13 @@ def with_splitting(tower, fn, base_height=0):
 def rep_to_data(rep):
     if isinstance(rep, Fraction):
         return "%d/%d" % (rep.numerator, rep.denominator)
-    return [rep_to_data(c) for c in rep]
+    return _numerators_to_data(rep[1], rep[0])
+
+
+def _numerators_to_data(Z, den):
+    if isinstance(Z, int):
+        return rep_to_data(Fraction(Z, den))
+    return [_numerators_to_data(z, den) for z in Z]
 
 
 def rep_from_data(levels, h, data):
@@ -895,7 +1139,4 @@ def rep_from_data(levels, h, data):
         return _rfrom_rational(levels, h, Fraction(data))
     if h == 0:
         raise ValueError("nested coefficient list at the rational level")
-    d = levels[h - 1].degree
-    out = [rep_from_data(levels, h - 1, c) for c in data]
-    out += [_rzero(levels, h - 1)] * (d - len(out))
-    return tuple(out[:d])
+    return _join(levels, h, [rep_from_data(levels, h - 1, c) for c in data])

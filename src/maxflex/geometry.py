@@ -372,12 +372,7 @@ class PlaneCurve:
     def restrict_coord_zero(self, chart):
         """The binary form obtained by setting the chart coordinate to zero."""
         a, b = _chart_pair(chart)
-        terms = {}
-        for exps, c in self.form.items():
-            if exps[chart] == 0:
-                key = (exps[a], exps[b])
-                terms[key] = terms[key] + c if key in terms else c
-        return terms
+        return {(e[a], e[b]): c for e, c in self.form.items() if e[chart] == 0}
 
     def normalized(self):
         """Scale so the lexicographically first nonzero coefficient is one."""
@@ -951,9 +946,8 @@ def intersection_points(
 def _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities, on_budget):
     # binary forms in (x, y); roots (x0 : y0 : 0)
     def as_unipoly(terms):
-        coeffs = {}
-        for (i, j), c in terms.items():
-            coeffs[i] = coeffs.get(i, tower.zero()) + c
+        # the forms are homogeneous, so each x-degree has one term
+        coeffs = {i: c for (i, _j), c in terms.items()}
         n = max(coeffs, default=-1)
         return UniPoly(tower, [coeffs.get(i, tower.zero()) for i in range(n + 1)])
 

@@ -18,6 +18,7 @@ from .catalog import (
     catalog_entry,
     cyclic_flex_origins,
     cyclic_triangle_chain,
+    fermat_t1,
     fermat_witness,
     fermat_witness_spec,
 )
@@ -267,7 +268,7 @@ def repro_fermat_existence(extended=False, tower_budget=None):
     e = data["structure"]
     tower = data["tower"]
     w = data["w"]
-    t1 = ProjPoint(tower, [tower.one(), -w, tower.zero()])
+    t1 = fermat_t1(data)
     dbl = ec_add(e, t1, t1)
     expect = ProjPoint(tower, [tower.one(), -(w * w), tower.zero()])
     rep.check("double-of-T1", True, dbl == expect)

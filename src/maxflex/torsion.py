@@ -428,15 +428,25 @@ def torsion_order(spec, weights):
     there, within the bound n_a; a disagreement raises BackendDisagreement.
     A geometry-only spec sums the points on the cubic.
     """
-    na = cover_order(spec, weights)
+    return _torsion_order(spec, weights, cover_order(spec, weights))
+
+
+def _torsion_order(spec, weights, na):
+    """``torsion_order`` given the cover order n_a of the weights."""
     if spec.has_abstract:
         mod = spec.lattice_modulus()
-        acc = TorsionClass(mod, (0, 0))
+        x = y = 0
         for a, comp in zip(weights, spec.components):
-            acc = acc + comp.cls.rescaled(mod).scale(a * comp.m // na)
-        order = acc.order()
-        if spec.has_geometric and _class_point_order(spec, acc, na) != order:
-            raise BackendDisagreement("backends disagree on the order of %r" % (acc,))
+            f = mod // comp.cls.modulus * (a * comp.m // na)
+            x += f * comp.cls.coords[0]
+            y += f * comp.cls.coords[1]
+        x %= mod
+        y %= mod
+        order = mod // gcd(x, gcd(y, mod))
+        if spec.has_geometric:
+            acc = TorsionClass(mod, (x, y))
+            if _class_point_order(spec, acc, na) != order:
+                raise BackendDisagreement("backends disagree on the order of %r" % (acc,))
         return order
     if not spec.has_geometric:
         raise ValueError("spec carries no backend")
@@ -473,7 +483,7 @@ def _class_point_order(spec, cls, bound):
 def splitting_number(spec, weights):
     """Predicted number of components of the pullback of D: n_a / ord(tau(a))."""
     na = cover_order(spec, weights)
-    ord_tau = torsion_order(spec, weights)
+    ord_tau = _torsion_order(spec, weights, na)
     if na % ord_tau:
         raise BackendDisagreement("class order does not divide the cover order")
     return na // ord_tau

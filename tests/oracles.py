@@ -100,3 +100,141 @@ def divisor_gcd(values):
     for v in values:
         g = gcd(g, v)
     return g
+
+
+class NestedTower:
+    """Reference arithmetic in a tower over Q, on nested lists of Fractions.
+
+    Built from ``FieldTower.to_data()`` output.  An element at height 0 is a
+    Fraction and at height k a list of deg(f_k) elements at height k - 1, the
+    residue polynomial in the k-th generator.  Products are reduced by the
+    monic moduli term by term; inverses solve the multiplication-matrix
+    system over Q, so a zero divisor shows as a singular matrix rather than
+    as a gcd.
+    """
+
+    def __init__(self, data):
+        self.mods = []
+        for k, level in enumerate(data):
+            self.mods.append([self.parse(c, k) for c in level["minpoly"]])
+        self.height = len(self.mods)
+
+    def degree(self, h):
+        return len(self.mods[h - 1]) - 1
+
+    def parse(self, data, h):
+        """An element from ``rep_to_data`` output (or a bare "p/q")."""
+        if isinstance(data, str):
+            out = Fraction(data)
+            for k in range(1, h + 1):
+                out = [out] + [self.zero(k - 1) for _ in range(self.degree(k) - 1)]
+            return out
+        out = [self.parse(c, h - 1) for c in data]
+        return out + [self.zero(h - 1) for _ in range(self.degree(h) - len(out))]
+
+    def zero(self, h):
+        if h == 0:
+            return Fraction(0)
+        return [self.zero(h - 1) for _ in range(self.degree(h))]
+
+    def one(self, h):
+        return self.parse("1/1", h)
+
+    def add(self, a, b, h):
+        if h == 0:
+            return a + b
+        return [self.add(x, y, h - 1) for x, y in zip(a, b)]
+
+    def sub(self, a, b, h):
+        if h == 0:
+            return a - b
+        return [self.sub(x, y, h - 1) for x, y in zip(a, b)]
+
+    def mul(self, a, b, h):
+        if h == 0:
+            return a * b
+        d = self.degree(h)
+        prod = [self.zero(h - 1) for _ in range(2 * d - 1)]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = self.add(prod[i + j], self.mul(x, y, h - 1), h - 1)
+        mod = self.mods[h - 1]
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            for j in range(d):
+                prod[i - d + j] = self.sub(prod[i - d + j], self.mul(c, mod[j], h - 1), h - 1)
+        return prod[:d]
+
+    def flat(self, a, h):
+        if h == 0:
+            return [a]
+        return [q for c in a for q in self.flat(c, h - 1)]
+
+    def unflat(self, qs, h):
+        if h == 0:
+            return qs[0]
+        size = len(qs) // self.degree(h)
+        return [self.unflat(qs[i * size:(i + 1) * size], h - 1) for i in range(self.degree(h))]
+
+    def basis(self, h):
+        n = len(self.flat(self.zero(h), h))
+        return [self.unflat([Fraction(int(i == j)) for j in range(n)], h) for i in range(n)]
+
+    def matrix(self, a, h):
+        """Multiplication by a in the absolute basis; column i is a * e_i."""
+        cols = [self.flat(self.mul(a, e, h), h) for e in self.basis(h)]
+        return [[col[r] for col in cols] for r in range(len(cols))]
+
+    def inverse(self, a, h):
+        """The inverse of a, or None when a is a zero divisor (or zero)."""
+        sol = solve(self.matrix(a, h), self.flat(self.one(h), h))
+        return None if sol is None else self.unflat(sol, h)
+
+    def is_zero(self, a, h):
+        return all(q == 0 for q in self.flat(a, h))
+
+    def poly_gcd(self, f, g, h):
+        """Monic gcd of coefficient lists over the tower, or None when
+        Euclid meets a leading coefficient that is a zero divisor."""
+
+        def trim(p):
+            p = list(p)
+            while p and self.is_zero(p[-1], h):
+                p.pop()
+            return p
+
+        f, g = trim(f), trim(g)
+        while g:
+            inv = self.inverse(g[-1], h)
+            if inv is None:
+                return None
+            r = list(f)
+            while len(r) >= len(g):
+                c = self.mul(r[-1], inv, h)
+                off = len(r) - len(g)
+                for j, b in enumerate(g):
+                    r[off + j] = self.sub(r[off + j], self.mul(c, b, h), h)
+                r = trim(r[:-1])
+            f, g = g, r
+        if not f:
+            return []
+        inv = self.inverse(f[-1], h)
+        return None if inv is None else [self.mul(c, inv, h) for c in f]
+
+
+def solve(matrix, rhs):
+    """The solution of a square Fraction system, or None when singular."""
+    n = len(matrix)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n] for row in rows]

@@ -1,0 +1,270 @@
+"""Tower reps against a nested-Fraction reference, and their canonical form.
+
+Elements are drawn with a seeded, bounded hypothesis profile on the three
+tower shapes the catalog builds (Q, the [4,1] halving tower and the Fermat
+[2,9,1] tower) and on random two-level towers.  Every result is compared
+with ``oracles.NestedTower``, which shares no code with ``maxflex.fields``;
+minimal polynomials are compared with sympy's characteristic polynomial of
+the multiplication matrix.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from oracles import NestedTower  # noqa: E402
+
+from maxflex import (  # noqa: E402
+    QQ,
+    DegenerateModulus,
+    FieldTower,
+    UniPoly,
+    ZeroDivisorEncountered,
+    catalog,
+    poly_gcd,
+)
+from maxflex.fields import rep_from_data, rep_to_data  # noqa: E402
+
+PROFILE = dict(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+SHAPES = ("q", "t4-1", "t2-9-1")
+#: Examples per test and shape; the Fermat tower's operations cost the most.
+EXAMPLES = {"q": 40, "t4-1": 40, "t2-9-1": 12, "random": 40}
+
+
+@lru_cache(maxsize=None)
+def shape_tower(shape):
+    if shape == "q":
+        return QQ
+    if shape == "t4-1":
+        return catalog.bigon_points(catalog.catalog_entry("90c3").build(), 8)[0]
+    return catalog.fermat_witness()["tower"]
+
+
+def coeff_lists(n):
+    q = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    return st.lists(q, min_size=n, max_size=n)
+
+
+def to_data(x, h):
+    if h == 0:
+        return "%d/%d" % (x.numerator, x.denominator)
+    return [to_data(c, h - 1) for c in x]
+
+
+def element(tower, ref, qs):
+    """The same value in the tower under test and in the reference."""
+    x = ref.unflat(list(qs), tower.height)
+    return tower.element(rep_from_data(tower.levels, tower.height, to_data(x, tower.height))), x
+
+
+def ints_of(Z, k):
+    if k == 0:
+        return [Z]
+    return [x for z in Z for x in ints_of(z, k - 1)]
+
+
+def assert_canonical(tower, x):
+    """den > 0, gcd(den, numerators) == 1, shape, and a lossless round trip."""
+    rep, h = x.rep, tower.height
+    if h == 0:
+        assert isinstance(rep, Fraction)
+    else:
+        den, Z = rep
+        ints = ints_of(Z, h)
+        assert isinstance(den, int) and den > 0
+        assert len(ints) == tower.absolute_degree
+        assert all(isinstance(v, int) for v in ints)
+        assert gcd(den, *ints) == 1
+    assert rep_from_data(tower.levels, h, rep_to_data(rep)) == rep
+
+
+def assert_same(tower, ref, x, want):
+    assert_canonical(tower, x)
+    assert ref.parse(rep_to_data(x.rep), tower.height) == want
+
+
+def check_ring_ops(tower, ref, qa, qb, qc):
+    h = tower.height
+    a, ra = element(tower, ref, qa)
+    b, rb = element(tower, ref, qb)
+    c, rc = element(tower, ref, qc)
+    for x in (a, b, c):
+        assert_canonical(tower, x)
+    assert_same(tower, ref, a + b, ref.add(ra, rb, h))
+    assert_same(tower, ref, a - b, ref.sub(ra, rb, h))
+    assert_same(tower, ref, -a, ref.sub(ref.zero(h), ra, h))
+    assert_same(tower, ref, a * b, ref.mul(ra, rb, h))
+    # one value reached two ways has one rep and one hash
+    left, right = (a + b) * c, a * c + b * c
+    assert left.rep == right.rep and hash(left) == hash(right)
+    zero = a * b - b * a
+    assert zero.rep == tower.zero().rep and hash(zero) == hash(tower.zero())
+
+
+def check_invert(tower, ref, qa):
+    a, ra = element(tower, ref, qa)
+    want = ref.inverse(ra, tower.height)
+    try:
+        got = a.invert()
+    except ZeroDivisionError:
+        assert ref.is_zero(ra, tower.height)
+        return
+    except ZeroDivisorEncountered as err:
+        # a sound split: a proper factor of that level's modulus
+        sub = FieldTower(tower.levels[: err.level])
+        mod = UniPoly(sub, tower.levels[err.level].modulus)
+        factor = UniPoly(sub, err.factor)
+        assert 1 <= factor.degree < mod.degree
+        assert (mod % factor).is_zero()
+        return
+    assert want is not None
+    assert_same(tower, ref, got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ring_ops_match_reference_on_catalog_shapes(shape):
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+    n = tower.absolute_degree
+
+    @settings(max_examples=EXAMPLES[shape], **PROFILE)
+    @given(coeff_lists(n), coeff_lists(n), coeff_lists(n))
+    def run(qa, qb, qc):
+        check_ring_ops(tower, ref, qa, qb, qc)
+
+    run()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_invert_matches_reference_on_catalog_shapes(shape):
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+
+    @settings(max_examples=EXAMPLES[shape], **PROFILE)
+    @given(coeff_lists(tower.absolute_degree))
+    def run(qa):
+        check_invert(tower, ref, qa)
+
+    run()
+
+
+def check_poly_gcd(tower, ref, qr, qs, qu):
+    """gcd((x - r)(x - s), (x - r)(x - u)) against the reference Euclid."""
+    h = tower.height
+    roots = [element(tower, ref, q) for q in (qr, qs, qu)]
+    f = [UniPoly(tower, [-x, tower.one()]) for x, _ in roots]
+    rf = [[ref.sub(ref.zero(h), r, h), ref.one(h)] for _, r in roots]
+
+    def rmul(p, q):
+        out = [ref.zero(h) for _ in range(len(p) + len(q) - 1)]
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] = ref.add(out[i + j], ref.mul(x, y, h), h)
+        return out
+
+    try:
+        got = poly_gcd(f[0] * f[1], f[0] * f[2])
+    except ZeroDivisorEncountered:
+        return  # a reducible level: the caller would split and retry
+    want = ref.poly_gcd(rmul(rf[0], rf[1]), rmul(rf[0], rf[2]), h)
+    assert want is not None
+    assert [ref.parse(rep_to_data(c), h) for c in got.coeffs] == want
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_poly_gcd_matches_reference_on_catalog_shapes(shape):
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+    n = tower.absolute_degree
+
+    @settings(max_examples=EXAMPLES[shape] // 4, **PROFILE)
+    @given(coeff_lists(n), coeff_lists(n), coeff_lists(n))
+    def run(qr, qs, qu):
+        check_poly_gcd(tower, ref, qr, qs, qu)
+
+    run()
+
+
+@st.composite
+def two_level_towers(draw):
+    """Data of a random tower Q[t]/(f)[s]/(g), f over Q and g over Q[t]."""
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    d1 = draw(st.integers(2, 3))
+    d2 = draw(st.integers(2, 3))
+    f = [to_data(q, 0) for q in draw(st.lists(small, min_size=d1, max_size=d1))]
+    g = [
+        [to_data(q, 0) for q in draw(st.lists(small, min_size=d1, max_size=d1))]
+        for _ in range(d2)
+    ]
+    return [
+        {"name": "t", "minpoly": f + ["1/1"]},
+        {"name": "s", "minpoly": g + [["1/1"]]},
+    ]
+
+
+def build(data):
+    try:
+        return FieldTower.from_data(data)
+    except (DegenerateModulus, ZeroDivisorEncountered):
+        assume(False)
+
+
+@settings(max_examples=EXAMPLES["random"], **PROFILE)
+@given(two_level_towers(), st.data())
+def test_ops_match_reference_on_random_two_level_towers(data, draw):
+    tower = build(data)
+    ref = NestedTower(tower.to_data())
+    n = tower.absolute_degree
+    qa, qb, qc = (draw.draw(coeff_lists(n)) for _ in range(3))
+    check_ring_ops(tower, ref, qa, qb, qc)
+    check_invert(tower, ref, qa)
+    check_invert(tower, ref, qb)
+    check_poly_gcd(tower, ref, qa, qb, qc)
+
+
+def sympy_minimal_polynomial(ref, x, h):
+    """Squarefree part of the characteristic polynomial of x, monic."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    m = sympy.Matrix(ref.matrix(x, h)) if h else sympy.Matrix([[x]])
+    p = sympy.Poly(m.charpoly(t).as_expr(), t, domain="QQ")
+    p = sympy.Poly(sympy.sqf_part(p.as_expr()), t, domain="QQ").monic()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_minimal_polynomial_matches_sympy_on_catalog_shapes(shape):
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+
+    @settings(max_examples=6, **PROFILE)
+    @given(coeff_lists(tower.absolute_degree))
+    def run(qa):
+        a, ra = element(tower, ref, qa)
+        got = a.minimal_polynomial().rational_coeffs()
+        assert got == sympy_minimal_polynomial(ref, ra, tower.height)
+
+    run()
+
+
+@settings(max_examples=10, **PROFILE)
+@given(two_level_towers(), st.data())
+def test_minimal_polynomial_matches_sympy_on_random_two_level_towers(data, draw):
+    tower = build(data)
+    ref = NestedTower(tower.to_data())
+    a, ra = element(tower, ref, draw.draw(coeff_lists(tower.absolute_degree)))
+    try:
+        got = a.minimal_polynomial().rational_coeffs()
+    except ZeroDivisorEncountered:
+        assume(False)
+    assert got == sympy_minimal_polynomial(ref, ra, tower.height)

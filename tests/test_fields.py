@@ -18,6 +18,7 @@ from maxflex import (
     squarefree_part,
     with_splitting,
 )
+from maxflex.fields import rep_to_data
 
 
 def qpoly(*coeffs):
@@ -202,3 +203,53 @@ def test_minimal_polynomial_of_generator():
     k = extend_field(QQ, qpoly(9, -3, 1), name="b")
     mp = k.generator().minimal_polynomial()
     assert mp.rational_coeffs() == [Fraction(9), Fraction(-3), Fraction(1)]
+
+
+# -- the trivial linear level a split leaves ----------------------------------
+# Expected values were recorded from the extended-Euclid inverse that ran at
+# such a level before it was inverted as its one coefficient.
+
+
+def _split_left_tower():
+    low = QQ.extend(qpoly(-1, 0, 1), name="t")  # t^2 - 1 is reducible
+    top = low.extend(UniPoly.from_rationals(low, [-4, 0, 1]), name="s")
+    lin, _ = top.split(1, UniPoly.from_rationals(low, [-2, 1]).coeffs)
+    assert [lv.degree for lv in lin.levels] == [2, 1]
+    return lin
+
+
+def test_linear_level_invert_matches_previous_results():
+    lin = _split_left_tower()
+    t, s = lin.generator(0), lin.generator(1)
+    cases = [
+        (s, [["1/2", "0/1"]]),
+        (t + 2, [["2/3", "-1/3"]]),
+        (t * Fraction(3, 5) + s, [["50/91", "-15/91"]]),
+        (s - t, [["2/3", "1/3"]]),
+    ]
+    for x, want in cases:
+        assert rep_to_data(x.invert().rep) == want
+        assert (x * x.invert()).rep == lin.one().rep
+        assert x.is_zero() is False
+
+
+def test_linear_level_invert_of_zero_raises():
+    lin = _split_left_tower()
+    x = lin.generator(1) - 2  # s = 2 on this branch
+    with pytest.raises(ZeroDivisionError):
+        x.invert()
+    assert x.is_zero() is True
+
+
+def test_linear_level_reports_lower_zero_divisor_like_the_prefix():
+    lin = _split_left_tower()
+    x = lin.generator(0) - 1
+    prefix = FieldTower(lin.levels[:1])
+    with pytest.raises(ZeroDivisorEncountered) as below:
+        (prefix.generator(0) - 1).invert()
+    for probe in (x.invert, x.is_zero):
+        with pytest.raises(ZeroDivisorEncountered) as info:
+            probe()
+        assert info.value.level == 0 == below.value.level
+        assert [rep_to_data(c) for c in info.value.factor] == ["-1/1", "1/1"]
+        assert info.value.factor == below.value.factor
