@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fields import (
     QQ,
-    BigRational,
     FieldTower,
     TowerElement,
     UniPoly,

@@ -15,7 +15,7 @@ import sys
 
 from .catalog import bigon_conics, bigon_points, catalog_entry, fermat_witness
 from .combinatorics import fingerprint
-from .errors import MaxflexError, malformed
+from .errors import MaxflexError, SpecError, malformed
 from .fields import FieldTower
 from .geometry import PlaneCurve
 from .reproductions import REPRODUCTION_NAMES, run_reproduction
@@ -47,6 +47,8 @@ def _cmd_reproduce(args):
 
 
 def _cmd_torsion(args):
+    if args.order < 2:
+        raise SpecError("torsion order must be at least 2, got %d" % args.order)
     entry = catalog_entry(args.curve)
     data = entry.build(args.tower_budget or 64)
     if "structure" not in data:
@@ -106,8 +108,8 @@ def _cmd_realize(args):
             "lines": [l.to_data() for l in witness["lines"]],
             "triangle_vertices": [v.to_data() for v in witness["triangle"].vertices],
         }
-    elif name.startswith("bigon-r"):
-        r = int(name.split("bigon-r", 1)[1])
+    elif name.startswith("bigon-r") and name[len("bigon-r"):].isdecimal():
+        r = int(name[len("bigon-r"):])
         budget = args.tower_budget or (128 if args.extended or r in (8, 24) else 64)
         data = catalog_entry("90c3").build(budget)
         tw, e, p, q = bigon_points(data, r)
@@ -122,11 +124,10 @@ def _cmd_realize(args):
             "cubic": e.cubic.to_data(),
         }
     else:
-        sys.stderr.write(
+        raise SpecError(
             "unknown recipe %r (try fermat-witness, bigon-r4, bigon-r8, "
-            "bigon-r12, bigon-r24)\n" % name
+            "bigon-r12, bigon-r24)" % name
         )
-        return 2
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0
 

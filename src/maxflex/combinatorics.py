@@ -400,7 +400,7 @@ def _pair_transversal(a, b, tower):
 
 
 def _triple_empty(l0, c1, c2, tower):
-    for rec in intersection_points(l0, c1, tower):
+    for rec in intersection_points(l0, c1, tower, multiplicities=False):
         other = c2.embedded(rec.tower)
         if other.evaluate(rec.point).is_zero():
             return False

@@ -32,9 +32,6 @@ from operator import add, sub
 
 from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
 
-#: Canonical reduced p/q with q > 0; the coefficient domain for everything.
-BigRational = Fraction
-
 DEFAULT_DEGREE_CAP = 64
 
 _ZERO = Fraction(0)

@@ -6,6 +6,10 @@ group law of a smooth cubic with a flex origin, Fulton's recursive
 intersection multiplicity, local branch expansions at smooth points, and
 interpolation of curves through prescribed tangency divisors.
 
+The group law rests on one residual: a line meeting the cubic C in p + q + r
+gives r = (grad C(q).p) p - (grad C(p).q) q for p != q, two polar values
+weighting the known points (Fulton, Algebraic Curves, section 5).
+
 Operations are pure; anything that has to invert a tower element may raise
 ZeroDivisorEncountered, which callers handle by splitting the tower.
 """
@@ -186,11 +190,8 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, u, v):
-        acc = self.tower.zero()
-        for (i, j), c in self.terms.items():
-            acc = acc + c * u**i * v**j
-        return acc
+    def coefficient(self, i, j):
+        return self.terms.get((i, j), self.tower.zero())
 
     def restrict_v0(self):
         """The univariate polynomial self(u, 0)."""
@@ -643,99 +644,30 @@ def _line_frame(line):
     raise ValueError("degenerate line coefficients")
 
 
-def _restrict_to_line(curve, A, B):
-    """Binary form g(s, t) = curve(s*A + t*B) as a coefficient list in s."""
-    t = curve.tower
-    n = curve.degree
-    out = [t.zero()] * (n + 1)
-    ax = _binomial_powers(A.coords, B.coords, n, t)
-    for (i, j, k), c in curve.form.items():
-        # product over the three coordinates of (A_m s + B_m t) ** exp
-        poly = [t.one()]
-        for axis, e in enumerate((i, j, k)):
-            poly = _binary_mul(poly, ax[axis][e], t)
-        for m, coeff in enumerate(poly):
-            out[m] = out[m] + c * coeff
-    return out
-
-
-def _binomial_powers(ac, bc, n, tower):
-    """For each coordinate, (a s + b t)**e as s-coefficient lists, e = 0..n."""
-    table = []
-    for axis in range(3):
-        a = ac[axis]
-        b = bc[axis]
-        pows = [[tower.one()]]
-        for e in range(1, n + 1):
-            prev = pows[-1]
-            cur = [tower.zero()] * (e + 1)
-            for m, c in enumerate(prev):
-                cur[m] = cur[m] + c * b
-                cur[m + 1] = cur[m + 1] + c * a
-            pows.append(cur)
-        table.append(pows)
-    return table
-
-
-def _binary_mul(p, q, tower):
-    out = [tower.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _line_coordinates(p, A, B):
-    """(s, t) with p = s*A + t*B, for p on the line spanned by A and B."""
-    pb = cross(p.coords, B.coords)
-    ap = cross(A.coords, p.coords)
-    ab = cross(A.coords, B.coords)
-    for k in range(3):
-        if not ab[k].is_zero():
-            inv = ab[k].invert()
-            return pb[k] * inv, ap[k] * inv
-    raise ValueError("degenerate frame")
-
-
-def _binary_remove_root(coeffs, s0, t0, tower):
-    """Divide a binary form (s-coefficient list) by the root (s0 : t0)."""
-    n = len(coeffs) - 1
-    if t0.is_zero():
-        # root at (1:0): the form is divisible by t, i.e. top coefficient zero
-        if not coeffs[-1].is_zero():
-            raise LineNotIncident("claimed root is not a root of the restriction")
-        return coeffs[:-1]
-    tinv = t0.invert()
-    r = s0 * tinv
-    # synthetic division of u(s) = sum coeffs[m] s^m by (s - r)
-    q = [tower.zero()] * n
-    q[n - 1] = coeffs[n]
-    for m in range(n - 1, 0, -1):
-        q[m - 1] = coeffs[m] + r * q[m]
-    rem = coeffs[0] + r * q[0]
-    if not rem.is_zero():
-        raise LineNotIncident("claimed root is not a root of the restriction")
-    return q
-
-
 def _third_intersection(cubic, line, p, q):
-    """The residual point r with line . cubic = p + q + r as divisors."""
+    """The residual point r with line . cubic = p + q + r as divisors.
+
+    On the line through A and B, C(sA + tB) = C(A) s^3 + (grad C(A).B) s^2 t
+    + (grad C(B).A) s t^2 + C(B) t^3.  For p != q take A = p, B = q: the
+    outer terms vanish and r = (grad C(q).p) p - (grad C(p).q) q.  For p = q
+    take B a second point of the line: tangency is grad C(p).B = 0, and then
+    r = C(B) p - (grad C(B).p) B.  Each grad C(x).y is the first polar of C
+    with respect to y, evaluated at x.
+    """
     if not line.contains(p) or not line.contains(q):
         raise LineNotIncident("point off the line")
     if not cubic.contains(p) or not cubic.contains(q):
         raise LineNotIncident("point off the cubic")
-    A, B = _line_frame(line)
-    g = _restrict_to_line(cubic, A, B)
-    t = cubic.tower
-    sp, tp = _line_coordinates(p, A, B)
-    g = _binary_remove_root(g, sp, tp, t)
-    sq, tq = _line_coordinates(q, A, B)
-    g = _binary_remove_root(g, sq, tq, t)
-    # remaining linear form c1*s + c0*t has root (c0 : -c1)
-    c0, c1 = g[0], g[1]
-    s0, t0 = c0, -c1
-    coords = [s0 * a + t0 * b for a, b in zip(A.coords, B.coords)]
-    return ProjPoint(t, coords)
+    if p == q:
+        A, B = _line_frame(line)
+        if B == p:
+            B = A
+        if not polar_curve(cubic, B).evaluate(p).is_zero():
+            raise LineNotIncident("line is not tangent at the point")
+        a, b = cubic.evaluate(B), -polar_curve(cubic, p).evaluate(B)
+    else:
+        a, b, B = polar_curve(cubic, p).evaluate(q), -polar_curve(cubic, q).evaluate(p), q
+    return ProjPoint(cubic.tower, [a * x + b * y for x, y in zip(p.coords, B.coords)])
 
 
 def line_cubic_residual(e, line, p, q):
@@ -838,9 +770,7 @@ def _fulton(F, G, tower):
         F, G = stack.pop()
         if F.is_zero() or G.is_zero():
             raise CommonComponent("a shared factor passes through the point")
-        f0 = F.evaluate(tower.zero(), tower.zero())
-        g0 = G.evaluate(tower.zero(), tower.zero())
-        if not f0.is_zero() or not g0.is_zero():
+        if not F.coefficient(0, 0).is_zero() or not G.coefficient(0, 0).is_zero():
             continue
         f = F.restrict_v0()
         g = G.restrict_v0()
@@ -1125,11 +1055,10 @@ def branch_series(c, p, order):
     u0, v0 = p.affine()
     F = c.dehomogenize(chart).translate(u0, v0)
     t = c.tower
-    fu = F.evaluate(t.zero(), t.zero())
-    if not fu.is_zero():
+    if not F.coefficient(0, 0).is_zero():
         raise LineNotIncident("point is not on the curve")
-    du = _bipoly_partial(F, 0).evaluate(t.zero(), t.zero())
-    dv = _bipoly_partial(F, 1).evaluate(t.zero(), t.zero())
+    du = F.coefficient(1, 0)
+    dv = F.coefficient(0, 1)
     swap = False
     if dv.is_zero():
         if du.is_zero():
@@ -1158,18 +1087,6 @@ def _shifted(series, c0, tower):
     out = list(series)
     out[0] = out[0] + c0
     return out
-
-
-def _bipoly_partial(F, axis):
-    out = {}
-    for (i, j), c in F.terms.items():
-        e = (i, j)[axis]
-        if e == 0:
-            continue
-        key = (i - 1, j) if axis == 0 else (i, j - 1)
-        add = c * e
-        out[key] = out[key] + add if key in out else add
-    return BiPoly(F.tower, out)
 
 
 def _compose_coefficient(F, vs, k, tower):

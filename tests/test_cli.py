@@ -110,9 +110,17 @@ def test_realize_and_fingerprint_round_trip(capsys, tmp_path):
 
 
 def test_realize_unknown_recipe(capsys):
-    code, _, err = run_cli(capsys, "realize", "nonsense")
+    for recipe in ("nonsense", "bigon-rx", "bigon-r"):
+        code, _, err = run_cli(capsys, "realize", recipe)
+        assert code == 2, recipe
+        assert err.startswith("error: unknown recipe"), recipe
+
+
+def test_torsion_order_below_two_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "torsion", "90c3", "1")
     assert code == 2
-    assert "unknown recipe" in err
+    assert out == ""
+    assert err.startswith("error: torsion order must be at least 2")
 
 
 def test_invariants_on_spec_without_components_is_a_spec_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Weierstrass models, division polynomials, and torsion search on 90c3."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,14 @@ from maxflex import (
     ec_mul,
     ec_neg,
     halve_point,
+    line_cubic_residual,
+    line_through,
     point_order,
     poly_gcd,
     rational_points_of_order,
     weierstrass_model,
 )
-from maxflex.catalog import catalog_entry
+from maxflex.catalog import bigon_points, catalog_entry, fermat_t1, fermat_triangle
 
 
 def structure_90c3(cap=64):
@@ -166,3 +169,64 @@ def test_exact_order_poly_strips_lower_orders():
     for d in (2, 3, 4, 6):
         strip = div.doubling_cubic if d == 2 else div.raw(d)
         assert poly_gcd(e12, strip).degree == 0
+
+
+# -- the chord-tangent law against the Weierstrass formulas --------------------
+
+def _model_pairs(model, pool, rng, count):
+    """Each pool point with itself, its negative and the origin, then random pairs."""
+    pairs = [(None, None)]
+    for p in pool:
+        pairs += [(p, p), (p, model.neg(p)), (p, None), (None, p)]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(count)]
+    return pairs
+
+
+def _assert_chord_tangent_matches_model(e, model, pairs):
+    for p, q in pairs:
+        got = ec_add(e, model.point_to_source(p), model.point_to_source(q))
+        assert got == model.point_to_source(model.add(p, q)), (p, q)
+
+
+def test_chord_tangent_matches_weierstrass_on_rational_90c3_points():
+    e = structure_90c3()
+    m = weierstrass_model(e)
+    g = rational_points_of_order(m, 12)[0]
+    points = [m.mul(k, g) for k in range(12)]
+    assert points[0] is None and len({m.point_to_source(p) for p in points}) == 12
+    _assert_chord_tangent_matches_model(e, m, [(p, q) for p in points for q in points])
+
+
+def test_chord_tangent_matches_weierstrass_over_the_halving_tower():
+    data = catalog_entry("90c3").build(128)
+    tw, e, P, _Q = bigon_points(data, 8)
+    base = weierstrass_model(data["structure"])
+    g12 = tuple(c.embedded(tw) for c in rational_points_of_order(base, 12)[0])
+    m = base.embedded(tw)
+    p8 = m.point_from_source(P)
+    pool = [m.mul(k, p8) for k in range(1, 8)] + [g12, m.add(g12, p8)]
+    _assert_chord_tangent_matches_model(e, m, _model_pairs(m, pool, random.Random(8), 16))
+
+
+def test_chord_tangent_matches_weierstrass_on_the_fermat_triangle():
+    data = catalog_entry("fermat").build(64)
+    tw, e, tri = fermat_triangle(data)
+    m = weierstrass_model(data["structure"]).embedded(tw)
+    pool = [m.point_from_source(v) for v in tri.vertices + (fermat_t1(data).embedded(tw),)]
+    _assert_chord_tangent_matches_model(e, m, _model_pairs(m, pool, random.Random(9), 8))
+
+
+def test_residual_refuses_points_off_the_line_or_cubic_and_non_tangents():
+    e, P = _order_twelve_point()
+    Q = ec_mul(e, 5, P)
+    line = line_through(P, Q)
+    # the chord through P and Q is not tangent at P, so 2P is no divisor on it
+    with pytest.raises(LineNotIncident, match="not tangent"):
+        line_cubic_residual(e, line, P, P)
+    with pytest.raises(LineNotIncident, match="off the line"):
+        line_cubic_residual(e, line, P, ec_mul(e, 2, P))
+    off = ProjPoint(QQ, [a + b for a, b in zip(P.coords, Q.coords)])
+    assert line.contains(off) and not e.cubic.contains(off)
+    with pytest.raises(LineNotIncident, match="off the cubic"):
+        line_cubic_residual(e, line, P, off)
+
