@@ -52,8 +52,7 @@ def _cmd_torsion(args):
     entry = catalog_entry(args.curve)
     data = entry.build(args.tower_budget or 64)
     if "structure" not in data:
-        sys.stderr.write("curve %r carries no designated flex\n" % args.curve)
-        return 2
+        raise SpecError("curve %r carries no designated flex" % args.curve)
     model = weierstrass_model(data["structure"])
     pts = rational_points_of_order(model, args.order)
     lines = ["curve %s, exact order %d" % (args.curve, args.order)]
@@ -89,8 +88,7 @@ def _cmd_distinguish(args):
     spec2, adm2 = ArrangementSpec.load(args.spec2)
     admissible = adm1 or adm2
     if not admissible:
-        sys.stderr.write("spec files declare no admissible permutations\n")
-        return 2
+        raise SpecError("spec files declare no admissible permutations")
     cert = distinguish(spec1, spec2, admissible)
     text = cert.render() + "\n-- machine --\n" + json.dumps(
         cert.to_data(), sort_keys=True, default=str

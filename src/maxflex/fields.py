@@ -6,14 +6,15 @@ proceeds as if every level were a field; when an inversion meets a zero
 divisor the offending factor is reported via ZeroDivisorEncountered and the
 caller splits the tower on it (dynamic evaluation).
 
-Element representation: an element of a tower of height h is a "rep".  A rep
-at height 0 is a Fraction.  A rep at height k >= 1 is a pair (den, Z): den is
-a positive int, and Z holds integer numerators in the tower's shape, a tuple
-of deg(f_k) entries of the shape one level down, with plain ints at height 0.
-The value is the residue polynomial in the generators (lowest degree first,
+Element representation: an element of a tower of height h is a "rep", a
+pair (den, Z) at every height: den is a positive int, and Z holds integer
+numerators, a plain int at height 0 and at height k >= 1 a tuple of deg(f_k)
+entries of the shape one level down.  The value is Z / den at height 0, and
+above it the residue polynomial in the generators (lowest degree first,
 zero-padded) whose coefficients are the entries of Z divided by den.  Reps
-are canonical: residues are reduced and gcd(den, every entry of Z) == 1, so
-equal values have equal reps and hashes.
+are canonical: residues are reduced and gcd(den, every entry of Z) == 1.
+Fractions only cross the boundary: ``FieldTower.rational`` and the coercions
+take them in, ``as_rational`` and ``rational_coeffs`` hand them out.
 
 A product is formed in the integers and reduced by each level's modulus with
 its denominators cleared, a pseudo-remainder whose scale is fixed per level,
@@ -29,13 +30,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, sub
+from types import SimpleNamespace
 
 from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
 
 DEFAULT_DEGREE_CAP = 64
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,8 @@ def _zany(Z, k):
 
 
 def _zop(op, A, B, k):
+    if k == 0:
+        return op(A, B)
     if k == 1:
         return tuple(map(op, A, B))
     return tuple(_zop(op, a, b, k - 1) for a, b in zip(A, B))
@@ -83,6 +84,8 @@ def _zop(op, A, B, k):
 def _zscale(A, c, k):
     if c == 1:
         return A
+    if k == 0:
+        return A * c
     if k == 1:
         return tuple(x * c for x in A)
     return tuple(_zscale(a, c, k - 1) for a in A)
@@ -90,6 +93,8 @@ def _zscale(A, c, k):
 
 def _zcontent(Z, k, g):
     """gcd of g and every entry of Z."""
+    if k == 0:
+        return gcd(g, Z)
     if k == 1:
         return gcd(g, *Z)
     for z in Z:
@@ -100,6 +105,8 @@ def _zcontent(Z, k, g):
 
 
 def _zdiv(Z, g, k):
+    if k == 0:
+        return Z // g
     if k == 1:
         return tuple(x // g for x in Z)
     return tuple(_zdiv(z, g, k - 1) for z in Z)
@@ -131,25 +138,26 @@ class _ZLevel:
     def __init__(self, levels, k):
         mod = levels[k - 1].modulus
         d = len(mod) - 1
-        if k == 1:
-            below_scale, zero, one = 1, 0, 1
-            D = lcm(*(c.denominator for c in mod))
-            N = [c.numerator * (D // c.denominator) for c in mod[:d]]
-        else:
-            below = _zlevel(levels, k - 1)
-            below_scale, zero, one = below.scale, below.zero, below.one
-            D = lcm(*(c[0] for c in mod))
-            N = [_zscale(c[1], D // c[0], k - 1) for c in mod[:d]]
+        below = _zlevel(levels, k - 1)
+        D = lcm(*(c[0] for c in mod))
+        N = [_zscale(c[1], D // c[0], k - 1) for c in mod[:d]]
         self.degree = d
         self.cleared = tuple(N) + (D,)
         self.terms = tuple((t, n) for t, n in enumerate(N) if _zany(n, k - 1))
-        self.step = D * below_scale
-        self.scale = below_scale * self.step ** (d - 1)
-        self.zero = (zero,) * d
-        self.one = (one,) + (zero,) * (d - 1)
+        self.step = D * below.scale
+        self.scale = below.scale * self.step ** (d - 1)
+        self.zero = (below.zero,) * d
+        self.one = (below.one,) + (below.zero,) * (d - 1)
+
+
+#: The integer data of Q, the base of every tower: numerators at int-height 0
+#: are plain ints, and a product over Q needs no reduction.
+_ZQ = SimpleNamespace(scale=1, zero=0, one=1)
 
 
 def _zlevel(levels, k):
+    if k == 0:
+        return _ZQ
     lv = levels[k - 1]
     z = lv._z
     if z is None:
@@ -246,7 +254,8 @@ def _zinv1(zl, a):
     while len(r1) > 1:
         q, r = _zz_pseudo_divmod(r0, r1)
         if not r:
-            raise ZeroDivisorEncountered(0, [Fraction(x, r1[-1]) for x in r1])
+            r1 = _zz_primitive(r1)
+            raise ZeroDivisorEncountered(0, [_znorm(r1[-1], x, 0) for x in r1])
         # r = L r0 - q r1 with L = lc(r1)^(deg r0 - deg r1 + 1), so that
         # l0 l1 r = (L l1 s0 - l0 q s1) A
         f0 = r1[-1] ** (len(r0) - len(r1) + 1) * l1
@@ -273,19 +282,17 @@ def _zinv1(zl, a):
 # ---------------------------------------------------------------------------
 
 def _rzero(levels, h):
-    if h == 0:
-        return _ZERO
     return (1, _zlevel(levels, h).zero)
 
 
 def _rone(levels, h):
-    if h == 0:
-        return _ONE
     return (1, _zlevel(levels, h).one)
 
 
 def _rfrom_rational(levels, h, q):
-    rep = Fraction(q)
+    """The rep at height h of a rational q given by its integer
+    ``numerator`` and ``denominator``."""
+    rep = (q.denominator, q.numerator)
     for k in range(h):
         rep = _lift(levels, k, rep)
     return rep
@@ -294,16 +301,12 @@ def _rfrom_rational(levels, h, q):
 def _lift(levels, k, rep):
     """A rep at height k as the constant residue at height k + 1."""
     pad = levels[k].degree - 1
-    if k == 0:
-        return (rep.denominator, (rep.numerator,) + (0,) * pad)
     return (rep[0], (rep[1],) + (_zlevel(levels, k).zero,) * pad)
 
 
 def _coeffs(rep, h):
     """The residue coefficients of a rep at height h >= 1, as reps at h - 1."""
     den, Z = rep
-    if h == 1:
-        return [Fraction(z, den) for z in Z]
     return [_znorm(den, z, h - 1) for z in Z]
 
 
@@ -312,21 +315,13 @@ def _join(levels, h, coeffs):
     height h - 1), zero-padded or cut to the level's degree."""
     d = levels[h - 1].degree
     coeffs = coeffs[:d]
-    if h == 1:
-        den = lcm(*(c.denominator for c in coeffs))
-        Z = [c.numerator * (den // c.denominator) for c in coeffs]
-        zero = 0
-    else:
-        den = lcm(*(c[0] for c in coeffs))
-        Z = [_zscale(c[1], den // c[0], h - 1) for c in coeffs]
-        zero = _zlevel(levels, h - 1).zero
-    return (den, tuple(Z) + (zero,) * (d - len(Z)))
+    den = lcm(*(c[0] for c in coeffs))
+    Z = [_zscale(c[1], den // c[0], h - 1) for c in coeffs]
+    return (den, tuple(Z) + (_zlevel(levels, h - 1).zero,) * (d - len(Z)))
 
 
 def _is_szero(rep, h):
     """Structural zero test (zero in every branch of the tower)."""
-    if h == 0:
-        return rep == 0
     return not _zany(rep[1], h)
 
 
@@ -346,26 +341,20 @@ def _rsum(a, b, h, op):
 
 
 def _radd(levels, h, a, b):
-    if h == 0:
-        return a + b
     return _rsum(a, b, h, add)
 
 
 def _rneg(levels, h, a):
-    if h == 0:
-        return -a
     return (a[0], _zscale(a[1], -1, h))
 
 
 def _rsub(levels, h, a, b):
-    if h == 0:
-        return a - b
     return _rsum(a, b, h, sub)
 
 
 def _rmul(levels, h, a, b):
     if h == 0:
-        return a * b
+        return _znorm(a[0] * b[0], a[1] * b[1], 0)
     P = _zmul(levels, h, a[1], b[1])
     return _znorm(a[0] * b[0] * _zlevel(levels, h).scale, P, h)
 
@@ -373,9 +362,10 @@ def _rmul(levels, h, a, b):
 def _rinv(levels, h, a):
     """Inverse of a nonzero rep; raises ZeroDivisorEncountered on a proper gcd."""
     if h == 0:
-        if a == 0:
+        den, num = a
+        if num == 0:
             raise ZeroDivisionError("inverting zero")
-        return 1 / a
+        return (num, den) if num > 0 else (-num, -den)
     if levels[h - 1].degree == 1:
         return _lift(levels, h - 1, _rinv(levels, h - 1, _coeffs(a, h)[0]))
     if h == 1:
@@ -567,6 +557,8 @@ class FieldTower:
         return TowerElement(self, _rone(self.levels, self.height))
 
     def rational(self, q):
+        """The element q: an int, a Fraction or a "p/q" string.  This is where a
+        Fraction enters the tower."""
         return TowerElement(self, _rfrom_rational(self.levels, self.height, Fraction(q)))
 
     def generator(self, index=-1):
@@ -624,13 +616,15 @@ class FieldTower:
     def split(self, level_index, factor):
         """Split on a proper monic factor of the modulus at ``level_index``.
 
+        ``factor`` lists coefficients over the prefix below that level
+        (ints, Fractions, elements or reps), lowest degree first.
         Returns the two branch towers (factor branch first).  Their degrees
         at the split level sum to the original degree; a degree-1 branch is
         kept as a genuine (trivial) level so heights never change.
         """
         lv = self.levels[level_index]
         sub = self.levels[:level_index]
-        fac = _pl_monic(sub, level_index, list(factor))
+        fac = _pl_monic(sub, level_index, list(UniPoly(FieldTower(sub), factor).coeffs))
         if not 1 <= len(fac) - 1 < lv.degree:
             raise ValueError("factor must be a proper divisor of the modulus")
         q, r = _pl_divmod(sub, level_index, list(lv.modulus), fac)
@@ -822,17 +816,24 @@ class TowerElement:
         return (self - o).is_zero()
 
     def __hash__(self):
-        return hash((self.tower, self.rep))
+        rep = self.rep
+        if not self.tower.levels:
+            # a rational keeps the hash of its Fraction: curve_y_solutions
+            # returns its y-values in set order, and bigon_points takes the
+            # first, so the reports depend on this order
+            rep = Fraction(rep[1], rep[0])
+        return hash((self.tower, rep))
 
     def __repr__(self):
         return "TowerElement(%s)" % (rep_to_data(self.rep),)
 
     def as_rational(self):
-        """The value as a Fraction, if it is structurally rational."""
+        """The value as a Fraction, if it is structurally rational.  This is
+        where a Fraction leaves the tower."""
         q = self.demoted_rep(0)
         if q is None:
             raise ValueError("element is not rational")
-        return q
+        return Fraction(q[1], q[0])
 
     def embedded(self, tower):
         if tower == self.tower:
@@ -873,7 +874,7 @@ class TowerElement:
                 return None
             Z = Z[0]
         # the entries dropped are zero, so (den, Z) is still canonical
-        return Fraction(Z, den) if base_height == 0 else (den, Z)
+        return (den, Z)
 
 
 def _eliminate_top_level(p):
@@ -917,7 +918,7 @@ class UniPoly:
                     raise ValueError("coefficient from a different tower")
                 reps.append(c.rep)
             elif isinstance(c, (int, Fraction)):
-                reps.append(_rfrom_rational(tower.levels, tower.height, Fraction(c)))
+                reps.append(_rfrom_rational(tower.levels, tower.height, c))
             else:
                 reps.append(c)
         self.tower = tower
@@ -996,9 +997,7 @@ class UniPoly:
 
     def evaluate(self, x):
         t = self.tower
-        rep = x.rep if isinstance(x, TowerElement) else _rfrom_rational(
-            t.levels, t.height, Fraction(x)
-        )
+        rep = x.rep if isinstance(x, TowerElement) else t.rational(x).rep
         return TowerElement(t, _pl_eval(t.levels, t.height, list(self.coeffs), rep))
 
     def embedded(self, tower):
@@ -1012,6 +1011,8 @@ class UniPoly:
         return UniPoly(tower, [migrate_rep(self.tower, tower, c) for c in self.coeffs])
 
     def rational_coeffs(self):
+        """The coefficients as Fractions (each structurally rational), lowest
+        degree first.  This is where coefficients leave as Fractions."""
         return [TowerElement(self.tower, c).as_rational() for c in self.coeffs]
 
     def __repr__(self):
@@ -1028,7 +1029,7 @@ def poly_gcd(f, g):
         raise ValueError("polynomials over different towers")
     t = f.tower
     if t.height == 0:
-        return UniPoly(t, _qq_gcd(f.rational_coeffs(), g.rational_coeffs()))
+        return UniPoly(t, _qq_gcd(f.coeffs, g.coeffs))
     return UniPoly(t, _pl_gcd(t.levels, t.height, list(f.coeffs), list(g.coeffs)))
 
 
@@ -1043,12 +1044,13 @@ def _zz_primitive(v):
 
 
 def _qq_to_int(coeffs):
-    den = lcm(*(q.denominator for q in coeffs))
-    return _zz_primitive([q.numerator * (den // q.denominator) for q in coeffs])
+    den = lcm(*(c[0] for c in coeffs))
+    return _zz_primitive([c[1] * (den // c[0]) for c in coeffs])
 
 
 def _qq_gcd(fc, gc):
-    """Monic gcd of rational coefficient lists via a primitive remainder sequence.
+    """Monic gcd of coefficient lists of reps over Q via a primitive remainder
+    sequence.
 
     Keeps all intermediate arithmetic in Z with content stripping, which is
     dramatically faster than naive fraction Euclid on the large division
@@ -1071,10 +1073,7 @@ def _qq_gcd(fc, gc):
             while r and r[-1] == 0:
                 r.pop()
         f, g = g, _zz_primitive(r)
-    if not f:
-        return []
-    lead = Fraction(f[-1])
-    return [Fraction(c) / lead for c in f]
+    return [_znorm(f[-1], c, 0) for c in f]
 
 
 def squarefree_part(f):
@@ -1120,15 +1119,11 @@ def with_splitting(tower, fn, base_height=0):
 # ---------------------------------------------------------------------------
 
 def rep_to_data(rep):
-    if isinstance(rep, Fraction):
-        return "%d/%d" % (rep.numerator, rep.denominator)
-    return _numerators_to_data(rep[1], rep[0])
-
-
-def _numerators_to_data(Z, den):
+    den, Z = rep
     if isinstance(Z, int):
-        return rep_to_data(Fraction(Z, den))
-    return [_numerators_to_data(z, den) for z in Z]
+        den, Z = _znorm(den, Z, 0)
+        return "%d/%d" % (Z, den)
+    return [rep_to_data((den, z)) for z in Z]
 
 
 def rep_from_data(levels, h, data):

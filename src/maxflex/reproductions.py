@@ -255,13 +255,13 @@ def repro_fermat_existence(extended=False, tower_budget=None):
             families[zero_axes[0]] += 1
     rep.check("flex-families", {0: 3, 1: 3, 2: 3}, families)
     rational = {
-        tuple(str(c.rep) for c in p.coords)
+        tuple(str(c.as_rational()) for c in p.coords)
         for p, tw in flexes
         if tw.height == 0
     }
     stated = set()
     for coords in ([1, -1, 0], [1, 0, -1], [0, 1, -1]):
-        stated.add(tuple(str(c.rep) for c in ProjPoint(base, coords).coords))
+        stated.add(tuple(str(c.as_rational()) for c in ProjPoint(base, coords).coords))
     rep.check("rational-flexes", stated, rational)
 
     data = cubic_q

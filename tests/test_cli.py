@@ -123,6 +123,28 @@ def test_torsion_order_below_two_is_rejected(capsys):
     assert err.startswith("error: torsion order must be at least 2")
 
 
+def test_torsion_on_curve_without_flex_is_a_spec_error(capsys):
+    code, out, err = run_cli(capsys, "torsion", "cyclic", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: curve 'cyclic' carries no designated flex")
+
+
+def test_distinguish_without_admissible_permutations_is_a_spec_error(capsys, tmp_path):
+    spec = {
+        "d0": 3,
+        "components": [
+            {"degree": 1, "m": 3, "class": [3, 0], "modulus": 9, "divisor": [["p", 3]]},
+        ],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "distinguish", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: spec files declare no admissible permutations")
+
+
 def test_invariants_on_spec_without_components_is_a_spec_error(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"d0": 3}))

@@ -76,15 +76,12 @@ def ints_of(Z, k):
 def assert_canonical(tower, x):
     """den > 0, gcd(den, numerators) == 1, shape, and a lossless round trip."""
     rep, h = x.rep, tower.height
-    if h == 0:
-        assert isinstance(rep, Fraction)
-    else:
-        den, Z = rep
-        ints = ints_of(Z, h)
-        assert isinstance(den, int) and den > 0
-        assert len(ints) == tower.absolute_degree
-        assert all(isinstance(v, int) for v in ints)
-        assert gcd(den, *ints) == 1
+    den, Z = rep
+    ints = ints_of(Z, h)
+    assert isinstance(den, int) and den > 0
+    assert len(ints) == tower.absolute_degree
+    assert all(isinstance(v, int) for v in ints)
+    assert gcd(den, *ints) == 1
     assert rep_from_data(tower.levels, h, rep_to_data(rep)) == rep
 
 

@@ -199,6 +199,21 @@ def test_tower_from_data_checks_each_level_like_extend():
             FieldTower.from_data([{"name": "t", "minpoly": minpoly}])
 
 
+def test_rationals_cross_the_boundary_as_fractions():
+    x = QQ.rational(Fraction(-6, 4))
+    assert type(x.as_rational()) is Fraction and x.as_rational() == Fraction(-3, 2)
+    assert rep_to_data(x.rep) == "-3/2"
+    assert rep_to_data(QQ.rational(5).rep) == "5/1"
+    coeffs = qpoly(Fraction(1, 2), 0, 3).rational_coeffs()
+    assert coeffs == [Fraction(1, 2), 0, 3]
+    assert all(type(c) is Fraction for c in coeffs)
+    # a split factor may be given as ints, Fractions or elements
+    k = extend_field(QQ, qpoly(-1, 0, 1), name="b")
+    by_int = k.split(0, [-1, 1])
+    assert by_int == k.split(0, [Fraction(-1), Fraction(1)])
+    assert by_int == k.split(0, [QQ.rational(-1), QQ.one()])
+
+
 def test_minimal_polynomial_of_generator():
     k = extend_field(QQ, qpoly(9, -3, 1), name="b")
     mp = k.generator().minimal_polynomial()

@@ -92,6 +92,21 @@ def test_rational_torsion_orders_4_and_12():
         assert point_order(e, P, 24) == r
 
 
+def test_rational_torsion_points_come_in_a_pinned_order():
+    # curve_y_solutions returns its two y-values in set order, which follows
+    # TowerElement.__hash__, and bigon_points takes the first point of order
+    # r; this pins the order the reports were recorded with
+    m = weierstrass_model(structure_90c3())
+    got = {
+        n: [(x.as_rational(), y.as_rational()) for x, y in rational_points_of_order(m, n)]
+        for n in (4, 12)
+    }
+    assert got == {
+        4: [(9, 31), (9, -41)],
+        12: [(-9, -41), (-9, 49), (81, -761), (81, 679)],
+    }
+
+
 def test_twelve_torsion_generator_via_reduced_division_polynomial():
     e = structure_90c3()
     m = weierstrass_model(e)
