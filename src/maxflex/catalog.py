@@ -85,7 +85,9 @@ def _build_90c3(degree_cap):
     )
     origin = ProjPoint(tower, [0, 1, 0])
     e = EllipticStructure(cubic, origin)
-    return {"tower": tower, "structure": e}
+    model = weierstrass_model(e)
+    torsion = {r: rational_points_of_order(model, r) for r in (4, 12)}
+    return {"tower": tower, "structure": e, "model": model, "rational_torsion": torsion}
 
 
 CATALOG = {
@@ -302,18 +304,20 @@ def bigon_points(entry_data, r):
     """A point of exact order r on 90c3 with its residual partner Q = <-5>P.
 
     Orders 4 and 12 are rational; orders 8 and 24 need halving extensions and
-    return points over the halving tower.  Yields (tower, structure, P, Q).
+    return points over the halving tower.  Every order starts from the
+    rational torsion the entry was built with.  Yields (tower, structure, P, Q).
     """
     e = entry_data["structure"]
     tower = entry_data["tower"]
-    model = weierstrass_model(e)
+    model = entry_data["model"]
+    torsion = entry_data["rational_torsion"]
     if r in (4, 12):
-        pt = rational_points_of_order(model, r)[0]
+        pt = torsion[r][0]
         P = model.point_to_source(pt)
         E = e
         tw = tower
     elif r in (8, 24):
-        base = rational_points_of_order(model, r // 2)[0]
+        base = torsion[r // 2][0]
         options = halve_point(model, base)
         if not options:
             raise WrongOrder("halving produced no candidates")

@@ -1,17 +1,16 @@
 """Resultants, exact linear algebra, and root finding.
 
-Everything here is exact.  Rational roots of integer polynomials are found
-with a modular method: roots mod a few 62-bit primes, CRT-lifted candidates,
-then exact verification.  Roots in the algebraic closure are produced either
-as conjugate packets (one representative per adjoined factor) or, on request,
-fully enumerated inside a nested tower.
+Everything here is exact.  Rational roots are found p-adically: the roots
+mod one small prime are Newton-lifted past the rational-root-theorem bound,
+read off as symmetric residues and checked exactly.  Roots in the algebraic
+closure are produced either as conjugate packets (one representative per
+adjoined factor) or, on request, fully enumerated inside a nested tower.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .fields import UniPoly, squarefree_part
 
@@ -181,197 +180,61 @@ def mat3_apply(m, v):
 
 
 # ---------------------------------------------------------------------------
-# rational roots of polynomials over Q (modular method)
+# rational roots of polynomials over Q (p-adic lifting)
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Primes rejected for a repeated root mod p before f is replaced by its
+#: squarefree part.  A squarefree f has only finitely many such primes.
+_SQUAREFREE_AFTER = 8
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _next_prime(n):
-    n += 1
-    if n % 2 == 0:
-        n += 1
-    while not _is_prime(n):
-        n += 2
-    return n
-
-
-def _zp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zp_rem(a, mod, p):
-    a = _zp_trim(list(a))
-    dm = len(mod) - 1
-    inv = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv % p
-        k = len(a) - 1 - dm
-        for j in range(dm + 1):
-            a[k + j] = (a[k + j] - c * mod[j]) % p
-        a = _zp_trim(a)
-    return a
-
-
-def _zp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _zp_trim(out)
-
-
-def _zp_mulmod(a, b, mod, p):
-    return _zp_rem(_zp_mul(a, b, p), mod, p)
-
-
-def _zp_div(a, b, p):
-    a = _zp_trim(list(a))
-    b = _zp_trim(list(b))
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
-        q[k] = c
-        for j in range(len(b)):
-            a[k + j] = (a[k + j] - c * b[j]) % p
-        a = _zp_trim(a)
-    return _zp_trim(q)
-
-
-def _zp_gcd(a, b, p):
-    a = _zp_trim(list(a))
-    b = _zp_trim(list(b))
-    while b:
-        a, b = b, _zp_rem(a, b, p)
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _zp_powmod(base, e, mod, p):
-    result = [1]
-    base = _zp_rem(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = _zp_mulmod(result, base, mod, p)
-        base = _zp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _roots_mod_p(coeffs, p, rng):
-    """All roots in GF(p) of an integer polynomial (deterministic given rng)."""
-    f = _zp_trim([c % p for c in coeffs])
-    if len(f) <= 1:
-        return []
-    xp = _zp_powmod([0, 1], p, f, p)
-    lin = list(xp) + [0, 0]
-    lin[1] = (lin[1] - 1) % p
-    h = _zp_gcd(f, _zp_trim(lin), p)
-    roots = []
-    stack = [h]
-    while stack:
-        g = _zp_trim(list(stack.pop()))
-        if len(g) <= 1:
-            continue
-        if len(g) == 2:
-            roots.append((-g[0] * pow(g[1], p - 2, p)) % p)
-            continue
-        while True:
-            a = rng.randrange(p)
-            w = _zp_powmod([a, 1], (p - 1) // 2, g, p)
-            w = list(w) + [0]
-            w[0] = (w[0] - 1) % p
-            d = _zp_gcd(_zp_trim(w), g, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                stack.append(d)
-                stack.append(_zp_div(g, d, p))
-                break
-    return sorted(roots)
-
-
-def _int_nthroot(n, k):
-    """Floor of the k-th root of a nonnegative integer (pure integer Newton)."""
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    x = 1 << (n.bit_length() // k + 1)
+def _primes():
+    """2, 3, 5, 7, ... by trial division; only small primes are ever needed."""
+    found = []
+    n = 2
     while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+        if all(n % q for q in found):
+            found.append(n)
+            yield n
+        n += 1
 
 
-def _kth_root_ceil(n, k):
-    """Smallest integer r with r**k >= n, for n >= 0."""
-    if n <= 0:
-        return 0
-    r = _int_nthroot(n, k)
-    if r**k < n:
-        r += 1
-    return r
+def _integer_coeffs(qs):
+    """Primitive integer coefficients of a nonzero rational list, x^k stripped."""
+    den = lcm(*(q.denominator for q in qs))
+    coeffs = [q.numerator * (den // q.denominator) for q in qs]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs]
 
 
-def _root_bound(coeffs):
-    """Fujiwara-style bound on the absolute value of any complex root."""
-    an = abs(coeffs[-1])
-    n = len(coeffs) - 1
-    best = 0
-    for i in range(n):
-        if coeffs[i] == 0:
-            continue
-        ratio = -(-abs(coeffs[i]) // an)  # ceil division
-        best = max(best, _kth_root_ceil(ratio, n - i))
-    return 2 * best + 1
+def _horner(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _rational_reconstruct(r, m, num_bound, den_bound):
-    """u/v with u/v = r (mod m), |u| <= num_bound, 0 < v <= den_bound, or None."""
-    a0, a1 = m, r % m
-    u0, u1 = 0, 1
-    while a1 > num_bound:
-        q = a0 // a1
-        a0, a1 = a1, a0 - q * a1
-        u0, u1 = u1, u0 - q * u1
-    if a1 == 0 or abs(u1) > den_bound:
-        return None
-    if u1 < 0:
-        a1, u1 = -a1, -u1
-    return a1, u1
+def _simple_roots_mod(coeffs, p):
+    """The roots in GF(p) of an integer polynomial, or None if one is repeated."""
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    roots = []
+    for a in range(p):
+        if _horner(coeffs, a, p) == 0:
+            if _horner(deriv, a, p) == 0:
+                return None
+            roots.append(a)
+    return roots
+
+
+def _vanishes_at(coeffs, u, v):
+    """Whether the integer polynomial vanishes at u/v (v != 0), exactly."""
+    acc, w = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * w
+        w *= v
+    return acc == 0
 
 
 def _qdiv_linear(coeffs, root):
@@ -388,70 +251,49 @@ def _qdiv_linear(coeffs, root):
 def rational_roots(f):
     """All rational roots of a polynomial over Q, with multiplicities.
 
-    Returns a list of (Fraction, multiplicity) pairs sorted by value.
+    Returns a list of (Fraction, multiplicity) pairs sorted by value.  With
+    integer coefficients a_0 .. a_n (a_0 != 0 once the root 0 is taken out),
+    a root u/v has u | a_0 and v | a_n, so a_n * u/v is an integer of size at
+    most |a_0 a_n|.  Take the first prime p not dividing a_n at which every
+    root of f in GF(p) is simple, Newton-lift each of those roots p-adically
+    until p^k > 2 |a_0 a_n|, and read a_n x as the symmetric residue mod p^k.
+    Every rational root is among these candidates; each is checked exactly,
+    and multiplicities come from exact division.  A repeated rational root
+    is repeated mod every p, so after a few rejected primes f is replaced
+    by its squarefree part.
     """
     if f.tower.height != 0:
         raise ValueError("rational_roots expects a polynomial over Q")
     if f.is_zero():
         raise ValueError("zero polynomial")
     qs = f.rational_coeffs()
-    den = 1
-    for q in qs:
-        den = den * q.denominator // gcd(den, q.denominator)
-    coeffs = [int(q * den) for q in qs]
-    roots = []
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        roots.append(Fraction(0))
-    roots = roots[:1]  # multiplicity recovered below
-    if len(coeffs) > 1:
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        coeffs = [c // g for c in coeffs]
-        an = abs(coeffs[-1])
-        n = len(coeffs) - 1
-        bound = _root_bound(coeffs)
-        num_bound = bound * an
-        den_bound = an
-        target = 2 * num_bound * den_bound + 1
-        rng = random.Random(0x5EED)
-        prime = 1 << 62
-        candidates = None
-        modulus = 1
-        while modulus < target:
-            prime = _next_prime(prime)
-            if coeffs[-1] % prime == 0:
-                continue
-            roots_p = _roots_mod_p(coeffs, prime, rng)
-            if candidates is None:
-                candidates = [r for r in roots_p]
-            else:
-                merged = []
-                inv = pow(modulus % prime, prime - 2, prime)
-                for r in candidates:
-                    for s in roots_p:
-                        t = (s - r) % prime * inv % prime
-                        merged.append(r + modulus * t)
-                candidates = merged
-            modulus *= prime
-            if not candidates:
-                break
-        seen = set()
-        for r in candidates or ():
-            rec = _rational_reconstruct(r, modulus, num_bound, den_bound)
-            if rec is None:
-                continue
-            u, v = rec
-            x = Fraction(u, v)
-            if x in seen:
-                continue
-            seen.add(x)
-            acc = 0
-            for i, c in enumerate(coeffs):
-                acc += c * u**i * v ** (n - i)
-            if acc == 0:
+    roots = [Fraction(0)] if qs[0] == 0 else []
+    coeffs = _integer_coeffs(qs)
+    rejected = 0
+    for p in _primes():
+        if len(coeffs) == 1:
+            break
+        if coeffs[-1] % p == 0:
+            continue
+        roots_p = _simple_roots_mod(coeffs, p)
+        if roots_p is None:
+            rejected += 1
+            if rejected == _SQUAREFREE_AFTER:
+                coeffs = _integer_coeffs(squarefree_part(f).rational_coeffs())
+            continue
+        an = coeffs[-1]
+        bound = 2 * abs(coeffs[0] * an)
+        deriv = [i * c for i, c in enumerate(coeffs)][1:]
+        for a in roots_p:
+            m = p
+            while m <= bound:
+                m *= m
+                a = (a - _horner(coeffs, a, m) * pow(_horner(deriv, a, m), -1, m)) % m
+            s = an * a % m
+            x = Fraction(s - m if 2 * s > m else s, an)
+            if _vanishes_at(coeffs, x.numerator, x.denominator):
                 roots.append(x)
+        break
     out = []
     for root in roots:
         mult = 0
@@ -462,10 +304,8 @@ def rational_roots(f):
                 break
             poly = q
             mult += 1
-        if mult:
-            out.append((root, mult))
+        out.append((root, mult))
     return sorted(out)
-
 
 # ---------------------------------------------------------------------------
 # roots over towers: packets and full enumeration

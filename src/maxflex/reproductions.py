@@ -47,7 +47,6 @@ from .torsion import (
     torsion_order,
     uniform_group,
 )
-from .weierstrass import rational_points_of_order, weierstrass_model
 
 REPRODUCTION_NAMES = (
     "thm-main1",
@@ -360,9 +359,8 @@ def repro_clubsuit_d2(extended=False, tower_budget=None):
     rep = Report("clubsuit-d2")
     budget = tower_budget or (128 if extended else 64)
     entry_data = catalog_entry("90c3").build(budget)
-    model = weierstrass_model(entry_data["structure"])
     for r in (4, 12):
-        pts = rational_points_of_order(model, r)
+        pts = entry_data["rational_torsion"][r]
         rep.check("rational-order-%d-found" % r, True, bool(pts))
     radii = (4, 8, 12, 24) if extended else (4, 12)
     packages = {}

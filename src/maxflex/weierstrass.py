@@ -388,13 +388,17 @@ def curve_y_solutions(model, x0):
 
 
 def rational_points_of_order(model, n):
-    """All model points of exact order n with rational coordinates.
+    """All model points of exact order n with rational coordinates, in x order.
 
-    The x-coordinates are rational roots of the reduced division polynomial;
-    candidate points are verified by explicit multiplication.
+    The x-coordinates are rational roots of psi_n itself (of the doubling
+    cubic for n = 2).  Its roots also carry the points of every order d | n
+    other than 2, so each candidate is checked on the curve and for exact
+    order n by explicit multiplication.
     """
+    if n < 2:
+        raise ValueError("order must be at least 2")
     div = DivisionPolynomials(model)
-    poly = div.exact_order_poly(n)
+    poly = div.doubling_cubic if n == 2 else div.raw(n)
     out = []
     for x0, _mult in rational_roots(poly):
         for pt in curve_y_solutions(model, model.tower.rational(x0)):

@@ -1,8 +1,9 @@
-"""The package computes exactly: no floats anywhere in ``src/maxflex``.
+"""The package computes exactly and deterministically: no floats and no rng.
 
-An AST scan of every module fails on a float or complex literal, on the name
-``float``, and on any ``math`` function or constant outside the
-integer-valued ones (``sqrt``, ``log``, ``exp``, ``pi`` and the like).
+An AST scan of every module in ``src/maxflex`` fails on a float or complex
+literal, on the name ``float``, on any ``math`` function or constant outside
+the integer-valued ones (``sqrt``, ``log``, ``exp``, ``pi`` and the like),
+and on importing ``random``.
 """
 
 import ast
@@ -16,7 +17,7 @@ INTEGER_MATH = {
 }
 
 
-def float_uses(tree):
+def forbidden_uses(tree):
     for node in ast.walk(tree):
         where = getattr(node, "lineno", None)
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -27,6 +28,13 @@ def float_uses(tree):
             for alias in node.names:
                 if alias.name not in INTEGER_MATH:
                     yield where, "from math import %s" % alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            for alias in node.names:
+                yield where, "from random import %s" % alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "random":
+                    yield where, "import random"
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -42,7 +50,7 @@ def test_no_float_literal_name_or_math_function_in_the_package():
     found = [
         "%s:%s: %s" % (path.name, line, what)
         for path in modules
-        for line, what in float_uses(ast.parse(path.read_text(), str(path)))
+        for line, what in forbidden_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
 
@@ -50,10 +58,18 @@ def test_no_float_literal_name_or_math_function_in_the_package():
 def test_the_scan_sees_each_kind_of_float():
     source = (
         "from math import gcd, sqrt\n"
-        "import math\n"
+        "import math, random\n"
+        "from random import randrange\n"
         "x = 0.5 + float(2) + math.log(3) + math.isqrt(4)\n"
     )
-    kinds = [what for _line, what in float_uses(ast.parse(source))]
+    kinds = [what for _line, what in forbidden_uses(ast.parse(source))]
     assert sorted(kinds) == sorted(
-        ["from math import sqrt", "literal 0.5", "name float", "math.log"]
+        [
+            "from math import sqrt",
+            "literal 0.5",
+            "name float",
+            "math.log",
+            "import random",
+            "from random import randrange",
+        ]
     )

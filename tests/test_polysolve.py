@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from maxflex import QQ, UniPoly, extend_field, rational_roots, root_packets
+import pytest
+
+from maxflex import QQ, UniPoly, extend_field, polysolve, rational_roots, root_packets
 from maxflex.polysolve import kernel_basis, resultant_bivariate, resultant_univariate
 
 
@@ -40,6 +42,112 @@ def test_rational_roots_large_coefficients():
     f = f * qpoly(10**40 + 1, 0, 10**39 + 7, 1)
     found = rational_roots(f)
     assert sorted(r for r, _m in found) == sorted(set(roots))
+
+
+# -- rational_roots against sympy's factorization -----------------------------
+
+def _sympy_rational_roots(f):
+    """(root, multiplicity) pairs from the linear factors of sympy's factor_list."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in f.rational_coeffs()]
+    _content, factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(coeffs)), x)
+    out = []
+    for factor, mult in factors:
+        poly = sympy.Poly(factor, x)
+        if poly.degree() == 1:
+            a, b = poly.all_coeffs()
+            root = -b / a
+            out.append((Fraction(int(root.p), int(root.q)), mult))
+    return sorted(out)
+
+
+def _linear(rng, num, den):
+    """v x - u for a random u / v with |u| <= num and 1 <= v <= den."""
+    return qpoly(-rng.randint(-num, num), rng.randint(1, den))
+
+
+def _irreducible_part(rng):
+    """x^2 + b x + c or x^3 + b x + c with no rational root (by construction)."""
+    while True:
+        b, c = rng.randint(-40, 40), rng.choice([-1, 1]) * rng.randint(1, 40)
+        f = qpoly(c, b, 0, 1) if rng.random() < 0.5 else qpoly(c, b, 1)
+        if all(f.evaluate(QQ.rational(r)).as_rational() != 0 for r in range(-40, 41)):
+            return f
+
+
+def _product(factors):
+    f = qpoly(1)
+    for g in factors:
+        f = f * g
+    return f
+
+
+def _differential_cases():
+    rng = random.Random(20231)
+    cases = []
+    # integer and non-integer linear factors, with irreducible cofactors
+    # whose roots mod p lift to candidates that must be refused
+    for _ in range(24):
+        fs = [_linear(rng, 30, 12) for _ in range(rng.randint(1, 5))]
+        fs += [_irreducible_part(rng) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            fs.append(qpoly(0, 1))
+        cases.append(_product(fs))
+    # one integer root of any size against a cofactor with constant term
+    # +-1: a_n x then fills the whole bound |a_0 a_n|
+    for _ in range(24):
+        u = rng.choice([-1, 1]) * rng.randint(2, 10 ** rng.randint(1, 12))
+        cofactor = rng.choice([qpoly(1), qpoly(-1, 1, 1), qpoly(1, -3, 0, 1)])
+        cases.append(qpoly(-u, 1) * cofactor)
+    # repeated rational roots
+    for _ in range(6):
+        fs = [_linear(rng, 20, 6) for _ in range(rng.randint(1, 3))]
+        fs += [fs[0]] * rng.randint(1, 3) + [_irreducible_part(rng)]
+        cases.append(_product(fs))
+    # a squared irreducible quadratic times a simple rational root
+    cases.append(qpoly(1, 1, 1) * qpoly(1, 1, 1) * qpoly(-3, 2))
+    cases.append(qpoly(-2, 0, 1) * qpoly(-2, 0, 1) * qpoly(5, 7) * qpoly(0, 1))
+    # large coefficients
+    for _ in range(6):
+        fs = [qpoly(-rng.randint(-10**30, 10**30), rng.randint(1, 10**20))]
+        fs += [_linear(rng, 50, 5), qpoly(10**40 + 1, 0, 10**39 + 7, 1)]
+        cases.append(_product(fs))
+    return cases
+
+
+def test_rational_roots_match_sympy():
+    for f in _differential_cases():
+        assert rational_roots(f) == _sympy_rational_roots(f), f.rational_coeffs()
+
+
+def test_rational_roots_through_the_squarefree_fallback(monkeypatch):
+    calls = []
+    real = polysolve.squarefree_part
+
+    def spy(f):
+        calls.append(f.degree)
+        return real(f)
+
+    monkeypatch.setattr(polysolve, "squarefree_part", spy)
+    # a repeated rational root is repeated mod every prime
+    f = qpoly(-2, 3) * qpoly(-2, 3) * qpoly(5, 1) * qpoly(-2, 0, 1)
+    assert rational_roots(f) == _sympy_rational_roots(f) == [
+        (Fraction(-5), 1),
+        (Fraction(2, 3), 2),
+    ]
+    assert calls == [5]
+    # squarefree, but every prime up to 41 divides the leading coefficient
+    # (2, 3, 5, 7) or the difference of the roots 1 and 1 + M
+    calls.clear()
+    M = 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41
+    f = qpoly(-1, 210) * qpoly(-1, 1) * qpoly(-1 - M, 1)
+    assert rational_roots(f) == _sympy_rational_roots(f) == [
+        (Fraction(1, 210), 1),
+        (Fraction(1), 1),
+        (Fraction(1 + M), 1),
+    ]
+    assert calls == [3]
 
 
 def test_resultant_of_coprime_and_common_root():

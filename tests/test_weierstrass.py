@@ -24,9 +24,11 @@ from maxflex import (
     point_order,
     poly_gcd,
     rational_points_of_order,
+    rational_roots,
     weierstrass_model,
 )
 from maxflex.catalog import bigon_points, catalog_entry, fermat_t1, fermat_triangle
+from maxflex.weierstrass import curve_y_solutions
 
 
 def structure_90c3(cap=64):
@@ -97,14 +99,28 @@ def test_rational_torsion_points_come_in_a_pinned_order():
     # TowerElement.__hash__, and bigon_points takes the first point of order
     # r; this pins the order the reports were recorded with
     m = weierstrass_model(structure_90c3())
+    div = DivisionPolynomials(m)
     got = {
         n: [(x.as_rational(), y.as_rational()) for x, y in rational_points_of_order(m, n)]
-        for n in (4, 12)
+        for n in (2, 3, 4, 6, 8, 12)
     }
     assert got == {
+        2: [(-15, 7)],
+        3: [(1, 39), (1, -41)],
         4: [(9, 31), (9, -41)],
+        6: [(21, 79), (21, -101)],
+        8: [],
         12: [(-9, -41), (-9, 49), (81, -761), (81, 679)],
     }
+    # the x-coordinates read off psi_n are those of the stripped
+    # exact-order polynomial that carry a rational y
+    for n, pts in got.items():
+        reference = [
+            x
+            for x, _m in rational_roots(div.exact_order_poly(n))
+            if curve_y_solutions(m, m.tower.rational(x))
+        ]
+        assert list(dict.fromkeys(x for x, _y in pts)) == reference, n
 
 
 def test_twelve_torsion_generator_via_reduced_division_polynomial():
