@@ -163,7 +163,7 @@ def fermat_triangle(data, name_hint="v"):
     y0 = (-(a.embedded(ext2)) + ext2.generator()) * Fraction(1, 2)
 
     def locate(tw):
-        return signed_preimage(model, 3, (x0.embedded(ext2).migrated(tw), y0.migrated(tw)), mt)
+        return signed_preimage(model, 3, (x0.embedded(tw), y0.embedded(tw)), mt)
 
     for branch, found in with_splitting(ext2, locate):
         if found is None:

@@ -28,15 +28,17 @@ from .geometry import (
 from .polysolve import mat3_det
 
 
-def _point_key(point, base):
+def _point_key(point, base, orbit):
     """Identifier of a point, stable across the sweeps of one arrangement.
 
     Points whose coordinates lie in the base tower are keyed by their exact
     canonical representation, which separates base-rational points that are
     conjugate over Q (triangle vertices, for instance).  Genuinely algebraic
     points are keyed by base-relative minimal polynomials of the chart
-    coordinates and of a fixed linear combination, collapsing each conjugate
-    orbit over the base to a single combinatorial point.
+    coordinates u, v and of w = u + m*v, collapsing each conjugate orbit over
+    the base to a single combinatorial point.  m counts up from 7 until w
+    separates the ``orbit`` conjugates (its minimal polynomial has degree
+    ``orbit``); at most orbit*(orbit-1)/2 multipliers fail.
     """
     demoted = []
     for c in point.coords:
@@ -48,10 +50,15 @@ def _point_key(point, base):
     if demoted is not None:
         return ("exact", point.chart, tuple(str(rep_to_data(d)) for d in demoted))
     u, v = point.affine()
-    w = u + 7 * v
-    parts = [point.chart]
-    for e in (u, v, w):
-        mp = e.minimal_polynomial(base_height=base.height)
+    for m in range(7, 8 + orbit * (orbit - 1) // 2):
+        w_poly = (u + m * v).minimal_polynomial(base_height=base.height)
+        if w_poly.degree >= orbit:
+            break
+    else:
+        raise ValueError("no u + m*v separates the conjugates of the point")
+    parts = [point.chart, m]
+    for mp in (u.minimal_polynomial(base_height=base.height),
+               v.minimal_polynomial(base_height=base.height), w_poly):
         parts.append(tuple(str(rep_to_data(c)) for c in mp.coeffs))
     return ("orbit", tuple(parts))
 
@@ -155,7 +162,7 @@ def _point_profiles(herd, tower):
             ):
 
                 def profile(tw, rec=rec):
-                    pt = rec.point.migrated(tw)
+                    pt = rec.point.embedded(tw)
                     incident = []
                     for k in range(n):
                         piece = herd[k].embedded(tw)
@@ -174,7 +181,7 @@ def _point_profiles(herd, tower):
                     rec.tower, profile, tower.height
                 ):
                     orbit = tw.absolute_degree // tower.absolute_degree
-                    key = _point_key(pt, tower)
+                    key = _point_key(pt, tower, orbit)
                     entry = profiles.get(key)
                     if entry is None:
                         profiles[key] = {

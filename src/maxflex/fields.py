@@ -50,6 +50,9 @@ class TowerLevel:
     name: str
     modulus: tuple
     irreducible: bool = False
+    #: The level ``FieldTower.split`` made this one from (the split level or
+    #: one above it); it decides what ``embedded`` accepts, not equality.
+    split_from: object = field(default=None, repr=False, compare=False)
     #: The level's integer data (``_ZLevel``), built on first use from the
     #: levels below, which are fixed when the level is made.
     _z: object = field(default=None, init=False, repr=False, compare=False)
@@ -633,18 +636,13 @@ class FieldTower:
         cof = _pl_monic(sub, level_index, q)
         branches = []
         for newmod in (fac, cof):
-            newlv = TowerLevel(name=lv.name, modulus=tuple(newmod), irreducible=False)
-            tower = FieldTower(sub + (newlv,), self.degree_cap)
+            levels = sub + (TowerLevel(lv.name, tuple(newmod), False, split_from=lv),)
             for upper in self.levels[level_index + 1 :]:
-                mig = tuple(
-                    migrate_rep(self, tower, c, height=level_index + 1)
-                    for c in upper.modulus
-                )
-                tower = FieldTower(
-                    tower.levels + (TowerLevel(upper.name, mig, upper.irreducible),),
-                    self.degree_cap,
-                )
-            branches.append(tower)
+                # each upper modulus is a rep at its own level's height
+                src = self.levels[: len(levels)]
+                mod = tuple(_moved_reps(src, levels, upper.modulus))
+                levels += (TowerLevel(upper.name, mod, upper.irreducible, split_from=upper),)
+            branches.append(FieldTower(levels, self.degree_cap))
         return branches[0], branches[1]
 
     def branches_for(self, err):
@@ -687,31 +685,48 @@ QQ = FieldTower()
 # moving reps between related towers
 # ---------------------------------------------------------------------------
 
-def embed_rep(src, dst, rep):
-    """Lift a rep from a prefix tower into an extension of it."""
-    if src.levels != dst.levels[: src.height]:
-        raise ValueError("towers are not prefix-compatible")
-    for k in range(src.height, dst.height):
-        rep = _lift(dst.levels, k, rep)
-    return rep
+def _descends(level, ancestor):
+    """True when ``level`` is ``ancestor`` or was made from it by splits."""
+    while level is not None:
+        if level == ancestor:
+            return True
+        level = level.split_from
+    return False
 
 
-def migrate_rep(src, dst, rep, height=None):
-    """Map a rep from ``src`` into a split-descendant tower ``dst``.
+def _moved_reps(src, dst, reps):
+    """Move reps over the levels ``src`` into the levels ``dst``.
 
-    Works level by level: residues are reduced modulo the destination modulus
-    (a divisor of the source one) and re-padded.  Only ring operations are
-    used, so migration never raises.
+    ``dst`` must extend a tower whose levels equal those of ``src`` or
+    descend from them by splits.  Below the first level that differs a rep
+    is kept; from there up to ``src``'s height each residue is reduced
+    modulo the destination modulus (a divisor of the source one); above
+    ``src``'s height the value is lifted as a constant.
     """
-    if height is None:
-        if src.height != dst.height:
-            raise ValueError("towers have different heights")
-        height = src.height
-    if height == 0:
+    n = len(src)
+    low = n
+    if dst[:n] != src:
+        split = [k for k in range(min(n, len(dst))) if dst[k] != src[k]]
+        if len(dst) < n or not all(_descends(dst[k], src[k]) for k in split):
+            raise ValueError("towers are not prefix-compatible")
+        low = split[0]
+    out = []
+    for rep in reps:
+        rep = _reduced_rep(dst, rep, n, low)
+        for k in range(n, len(dst)):
+            rep = _lift(dst, k, rep)
+        out.append(rep)
+    return out
+
+
+def _reduced_rep(dst, rep, h, low):
+    """A rep at height h whose levels from ``low`` up were split, re-expressed
+    over the destination levels ``dst``."""
+    if h == low:
         return rep
-    coeffs = [migrate_rep(src, dst, c, height - 1) for c in _coeffs(rep, height)]
-    _pl_reduce_inplace(dst.levels, height - 1, coeffs, dst.levels[height - 1].modulus)
-    return _join(dst.levels, height, coeffs)
+    coeffs = [_reduced_rep(dst, c, h - 1, low) for c in _coeffs(rep, h)]
+    _pl_reduce_inplace(dst, h - 1, coeffs, dst[h - 1].modulus)
+    return _join(dst, h, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -836,14 +851,16 @@ class TowerElement:
         return Fraction(q[1], q[0])
 
     def embedded(self, tower):
+        """This value in ``tower``: an extension of this element's tower, a
+        branch split from it, or an extension of such a branch.  Shared levels
+        are kept, residues at split levels are reduced modulo the branch
+        modulus, and the value is constant in the levels above.  Any other
+        tower, such as a same-named level with another modulus, raises
+        ValueError."""
         if tower == self.tower:
             return self
-        return TowerElement(tower, embed_rep(self.tower, tower, self.rep))
-
-    def migrated(self, tower):
-        if tower == self.tower:
-            return self
-        return TowerElement(tower, migrate_rep(self.tower, tower, self.rep))
+        [rep] = _moved_reps(self.tower.levels, tower.levels, [self.rep])
+        return TowerElement(tower, rep)
 
     def minimal_polynomial(self, base_height=0):
         """Monic squarefree polynomial over the height-``base_height`` prefix
@@ -1003,12 +1020,7 @@ class UniPoly:
     def embedded(self, tower):
         if tower == self.tower:
             return self
-        return UniPoly(tower, [embed_rep(self.tower, tower, c) for c in self.coeffs])
-
-    def migrated(self, tower):
-        if tower == self.tower:
-            return self
-        return UniPoly(tower, [migrate_rep(self.tower, tower, c) for c in self.coeffs])
+        return UniPoly(tower, _moved_reps(self.tower.levels, tower.levels, self.coeffs))
 
     def rational_coeffs(self):
         """The coefficients as Fractions (each structurally rational), lowest
@@ -1098,10 +1110,10 @@ def with_splitting(tower, fn, base_height=0):
     """Run ``fn(tower)``, splitting and retrying on zero divisors.
 
     Returns a list of (branch_tower, result) pairs, one per branch in which
-    ``fn`` completed.  ``fn`` must accept any descendant tower and rebuild
-    its own inputs there (typically via ``migrated``/``embedded``).  Zero
-    divisors at levels below ``base_height`` belong to the caller's tower and
-    are re-raised for the caller to handle.
+    ``fn`` completed.  ``fn`` must accept any branch of ``tower`` and move
+    its own inputs there with ``embedded``, which reaches branches and their
+    extensions alike.  Zero divisors at levels below ``base_height`` belong
+    to the caller's tower and are re-raised for the caller to handle.
     """
     try:
         return [(tower, fn(tower))]

@@ -106,11 +106,6 @@ class ProjPoint:
             return self
         return ProjPoint(tower, [c.embedded(tower) for c in self.coords])
 
-    def migrated(self, tower):
-        if tower == self.tower:
-            return self
-        return ProjPoint(tower, [c.migrated(tower) for c in self.coords])
-
     def to_data(self):
         return [rep_to_data(c.rep) for c in self.coords]
 
@@ -164,6 +159,11 @@ class BiPoly:
 
     def degree(self):
         return max((i + j for i, j in self.terms), default=-1)
+
+    def embedded(self, tower):
+        if tower == self.tower:
+            return self
+        return BiPoly(tower, {k: c.embedded(tower) for k, c in self.terms.items()})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -392,15 +392,6 @@ class PlaneCurve:
             comps = [comp.embedded(tower) for comp in self.components]
         return PlaneCurve(tower, self.degree, form, comps)
 
-    def migrated(self, tower):
-        if tower == self.tower:
-            return self
-        form = {k: c.migrated(tower) for k, c in self.form.items()}
-        comps = None
-        if self.components:
-            comps = [comp.migrated(tower) for comp in self.components]
-        return PlaneCurve(tower, self.degree, form, comps)
-
     def to_data(self):
         return {
             "degree": self.degree,
@@ -610,13 +601,6 @@ class EllipticStructure:
             self.cubic.embedded(tower), self.origin.embedded(tower), check=False
         )
 
-    def migrated(self, tower):
-        if tower == self.tower:
-            return self
-        return EllipticStructure(
-            self.cubic.migrated(tower), self.origin.migrated(tower), check=False
-        )
-
 
 class WrongFlex(SingularPoint):
     pass
@@ -749,6 +733,8 @@ def intersection_multiplicity(c, d, p):
 
     The curves are dehomogenized in the canonical chart of p and translated
     so p becomes the origin; the recursion then runs on the affine forms.
+    A count past the Bezout number deg(c) * deg(d) can only come from a
+    shared component through p, which raises CommonComponent.
     """
     if c.tower != d.tower or p.tower != c.tower:
         raise ValueError("curve/point towers differ")
@@ -756,10 +742,10 @@ def intersection_multiplicity(c, d, p):
     u0, v0 = p.affine()
     F = c.dehomogenize(chart).translate(u0, v0)
     G = d.dehomogenize(chart).translate(u0, v0)
-    return _fulton(F, G, c.tower)
+    return _fulton(F, G, c.tower, c.degree * d.degree)
 
 
-def _fulton(F, G, tower):
+def _fulton(F, G, tower, bound):
     stack = [(F, G)]
     guard = 0
     result = 0
@@ -768,7 +754,7 @@ def _fulton(F, G, tower):
         if guard > 100000:
             raise RuntimeError("Fulton recursion did not terminate")
         F, G = stack.pop()
-        if F.is_zero() or G.is_zero():
+        if F.is_zero() or G.is_zero() or result > bound:
             raise CommonComponent("a shared factor passes through the point")
         if not F.coefficient(0, 0).is_zero() or not G.coefficient(0, 0).is_zero():
             continue
@@ -906,7 +892,7 @@ def _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities,
         for rp in packets:
 
             def probe(tw, x0=rp.element):
-                x = x0.migrated(tw)
+                x = x0.embedded(tw)
                 pt = ProjPoint(tw, [x, tw.one(), tw.zero()])
                 ch = cc.embedded(tw)
                 dh = dd.embedded(tw)
@@ -945,9 +931,9 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
     for rp in packets:
 
         def stage(ext, x0=rp.element):
-            x = x0.migrated(ext)
-            Fh = _bipoly_embed(F, ext)
-            Gh = _bipoly_embed(G, ext)
+            x = x0.embedded(ext)
+            Fh = F.embedded(ext)
+            Gh = G.embedded(ext)
             fu = Fh.specialize_u(x)
             gu = Gh.specialize_u(x)
             if fu.is_zero() and gu.is_zero():
@@ -964,7 +950,7 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
             for yp in root_packets(h, ext, enumerate_conjugates, name_hint="y", on_budget=on_budget):
 
                 def measure(final, y0=yp.element, x=x):
-                    y = y0.migrated(final)
+                    y = y0.embedded(final)
                     xf = x.embedded(final)
                     pt = point_from_affine(final, 2, xf, y)
                     ch = cc.embedded(final)
@@ -985,12 +971,6 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
                 )
                 out.append(IntersectionRecord(pt, mult, tw, orbit))
     return out
-
-
-def _bipoly_embed(F, tower):
-    if tower == F.tower:
-        return F
-    return BiPoly(tower, {k: c.embedded(tower) for k, c in F.terms.items()})
 
 
 def flex_points(c, tower=None, on_budget="raise"):

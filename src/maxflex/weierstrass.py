@@ -466,10 +466,10 @@ def halve_point(model, target, name_hint="h"):
     for packet in root_packets(quartic, t, enumerate_conjugates=False, name_hint=name_hint):
         ext = packet.tower
         x0 = packet.element
-        for branch, case in with_splitting(ext, lambda tw: y_case(tw, x0.migrated(tw))):
+        for branch, case in with_splitting(ext, lambda tw: y_case(tw, x0.embedded(tw))):
             kind, val, disc = case
             if kind == "direct":
-                pairs = [(branch, x0.migrated(branch), val)]
+                pairs = [(branch, x0.embedded(branch), val)]
             else:
                 ext2 = branch.extend(
                     UniPoly(branch, (-disc, branch.zero(), branch.one())),
@@ -477,12 +477,12 @@ def halve_point(model, target, name_hint="h"):
                 )
                 s = ext2.generator()
                 y0 = (-val.embedded(ext2) + s) * half
-                pairs = [(ext2, x0.migrated(branch).embedded(ext2), y0)]
+                pairs = [(ext2, x0.embedded(ext2), y0)]
             for tower2, xx, yy in pairs:
                 for final, res in with_splitting(
                     tower2,
                     lambda tw, xx=xx, yy=yy: signed_preimage(
-                        model, 2, (xx.migrated(tw), yy.migrated(tw)), target
+                        model, 2, (xx.embedded(tw), yy.embedded(tw)), target
                     ),
                 ):
                     if res is not None:

@@ -5,12 +5,15 @@ import json
 from maxflex import (
     QQ,
     PlaneCurve,
+    ProjPoint,
+    UniPoly,
     admissible_permutations,
     check_incidence,
     fingerprint,
     verify_bigon,
 )
 from maxflex.catalog import bigon_conics, bigon_points, catalog_entry
+from maxflex.combinatorics import _point_key
 
 
 def cyclic_cubic():
@@ -167,3 +170,18 @@ def test_verify_bigon_rejects_equal_conics():
     report = verify_bigon(e, c1, c1, e.origin_tangent, p, q)
     assert not report["all"]
     assert not report["contact_pattern"]
+
+
+def test_point_key_separates_when_u_plus_7v_is_rational():
+    # at [1 : 7r : -r] with r^2 = 2 the chart coordinates are u = 7r, v = -r,
+    # so u + 7v = 0 is rational and the key must move on to u + 8v = -r
+    k = QQ.extend(UniPoly.from_rationals(QQ, [-2, 0, 1]), name="r")
+    r = k.generator()
+    key = _point_key(ProjPoint(k, [1, 7 * r, -r]), QQ, 2)
+    kind, (chart, m, mp_u, mp_v, mp_w) = key
+    assert (kind, chart, m) == ("orbit", 0, 8)
+    assert len(mp_w) == 3  # w = -r has a quadratic minimal polynomial
+    # the conjugate point has the same key, the other orbit a different one
+    assert _point_key(ProjPoint(k, [1, -7 * r, r]), QQ, 2) == key
+    other = _point_key(ProjPoint(k, [1, 7 * r, r]), QQ, 2)
+    assert other[1][1] == 7 and other != key

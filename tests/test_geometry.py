@@ -243,6 +243,54 @@ def test_fulton_symmetry_and_oracle():
         assert local_quotient_dimension(ft, gt) == want
 
 
+def test_fulton_matches_local_algebra_on_random_pairs():
+    # seeded affine pairs through the origin of degree <= 4 with small
+    # coefficients; the local terms are often sparse, so tangencies and
+    # singular points occur as well as transverse crossings
+    rng = random.Random(4051)
+    origin = ProjPoint(QQ, [0, 0, 1])
+    seen = set()
+    checked = 0
+    while checked < 60:
+        pair = []
+        for _ in range(2):
+            degree = rng.randint(1, 4)
+            terms = {}
+            for i in range(degree + 1):
+                for j in range(degree + 1 - i):
+                    c = rng.choice([0, 0, 0, 0, 1, -1, 2, -2])
+                    if c and 0 < i + j:
+                        terms[(i, j)] = Fraction(c)
+            if not terms:
+                break
+            pair.append(terms)
+        if len(pair) < 2:
+            continue
+        ft, gt = pair
+        F, G = _homogenize(ft), _homogenize(gt)
+        try:
+            m1 = intersection_multiplicity(F, G, origin)
+        except CommonComponent:
+            continue
+        assert intersection_multiplicity(G, F, origin) == m1
+        assert local_quotient_dimension(ft, gt) == m1
+        seen.add(m1)
+        checked += 1
+    assert max(seen) >= 5  # the sweep is not all transverse crossings
+
+
+def test_fulton_refuses_a_shared_component_other_than_v():
+    # u - uv and 2u^3 share the line u = 0 through the origin; the count
+    # would grow without end, so passing the Bezout number must raise
+    F = _homogenize({(1, 0): Fraction(1), (1, 1): Fraction(-1)})
+    G = _homogenize({(3, 0): Fraction(2)})
+    origin = ProjPoint(QQ, [0, 0, 1])
+    with pytest.raises(CommonComponent):
+        intersection_multiplicity(F, G, origin)
+    with pytest.raises(CommonComponent):
+        intersection_multiplicity(G, F, origin)
+
+
 def _homogenize(terms):
     deg = max(i + j for i, j in terms)
     form = {(i, j, deg - i - j): c for (i, j), c in terms.items()}

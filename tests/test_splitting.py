@@ -18,6 +18,8 @@ from maxflex import (
     with_splitting,
 )
 from maxflex.catalog import catalog_entry
+from maxflex.fields import rep_to_data
+from maxflex.geometry import BiPoly
 
 
 def test_uniform_arithmetic_covers_all_factors():
@@ -134,24 +136,98 @@ def _structure_over_i():
 
 
 @pytest.mark.parametrize(
-    "make, methods",
+    "make",
     [
-        (lambda: _i_tower().generator(), ("embedded", "migrated")),
-        (lambda: UniPoly(_i_tower(), [_i_tower().generator(), 1]), ("embedded", "migrated")),
-        (lambda: ProjPoint(_i_tower(), [1, _i_tower().generator(), 0]), ("embedded", "migrated")),
-        (lambda: _structure_over_i().cubic, ("embedded", "migrated")),
-        (_structure_over_i, ("embedded", "migrated")),
-        # a Weierstrass model is only ever embedded, never migrated
-        (lambda: weierstrass_model(_structure_over_i()), ("embedded",)),
+        lambda: _i_tower().generator(),
+        lambda: UniPoly(_i_tower(), [_i_tower().generator(), 1]),
+        lambda: BiPoly(_i_tower(), {(1, 0): _i_tower().generator(), (0, 2): 1}),
+        lambda: ProjPoint(_i_tower(), [1, _i_tower().generator(), 0]),
+        lambda: _structure_over_i().cubic,
+        _structure_over_i,
+        lambda: weierstrass_model(_structure_over_i()),
     ],
-    ids=["TowerElement", "UniPoly", "ProjPoint", "PlaneCurve", "EllipticStructure",
+    ids=["TowerElement", "UniPoly", "BiPoly", "ProjPoint", "PlaneCurve", "EllipticStructure",
          "WeierstrassModel"],
 )
-def test_same_tower_move_is_identity(make, methods):
+def test_same_tower_move_is_identity(make):
     x = make()
-    for method in methods:
-        assert getattr(x, method)(x.tower) is x
+    assert x.embedded(x.tower) is x
     # Q(sqrt 2) does not extend Q(i): embedding still refuses it
     other = QQ.extend(UniPoly.from_rationals(QQ, [-2, 0, 1]), name="r")
     with pytest.raises(ValueError, match="prefix-compatible"):
         x.embedded(other)
+
+
+def _quadratic(tower, constant, name):
+    """tower[name]/(name^2 - constant)."""
+    return tower.extend(UniPoly(tower, [-constant, 0, 1]), name=name)
+
+
+def test_split_below_two_upper_levels_keeps_their_relations():
+    # Q[a][b][c] with a^2 = 1, b^2 = a + 3, c^2 = b + 5: splitting on a - 1
+    # moves the moduli of b and c, each at its own height
+    ta = _quadratic(QQ, 1, "a")
+    tb = _quadratic(ta, ta.generator() + 3, "b")
+    tc = _quadratic(tb, tb.generator() + 5, "c")
+    a, b, c = (tc.generator(k) for k in range(3))
+    v = c * b + a * Fraction(2, 3)
+
+    def check(tw):
+        a, b, c = (tw.generator(k) for k in range(3))
+        assert (c * c - b - 5).is_zero()
+        assert (b * b - a - 3).is_zero()
+        assert v.embedded(tw) == c * b + a * Fraction(2, 3)
+        return (a - 1).is_zero()
+
+    results = with_splitting(tc, check)
+    assert sorted(r for _tw, r in results) == [False, True]
+    for tw, _r in results:
+        assert [lv.degree for lv in tw.levels] == [1, 2, 2]
+
+
+def test_embedded_reaches_branches_as_the_old_two_step_route():
+    # reps recorded with ``migrated`` and ``embedded(...).migrated(...)``
+    # before the two moves became one
+    t4 = QQ.extend(UniPoly.from_rationals(QQ, [4, 0, -5, 0, 1]), name="t")
+    t = t4.generator()
+    x = t ** 3 + t * Fraction(2, 3) + Fraction(1, 5)
+    br1, br4 = t4.split(0, [-1, 0, 1])
+    up = t4.extend(UniPoly(t4, [-(t + 7), 0, 1]), name="u")
+    up1, up4 = up.split(0, [-1, 0, 1])
+    lin1, _lin = br1.split(0, [-1, 1])
+    u, tu = up.generator(), up.generator(0)
+    y = u * tu + u * Fraction(3, 4) - tu * tu
+    over_br1 = _quadratic(br1, br1.generator() + 7, "u")
+    cases = [
+        (x, br1, ["1/5", "5/3"]),
+        (x, br4, ["1/5", "14/3"]),
+        (x, up1, [["1/5", "5/3"], ["0/1", "0/1"]]),
+        (x, up4, [["1/5", "14/3"], ["0/1", "0/1"]]),
+        (x, lin1, ["28/15"]),
+        (y, up1, [["-1/1", "0/1"], ["3/4", "1/1"]]),
+        (x, over_br1, [["1/5", "5/3"], ["0/1", "0/1"]]),
+    ]
+    for value, tower, want in cases:
+        assert rep_to_data(value.embedded(tower).rep) == want
+    # two steps and one step agree
+    assert x.embedded(br1).embedded(lin1).rep == x.embedded(lin1).rep
+
+
+def test_embedded_refuses_an_unrelated_level_of_the_same_name():
+    # Q[x0]/(x0^2 - 2) and Q[x0]/(x0^2 - 3) have the same height and name
+    r2 = _quadratic(QQ, 2, "x0")
+    r3 = _quadratic(QQ, 3, "x0")
+    with pytest.raises(ValueError, match="prefix-compatible"):
+        r2.generator().embedded(r3)
+    with pytest.raises(ValueError, match="prefix-compatible"):
+        UniPoly(r2, []).embedded(r3)  # even with no coefficient to move
+    # nor does a branch of one tower accept values of a sibling branch
+    t4 = QQ.extend(UniPoly.from_rationals(QQ, [4, 0, -5, 0, 1]), name="t")
+    br1, br4 = t4.split(0, [-1, 0, 1])
+    with pytest.raises(ValueError, match="prefix-compatible"):
+        br1.generator().embedded(br4)
+    with pytest.raises(ValueError, match="prefix-compatible"):
+        br1.generator().embedded(_quadratic(br4, 5, "u"))
+    # a branch is no prefix of its parent either
+    with pytest.raises(ValueError, match="prefix-compatible"):
+        br1.generator().embedded(t4)
