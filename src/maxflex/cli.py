@@ -15,7 +15,7 @@ import sys
 
 from .catalog import bigon_conics, bigon_points, catalog_entry, fermat_witness
 from .combinatorics import fingerprint
-from .errors import MaxflexError, SpecError, malformed
+from .errors import MaxflexError, SpecError, malformed, read_json
 from .fields import FieldTower
 from .geometry import PlaneCurve
 from .reproductions import REPRODUCTION_NAMES, run_reproduction
@@ -29,6 +29,13 @@ from .torsion import (
     weight_vectors,
 )
 from .weierstrass import rational_points_of_order, weierstrass_model
+
+
+def _tower_budget(text):
+    """A --tower-budget value: a total tower degree cap of at least one."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
+    return int(text)
 
 
 def _emit(text, out_path):
@@ -131,8 +138,8 @@ def _cmd_realize(args):
 
 
 def _cmd_fingerprint(args):
-    with open(args.arrangement) as fh, malformed("arrangement file %s" % args.arrangement):
-        data = json.load(fh)
+    data = read_json(args.arrangement, "arrangement file")
+    with malformed("arrangement file %s" % args.arrangement):
         tower = FieldTower.from_data(data.get("tower", []), args.tower_budget or 64)
         pieces = [PlaneCurve.from_data(tower, entry) for entry in data["curves"]]
     f = fingerprint(pieces, tower)
@@ -152,14 +159,14 @@ def build_parser():
     p.add_argument("name", choices=REPRODUCTION_NAMES)
     p.add_argument("--extended", action="store_true",
                    help="include the quartic-extension cases (slower)")
-    p.add_argument("--tower-budget", type=int, default=None)
+    p.add_argument("--tower-budget", type=_tower_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("torsion", help="rational torsion points of a catalog curve")
     p.add_argument("curve")
     p.add_argument("order", type=int)
-    p.add_argument("--tower-budget", type=int, default=None)
+    p.add_argument("--tower-budget", type=_tower_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_torsion)
 
@@ -177,13 +184,13 @@ def build_parser():
     p = sub.add_parser("realize", help="construct a catalog arrangement")
     p.add_argument("recipe")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--tower-budget", type=int, default=None)
+    p.add_argument("--tower-budget", type=_tower_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("fingerprint", help="canonical fingerprint of an arrangement file")
     p.add_argument("arrangement")
-    p.add_argument("--tower-budget", type=int, default=None)
+    p.add_argument("--tower-budget", type=_tower_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fingerprint)
     return parser

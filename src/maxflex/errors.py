@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import json
 from contextlib import contextmanager
 
 
@@ -84,3 +85,19 @@ def malformed(what):
         yield
     except (AttributeError, LookupError, TypeError, ValueError) as err:
         raise SpecError("malformed %s: %s: %s" % (what, type(err).__name__, err)) from err
+
+
+def read_json(path, what):
+    """The JSON document in the file at ``path``.
+
+    A path that cannot be opened, such as a missing file or a directory,
+    raises SpecError("cannot read ..."); text that is not JSON raises the
+    SpecError of ``malformed``.
+    """
+    label = "%s %s" % (what, path)
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise SpecError("cannot read %s: %s" % (label, err.strerror or err)) from err
+    with fh, malformed(label):
+        return json.load(fh)

@@ -8,7 +8,10 @@ interpolation of curves through prescribed tangency divisors.
 
 The group law rests on one residual: a line meeting the cubic C in p + q + r
 gives r = (grad C(q).p) p - (grad C(p).q) q for p != q, two polar values
-weighting the known points (Fulton, Algebraic Curves, section 5).
+weighting the known points (Fulton, Algebraic Curves, section 5).  Each
+polar value is a dot product of a gradient with a point, so the law takes
+one gradient per point, and it reads C(x) off Euler's relation
+grad C(x).x = 3 C(x), exact in characteristic zero.
 
 Operations are pure; anything that has to invert a tower element may raise
 ZeroDivisorEncountered, which callers handle by splitting the tower.
@@ -77,8 +80,7 @@ class ProjPoint:
         if lead is None:
             raise ValueError("all coordinates are zero")
         inv = vals[lead].invert()
-        vals = [v * inv for v in vals]
-        vals[lead] = tower.one()
+        vals = [tower.one() if i == lead else v * inv for i, v in enumerate(vals)]
         self.tower = tower
         self.coords = tuple(vals)
         self.chart = lead
@@ -276,7 +278,7 @@ class PlaneCurve:
     coefficients only.
     """
 
-    __slots__ = ("tower", "degree", "form", "components")
+    __slots__ = ("tower", "degree", "form", "components", "_partials")
 
     def __init__(self, tower, degree, form, components=None):
         clean = {}
@@ -293,6 +295,7 @@ class PlaneCurve:
         self.degree = degree
         self.form = clean
         self.components = tuple(components) if components else None
+        self._partials = None
         if self.components is not None:
             prod = self.components[0]
             for comp in self.components[1:]:
@@ -327,40 +330,28 @@ class PlaneCurve:
         return self.form.get(exps, self.tower.zero())
 
     def evaluate(self, point):
-        if isinstance(point, ProjPoint):
-            coords = point.coords
-        else:
-            coords = [_coerce_elem(self.tower, c) for c in point]
-        acc = self.tower.zero()
-        xp = _powers(self.tower, coords[0], self.degree)
-        yp = _powers(self.tower, coords[1], self.degree)
-        zp = _powers(self.tower, coords[2], self.degree)
-        for (i, j, k), c in self.form.items():
-            acc = acc + c * xp[i] * yp[j] * zp[k]
-        return acc
+        table = _monomial_table(self.tower, point, self.degree)
+        return _form_value(self.tower, self.form, table)
 
     def contains(self, point):
         return self.evaluate(point).is_zero()
 
     def partial(self, axis):
-        out = {}
-        for exps, c in self.form.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[axis] = e - 1
-            out[tuple(new)] = c * e
-        if not out:
-            return None
-        return PlaneCurve(self.tower, self.degree - 1, out)
+        out = _partial_form(self.form, axis)
+        return PlaneCurve(self.tower, self.degree - 1, out) if out else None
 
     def gradient(self, point):
-        vals = []
-        for axis in range(3):
-            p = self.partial(axis)
-            vals.append(self.tower.zero() if p is None else p.evaluate(point))
-        return tuple(vals)
+        """(dC/dx, dC/dy, dC/dz) at the point.
+
+        The partials are made once per curve and evaluated on one shared
+        table of the degree-(d - 1) monomials.  By Euler's relation
+        grad C(p).p = d C(p), and grad C(p).q is the first polar of C with
+        respect to q, evaluated at p.
+        """
+        if self._partials is None:
+            self._partials = tuple(_partial_form(self.form, axis) for axis in range(3))
+        table = _monomial_table(self.tower, point, self.degree - 1)
+        return tuple(_form_value(self.tower, f, table) for f in self._partials)
 
     def dehomogenize(self, chart):
         a, b = _chart_pair(chart)
@@ -411,6 +402,64 @@ class PlaneCurve:
 
     def __repr__(self):
         return "PlaneCurve(degree=%d, %d terms)" % (self.degree, len(self.form))
+
+
+def _monomial_table(tower, point, degree):
+    """The degree-``degree`` monomials x^i y^j z^k at a point, keyed (i, j, k).
+
+    Built degree by degree with one multiplication per monomial.  None
+    stands for one: the empty product and the chart coordinate of a
+    ProjPoint, so that no value is multiplied by one.
+    """
+    if isinstance(point, ProjPoint):
+        units = [None if i == point.chart else c for i, c in enumerate(point.coords)]
+    else:
+        units = [_coerce_elem(tower, c) for c in point]
+    table = {(0, 0, 0): None}
+    for e in range(1, degree + 1):
+        nxt = {}
+        for i in range(e, -1, -1):
+            for j in range(e - i, -1, -1):
+                k = e - i - j
+                # peel one factor off the first positive exponent
+                axis = 0 if i else (1 if j else 2)
+                low = table[(i - (axis == 0), j - (axis == 1), k - (axis == 2))]
+                u = units[axis]
+                nxt[(i, j, k)] = u if low is None else (low if u is None else low * u)
+        table = nxt
+    return table
+
+
+def _form_value(tower, form, table):
+    """The sum of c * monomial over a form, read from a monomial table."""
+    acc = None
+    for exps, c in form.items():
+        m = table[exps]
+        term = c if m is None else c * m
+        acc = term if acc is None else acc + term
+    return tower.zero() if acc is None else acc
+
+
+def _partial_form(form, axis):
+    out = {}
+    for exps, c in form.items():
+        e = exps[axis]
+        if e:
+            new = list(exps)
+            new[axis] = e - 1
+            out[tuple(new)] = c * e
+    return out
+
+
+def _polar_value(grad, point):
+    """grad . point for a ProjPoint, whose chart coordinate is one."""
+    a, b = _chart_pair(point.chart)
+    return grad[point.chart] + grad[a] * point.coords[a] + grad[b] * point.coords[b]
+
+
+def _scaled(c, point):
+    """c times the coordinates of a ProjPoint, whose chart coordinate is one."""
+    return [c if i == point.chart else c * x for i, x in enumerate(point.coords)]
 
 
 def _proportional_forms(a, b):
@@ -489,10 +538,14 @@ def hessian(c):
 
 
 def tangent_line(c, p):
-    """The tangent line of c at a smooth point p on c."""
-    if not c.contains(p):
-        raise LineNotIncident("point is not on the curve")
+    """The tangent line of c at a smooth point p on c.
+
+    The one gradient serves both checks: p is on c when grad c(p).p = 0
+    (Euler's relation; a nonzero constant form contains no point).
+    """
     grad = c.gradient(p)
+    if c.degree == 0 or not _polar_value(grad, p).is_zero():
+        raise LineNotIncident("point is not on the curve")
     if all(g.is_zero() for g in grad):
         raise SingularPoint("gradient vanishes at the point")
     return PlaneCurve.line(c.tower, grad)
@@ -635,23 +688,29 @@ def _third_intersection(cubic, line, p, q):
     + (grad C(B).A) s t^2 + C(B) t^3.  For p != q take A = p, B = q: the
     outer terms vanish and r = (grad C(q).p) p - (grad C(p).q) q.  For p = q
     take B a second point of the line: tangency is grad C(p).B = 0, and then
-    r = C(B) p - (grad C(B).p) B.  Each grad C(x).y is the first polar of C
-    with respect to y, evaluated at x.
+    r = C(B) p - (grad C(B).p) B.  Each polar value grad C(x).y is a dot
+    product with the gradient at x, taken once per point, and C(x) is read
+    off Euler's relation grad C(x).x = 3 C(x); that also decides whether x
+    is on the cubic.
     """
     if not line.contains(p) or not line.contains(q):
         raise LineNotIncident("point off the line")
-    if not cubic.contains(p) or not cubic.contains(q):
+    gp = cubic.gradient(p)
+    gq = gp if q is p else cubic.gradient(q)
+    if not _polar_value(gp, p).is_zero() or not _polar_value(gq, q).is_zero():
         raise LineNotIncident("point off the cubic")
     if p == q:
         A, B = _line_frame(line)
         if B == p:
             B = A
-        if not polar_curve(cubic, B).evaluate(p).is_zero():
+        if not _polar_value(gp, B).is_zero():
             raise LineNotIncident("line is not tangent at the point")
-        a, b = cubic.evaluate(B), -polar_curve(cubic, p).evaluate(B)
+        gb = cubic.gradient(B)
+        # d * (C(B) p - (grad C(B).p) B), the same projective point
+        a, b = _polar_value(gb, B), -(_polar_value(gb, p) * cubic.degree)
     else:
-        a, b, B = polar_curve(cubic, p).evaluate(q), -polar_curve(cubic, q).evaluate(p), q
-    return ProjPoint(cubic.tower, [a * x + b * y for x, y in zip(p.coords, B.coords)])
+        a, b, B = _polar_value(gq, p), -_polar_value(gp, q), q
+    return ProjPoint(cubic.tower, [x + y for x, y in zip(_scaled(a, p), _scaled(b, B))])
 
 
 def line_cubic_residual(e, line, p, q):

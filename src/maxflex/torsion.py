@@ -17,7 +17,6 @@ every weighted order is a lattice computation read off that map.
 
 from __future__ import annotations
 
-import json
 from itertools import permutations, product
 from math import gcd
 
@@ -28,6 +27,7 @@ from .errors import (
     WrongOrder,
     ZeroVector,
     malformed,
+    read_json,
 )
 from .geometry import ec_add, ec_mul, ec_sum, point_order, tangent_line
 
@@ -340,8 +340,8 @@ class ArrangementSpec:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh, malformed("spec file %s" % path):
-            data = json.load(fh)
+        data = read_json(path, "spec file")
+        with malformed("spec file %s" % path):
             spec = cls.from_data(data)
             admissible = [tuple(p) for p in data.get("admissible", [])]
         return spec, admissible

@@ -1,7 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written against plain Fractions and brute
-force so it shares no code path with the implementations it checks.
+force so it shares no code path with the implementations it checks.  The
+one exception is ``polar_residual``: it keeps the group law's former route
+through ``polar_curve`` as the reference for the gradient route, and it
+evaluates every form with ``form_value`` rather than with the package.
 """
 
 from fractions import Fraction
@@ -238,3 +241,46 @@ def solve(matrix, rhs):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return [row[n] for row in rows]
+
+
+def form_value(terms, coords):
+    """sum(c * x^i * y^j * z^k) over the ((i, j, k), c) terms, by powers.
+
+    Works over any ring whose values support ``*``, ``+`` and ``**``: nested
+    Fractions or tower elements.
+    """
+    x, y, z = coords
+    acc = 0
+    for (i, j, k), c in terms.items():
+        acc = c * x**i * y**j * z**k + acc
+    return acc
+
+
+def polar_residual(cubic, line, p, q):
+    """The residual r of line . cubic = p + q + r by first polar curves.
+
+    This is the chord-tangent residual as the group law computed it before it
+    took gradients: every on-curve and tangency test and both weights are
+    values of the cubic, of the line or of a polar curve, each evaluated
+    term by term.  Refusals raise the same LineNotIncident messages.
+    """
+    from maxflex import LineNotIncident, ProjPoint
+    from maxflex.geometry import _line_frame, polar_curve
+
+    def value(curve, point):
+        return form_value(curve.form, point.coords)
+
+    if not value(line, p).is_zero() or not value(line, q).is_zero():
+        raise LineNotIncident("point off the line")
+    if not value(cubic, p).is_zero() or not value(cubic, q).is_zero():
+        raise LineNotIncident("point off the cubic")
+    if p == q:
+        A, B = _line_frame(line)
+        if B == p:
+            B = A
+        if not value(polar_curve(cubic, B), p).is_zero():
+            raise LineNotIncident("line is not tangent at the point")
+        a, b = value(cubic, B), -value(polar_curve(cubic, p), B)
+    else:
+        a, b, B = value(polar_curve(cubic, p), q), -value(polar_curve(cubic, q), p), q
+    return ProjPoint(cubic.tower, [a * x + b * y for x, y in zip(p.coords, B.coords)])

@@ -199,3 +199,54 @@ def test_fingerprint_on_non_squarefree_tower_is_rejected(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ")
     assert "squarefree" in err
+
+
+def test_fingerprint_on_a_missing_file_is_a_read_error(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "fingerprint", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read arrangement file %s: " % path)
+
+
+def test_invariants_on_a_directory_is_a_read_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "invariants", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read spec file %s: " % tmp_path)
+
+
+def test_distinguish_with_a_missing_second_spec_is_a_read_error(capsys, tmp_path):
+    spec = {
+        "d0": 3,
+        "components": [
+            {"degree": 1, "m": 3, "class": [3, 0], "modulus": 9, "divisor": [["p", 3]]},
+        ],
+        "admissible": [[0]],
+    }
+    present = tmp_path / "spec.json"
+    present.write_text(json.dumps(spec))
+    absent = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "distinguish", str(present), str(absent))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read spec file %s: " % absent)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "thm-main1", "--tower-budget", "0"),
+        ("torsion", "90c3", "12", "--tower-budget", "0"),
+        ("realize", "fermat-witness", "--tower-budget", "-5"),
+        ("fingerprint", "absent.json", "--tower-budget", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tower_budget_below_one_is_refused_when_parsed(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --tower-budget: must be an integer of at least 1" in out.err

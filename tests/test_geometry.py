@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -15,7 +17,9 @@ from maxflex import (
     ProjPoint,
     SingularPoint,
     UniPoly,
+    ZeroDivisorEncountered,
     branch_series,
+    catalog,
     ec_add,
     ec_mul,
     ec_neg,
@@ -30,9 +34,11 @@ from maxflex import (
     point_order,
     tangent_line,
 )
-from maxflex.geometry import _series_eval_bipoly, is_smooth_curve
+from maxflex.fields import TowerElement
+from maxflex.geometry import _series_eval_bipoly, _third_intersection, is_smooth_curve
+from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
-from oracles import local_quotient_dimension
+from oracles import form_value, local_quotient_dimension, polar_residual
 
 
 def fermat(tower=QQ):
@@ -417,3 +423,188 @@ def test_smoothness_certification():
     assert not is_smooth_curve(nodal)
     with pytest.raises(SingularPoint):
         EllipticStructure(nodal, ProjPoint(QQ, [1, 1, 1]))
+
+
+# -- the gradient route of the group law against its references ----------------
+
+SHAPES = ("q", "t4-1", "t2-9-1")
+#: Hypothesis examples per tower shape; the Fermat tower's operations cost most.
+EXAMPLES = {"q": 40, "t4-1": 20, "t2-9-1": 8}
+
+
+def _hypothesis():
+    """hypothesis' given and strategies, and a seeded profile for n examples.
+
+    A test that calls this is skipped where hypothesis is not installed.
+    """
+    hyp = pytest.importorskip("hypothesis")
+
+    def profile(n):
+        return hyp.settings(
+            max_examples=n,
+            derandomize=True,
+            database=None,
+            deadline=None,
+            suppress_health_check=[hyp.HealthCheck.too_slow, hyp.HealthCheck.filter_too_much],
+        )
+
+    return hyp.given, profile, hyp.strategies
+
+
+@lru_cache(maxsize=None)
+def catalog_shape(shape):
+    """A structure on one of the catalog's tower shapes, with points on it.
+
+    ``q``: 90c3 over Q with multiples of a rational point of order 12.
+    ``t4-1``: the [4,1] halving tower with the bi-gon points P, Q of order 8
+    and 2P.  ``t2-9-1``: the Fermat witness with the triangle vertices, T1
+    and 2T1.  Each list ends with the origin.
+    """
+    entry = catalog.catalog_entry("90c3").build()
+    if shape == "q":
+        e = entry["structure"]
+        model = weierstrass_model(e)
+        g = model.point_to_source(rational_points_of_order(model, 12)[0])
+        points = [g]
+        for _ in range(3):
+            points.append(ec_add(e, points[-1], g))
+    elif shape == "t4-1":
+        _tower, e, p, q = catalog.bigon_points(entry, 8)
+        points = [p, q, ec_add(e, p, p)]
+    else:
+        wit = catalog.fermat_witness()
+        e = wit["structure"]
+        points = list(wit["triangle"].vertices) + [wit["T1"], wit["2T1"]]
+    return e, points + [e.origin]
+
+
+def _monomials(degree):
+    return [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree - i + 1)]
+
+
+def test_evaluate_matches_a_nested_fraction_oracle():
+    given, profile, st = _hypothesis()
+    small = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+
+    @profile(60)
+    @given(st.data())
+    def run(data):
+        degree = data.draw(st.integers(0, 4))
+        terms = data.draw(st.dictionaries(st.sampled_from(_monomials(degree)), small))
+        coords = data.draw(st.lists(small, min_size=3, max_size=3))
+        if not any(terms.values()):
+            return  # the zero form is no curve
+        curve = PlaneCurve(QQ, degree, terms)
+        assert curve.evaluate(coords).as_rational() == form_value(terms, coords)
+        if any(coords):
+            point = ProjPoint(QQ, coords)
+            at = [c.as_rational() for c in point.coords]
+            assert curve.evaluate(point).as_rational() == form_value(terms, at)
+
+    run()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_euler_relation_on_random_points(shape):
+    """grad C(p).p = d C(p) for random forms and points over each tower."""
+    given, profile, st = _hypothesis()
+    tower = catalog_shape(shape)[0].tower
+    gens = [tower.generator(i) for i in range(tower.height)]
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    element = st.lists(small, min_size=tower.height + 1, max_size=tower.height + 1).map(
+        lambda qs: sum((q * g for q, g in zip(qs[1:], gens)), tower.rational(qs[0]))
+    )
+
+    @profile(EXAMPLES[shape])
+    @given(st.data())
+    def run(data):
+        degree = data.draw(st.integers(1, 4))
+        terms = data.draw(
+            st.dictionaries(st.sampled_from(_monomials(degree)), element, min_size=1)
+        )
+        coords = data.draw(st.lists(element, min_size=3, max_size=3))
+        try:
+            curve = PlaneCurve(tower, degree, terms)
+        except ValueError:
+            return  # every coefficient is zero: the zero form is no curve
+        points = [coords]
+        try:
+            points.append(ProjPoint(tower, coords))
+        except (ValueError, ZeroDivisorEncountered):
+            pass  # no projective point, or its lead coordinate is a zero divisor
+        for point in points:
+            at = point.coords if isinstance(point, ProjPoint) else coords
+            lhs = sum((g * c for g, c in zip(curve.gradient(point), at)), tower.zero())
+            assert lhs.rep == (curve.evaluate(point) * degree).rep
+            assert curve.evaluate(point).rep == form_value(terms, at).rep
+
+    run()
+
+
+def _same_point(a, b):
+    return [c.rep for c in a.coords] == [c.rep for c in b.coords]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_residual_matches_the_polar_curve_reference(shape):
+    """Every chord and every tangent of the shape's points, both routes."""
+    e, points = catalog_shape(shape)
+    cubic = e.cubic
+    for p, q in combinations_with_replacement(points, 2):
+        if p == q:
+            line = tangent_line(cubic, p)
+            # the same point twice, and an equal point built anew
+            pairs = [(p, p), (p, ProjPoint(p.tower, p.coords))]
+        else:
+            line = line_through(p, q)
+            pairs = [(p, q), (q, p)]
+        for a, b in pairs:
+            assert _same_point(_third_intersection(cubic, line, a, b), polar_residual(cubic, line, a, b))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_residual_refusals_match_the_polar_curve_reference(shape):
+    e, points = catalog_shape(shape)
+    cubic = e.cubic
+    tower = cubic.tower
+    p, q, s = points[0], points[1], points[-2]
+    off = ProjPoint(tower, [1, 2, 5])
+    assert not cubic.contains(off)
+    cases = [
+        (line_through(p, s), p, q, "point off the line"),
+        (line_through(p, off), p, off, "point off the cubic"),
+        (line_through(off, p), off, p, "point off the cubic"),
+        (line_through(p, s), p, p, "line is not tangent at the point"),
+    ]
+    for line, a, b, message in cases:
+        with pytest.raises(LineNotIncident) as got:
+            _third_intersection(cubic, line, a, b)
+        with pytest.raises(LineNotIncident) as want:
+            polar_residual(cubic, line, a, b)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == message
+
+
+def test_tangent_line_refuses_a_point_of_a_constant_form():
+    # Euler's relation reads 0 = 0 C(p) on a constant; the form has no zeros
+    with pytest.raises(LineNotIncident):
+        tangent_line(PlaneCurve(QQ, 0, {(0, 0, 0): 2}), ProjPoint(QQ, [1, 0, 0]))
+
+
+def test_ec_add_multiplication_count_on_the_halving_tower(monkeypatch):
+    """A count of tower multiplications, not a timing, so it holds on any
+    machine.  Before the group law took one gradient per point, these four
+    sums took 1758 multiplications (373 or 506 each)."""
+    e, (p, q, _double, _origin) = catalog_shape("t4-1")
+    count = [0]
+    mul = TowerElement.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TowerElement, "__mul__", counted)
+    monkeypatch.setattr(TowerElement, "__rmul__", counted)
+    for a, b in [(p, q), (p, p), (q, q), (q, p)]:
+        ec_add(e, a, b)
+    assert 0 < count[0] <= 1758 // 2
