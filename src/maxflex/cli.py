@@ -39,10 +39,14 @@ def _tower_budget(text):
 
 
 def _emit(text, out_path):
+    """Write ``text`` to stdout and to ``out_path``, raising SpecError if it is unwritable."""
     sys.stdout.write(text + "\n")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise SpecError("cannot write %s: %s" % (out_path, err.strerror or err)) from err
 
 
 def _cmd_reproduce(args):

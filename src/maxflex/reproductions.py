@@ -23,7 +23,7 @@ from .catalog import (
     fermat_witness_spec,
 )
 from .combinatorics import admissible_permutations, concurrent_line_triples, fingerprint, verify_bigon
-from .errors import UnknownReproduction
+from .errors import SpecError, UnknownReproduction
 from .fields import QQ
 from .geometry import (
     EllipticStructure,
@@ -174,6 +174,15 @@ def abstract_tangent_triangle_specs():
 # the reproductions
 # ---------------------------------------------------------------------------
 
+def _budget(tower_budget, default):
+    """The tower degree cap to build with: ``default`` for None, else at least 1."""
+    if tower_budget is None:
+        return default
+    if tower_budget < 1:
+        raise SpecError("tower budget must be at least 1, got %r" % (tower_budget,))
+    return tower_budget
+
+
 def repro_thm_main1(extended=False, tower_budget=None):
     rep = Report("thm-main1")
     s1, s2, s3 = abstract_triangle_specs()
@@ -239,7 +248,7 @@ def repro_clubsuit_tables(extended=False, tower_budget=None):
 
 def repro_fermat_existence(extended=False, tower_budget=None):
     rep = Report("fermat-existence")
-    budget = tower_budget or 64
+    budget = _budget(tower_budget, 64)
     # nine flexes over Q, grouped by which coordinate vanishes
     cubic_q = catalog_entry("fermat").build(budget)
     # build a rational-coefficient copy for the flex scan
@@ -317,7 +326,7 @@ def repro_fermat_existence(extended=False, tower_budget=None):
 
 def repro_appendix_triangle(extended=False, tower_budget=None):
     rep = Report("appendix-triangle")
-    budget = tower_budget or 64
+    budget = _budget(tower_budget, 64)
     data = catalog_entry("cyclic").build(budget)
     chain = cyclic_triangle_chain(data)
     rep.check("residual-chain-closes", True, chain["closes"])
@@ -357,7 +366,7 @@ def _bigon_package(entry_data, r):
 
 def repro_clubsuit_d2(extended=False, tower_budget=None):
     rep = Report("clubsuit-d2")
-    budget = tower_budget or (128 if extended else 64)
+    budget = _budget(tower_budget, 128 if extended else 64)
     entry_data = catalog_entry("90c3").build(budget)
     for r in (4, 12):
         pts = entry_data["rational_torsion"][r]

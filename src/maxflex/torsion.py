@@ -12,13 +12,17 @@ agree.  A maximal flex makes the map from classes to points a group
 homomorphism, so the two backends are cross-checked once per spec: the
 map is verified to be well defined and injective on the degree-0 part of
 the span of the classes (``ArrangementSpec.class_points``), after which
-every weighted order is a lattice computation read off that map.
+every weighted order is a lattice computation read off that map.  A spec
+compiles its lattice once, when it is built, into one integer row per
+component, so n_a and the class of a weight vector come from one pass
+over the rows (``_orders``).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BackendDisagreement,
@@ -30,10 +34,6 @@ from .errors import (
     read_json,
 )
 from .geometry import ec_add, ec_mul, ec_sum, point_order, tangent_line
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,10 @@ class ArrangementSpec:
     geometric backend is available; abstract classes may coexist with it.
     The two are then cross-checked once per spec, when the first order
     computation builds the verified class -> point map (``class_points``).
+    Components are never changed after construction, so the spec compiles
+    its lattice then, once: the modulus N, whether every component has a
+    class, and per component the row (m, d, F m x, F m y) for the class
+    (x, y) mod N_j and F = N / N_j.
     """
 
     def __init__(self, d0, components, structure=None, check=True):
@@ -183,6 +187,15 @@ class ArrangementSpec:
             raise ValueError("at least one component required")
         if check:
             self._validate()
+        classes = [c.cls for c in self.components if c.cls is not None]
+        self.has_abstract = len(classes) == len(self.components)
+        self._modulus = lcm(*(cls.modulus for cls in classes))
+        rows = []
+        for c in self.components:
+            f = 0 if c.cls is None else self._modulus // c.cls.modulus * c.m
+            x, y = (0, 0) if c.cls is None else c.cls.coords
+            rows.append((c.m, c.degree, f * x, f * y))
+        self._rows = tuple(rows)
 
     def _validate(self):
         for comp in self.components:
@@ -203,26 +216,15 @@ class ArrangementSpec:
         return len(self.components)
 
     @property
-    def has_abstract(self):
-        return all(c.cls is not None for c in self.components)
-
-    @property
     def has_geometric(self):
         return self.structure is not None
 
     def lattice_modulus(self):
-        mod = 1
-        for c in self.components:
-            if c.cls is not None:
-                mod = _lcm(mod, c.cls.modulus)
-        return mod
+        return self._modulus
 
     def weight_box(self):
         """Upper bound (exclusive) for each weight entry in searches."""
-        box = 1
-        for c in self.components:
-            box = _lcm(box, c.m)
-        return box
+        return lcm(*(c.m for c in self.components))
 
     def signatures(self):
         return tuple(c.signature() for c in self.components)
@@ -371,33 +373,47 @@ class WeightVector(tuple):
         return WeightVector(tuple(self[inv[j]] for j in range(len(self))))
 
 
+@lru_cache(maxsize=32)
 def weight_vectors(k, box):
-    """All weight vectors with entries in [0, box), in graded lex order."""
-    vecs = []
-    for entries in product(range(box), repeat=k):
-        g = 0
-        for a in entries:
-            g = gcd(g, a)
-        if g == 1:
-            vecs.append(WeightVector(entries))
+    """All weight vectors with entries in [0, box), in graded lex order.
+
+    Cached per (k, box), so the result is an immutable tuple callers share.
+    """
+    vecs = [
+        tuple.__new__(WeightVector, entries)
+        for entries in product(range(box), repeat=k)
+        if gcd(*entries) == 1
+    ]
     vecs.sort(key=lambda v: (sum(v), v))
-    return vecs
+    return tuple(vecs)
 
 
 # ---------------------------------------------------------------------------
 # the invariants
 # ---------------------------------------------------------------------------
 
+def _orders(spec, weights):
+    """(n_a, x, y) from one pass over the spec's rows.
+
+    n_a = gcd(a_1 m_1, ..., a_k m_k, sum a_j d_j) is the order of the induced
+    cover and (x, y), unreduced mod N, the class sum(a_j m_j / n_a * t_j):
+    n_a divides every a_j m_j, so it divides both coordinate sums exactly.
+    """
+    if len(weights) != len(spec._rows):
+        raise ValueError("weight length mismatch")
+    g = s = sx = sy = 0
+    for a, (m, d, fx, fy) in zip(weights, spec._rows):
+        g = gcd(g, a * m)
+        s += a * d
+        sx += a * fx
+        sy += a * fy
+    na = gcd(g, s)
+    return na, sx // na, sy // na
+
+
 def cover_order(spec, weights):
     """gcd(a_1 m_1, ..., a_k m_k, sum a_j d_j): the order of the induced cover."""
-    if len(weights) != spec.k:
-        raise ValueError("weight length mismatch")
-    g = 0
-    s = 0
-    for a, comp in zip(weights, spec.components):
-        g = gcd(g, abs(a) * comp.m)
-        s += a * comp.degree
-    return gcd(g, abs(s))
+    return _orders(spec, weights)[0]
 
 
 def reduce_weights(spec, weights):
@@ -428,26 +444,20 @@ def torsion_order(spec, weights):
     there, within the bound n_a; a disagreement raises BackendDisagreement.
     A geometry-only spec sums the points on the cubic.
     """
-    return _torsion_order(spec, weights, cover_order(spec, weights))
+    return _torsion_order(spec, weights)[1]
 
 
-def _torsion_order(spec, weights, na):
-    """``torsion_order`` given the cover order n_a of the weights."""
+def _torsion_order(spec, weights):
+    """(n_a, order) of the weights: ``cover_order`` and ``torsion_order``."""
+    na, x, y = _orders(spec, weights)
     if spec.has_abstract:
         mod = spec.lattice_modulus()
-        x = y = 0
-        for a, comp in zip(weights, spec.components):
-            f = mod // comp.cls.modulus * (a * comp.m // na)
-            x += f * comp.cls.coords[0]
-            y += f * comp.cls.coords[1]
-        x %= mod
-        y %= mod
-        order = mod // gcd(x, gcd(y, mod))
-        if spec.has_geometric:
-            acc = TorsionClass(mod, (x, y))
-            if _class_point_order(spec, acc, na) != order:
-                raise BackendDisagreement("backends disagree on the order of %r" % (acc,))
-        return order
+        order = mod // gcd(x, y, mod)
+        if spec.has_geometric and _class_point_order(spec, (x % mod, y % mod), na) != order:
+            raise BackendDisagreement(
+                "backends disagree on the order of %r" % (TorsionClass(mod, (x, y)),)
+            )
+        return na, order
     if not spec.has_geometric:
         raise ValueError("spec carries no backend")
     e = spec.structure
@@ -461,15 +471,15 @@ def _torsion_order(spec, weights, na):
     found = point_order(e, acc, na)
     if found is None:
         raise BackendDisagreement("geometric order exceeds the cover order bound")
-    return found
+    return na, found
 
 
-def _class_point_order(spec, cls, bound):
-    """Least n <= bound such that n * cls maps to the origin."""
+def _class_point_order(spec, coords, bound):
+    """Least n <= bound such that n * coords maps to the origin."""
     table = spec.class_points()
     origin = spec.structure.origin
-    mod = cls.modulus
-    coords = y = cls.coords
+    mod = spec.lattice_modulus()
+    y = coords
     for n in range(1, bound + 1):
         pt = table.get(y)
         if pt is None:
@@ -482,8 +492,7 @@ def _class_point_order(spec, cls, bound):
 
 def splitting_number(spec, weights):
     """Predicted number of components of the pullback of D: n_a / ord(tau(a))."""
-    na = cover_order(spec, weights)
-    ord_tau = _torsion_order(spec, weights, na)
+    na, ord_tau = _torsion_order(spec, weights)
     if na % ord_tau:
         raise BackendDisagreement("class order does not divide the cover order")
     return na // ord_tau
@@ -506,10 +515,7 @@ class GroupDescriptor:
         else:
             self.elements = lattice_span(self.generators, modulus)
         self.order = len(self.elements)
-        exp = 1
-        for coords in self.elements:
-            exp = _lcm(exp, TorsionClass(modulus, coords).order())
-        self.exponent = exp
+        self.exponent = lcm(*(TorsionClass(modulus, c).order() for c in self.elements))
 
     @property
     def generator_orders(self):
@@ -700,10 +706,7 @@ def self_admissible(spec):
 
 
 def _order_table(spec, vectors):
-    table = {}
-    for v in vectors:
-        table[v] = torsion_order(spec, v)
-    return table
+    return {v: _torsion_order(spec, v)[1] for v in vectors}
 
 
 def distinguish(spec1, spec2, admissible):

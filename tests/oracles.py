@@ -5,6 +5,8 @@ force so it shares no code path with the implementations it checks.  The
 one exception is ``polar_residual``: it keeps the group law's former route
 through ``polar_curve`` as the reference for the gradient route, and it
 evaluates every form with ``form_value`` rather than with the package.
+``weighted_invariants`` reads a spec's components and sums their classes
+with ``TorsionClass`` arithmetic, never with the spec's compiled rows.
 """
 
 from fractions import Fraction
@@ -96,6 +98,29 @@ def brute_order(vec, modulus):
         if acc == (0, 0):
             return n
     raise RuntimeError("no order found within the modulus")
+
+
+def weighted_invariants(spec, weights):
+    """(n_a, ord tau(a), splitting number) of an abstract spec, by definition.
+
+    n_a is the plain gcd of the a_j m_j and of sum a_j d_j; tau(a) is
+    sum (a_j m_j / n_a) t_j, each class carried into the lattice of the lcm
+    of the component moduli by ``rescaled``, and its order is found by
+    repeated addition.
+    """
+    comps = spec.components
+    na = 0
+    for a, comp in zip(weights, comps):
+        na = gcd(na, a * comp.m)
+    na = gcd(na, sum(a * comp.degree for a, comp in zip(weights, comps)))
+    mod = 1
+    for comp in comps:
+        mod = mod * comp.cls.modulus // gcd(mod, comp.cls.modulus)
+    tau = comps[0].cls.rescaled(mod).scale(0)  # the zero of (Z/mod)^2
+    for a, comp in zip(weights, comps):
+        tau = tau + comp.cls.rescaled(mod).scale(a * comp.m // na)
+    order = tau.order_brute()
+    return na, order, na // order
 
 
 def divisor_gcd(values):

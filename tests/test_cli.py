@@ -250,3 +250,12 @@ def test_tower_budget_below_one_is_refused_when_parsed(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert "argument --tower-budget: must be an integer of at least 1" in out.err
+
+
+def test_out_to_an_unwritable_path_is_a_write_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "r.txt"
+    code, out, err = run_cli(capsys, "reproduce", "thm-main1", "--out", str(target))
+    assert code == 2
+    assert "result: PASS" in out
+    assert err.startswith("error: cannot write %s: " % target)
+    assert not target.exists()

@@ -4,12 +4,20 @@ import json
 
 import pytest
 
-from maxflex import UnknownReproduction, run_reproduction
+from maxflex import SpecError, UnknownReproduction, run_reproduction
 
 
 def test_unknown_name_raises():
     with pytest.raises(UnknownReproduction):
         run_reproduction("no-such-thing")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("name", ["fermat-existence", "appendix-triangle", "clubsuit-d2"])
+def test_tower_budget_below_one_is_refused(name, budget):
+    # a budget of 0 is not "no budget": only None selects the default
+    with pytest.raises(SpecError, match="tower budget must be at least 1"):
+        run_reproduction(name, tower_budget=budget)
 
 
 def test_report_renders_machine_block():

@@ -1,7 +1,7 @@
 """The invariant calculus over the abstract lattice and its geometric twin."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -29,7 +29,7 @@ from maxflex import (
 )
 from maxflex.torsion import lattice_span, self_admissible, weight_vectors
 
-from oracles import brute_order, lattice_subgroup
+from oracles import brute_order, lattice_subgroup, weighted_invariants
 
 
 T1 = TorsionClass(9, (3, 0))
@@ -167,6 +167,23 @@ def test_search_box_is_lcm_of_multiplicities():
     assert all(max(v) < 3 for v in weight_vectors(3, 3))
 
 
+def test_weight_vectors_match_their_definition():
+    for k in range(5):
+        for box in range(1, 7):
+            want = []
+            for entries in product(range(box), repeat=k):
+                try:
+                    want.append(WeightVector(entries))
+                except ValueError:
+                    pass
+            want.sort(key=lambda v: (sum(v), v))
+            got = weight_vectors(k, box)
+            # the result is cached and shared, so it must not be mutable
+            assert isinstance(got, tuple)
+            assert list(got) == want
+            assert all(type(v) is WeightVector for v in got)
+
+
 # -- orders and splitting numbers ----------------------------------------------------
 
 def test_torsion_order_paper_values():
@@ -207,6 +224,57 @@ def test_order_divides_cover_order_and_box_bound():
         box = spec.weight_box()
         assert box % na == 0  # n_a divides lcm(m_1..m_k)
         assert na % torsion_order(spec, a) == 0
+
+
+#: Component moduli for the differential test: the divisors of 36.
+DIVISORS_36 = (1, 2, 3, 4, 6, 9, 12, 18, 36)
+
+
+def _hypothesis_spec_and_weights():
+    """A hypothesis strategy for (abstract spec, weights).
+
+    Each component has its own modulus N_j | 36, a degree d in 1..4 and an
+    m dividing both N_j and 3d, with a class killed by m.  Weights may be
+    negative or outside the search box, and need not have gcd one.
+    """
+    st = pytest.importorskip("hypothesis").strategies
+
+    @st.composite
+    def draw(draw):
+        comps = []
+        for j in range(draw(st.integers(1, 4))):
+            modulus = draw(st.sampled_from(DIVISORS_36))
+            d = draw(st.integers(1, 4))
+            m = draw(st.sampled_from([x for x in DIVISORS_36 if modulus % x == 0 and 3 * d % x == 0]))
+            xy = (draw(st.integers(0, modulus - 1)), draw(st.integers(0, modulus - 1)))
+            cls = TorsionClass(modulus, xy).scale(modulus // m)
+            divisor = [("c%d_%d" % (j, i), m) for i in range(3 * d // m)]
+            comps.append(ComponentData(d, m, divisor, cls))
+        k = len(comps)
+        weights = tuple(draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k)))
+        return ArrangementSpec(3, comps), weights
+
+    return draw()
+
+
+def test_invariants_match_their_definition():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hyp.given(_hypothesis_spec_and_weights())
+    def check(case):
+        spec, weights = case
+        hyp.assume(any(weights))
+        na, order, split = weighted_invariants(spec, weights)
+        assert cover_order(spec, weights) == na
+        assert torsion_order(spec, weights) == order
+        assert splitting_number(spec, weights) == split
+        for wrong in (weights + (1,), weights[1:]):
+            for fn in (cover_order, torsion_order, splitting_number):
+                with pytest.raises(ValueError, match="weight length mismatch"):
+                    fn(spec, wrong)
+
+    check()
 
 
 # -- uniform group ----------------------------------------------------------------------
