@@ -21,10 +21,8 @@ from .geometry import PlaneCurve
 from .reproductions import REPRODUCTION_NAMES, run_reproduction
 from .torsion import (
     ArrangementSpec,
-    cover_order,
     distinguish,
-    splitting_number,
-    torsion_order,
+    invariant_row,
     uniform_group,
     weight_vectors,
 )
@@ -80,18 +78,17 @@ def _cmd_invariants(args):
     lines = ["invariants of %s" % args.spec]
     g = uniform_group(spec)
     lines.append("uniform group: %s" % g.type_string())
-    box = spec.weight_box()
-    rows = []
-    for w in weight_vectors(spec.k, box):
-        na = cover_order(spec, w)
-        ordv = torsion_order(spec, w)
-        rows.append(
-            "a=%s  n=%d  order=%d  splitting=%d"
-            % (list(w), na, ordv, splitting_number(spec, w))
-        )
-    lines.extend(rows)
+    lines.extend(invariant_table(spec))
     _emit("\n".join(lines), args.out)
     return 0
+
+
+def invariant_table(spec):
+    """One line per weight vector in the spec's box: n_a, order, splitting."""
+    return [
+        "a=%s  n=%d  order=%d  splitting=%d" % ((list(w),) + invariant_row(spec, w))
+        for w in weight_vectors(spec.k, spec.weight_box())
+    ]
 
 
 def _cmd_distinguish(args):

@@ -21,6 +21,17 @@ its denominators cleared, a pseudo-remainder whose scale is fixed per level,
 then normalised with one gcd.  An inverse at height 1 runs an integer
 remainder sequence with content stripping; an inverse at a linear level (the
 trivial level a split leaves) is the inverse of its one coefficient.
+
+``is_zero`` has three stages.  (1) Structural: a rep without a nonzero
+numerator is zero, and on a tower of levels all marked irreducible (a field)
+any other rep is not.  (2) A unit certified mod p: let top be the highest
+level of degree > 1, M its modulus and K the base below it, a field when
+every lower level of degree > 1 is marked irreducible.  Then x is a unit iff
+Res(M, X) != 0 in K, X being x's numerators as a polynomial in top's
+generator.  Sending K's generators to a point mod p is a ring map that keeps
+M's degree, so images of M and X coprime over GF(p) prove it (von zur
+Gathen-Gerhard, *Modern Computer Algebra*, ch. 6).  (3) Otherwise the exact
+inverse runs and raises ZeroDivisorEncountered on a zero divisor.
 """
 
 from __future__ import annotations
@@ -43,7 +54,8 @@ class TowerLevel:
 
     ``modulus`` holds the modulus coefficients (lowest degree first, length
     degree + 1) as reps of the level below.  ``irreducible`` marks moduli
-    known to be irreducible, which lets zero-tests skip gcd probing.
+    known to be irreducible: ``is_zero`` is structural on a tower of them,
+    and certifies units mod p above them.
     Degree-1 levels only arise from splitting; ``extend`` rejects them.
     """
 
@@ -133,12 +145,14 @@ class _ZLevel:
     int-height k - 1) and the leading D.  Reducing a product of two reduced
     numerators by it takes d - 1 pseudo-remainder steps, each scaling by
     ``step`` = D * S_{k-1}, so the reduced product carries the fixed factor
-    ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.
+    ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.  ``frame`` is the
+    level's unit certificate frame, built on first use by ``_unit_frame``.
     """
 
-    __slots__ = ("degree", "cleared", "terms", "step", "scale", "zero", "one")
+    __slots__ = ("degree", "cleared", "terms", "step", "scale", "zero", "one", "frame")
 
     def __init__(self, levels, k):
+        self.frame = _UNBUILT
         mod = levels[k - 1].modulus
         d = len(mod) - 1
         below = _zlevel(levels, k - 1)
@@ -278,6 +292,112 @@ def _zinv1(zl, a):
         inv_den, den = -inv_den, -den
     Z = [den * x for x in s1] + [0] * (zl.degree - len(s1))
     return _znorm(inv_den, tuple(Z), 1)
+
+
+# ---------------------------------------------------------------------------
+# units certified mod p (stage 2 of ``is_zero``): a polynomial over GF(p) is a
+# list of residues, lowest degree first and trimmed
+# ---------------------------------------------------------------------------
+
+#: Primes just below 2^31, where an unlucky prime (images of M and X with a
+#: common root though M and X have none) is rare.
+_UNIT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
+                2147483563, 2147483549, 2147483543, 2147483497)
+_UNBUILT = object()  # ``_ZLevel.frame`` until ``_unit_frame`` builds it
+
+
+def _gf_rem(f, g, p):
+    """f modulo g over GF(p), up to a unit factor unless g is monic."""
+    return _zz_trim([x % p for x in _zz_pseudo_divmod(f, g)[1]])
+
+
+def _gf_gcd(f, g, p):
+    """The monic gcd of f and g, f nonzero."""
+    while g:
+        f, g = g, _gf_rem(f, g, p)
+    inv = pow(f[-1], -1, p)
+    return [x * inv % p for x in f]
+
+
+def _gf_powmod(f, e, m, p):
+    """f^e modulo a monic m."""
+    acc = [1]
+    for bit in bin(e)[2:]:
+        acc = _gf_rem(_zz_mul(acc, acc), m, p)
+        if bit == "1":
+            acc = _gf_rem(_zz_mul(acc, f), m, p)
+    return acc
+
+
+def _gf_root(f, p):
+    """A root of f in GF(p), or None.  h = gcd(x^p - x, f) is the product of
+    the distinct linear factors of f; while it has several, one of
+    gcd(h, (x + a)^((p-1)/2) - 1), a = 0, 1, ..., splits it."""
+    f = _gf_gcd(f, [], p)
+    r = _gf_powmod([0, 1], p, f, p) + [0, 0]
+    r[1] -= 1
+    h = _gf_gcd(f, _gf_rem(r, f, p), p)
+    a = 0
+    while len(h) > 2:
+        r = _gf_powmod([a, 1], (p - 1) // 2, h, p)
+        r[0] -= 1
+        g = _gf_gcd(h, _gf_rem(r, h, p), p)
+        h = g if 1 < len(g) < len(h) else h
+        a += 1
+    return -h[0] % p if len(h) == 2 else None
+
+
+def _gf_eval(Z, point, p):
+    """The image in GF(p) of numerators Z at int-height len(point)."""
+    if isinstance(Z, int):
+        return Z % p
+    acc = 0
+    for z in reversed(Z):
+        acc = (acc * point[-1] + _gf_eval(z, point[:-1], p)) % p
+    return acc
+
+
+def _unit_frame(levels, top):
+    """(p, point, image of top's cleared modulus), built once: p is the first
+    of ``_UNIT_PRIMES`` with a frame at it.  None when there is none, or when
+    a lower level of degree > 1 is not irreducible (K may be no field)."""
+    zl = _zlevel(levels, top)
+    if zl.frame is _UNBUILT:
+        field_below = all(lv.irreducible or lv.degree == 1 for lv in levels[: top - 1])
+        frames = (_frame_at(levels, top, p) for p in _UNIT_PRIMES)
+        zl.frame = next(filter(None, frames), None) if field_below else None
+    return zl.frame
+
+
+def _frame_at(levels, top, p):
+    """The frame at p, or None when p divides a cleared denominator up to
+    ``top`` or a lower modulus has no root at the point taken so far."""
+    point = ()
+    for k in range(1, top + 1):
+        image = [_gf_eval(n, point, p) for n in _zlevel(levels, k).cleared]
+        if image[-1] == 0:
+            return None
+        if k == top:
+            return p, point, image
+        root = _gf_root(image, p)
+        if root is None:
+            return None
+        point += (root,)
+
+
+def _certified_unit(levels, rep):
+    """True when a structurally nonzero rep is proved a unit mod p (the
+    argument is in the module docstring); False when unproved."""
+    h = len(levels)
+    Z = rep[1]
+    while h > 1 and levels[h - 1].degree == 1:
+        h -= 1
+        Z = Z[0]
+    frame = _unit_frame(levels, h)
+    if frame is None:
+        return False
+    p, point, M = frame
+    return len(_gf_gcd(M, _zz_trim([_gf_eval(z, point, p) for z in Z]), p)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -817,10 +937,12 @@ class TowerElement:
         return TowerElement(t, _rinv(t.levels, t.height, self.rep))
 
     def is_zero(self):
-        """Sound zero test: an element that is zero in only some branches raises."""
-        if _is_szero(self.rep, self.tower.height):
+        """Sound zero test: structural, then a unit certified mod p, then the
+        exact inverse, which raises on an element zero in only some branches."""
+        levels = self.tower.levels
+        if _is_szero(self.rep, len(levels)):
             return True
-        if any(not lv.irreducible for lv in self.tower.levels):
+        if not all(lv.irreducible for lv in levels) and not _certified_unit(levels, self.rep):
             self.invert()  # raises ZeroDivisorEncountered on a partial zero
         return False
 
@@ -1070,21 +1192,8 @@ def _qq_gcd(fc, gc):
     """
     f = _qq_to_int(fc)
     g = _qq_to_int(gc)
-    if len(f) < len(g):
-        f, g = g, f
     while g:
-        r = list(f)
-        dg = len(g) - 1
-        lg = g[-1]
-        while r and len(r) - 1 >= dg:
-            lead = r[-1]
-            r = [lg * c for c in r[:-1]]
-            off = len(r) - dg
-            for j in range(dg):
-                r[off + j] -= lead * g[j]
-            while r and r[-1] == 0:
-                r.pop()
-        f, g = g, _zz_primitive(r)
+        f, g = g, _zz_primitive(_zz_pseudo_divmod(f, g)[1])
     return [_znorm(f[-1], c, 0) for c in f]
 
 

@@ -498,6 +498,16 @@ def splitting_number(spec, weights):
     return na // ord_tau
 
 
+def invariant_row(spec, weights):
+    """(n_a, ord(tau(a)), splitting number) from one ``_torsion_order`` pass,
+    with ``splitting_number``'s check, repeated there because one call more
+    per row shows in the seeded invariant tables."""
+    na, ord_tau = _torsion_order(spec, weights)
+    if na % ord_tau:
+        raise BackendDisagreement("class order does not divide the cover order")
+    return na, ord_tau, na // ord_tau
+
+
 class GroupDescriptor:
     """The subgroup generated by the uniformly-normalized component classes.
 
@@ -835,7 +845,9 @@ def _inv(perm):
 def _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2):
     """Independent brute-force re-evaluation of a multiset witness."""
     def brute(spec, vec):
-        na = cover_order(spec, vec)
+        # n_a from the components, not from the compiled rows under test
+        pairs = list(zip(vec, spec.components))
+        na = gcd(sum(a * c.degree for a, c in pairs), *(a * c.m for a, c in pairs))
         mod = spec.lattice_modulus() if spec.has_abstract else None
         if mod is not None:
             acc = TorsionClass(mod, (0, 0))

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from maxflex.cli import main
+from maxflex import cover_order, splitting_number, torsion_order, uniform_group
+from maxflex.catalog import fermat_witness, fermat_witness_spec
+from maxflex.cli import invariant_table, main
+from maxflex.torsion import ArrangementSpec, weight_vectors
 
 
 def run_cli(capsys, *argv):
@@ -48,7 +51,7 @@ def test_torsion_empty_order(capsys):
     assert "no rational points" in out
 
 
-def test_invariants_and_distinguish_from_spec_files(capsys, tmp_path):
+def _write_spec_files(tmp_path):
     spec4 = {
         "d0": 3,
         "components": [
@@ -70,7 +73,11 @@ def test_invariants_and_distinguish_from_spec_files(capsys, tmp_path):
     f5 = tmp_path / "spec5.json"
     f4.write_text(json.dumps(spec4))
     f5.write_text(json.dumps(spec5))
+    return f4, f5
 
+
+def test_invariants_and_distinguish_from_spec_files(capsys, tmp_path):
+    f4, f5 = _write_spec_files(tmp_path)
     code, out, _ = run_cli(capsys, "invariants", str(f4))
     assert code == 0
     assert "uniform group: trivial" in out
@@ -84,6 +91,28 @@ def test_invariants_and_distinguish_from_spec_files(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "distinguish", str(f4), str(f4))
     assert code == 1
     assert "inconclusive" in out
+
+
+def _three_call_table(spec):
+    """The invariants table as it was printed from three calls per row."""
+    return [
+        "a=%s  n=%d  order=%d  splitting=%d"
+        % (list(w), cover_order(spec, w), torsion_order(spec, w), splitting_number(spec, w))
+        for w in weight_vectors(spec.k, spec.weight_box())
+    ]
+
+
+def test_invariants_table_is_the_three_call_table(capsys, tmp_path):
+    for path in _write_spec_files(tmp_path):
+        spec = ArrangementSpec.load(str(path))[0]
+        head = ["invariants of %s" % path, "uniform group: %s" % uniform_group(spec).type_string()]
+        code, out, _ = run_cli(capsys, "invariants", str(path))
+        assert code == 0
+        assert out == "\n".join(head + _three_call_table(spec)) + "\n"
+    # both backends: the class -> point cross-check runs on every row
+    spec = fermat_witness_spec(fermat_witness())
+    assert spec.has_abstract and spec.has_geometric
+    assert invariant_table(spec) == _three_call_table(spec)
 
 
 def test_realize_and_fingerprint_round_trip(capsys, tmp_path):

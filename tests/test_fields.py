@@ -18,7 +18,10 @@ from maxflex import (
     squarefree_part,
     with_splitting,
 )
-from maxflex.fields import rep_to_data
+from maxflex import fields
+from maxflex.catalog import bigon_points, catalog_entry, cyclic_flex_origins, fermat_witness
+from maxflex.combinatorics import concurrent_line_triples
+from maxflex.fields import _UNIT_PRIMES, _certified_unit, _is_szero, _unit_frame, rep_to_data
 
 
 def qpoly(*coeffs):
@@ -268,3 +271,117 @@ def test_linear_level_reports_lower_zero_divisor_like_the_prefix():
         assert info.value.level == 0 == below.value.level
         assert [rep_to_data(c) for c in info.value.factor] == ["-1/1", "1/1"]
         assert info.value.factor == below.value.factor
+
+
+# -- units certified mod p ----------------------------------------------------
+# ``is_zero`` proves a value a unit from the images of its numerators and the
+# top modulus over GF(p) before it falls back to the exact inverse.
+
+
+@pytest.fixture(scope="module")
+def witness():
+    return fermat_witness()
+
+
+def _catalog_towers(witness):
+    """The [2,9,1] Fermat witness tower, the [4,1] halving tower and the
+    degree-9 cyclic flex tower, with proper factors of the degree-9 flex
+    modulus (t^3 - 3t - 1 and its cofactor) to probe zero divisors."""
+    tw4 = bigon_points(catalog_entry("90c3").build(), 8)[0]
+    [(_pt, flex)] = cyclic_flex_origins(catalog_entry("cyclic").build())
+    t = flex.generator()
+    zero_divisors = [t**3 - 3 * t - 1, t**6 + 3 * t**4 - 2 * t**3 + 9 * t**2 - 3 * t + 1]
+    return [(witness["tower"], []), (tw4, []), (flex, zero_divisors)]
+
+
+def _seeded_element(tower, rng):
+    x = tower.zero()
+    for _ in range(rng.randint(1, 4)):
+        term = tower.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for i, lv in enumerate(tower.levels):
+            term = term * tower.generator(i) ** rng.randrange(lv.degree)
+        x = x + term
+    return x
+
+
+def test_certified_units_invert_and_is_zero_agrees_with_invert(witness):
+    rng = random.Random(11)
+    for tower, zero_divisors in _catalog_towers(witness):
+        assert not all(lv.irreducible for lv in tower.levels)
+        elements = [_seeded_element(tower, rng) for _ in range(40)]
+        elements += [z * _seeded_element(tower, rng) for z in zero_divisors for _ in range(3)]
+        certified = raised = 0
+        for x in elements:
+            if _is_szero(x.rep, tower.height):
+                continue
+            unit = _certified_unit(tower.levels, x.rep)
+            try:
+                inv = x.invert()
+            except ZeroDivisorEncountered as err:
+                assert not unit
+                with pytest.raises(ZeroDivisorEncountered) as got:
+                    x.is_zero()
+                assert (got.value.level, got.value.factor) == (err.level, err.factor)
+                raised += 1
+                continue
+            assert (x * inv).rep == tower.one().rep
+            assert x.is_zero() is False
+            certified += unit
+        assert certified >= 30
+        assert raised >= len(zero_divisors)
+
+
+def _reducible_quartic(base):
+    return UniPoly(base, [base.rational(c) for c in (4, 0, -5, 0, 1)])  # (t^2 - 1)(t^2 - 4)
+
+
+@pytest.mark.parametrize("below", [None, "certified", "uncertified", "branch"])
+def test_zero_divisor_still_raises_its_factor(below):
+    # t - 1 divides the top modulus: the images mod p share the root 1, so
+    # no certificate is found and the exact inverse reports the factor t - 1
+    if below is None:
+        tower = QQ.extend(_reducible_quartic(QQ), name="t")
+    else:
+        low = QQ.extend(qpoly(-2, 0, 1), name="s", irreducible=below == "certified")
+        tower = low.extend(_reducible_quartic(low), name="t")
+        if below == "branch":
+            tower = tower.split(1, [-1, 0, 1])[0]  # the branch t^2 - 1
+            assert tower.levels[1].degree == 2
+    x = tower.generator() - 1
+    assert not _certified_unit(tower.levels, x.rep)
+    with pytest.raises(ZeroDivisorEncountered) as err:
+        x.is_zero()
+    assert err.value.level == tower.height - 1
+    want = ["-1/1", "1/1"] if below is None else [["-1/1", "0/1"], ["1/1", "0/1"]]
+    assert [rep_to_data(c) for c in err.value.factor] == want
+    assert (tower.generator() - 3).is_zero() is False
+
+
+def test_certificate_skips_a_prime_dividing_a_modulus_denominator():
+    p = _UNIT_PRIMES[0]
+    # (t - 1/p)(t - 2): its cleared leading coefficient is p
+    tower = QQ.extend(qpoly(Fraction(2, p), -2 - Fraction(1, p), 1), name="t")
+    t = tower.generator()
+    assert _unit_frame(tower.levels, 1)[0] == _UNIT_PRIMES[1]
+    for x in (t, t - 3, t * t + Fraction(1, p)):
+        assert _certified_unit(tower.levels, x.rep)
+        assert x.is_zero() is False
+    for root in (Fraction(1, p), Fraction(2)):
+        with pytest.raises(ZeroDivisorEncountered) as err:
+            (t - root).is_zero()
+        want = ["%d/%d" % (-root.numerator, root.denominator), "1/1"]
+        assert [rep_to_data(c) for c in err.value.factor] == want
+
+
+def test_concurrency_determinants_run_no_inverse_above_height_one(witness, monkeypatch):
+    calls = []
+    inner = fields._rinv
+
+    def counting(levels, h, a):
+        calls.append(h)
+        return inner(levels, h, a)
+
+    monkeypatch.setattr(fields, "_rinv", counting)
+    assert witness["tower"].height == 3
+    assert list(concurrent_line_triples(witness["lines"])) == []
+    assert [h for h in calls if h >= 2] == []

@@ -8,6 +8,7 @@ import pytest
 
 from maxflex import (
     ArrangementSpec,
+    BackendDisagreement,
     ComponentData,
     EmptyAdmissibleSet,
     ModulusMismatch,
@@ -433,6 +434,17 @@ def test_multiset_witness_survives_brute_reverification():
         c = comp.cls.rescaled(mod).scale(x * comp.m // na)
         acc = ((acc[0] + c.coords[0]) % mod, (acc[1] + c.coords[1]) % mod)
     assert brute_order(acc, mod) == torsion_order(s4, a0) or acc == (0, 0)
+
+
+def test_multiset_recheck_takes_n_a_from_the_components():
+    # mutant: the compiled degree of component 0 goes from 1 to 2, which
+    # shifts n_a in the order tables; a re-check that read n_a from the same
+    # rows agreed with the witness found from them and returned it
+    s4 = tangent_triangle_spec(T1, T1.scale(2), T1)
+    m, d, fx, fy = s4._rows[0]
+    s4._rows = ((m, d + 1, fx, fy),) + s4._rows[1:]
+    with pytest.raises(BackendDisagreement, match="re-verification"):
+        distinguish(s4, tangent_triangle_spec(T1, T2, T1), SWAP12)
 
 
 def _first_multiset_witness(spec1, spec2, admissible):
