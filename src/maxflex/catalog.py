@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnknownReproduction, WrongOrder
-from .fields import QQ, UniPoly, extend_field, with_splitting
+from .fields import DEFAULT_DEGREE_CAP, QQ, UniPoly, extend_field, with_splitting
 from .geometry import (
     EllipticStructure,
     PlaneCurve,
@@ -46,7 +46,7 @@ class CatalogEntry:
         self.torsion_note = torsion_note
         self.provenance = provenance
 
-    def build(self, degree_cap=64):
+    def build(self, degree_cap=DEFAULT_DEGREE_CAP):
         return self.builder(degree_cap)
 
 
@@ -141,7 +141,7 @@ def fermat_torsion_frame(data):
     }
 
 
-def fermat_triangle(data, name_hint="v"):
+def fermat_triangle(data):
     """A triangle associated to T1, built by trisecting T1 on a model.
 
     Returns (tower, structure, Triangle) with everything embedded in the
@@ -153,13 +153,11 @@ def fermat_triangle(data, name_hint="v"):
     model = weierstrass_model(e)
     mt = model.point_from_source(t1)
     tri_poly = trisection_polynomial(model, mt[0])
-    packet = root_packets(tri_poly, tower, enumerate_conjugates=False, name_hint=name_hint)[0]
+    packet = root_packets(tri_poly, tower, enumerate_conjugates=False, name_hint="v")[0]
     ext = packet.tower
     x0 = packet.element
     a, disc = model.embedded(ext).y_discriminant(x0)
-    ext2 = ext.extend(
-        UniPoly(ext, (-disc, ext.zero(), ext.one())), name="%sy" % name_hint
-    )
+    ext2 = ext.extend(UniPoly(ext, (-disc, ext.zero(), ext.one())), name="vy")
     y0 = (-(a.embedded(ext2)) + ext2.generator()) * Fraction(1, 2)
 
     def locate(tw):
@@ -204,7 +202,7 @@ def fermat_offline_flexes(data):
     return out
 
 
-def fermat_witness(degree_cap=64):
+def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
     """The full witness arrangement: L_T1, L_2T1, a triangle, and a third
     inflectional tangent chosen so that no three of the six lines meet.
     """
@@ -291,9 +289,10 @@ def cyclic_triangle_chain(data):
     }
 
 
-def cyclic_flex_origins(data, on_budget="skip"):
-    """Flex origins of the cyclic cubic computable within the tower budget."""
-    return flex_points(data["cubic"], data["tower"], on_budget=on_budget)
+def cyclic_flex_origins(data):
+    """Flex origins of the cyclic cubic computable within the tower budget;
+    the packets past it are dropped."""
+    return flex_points(data["cubic"], data["tower"], on_budget="skip")
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ import sys
 from .catalog import bigon_conics, bigon_points, catalog_entry, fermat_witness
 from .combinatorics import fingerprint
 from .errors import MaxflexError, SpecError, malformed, read_json
-from .fields import FieldTower
+from .fields import DEFAULT_DEGREE_CAP, FieldTower
 from .geometry import PlaneCurve
-from .reproductions import REPRODUCTION_NAMES, run_reproduction
+from .reproductions import EXTENDED_DEGREE_CAP, REPRODUCTION_NAMES, run_reproduction
 from .torsion import (
     ArrangementSpec,
     distinguish,
@@ -59,7 +59,7 @@ def _cmd_torsion(args):
     if args.order < 2:
         raise SpecError("torsion order must be at least 2, got %d" % args.order)
     entry = catalog_entry(args.curve)
-    data = entry.build(args.tower_budget or 64)
+    data = entry.build(args.tower_budget or DEFAULT_DEGREE_CAP)
     if "structure" not in data:
         raise SpecError("curve %r carries no designated flex" % args.curve)
     model = weierstrass_model(data["structure"])
@@ -108,7 +108,7 @@ def _cmd_distinguish(args):
 def _cmd_realize(args):
     name = args.recipe
     if name == "fermat-witness":
-        witness = fermat_witness(args.tower_budget or 64)
+        witness = fermat_witness(args.tower_budget or DEFAULT_DEGREE_CAP)
         payload = {
             "tower": witness["tower"].to_data(),
             "lines": [l.to_data() for l in witness["lines"]],
@@ -116,7 +116,9 @@ def _cmd_realize(args):
         }
     elif name.startswith("bigon-r") and name[len("bigon-r"):].isdecimal():
         r = int(name[len("bigon-r"):])
-        budget = args.tower_budget or (128 if args.extended or r in (8, 24) else 64)
+        budget = args.tower_budget or (
+            EXTENDED_DEGREE_CAP if args.extended or r in (8, 24) else DEFAULT_DEGREE_CAP
+        )
         data = catalog_entry("90c3").build(budget)
         tw, e, p, q = bigon_points(data, r)
         c1, c2 = bigon_conics(e, p, q)
@@ -141,7 +143,8 @@ def _cmd_realize(args):
 def _cmd_fingerprint(args):
     data = read_json(args.arrangement, "arrangement file")
     with malformed("arrangement file %s" % args.arrangement):
-        tower = FieldTower.from_data(data.get("tower", []), args.tower_budget or 64)
+        budget = args.tower_budget or DEFAULT_DEGREE_CAP
+        tower = FieldTower.from_data(data.get("tower", []), budget)
         pieces = [PlaneCurve.from_data(tower, entry) for entry in data["curves"]]
     f = fingerprint(pieces, tower)
     _emit(f.canonical(), args.out)

@@ -16,7 +16,7 @@ certificates built on top.
 from __future__ import annotations
 
 import json
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .errors import CommonComponent
 from .fields import rep_to_data, with_splitting
@@ -80,8 +80,9 @@ class Fingerprint:
         classes = {}
         for i in range(1, n):
             classes.setdefault(self.piece_data[i], []).append(i)
+        slots = [(classes[key], classes[key]) for key in sorted(classes, key=repr)]
         best = None
-        for sigma in _class_preserving_maps(n, classes):
+        for sigma in _relabelings(n, slots):
             ser = self._serialize(sigma)
             if best is None or ser < best:
                 best = ser
@@ -89,15 +90,7 @@ class Fingerprint:
         return best
 
     def _serialize(self, sigma):
-        recs = []
-        for pairs, orbit in self.records:
-            mapped = sorted(
-                (min(sigma[i], sigma[j]), max(sigma[i], sigma[j]), m)
-                for (i, j), m in pairs.items()
-            )
-            for _ in range(orbit):
-                recs.append(mapped)
-        recs.sort()
+        recs = [mapped for mapped, orbit in _record_multiset(self, sigma) for _ in range(orbit)]
         payload = {
             "pieces": [list(pd) for pd in self.piece_data],
             "points": recs,
@@ -125,22 +118,19 @@ class Fingerprint:
         return out
 
 
-def _class_preserving_maps(n, classes):
-    """All relabelings of pieces 1..n-1 preserving (degree, smooth) classes."""
-    keys = sorted(classes, key=repr)
-    pools = [classes[k] for k in keys]
-    def rec(idx, sigma):
-        if idx == len(pools):
-            yield tuple(sigma)
-            return
-        pool = pools[idx]
-        for perm in permutations(pool):
-            for src, dst in zip(pool, perm):
-                sigma[src] = dst
-            yield from rec(idx + 1, sigma)
-        for src in pool:
-            sigma[src] = src
-    yield from rec(0, list(range(n)))
+def _relabelings(n, slots):
+    """Every relabeling of pieces 0..n-1 that sends each slot's source pieces
+    onto a permutation of its target pieces and fixes all other pieces.
+
+    ``slots`` lists (sources, targets) pairs of equal length; the first
+    slot's permutation varies slowest.
+    """
+    sigma = list(range(n))
+    for choice in product(*(permutations(dst) for _src, dst in slots)):
+        for (src, _dst), perm in zip(slots, choice):
+            for s, d in zip(src, perm):
+                sigma[s] = d
+        yield tuple(sigma)
 
 
 def _point_profiles(herd, tower):
@@ -288,19 +278,7 @@ def _exists_piece_bijection(f1, f2, grouping1, grouping2, rho, records2):
             if len(members) != len(by_class2[cls]):
                 return False
             slots.append((members, by_class2[cls]))
-
-    def rec(idx, sigma):
-        if idx == len(slots):
-            return _record_multiset(f1, sigma=sigma) == records2
-        src, dst = slots[idx]
-        for perm in permutations(dst):
-            for s, d in zip(src, perm):
-                sigma[s] = d
-            if rec(idx + 1, sigma):
-                return True
-        return False
-
-    return rec(0, list(range(n)))
+    return any(_record_multiset(f1, sigma) == records2 for sigma in _relabelings(n, slots))
 
 
 # ---------------------------------------------------------------------------

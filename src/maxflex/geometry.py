@@ -361,11 +361,6 @@ class PlaneCurve:
             terms[key] = terms[key] + c if key in terms else c
         return BiPoly(self.tower, terms)
 
-    def restrict_coord_zero(self, chart):
-        """The binary form obtained by setting the chart coordinate to zero."""
-        a, b = _chart_pair(chart)
-        return {(e[a], e[b]): c for e, c in self.form.items() if e[chart] == 0}
-
     def normalized(self):
         """Scale so the lexicographically first nonzero coefficient is one."""
         for exps in sorted(self.form, reverse=True):
@@ -888,9 +883,10 @@ def intersection_points(
     """All intersection points of two curves over extensions of ``tower``.
 
     Points with a nonzero z-coordinate are found in the affine chart z = 1 by
-    a resultant elimination in y; the line z = 0 is swept separately.  Each
-    record carries an orbit count so that sum(multiplicity * orbit) equals
-    the Bezout number deg(c) * deg(d).
+    a resultant elimination in y; the points (x0 : 1 : 0) of the line z = 0
+    are the common roots of the restrictions to z = 0 in the chart y = 1, and
+    [1:0:0] is checked on its own.  Each record carries an orbit count so
+    that sum(multiplicity * orbit) equals the Bezout number deg(c) * deg(d).
 
     ``on_budget`` may be "skip" to silently drop packets whose towers would
     exceed the degree cap instead of raising BudgetExceeded.
@@ -898,52 +894,29 @@ def intersection_points(
     tower = tower or c.tower
     cc = c.embedded(tower)
     dd = d.embedded(tower)
-    records = []
 
-    # points on the line z = 0
-    bf = cc.restrict_coord_zero(2)
-    bg = dd.restrict_coord_zero(2)
-    if not bf and not bg:
+    def record(tw, pt):
+        mult = 0
+        if multiplicities:
+            mult = intersection_multiplicity(cc.embedded(tw), dd.embedded(tw), pt)
+        orbit = 1 if enumerate_conjugates else tw.absolute_degree // tower.absolute_degree
+        return IntersectionRecord(pt, mult, tw, orbit)
+
+    # points on the line z = 0: c(x0, 1, 0) = d(x0, 1, 0) = 0, and [1:0:0]
+    uf = cc.dehomogenize(1).restrict_v0()
+    ug = dd.dehomogenize(1).restrict_v0()
+    if uf.is_zero() and ug.is_zero():
         raise CommonComponent("z divides both curves")
-    records.extend(
-        _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities, on_budget)
-    )
-
-    # affine chart z = 1
-    F = cc.dehomogenize(2)
-    G = dd.dehomogenize(2)
-    records.extend(
-        _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_budget)
-    )
-    return records
-
-
-def _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities, on_budget):
-    # binary forms in (x, y); roots (x0 : y0 : 0)
-    def as_unipoly(terms):
-        # the forms are homogeneous, so each x-degree has one term
-        coeffs = {i: c for (i, _j), c in terms.items()}
-        n = max(coeffs, default=-1)
-        return UniPoly(tower, [coeffs.get(i, tower.zero()) for i in range(n + 1)])
-
-    uf = as_unipoly(bf)
-    ug = as_unipoly(bg)
-    deg_f = max((i + j for i, j in bf), default=-1)
-    deg_g = max((i + j for i, j in bg), default=-1)
-    out = []
-    if not bf:
+    records = []
+    if uf.degree < cc.degree and ug.degree < dd.degree:
+        origin = ProjPoint(tower, [tower.one(), tower.zero(), tower.zero()])
+        records.append(record(tower, origin))
+    if uf.is_zero():
         common = ug
-    elif not bg:
+    elif ug.is_zero():
         common = uf
     else:
         common = poly_gcd(uf, ug)
-    # root at [1:0:0] iff both binary forms vanish there (top x-coefficient zero)
-    at_inf_f = not bf or uf.degree < deg_f
-    at_inf_g = not bg or ug.degree < deg_g
-    if at_inf_f and at_inf_g:
-        p = ProjPoint(tower, [tower.one(), tower.zero(), tower.zero()])
-        mult = intersection_multiplicity(cc, dd, p) if multiplicities else 0
-        out.append(IntersectionRecord(p, mult, tower, 1))
     if common.degree >= 1:
         packets = root_packets(
             common, tower, enumerate_conjugates, name_hint="w", on_budget=on_budget
@@ -951,27 +924,23 @@ def _infinity_sweep(cc, dd, bf, bg, tower, enumerate_conjugates, multiplicities,
         for rp in packets:
 
             def probe(tw, x0=rp.element):
-                x = x0.embedded(tw)
-                pt = ProjPoint(tw, [x, tw.one(), tw.zero()])
-                ch = cc.embedded(tw)
-                dh = dd.embedded(tw)
-                if not (ch.contains(pt) and dh.contains(pt)):
-                    return None
-                mult = intersection_multiplicity(ch, dh, pt) if multiplicities else 0
-                return pt, mult
+                pt = ProjPoint(tw, [x0.embedded(tw), tw.one(), tw.zero()])
+                if cc.embedded(tw).contains(pt) and dd.embedded(tw).contains(pt):
+                    return record(tw, pt)
+                return None
 
-            for tw, res in with_splitting(rp.tower, probe, tower.height):
-                if res is None:
-                    continue
-                pt, mult = res
-                orbit = 1 if enumerate_conjugates else (
-                    tw.absolute_degree // tower.absolute_degree
-                )
-                out.append(IntersectionRecord(pt, mult, tw, orbit))
-    return out
+            for _tw, rec in with_splitting(rp.tower, probe, tower.height):
+                if rec is not None:
+                    records.append(rec)
+
+    # affine chart z = 1
+    F = cc.dehomogenize(2)
+    G = dd.dehomogenize(2)
+    records.extend(_affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record))
+    return records
 
 
-def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_budget):
+def _affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record):
     cols_f = F.v_columns()
     cols_g = G.v_columns()
     if len(cols_f) == 1 and len(cols_g) == 1:
@@ -991,10 +960,8 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
 
         def stage(ext, x0=rp.element):
             x = x0.embedded(ext)
-            Fh = F.embedded(ext)
-            Gh = G.embedded(ext)
-            fu = Fh.specialize_u(x)
-            gu = Gh.specialize_u(x)
+            fu = F.embedded(ext).specialize_u(x)
+            gu = G.embedded(ext).specialize_u(x)
             if fu.is_zero() and gu.is_zero():
                 raise CommonComponent("curves share the line x = const")
             if fu.is_zero():
@@ -1009,26 +976,14 @@ def _affine_sweep(cc, dd, F, G, tower, enumerate_conjugates, multiplicities, on_
             for yp in root_packets(h, ext, enumerate_conjugates, name_hint="y", on_budget=on_budget):
 
                 def measure(final, y0=yp.element, x=x):
-                    y = y0.embedded(final)
-                    xf = x.embedded(final)
-                    pt = point_from_affine(final, 2, xf, y)
-                    ch = cc.embedded(final)
-                    dh = dd.embedded(final)
-                    mult = (
-                        intersection_multiplicity(ch, dh, pt) if multiplicities else 0
-                    )
-                    return pt, mult
+                    pt = point_from_affine(final, 2, x.embedded(final), y0.embedded(final))
+                    return record(final, pt)
 
-                for tw, res2 in with_splitting(yp.tower, measure, ext.height):
-                    found.append((tw, res2))
+                found.extend(rec for _tw, rec in with_splitting(yp.tower, measure, ext.height))
             return found
 
-        for ext_tower, results in with_splitting(rp.tower, stage, tower.height):
-            for tw, (pt, mult) in results:
-                orbit = 1 if enumerate_conjugates else (
-                    tw.absolute_degree // tower.absolute_degree
-                )
-                out.append(IntersectionRecord(pt, mult, tw, orbit))
+        for _ext, found in with_splitting(rp.tower, stage, tower.height):
+            out.extend(found)
     return out
 
 

@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .combinatorics import admissible_permutations, concurrent_line_triples, fingerprint, verify_bigon
 from .errors import SpecError, UnknownReproduction
-from .fields import QQ
+from .fields import DEFAULT_DEGREE_CAP, QQ
 from .geometry import (
     EllipticStructure,
     PlaneCurve,
@@ -56,6 +56,10 @@ REPRODUCTION_NAMES = (
     "clubsuit-tables",
     "appendix-triangle",
 )
+
+#: Tower degree cap of the extended runs, whose r = 8 and 24 bi-gons need
+#: quartic halving extensions.
+EXTENDED_DEGREE_CAP = 128
 
 
 class Report:
@@ -248,7 +252,7 @@ def repro_clubsuit_tables(extended=False, tower_budget=None):
 
 def repro_fermat_existence(extended=False, tower_budget=None):
     rep = Report("fermat-existence")
-    budget = _budget(tower_budget, 64)
+    budget = _budget(tower_budget, DEFAULT_DEGREE_CAP)
     # nine flexes over Q, grouped by which coordinate vanishes
     cubic_q = catalog_entry("fermat").build(budget)
     # build a rational-coefficient copy for the flex scan
@@ -326,7 +330,7 @@ def repro_fermat_existence(extended=False, tower_budget=None):
 
 def repro_appendix_triangle(extended=False, tower_budget=None):
     rep = Report("appendix-triangle")
-    budget = _budget(tower_budget, 64)
+    budget = _budget(tower_budget, DEFAULT_DEGREE_CAP)
     data = catalog_entry("cyclic").build(budget)
     chain = cyclic_triangle_chain(data)
     rep.check("residual-chain-closes", True, chain["closes"])
@@ -366,7 +370,7 @@ def _bigon_package(entry_data, r):
 
 def repro_clubsuit_d2(extended=False, tower_budget=None):
     rep = Report("clubsuit-d2")
-    budget = _budget(tower_budget, 128 if extended else 64)
+    budget = _budget(tower_budget, EXTENDED_DEGREE_CAP if extended else DEFAULT_DEGREE_CAP)
     entry_data = catalog_entry("90c3").build(budget)
     for r in (4, 12):
         pts = entry_data["rational_torsion"][r]

@@ -367,10 +367,7 @@ class WeightVector(tuple):
 
     def permuted(self, perm):
         """The action a |-> (a_{perm^-1(1)}, ...): entry j takes a[perm^-1(j)]."""
-        inv = [0] * len(perm)
-        for i, v in enumerate(perm):
-            inv[v] = i
-        return WeightVector(tuple(self[inv[j]] for j in range(len(self))))
+        return WeightVector(tuple(self[i] for i in _inv(perm)))
 
 
 @lru_cache(maxsize=32)
@@ -727,6 +724,8 @@ def distinguish(spec1, spec2, admissible):
     ``admissible`` must contain (a superset of) the admissible permutations
     from spec1 to spec2; the multiset self-sets are recomputed here from the
     component signatures, keeping the whole family closed under composition.
+    Each witness returned is evaluated once more by a brute route that reads
+    only the components, and BackendDisagreement is raised if it disagrees.
     """
     admissible = [tuple(p) for p in admissible]
     if not admissible:
@@ -751,28 +750,11 @@ def distinguish(spec1, spec2, admissible):
                     "orders2": g2.generator_orders,
                 },
             )
-        n = g1.n
-        if n > 1:
-            box = [v for v in product(range(n), repeat=k)]
-            kernel_hits = {}
-            for rho in admissible:
-                witness = None
-                inv = _inv(rho)
-                for vec in box:
-                    in1 = g1.kernel_contains(vec)
-                    rvec = tuple([vec[i] for i in inv])
-                    in2 = g2.kernel_contains(rvec)
-                    if in1 != in2:
-                        witness = {
-                            "weights": list(vec),
-                            "kernel1": in1,
-                            "kernel2": in2,
-                        }
-                        break
-                if witness is None:
-                    kernel_hits = None
-                    break
-                kernel_hits[str(rho)] = witness
+        if g1.n > 1:
+            kernel_hits = _first_differences(
+                spec1, spec2, admissible, list(product(range(g1.n), repeat=k)),
+                (g1.kernel_contains, g2.kernel_contains), _brute_in_kernel, "kernel",
+            )
             if kernel_hits:
                 return ZariskiCertificate(
                     "group-witness",
@@ -813,19 +795,9 @@ def distinguish(spec1, spec2, admissible):
                 )
 
     # per-permutation order witness
-    per = {}
-    for rho in admissible:
-        found = None
-        inv = _inv(rho)
-        for a in vectors:
-            order2 = t2[tuple([a[i] for i in inv])]
-            if t1[a] != order2:
-                found = {"weights": list(a), "order1": t1[a], "order2": order2}
-                break
-        if found is None:
-            per = None
-            break
-        per[str(rho)] = found
+    per = _first_differences(
+        spec1, spec2, admissible, vectors, (t1.__getitem__, t2.__getitem__), _brute_order, "order"
+    )
     if per:
         return ZariskiCertificate(
             "order-witness", "distinguished", {"per_permutation": per}
@@ -842,23 +814,63 @@ def _inv(perm):
     return tuple(inv)
 
 
+def _first_differences(spec1, spec2, admissible, vectors, values, brute, kind):
+    """{str(rho): {"weights": a, kind + "1": v1, kind + "2": v2}} with, per
+    admissible rho, the first a where v1 = values[0](a) differs from v2 =
+    values[1](a permuted by rho); None when some rho has no such a.  Each
+    witness returned is evaluated again by ``brute(spec, vec)``, which reads
+    only the components, and BackendDisagreement is raised unless it agrees.
+    """
+    per = {}
+    for rho in admissible:
+        inv = _inv(rho)
+        for vec in vectors:
+            rvec = tuple([vec[i] for i in inv])
+            v1 = values[0](vec)
+            v2 = values[1](rvec)
+            if v1 != v2:
+                per[str(rho)] = (vec, rvec, v1, v2)
+                break
+        else:
+            return None
+    for key, (vec, rvec, v1, v2) in per.items():
+        if brute(spec1, vec) != v1 or brute(spec2, rvec) != v2:
+            raise BackendDisagreement("%s witness failed re-verification" % kind)
+        per[key] = {"weights": list(vec), kind + "1": v1, kind + "2": v2}
+    return per
+
+
+def _brute_class(spec, vec, div):
+    """sum (a_j m_j / div) t_j by repeated addition of the components' classes."""
+    mod = spec.lattice_modulus()
+    acc = TorsionClass(mod, (0, 0))
+    for a, comp in zip(vec, spec.components):
+        step = comp.cls.rescaled(mod)
+        for _ in range((a * comp.m // div) % mod):
+            acc = acc + step
+    return acc
+
+
+def _brute_order(spec, vec):
+    """ord(tau(a)) from the components alone, sharing nothing with the rows:
+    n_a = gcd(a_j m_j, sum a_j d_j), then ``order_brute`` on the lattice, or
+    the group law on a geometry-only spec."""
+    pairs = list(zip(vec, spec.components))
+    na = gcd(sum(a * c.degree for a, c in pairs), *(a * c.m for a, c in pairs))
+    if spec.has_abstract:
+        return _brute_class(spec, vec, na).order_brute()
+    terms = [(a * c.m // na, spec.component_point(j)) for j, (a, c) in enumerate(pairs)]
+    return point_order(spec.structure, ec_sum(spec.structure, terms), na)
+
+
+def _brute_in_kernel(spec, vec):
+    """Whether the uniform weight map sends vec to zero, from the classes."""
+    return _brute_class(spec, vec, spec.uniform_gcd()).is_zero()
+
+
 def _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2):
     """Independent brute-force re-evaluation of a multiset witness."""
-    def brute(spec, vec):
-        # n_a from the components, not from the compiled rows under test
-        pairs = list(zip(vec, spec.components))
-        na = gcd(sum(a * c.degree for a, c in pairs), *(a * c.m for a, c in pairs))
-        mod = spec.lattice_modulus() if spec.has_abstract else None
-        if mod is not None:
-            acc = TorsionClass(mod, (0, 0))
-            for a, comp in zip(vec, spec.components):
-                step = comp.cls.rescaled(mod)
-                for _ in range((a * comp.m // na) % mod):
-                    acc = acc + step
-            return acc.order_brute()
-        return torsion_order(spec, vec)
-
-    bm1 = sorted(brute(spec1, a0.permuted(r1)) for r1 in s1)
-    bm2 = sorted(brute(spec2, a0.permuted(rho0).permuted(r2)) for r2 in s2)
+    bm1 = sorted(_brute_order(spec1, a0.permuted(r1)) for r1 in s1)
+    bm2 = sorted(_brute_order(spec2, a0.permuted(rho0).permuted(r2)) for r2 in s2)
     if bm1 != m1 or bm2 != m2 or bm1 == bm2:
         raise BackendDisagreement("multiset witness failed re-verification")

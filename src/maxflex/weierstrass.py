@@ -31,12 +31,9 @@ class WeierstrassModel:
 
     __slots__ = ("tower", "a1", "a2", "a3", "a4", "a6", "to_source", "from_source")
 
-    def __init__(self, tower, a_invariants, to_source=None, from_source=None):
+    def __init__(self, tower, a_invariants, to_source, from_source=None):
         self.tower = tower
         self.a1, self.a2, self.a3, self.a4, self.a6 = a_invariants
-        if to_source is None:
-            one, zero = tower.one(), tower.zero()
-            to_source = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
         if from_source is None:
             from_source = mat3_adjugate(to_source)
         self.to_source = to_source
@@ -205,8 +202,8 @@ def weierstrass_model(e):
         raise SingularPoint("degenerate flex frame")
     tt = -(alpha * beta)
     ss = alpha * alpha * beta
-    scale = [[tt, t.zero(), t.zero()], [t.zero(), ss, t.zero()], [t.zero(), t.zero(), t.one()]]
-    w = _mat_mul(m, scale, t)
+    # m times diag(tt, ss, 1)
+    w = [[row[0] * tt, row[1] * ss, row[2]] for row in m]
     g2 = _pullback(cubic, w)
     unit = (beta * ss * ss).invert()
 
@@ -219,7 +216,7 @@ def weierstrass_model(e):
     a4 = -coeff((1, 0, 2))
     a6 = -coeff((0, 0, 3))
     model = WeierstrassModel(t, (a1, a2, a3, a4, a6), to_source=w)
-    if not _proportional_forms(_pullback(cubic, w), model.curve()):
+    if not _proportional_forms(g2, model.curve()):
         raise SingularPoint("model derivation failed verification")
     return model
 
@@ -250,17 +247,6 @@ def _pullback(curve, mat):
     if total is None:
         raise ValueError("zero form")
     return total
-
-
-def _mat_mul(a, b, tower):
-    out = [[tower.zero()] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = tower.zero()
-            for k in range(3):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +424,7 @@ def signed_preimage(model, n, pt, target):
     return m.neg(pt)
 
 
-def halve_point(model, target, name_hint="h"):
+def halve_point(model, target):
     """Points P with 2P = target, each with the tower it needs.
 
     Prefers rational solutions; otherwise adjoins the squarefree part of the
@@ -463,7 +449,7 @@ def halve_point(model, target, name_hint="h"):
             return ("direct", -a * half, disc)
         return ("sqrt", a, disc)
 
-    for packet in root_packets(quartic, t, enumerate_conjugates=False, name_hint=name_hint):
+    for packet in root_packets(quartic, t, enumerate_conjugates=False, name_hint="h"):
         ext = packet.tower
         x0 = packet.element
         for branch, case in with_splitting(ext, lambda tw: y_case(tw, x0.embedded(tw))):
@@ -473,7 +459,7 @@ def halve_point(model, target, name_hint="h"):
             else:
                 ext2 = branch.extend(
                     UniPoly(branch, (-disc, branch.zero(), branch.one())),
-                    name="%sy%d" % (name_hint, branch.height),
+                    name="hy%d" % branch.height,
                 )
                 s = ext2.generator()
                 y0 = (-val.embedded(ext2) + s) * half

@@ -10,11 +10,14 @@ from maxflex import (
     ProjPoint,
     TorsionClass,
     WeightVector,
+    WrongOrder,
     distinguish,
+    ec_add,
     flex_points,
     intersection_points,
     point_order,
     torsion_order,
+    triangle_from,
 )
 from maxflex.catalog import (
     bigon_conics,
@@ -24,6 +27,7 @@ from maxflex.catalog import (
     cyclic_triangle_chain,
     fermat_triangle,
     fermat_witness,
+    fermat_witness_spec,
 )
 from maxflex.torsion import weight_vectors
 
@@ -114,10 +118,58 @@ def test_fermat_triangle_vertices_cycle():
     )
 
 
+def test_geometric_triangle_from_matches_the_fermat_triangle():
+    data = catalog_entry("fermat").build(64)
+    tower, e, tri = fermat_triangle(data)
+    geo = triangle_from(e, tri.vertices[0])
+    assert geo.vertices == tri.vertices
+    assert geo.associated == tri.associated
+    assert [line.to_data() for line in geo.lines] == [line.to_data() for line in tri.lines]
+    with pytest.raises(WrongOrder):
+        triangle_from(e, tri.associated)
+
+
+def test_class_points_of_a_triangle_only_spec():
+    # the triangle meets the cubic in e = 3 d / m = 3 points, so no e_j is
+    # nonzero mod 3 and the class map is generated by the unit vector
+    data = catalog_entry("fermat").build(64)
+    tower, e, tri = fermat_triangle(data)
+    t1 = TorsionClass(9, (3, 0))
+    comp = ComponentData(3, 3, [(v, 3) for v in tri.vertices], t1)
+    spec = ArrangementSpec(3, [comp], structure=e)
+    assert spec.class_points() == {
+        (0, 0): e.origin,
+        (3, 0): tri.associated,
+        (6, 0): ec_add(e, tri.associated, tri.associated),
+    }
+    assert torsion_order(spec, WeightVector((1,))) == 3
+
+
+def test_geometry_only_witnesses_are_rechecked_from_the_components():
+    # the witness arrangement without classes, and the same with its two
+    # tangent lines traded: the order witness comes from the group law
+    spec = fermat_witness_spec(fermat_witness(64))
+    bare = [ComponentData(c.degree, c.m, c.divisor) for c in spec.components]
+    lines = ArrangementSpec(3, bare, structure=spec.structure)
+    swapped = ArrangementSpec(3, [bare[1], bare[0], bare[2]], structure=spec.structure)
+    cert = distinguish(lines, swapped, [(0, 1, 2)])
+    assert cert.mode == "order-witness"
+    assert cert.witnesses["per_permutation"]["(0, 1, 2)"] == {
+        "weights": [1, 2, 1],
+        "order1": 1,
+        "order2": 3,
+    }
+    # mutant: the compiled degree of component 0 goes from 1 to 2, which
+    # shifts n_a in the order tables; a re-check through torsion_order read
+    # n_a from the same rows and returned the multiset witness found there
+    m, d, fx, fy = lines._rows[0]
+    lines._rows = ((m, d + 1, fx, fy),) + lines._rows[1:]
+    with pytest.raises(BackendDisagreement, match="re-verification"):
+        distinguish(lines, swapped, [(0, 1, 2)])
+
+
 def test_witness_weight_orders_match_lattice():
     witness = fermat_witness(64)
-    from maxflex.catalog import fermat_witness_spec
-
     spec = fermat_witness_spec(witness)
     assert torsion_order(spec, WeightVector((1, 2, 1))) == 1
     assert torsion_order(spec, WeightVector((2, 1, 1))) == 3

@@ -327,6 +327,113 @@ def test_cubic_triangle_intersections():
     assert sum(r.multiplicity * r.orbit for r in recs) == 9
 
 
+# Pinned output of intersection_points: per record the point reps, the
+# multiplicity, the orbit and the tower's data, in order.  Each case reaches a
+# different branch of the z = 0 sweep; a refactor of the sweeps leaves them as
+# they are.
+RECORD_CASES = {
+    # no x^2 term: both conics pass through [1:0:0], and both through [-1:1:0]
+    "through-1-0-0": (
+        {(1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
+        {(1, 1, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
+        {},
+    ),
+    # x^2 + y^2 vanishes on both conics at the conjugate pair (+-i : 1 : 0)
+    "packet-on-z0": (
+        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
+        {(2, 0, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
+        {},
+    ),
+    "packet-on-z0-conjugates": (
+        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
+        {(2, 0, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
+        {"enumerate_conjugates": True},
+    ),
+    # z (x - y) contains the line z = 0
+    "contains-z0": (
+        {(1, 0, 1): 1, (0, 1, 1): -1},
+        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -2},
+        {},
+    ),
+    "fermat-hessian": (None, None, {}),
+    "fermat-hessian-no-mult": (None, None, {"multiplicities": False}),
+}
+
+PINNED_RECORDS = {
+    "through-1-0-0": [
+        (["1/1", "0/1", "0/1"], 1, 1, []),
+        (["1/1", "-1/1", "0/1"], 1, 1, []),
+        ([["1/1", "0/1"], ["0/1", "-1/1"], ["-1/1", "0/1"]], 1, 2,
+         [{"minpoly": ["-1/1", "-1/1", "1/1"], "name": "y0"}]),
+    ],
+    "packet-on-z0": [
+        ([["1/1", "0/1"], ["0/1", "-1/1"], ["0/1", "0/1"]], 1, 2,
+         [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
+        (["1/1", "0/1", "-1/1"], 2, 1, []),
+    ],
+    "packet-on-z0-conjugates": [
+        ([["1/1", "0/1"], ["0/1", "-1/1"], ["0/1", "0/1"]], 1, 1,
+         [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
+        ([["1/1", "0/1"], ["0/1", "1/1"], ["0/1", "0/1"]], 1, 1,
+         [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
+        (["1/1", "0/1", "-1/1"], 2, 1, []),
+    ],
+    "contains-z0": [
+        ([["1/1", "0/1"], ["0/1", "-1/1"], ["0/1", "0/1"]], 1, 2,
+         [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
+        (["1/1", "1/1", "-1/1"], 1, 1, []),
+        (["1/1", "1/1", "1/1"], 1, 1, []),
+    ],
+    "fermat-hessian": [
+        (["1/1", "-1/1", "0/1"], 1, 1, []),
+        ([["1/1", "0/1"], ["1/1", "-1/1"], ["0/1", "0/1"]], 1, 2,
+         [{"minpoly": ["1/1", "-1/1", "1/1"], "name": "w0"}]),
+        (["1/1", "0/1", "-1/1"], 1, 1, []),
+        (["0/1", "1/1", "-1/1"], 1, 1, []),
+        ([["0/1", "0/1"], ["1/1", "0/1"], ["1/1", "-1/1"]], 1, 2,
+         [{"minpoly": ["1/1", "-1/1", "1/1"], "name": "y0"}]),
+        ([["1/1", "0/1"], ["0/1", "0/1"], ["1/1", "-1/1"]], 1, 2,
+         [{"minpoly": ["1/1", "-1/1", "1/1"], "name": "x0"}]),
+    ],
+}
+PINNED_RECORDS["fermat-hessian-no-mult"] = [
+    (point, 0, orbit, tower) for point, _mult, orbit, tower in PINNED_RECORDS["fermat-hessian"]
+]
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_intersection_records_match_the_pinned_list(name):
+    c_terms, d_terms, kwargs = RECORD_CASES[name]
+    if c_terms is None:
+        c = fermat()
+        d = hessian(c)
+    else:
+        c = PlaneCurve(QQ, max(map(sum, c_terms)), c_terms)
+        d = PlaneCurve(QQ, max(map(sum, d_terms)), d_terms)
+    recs = intersection_points(c, d, QQ, **kwargs)
+    got = [(r.point.to_data(), r.multiplicity, r.orbit, r.tower.to_data()) for r in recs]
+    assert got == PINNED_RECORDS[name]
+
+
+@pytest.mark.parametrize(
+    "c_terms, d_terms, message",
+    [
+        # z x and z y: z divides both curves
+        ({(1, 0, 1): 1}, {(0, 1, 1): 1}, "z divides both"),
+        # x (x - z) and x (x + z) are unions of lines through [0:1:0]
+        ({(2, 0, 0): 1, (1, 0, 1): -1}, {(2, 0, 0): 1, (1, 0, 1): 1}, "vertical line"),
+        # x (y - z) and x (y + z): Res_y is -2 x^2, and x = 0 is on both
+        ({(1, 1, 0): 1, (1, 0, 1): -1}, {(1, 1, 0): 1, (1, 0, 1): 1}, "x = const"),
+    ],
+)
+def test_intersection_points_refuses_a_shared_component(c_terms, d_terms, message):
+    # without multiplicities, so that Fulton at [0:1:0] does not refuse first
+    c = PlaneCurve(QQ, 2, c_terms)
+    d = PlaneCurve(QQ, 2, d_terms)
+    with pytest.raises(CommonComponent, match=message):
+        intersection_points(c, d, QQ, multiplicities=False)
+
+
 def test_bezout_on_random_pairs():
     rng = random.Random(97)
     checked = 0

@@ -28,7 +28,7 @@ from maxflex import (
     uniform_group,
     weil_exponent,
 )
-from maxflex.torsion import lattice_span, self_admissible, weight_vectors
+from maxflex.torsion import GroupDescriptor, lattice_span, self_admissible, weight_vectors
 
 from oracles import brute_order, lattice_subgroup, weighted_invariants
 
@@ -445,6 +445,45 @@ def test_multiset_recheck_takes_n_a_from_the_components():
     s4._rows = ((m, d + 1, fx, fy),) + s4._rows[1:]
     with pytest.raises(BackendDisagreement, match="re-verification"):
         distinguish(s4, tangent_triangle_spec(T1, T2, T1), SWAP12)
+
+
+def test_distinguish_order_witness():
+    # spec2 trades the two tangent lines of spec1, which share a signature:
+    # the swap is in both self sets, so every order multiset agrees, and the
+    # uniform gcd is 1; only the identity is admissible, and a = (1, 2, 2)
+    # gives the class 7 T1 in spec1 but 6 T1 = 0 in spec2
+    s4 = tangent_triangle_spec(T1, T1.scale(2), T1)
+    swapped = tangent_triangle_spec(T1.scale(2), T1, T1)
+    cert = distinguish(s4, swapped, [(0, 1, 2)])
+    assert cert.verdict == "distinguished"
+    assert cert.mode == "order-witness"
+    witness = cert.witnesses["per_permutation"]["(0, 1, 2)"]
+    assert list(witness) == ["weights", "order1", "order2"]
+    a = WeightVector(witness["weights"])
+    assert witness["order1"] == torsion_order(s4, a) != torsion_order(swapped, a)
+    assert witness["order2"] == torsion_order(swapped, a)
+
+
+def test_order_witness_recheck_reads_the_components():
+    # mutant: spec1's compiled rows of the two tangent lines are exchanged.
+    # Its order table is then spec2's with the lines swapped, so the order
+    # multisets still agree and the search ends in an order witness taken
+    # from the corrupted table; the re-check from the components refuses it
+    s4 = tangent_triangle_spec(T1, T1.scale(2), T1)
+    s4._rows = (s4._rows[1], s4._rows[0], s4._rows[2])
+    with pytest.raises(BackendDisagreement, match="order witness"):
+        distinguish(s4, tangent_triangle_spec(T1, T1.scale(2), T1), [(0, 1, 2)])
+
+
+def test_kernel_witness_recheck_reads_the_classes(monkeypatch):
+    # mutant: kernel_contains answers the opposite, which moves no witness
+    # vector but flips both values; the re-check recomputes them from comp.cls
+    real = GroupDescriptor.kernel_contains
+    monkeypatch.setattr(
+        GroupDescriptor, "kernel_contains", lambda self, weights: not real(self, weights)
+    )
+    with pytest.raises(BackendDisagreement, match="kernel witness"):
+        distinguish(triangle_spec(T1, T1), triangle_spec(T1, T1.scale(2)), SWAP2)
 
 
 def _first_multiset_witness(spec1, spec2, admissible):

@@ -192,6 +192,18 @@ def test_halving_reaches_order_eight():
     assert m2.mul(2, pt) is not None
 
 
+def test_halving_a_rational_double_stays_rational():
+    # 2P has the rational halves P and P + T, T the rational 2-torsion
+    # point: their y-discriminants are rational squares, so both come from
+    # the direct y-branch without a square root extension
+    m = weierstrass_model(structure_90c3())
+    p = rational_points_of_order(m, 12)[0]
+    t = rational_points_of_order(m, 2)[0]
+    found = halve_point(m, m.mul(2, p))
+    rational = [pt for tw, pt in found if tw == m.tower]
+    assert p in rational and m.add(p, t) in rational
+
+
 def test_exact_order_poly_strips_lower_orders():
     e = structure_90c3()
     div = DivisionPolynomials(weierstrass_model(e))
