@@ -126,10 +126,8 @@ def _cmd_realize(args):
             "tower": tw.to_data(),
             "P": p.to_data(),
             "Q": q.to_data(),
-            "conic1": c1.to_data(),
-            "conic2": c2.to_data(),
-            "tangent": e.origin_tangent.to_data(),
-            "cubic": e.cubic.to_data(),
+            # in fingerprint order: cubic, tangent at the origin, two conics
+            "curves": [c.to_data() for c in (e.cubic, e.origin_tangent, c1, c2)],
         }
     else:
         raise SpecError(

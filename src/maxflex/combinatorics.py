@@ -11,6 +11,10 @@ Admissible permutations of grouped components are derived from fingerprints
 as the full set of data-preserving bijections; this over-approximates the
 arrangement's true admissible set, which is the safe direction for the
 certificates built on top.
+
+The point profiles a fingerprint keeps are the module's only incidence data:
+``check_incidence`` and the bi-gon clauses of ``verify_bigon`` are read from
+them, so each arrangement is swept once.
 """
 
 from __future__ import annotations
@@ -66,10 +70,12 @@ def _point_key(point, base, orbit):
 class Fingerprint:
     """Canonical incidence fingerprint of an arrangement of curve pieces."""
 
-    def __init__(self, piece_data, records):
-        # piece_data: tuple of (degree, smooth) per piece, piece 0 distinguished
+    def __init__(self, piece_data, points):
+        # piece_data: tuple of (degree, smooth) per piece, piece 0 distinguished;
+        # points: the point profiles of _point_profiles, keyed by _point_key
         self.piece_data = tuple(piece_data)
-        self.records = tuple(records)
+        self.points = points
+        self.records = tuple((entry["pairs"], entry["orbit"]) for entry in points.values())
         self._canonical = None
 
     def canonical(self):
@@ -153,19 +159,14 @@ def _point_profiles(herd, tower):
 
                 def profile(tw, rec=rec):
                     pt = rec.point.embedded(tw)
-                    incident = []
-                    for k in range(n):
-                        piece = herd[k].embedded(tw)
-                        if piece.evaluate(pt).is_zero():
-                            incident.append(k)
-                    pairs = {}
-                    for a_idx in range(len(incident)):
-                        for b_idx in range(a_idx + 1, len(incident)):
-                            a, b = incident[a_idx], incident[b_idx]
-                            pa = herd[a].embedded(tw)
-                            pb = herd[b].embedded(tw)
-                            pairs[(a, b)] = intersection_multiplicity(pa, pb, pt)
-                    return pt, tuple(incident), pairs
+                    incident = [k for k in range(n) if herd[k].embedded(tw).evaluate(pt).is_zero()]
+                    pairs = {
+                        (a, b): intersection_multiplicity(
+                            herd[a].embedded(tw), herd[b].embedded(tw), pt
+                        )
+                        for a, b in combinations(incident, 2)
+                    }
+                    return pt, incident, pairs
 
                 for tw, (pt, incident, pairs) in with_splitting(
                     rec.tower, profile, tower.height
@@ -198,20 +199,19 @@ def fingerprint(pieces, tower=None):
     tower = tower or pieces[0].tower
     herd = [p.embedded(tower) for p in pieces]
     piece_data = tuple((p.degree, is_smooth_curve(p)) for p in herd)
-    profiles = _point_profiles(herd, tower)
-    records = [(entry["pairs"], entry["orbit"]) for entry in profiles.values()]
+    fp = Fingerprint(piece_data, _point_profiles(herd, tower))
     # every pair's local multiplicities must add up to its Bezout number
     for i in range(len(herd)):
         for j in range(i + 1, len(herd)):
             total = sum(
-                pairs.get((i, j), 0) * orbit for pairs, orbit in records
+                pairs.get((i, j), 0) * orbit for pairs, orbit in fp.records
             )
             if total != herd[i].degree * herd[j].degree:
                 raise CommonComponent(
                     "pair (%d, %d) multiplicities sum to %d, not the Bezout "
                     "number %d" % (i, j, total, herd[i].degree * herd[j].degree)
                 )
-    return Fingerprint(piece_data, records)
+    return fp
 
 
 def admissible_permutations(f1, f2, grouping1, grouping2=None):
@@ -300,7 +300,8 @@ def check_incidence(pieces, tower=None):
 
     Returns concurrent line triples (by coefficient determinant), tangency
     records (pairs meeting with multiplicity at least two), transversal
-    pairs, and points where three or more pieces meet.
+    pairs, and points where three or more pieces meet.  The last three are
+    read from the point profiles of the arrangement's fingerprint.
     """
     tower = tower or pieces[0].tower
     herd = [p.embedded(tower) for p in pieces]
@@ -314,9 +315,8 @@ def check_incidence(pieces, tower=None):
         "transversal_pairs": [],
         "triple_points": [],
     }
-    profiles = _point_profiles(herd, tower)
     tangent_pairs = set()
-    for entry in profiles.values():
+    for entry in fingerprint(herd, tower).points.values():
         for (i, j), mult in sorted(entry["pairs"].items()):
             if mult >= 2:
                 tangent_pairs.add((i, j))
@@ -336,57 +336,40 @@ def check_incidence(pieces, tower=None):
 # two-curve contact verification
 # ---------------------------------------------------------------------------
 
-def verify_bigon(e, c1, c2, l0, p, q):
+def verify_bigon(fp, p, q):
     """Check every clause of the two-curve contact configuration.
 
-    The distinguished cubic of ``e`` must meet c1 with multiplicities
+    ``fp`` is the fingerprint of the pieces (cubic, l0, c1, c2), built over
+    the tower of p and q.  The cubic must meet c1 with multiplicities
     (3d-1, 1) at (p, q) and c2 with (1, 3d-1); the Bezout count then rules
     out further intersections.  Also checks pairwise transversality of
-    l0, c1, c2 and that no point lies on all three.  Returns a clause->bool
-    report with a "all" summary.
+    l0, c1, c2 and that no point lies on all three.  Every clause is read
+    from the fingerprint's piece data and point profiles; a point missing
+    from the profiles counts as multiplicity 0, so the contact clauses fail
+    closed.  Returns a clause->bool report with an "all" summary.
     """
-    cubic = e.cubic
-    tower = cubic.tower
-    d = c1.degree
-    report = {}
-    report["same_degree"] = c2.degree == d
-    report["distinct_points"] = p != q
-    report["components_smooth"] = is_smooth_curve(c1) and is_smooth_curve(c2)
-    try:
-        m_p1 = intersection_multiplicity(cubic, c1, p)
-        m_q1 = intersection_multiplicity(cubic, c1, q)
-        m_p2 = intersection_multiplicity(cubic, c2, p)
-        m_q2 = intersection_multiplicity(cubic, c2, q)
-    except CommonComponent:
-        report["contact_pattern"] = False
-        report["all"] = False
-        return report
-    report["contact_pattern"] = (
-        m_p1 == 3 * d - 1 and m_q1 == 1 and m_p2 == 1 and m_q2 == 3 * d - 1
-    )
-    report["contact_exhausts_bezout"] = (m_p1 + m_q1 == 3 * d) and (
-        m_p2 + m_q2 == 3 * d
-    )
-    report["pairwise_transversal"] = all(
-        _pair_transversal(a, b, tower)
-        for a, b in ((l0, c1), (l0, c2), (c1, c2))
-    )
-    report["empty_triple_intersection"] = _triple_empty(l0, c1, c2, tower)
-    report["all"] = all(v for k, v in report.items() if k != "all")
+    _cubic, _l0, (d, smooth1), (d2, smooth2) = fp.piece_data
+
+    def contact(point, piece):
+        entry = fp.points.get(_point_key(point, point.tower, 1))
+        return entry["pairs"].get((0, piece), 0) if entry else 0
+
+    m_p1, m_q1, m_p2, m_q2 = contact(p, 2), contact(q, 2), contact(p, 3), contact(q, 3)
+    report = {
+        "same_degree": d2 == d,
+        "distinct_points": p != q,
+        "components_smooth": smooth1 and smooth2,
+        "contact_pattern": (m_p1, m_q1, m_p2, m_q2) == (3 * d - 1, 1, 1, 3 * d - 1),
+        "contact_exhausts_bezout": m_p1 + m_q1 == 3 * d and m_p2 + m_q2 == 3 * d,
+        "pairwise_transversal": all(
+            mult == 1
+            for entry in fp.points.values()
+            for (a, _b), mult in entry["pairs"].items()
+            if a >= 1
+        ),
+        "empty_triple_intersection": not any(
+            {1, 2, 3} <= entry["incident"] for entry in fp.points.values()
+        ),
+    }
+    report["all"] = all(report.values())
     return report
-
-
-def _pair_transversal(a, b, tower):
-    try:
-        recs = intersection_points(a, b, tower)
-    except CommonComponent:
-        return False
-    return all(rec.multiplicity == 1 for rec in recs)
-
-
-def _triple_empty(l0, c1, c2, tower):
-    for rec in intersection_points(l0, c1, tower, multiplicities=False):
-        other = c2.embedded(rec.tower)
-        if other.evaluate(rec.point).is_zero():
-            return False
-    return True

@@ -924,14 +924,9 @@ def intersection_points(
         for rp in packets:
 
             def probe(tw, x0=rp.element):
-                pt = ProjPoint(tw, [x0.embedded(tw), tw.one(), tw.zero()])
-                if cc.embedded(tw).contains(pt) and dd.embedded(tw).contains(pt):
-                    return record(tw, pt)
-                return None
+                return record(tw, ProjPoint(tw, [x0.embedded(tw), tw.one(), tw.zero()]))
 
-            for _tw, rec in with_splitting(rp.tower, probe, tower.height):
-                if rec is not None:
-                    records.append(rec)
+            records.extend(rec for _tw, rec in with_splitting(rp.tower, probe, tower.height))
 
     # affine chart z = 1
     F = cc.dehomogenize(2)

@@ -351,17 +351,17 @@ def repro_appendix_triangle(extended=False, tower_budget=None):
 
 
 def _bigon_package(entry_data, r):
-    tw, e, p, q = bigon_points(entry_data, r)
+    """The bi-gon at radius r: its one fingerprint, its clauses and its specs."""
+    _tw, e, p, q = bigon_points(entry_data, r)
     c1, c2 = bigon_conics(e, p, q)
-    clauses = verify_bigon(e, c1, c2, e.origin_tangent, p, q)
-    spec_line, pair = bigon_spec(e, p, q, c1, c2, r, with_line=True)
+    fp = fingerprint([e.cubic, e.origin_tangent, c1, c2])
+    clauses = verify_bigon(fp, p, q)
+    spec_line, _ = bigon_spec(e, p, q, c1, c2, r, with_line=True)
     spec_bare, _ = bigon_spec(e, p, q, c1, c2, r, with_line=False)
     return {
-        "tower": tw,
         "structure": e,
         "P": p,
-        "Q": q,
-        "conics": (c1, c2),
+        "fingerprint": fp,
         "clauses": clauses,
         "spec_line": spec_line,
         "spec_bare": spec_bare,
@@ -388,18 +388,13 @@ def repro_clubsuit_d2(extended=False, tower_budget=None):
         got = torsion_order(pkg["spec_line"], WeightVector((2, 1)))
         rep.check("line-augmented-order-r%d" % r, bigon_parameters(2, r)["sum_order"], got)
     # fingerprints and admissibility for the rational pair
-    f = {}
-    for r in radii:
-        pkg = packages[r]
-        e = pkg["structure"]
-        c1, c2 = pkg["conics"]
-        f[r] = fingerprint([e.cubic, e.origin_tangent, c1, c2])
     pairs = [(4, 12)] if not extended else [
         (a, b) for i, a in enumerate(radii) for b in radii[i + 1 :]
     ]
     for a, b in pairs:
-        rep.check("fingerprints-equal-r%d-r%d" % (a, b), True, f[a] == f[b])
-        adm = admissible_permutations(f[a], f[b], [[1], [2, 3]])
+        fa, fb = packages[a]["fingerprint"], packages[b]["fingerprint"]
+        rep.check("fingerprints-equal-r%d-r%d" % (a, b), True, fa == fb)
+        adm = admissible_permutations(fa, fb, [[1], [2, 3]])
         rep.check("admissible-r%d-r%d" % (a, b), {(0, 1)}, adm)
         cert = distinguish(packages[a]["spec_line"], packages[b]["spec_line"], [(0, 1)])
         rep.certificate("pair-r%d-r%d" % (a, b), cert)

@@ -7,6 +7,9 @@ through ``polar_curve`` as the reference for the gradient route, and it
 evaluates every form with ``form_value`` rather than with the package.
 ``weighted_invariants`` reads a spec's components and sums their classes
 with ``TorsionClass`` arithmetic, never with the spec's compiled rows.
+``bigon_clauses`` keeps the bi-gon clauses' former route, direct Fulton
+multiplicities and one ``intersection_points`` sweep per pair, as the
+reference for ``verify_bigon``'s reading of the fingerprint.
 """
 
 from fractions import Fraction
@@ -309,3 +312,37 @@ def polar_residual(cubic, line, p, q):
     else:
         a, b, B = value(polar_curve(cubic, p), q), -value(polar_curve(cubic, q), p), q
     return ProjPoint(cubic.tower, [a * x + b * y for x, y in zip(p.coords, B.coords)])
+
+
+def bigon_clauses(cubic, l0, c1, c2, p, q):
+    """The clauses of ``verify_bigon`` computed curve by curve.
+
+    The contact multiplicities at p and q are direct Fulton calls,
+    transversality reads every record of ``intersection_points`` for each
+    pair of l0, c1, c2, and the triple test evaluates c2 at every point of
+    l0 . c1.
+    """
+    from maxflex.geometry import intersection_multiplicity, intersection_points, is_smooth_curve
+
+    tower = cubic.tower
+    d = c1.degree
+    m_p1, m_q1 = intersection_multiplicity(cubic, c1, p), intersection_multiplicity(cubic, c1, q)
+    m_p2, m_q2 = intersection_multiplicity(cubic, c2, p), intersection_multiplicity(cubic, c2, q)
+    report = {
+        "same_degree": c2.degree == d,
+        "distinct_points": p != q,
+        "components_smooth": is_smooth_curve(c1) and is_smooth_curve(c2),
+        "contact_pattern": (m_p1, m_q1, m_p2, m_q2) == (3 * d - 1, 1, 1, 3 * d - 1),
+        "contact_exhausts_bezout": m_p1 + m_q1 == 3 * d and m_p2 + m_q2 == 3 * d,
+        "pairwise_transversal": all(
+            rec.multiplicity == 1
+            for a, b in ((l0, c1), (l0, c2), (c1, c2))
+            for rec in intersection_points(a, b, tower)
+        ),
+        "empty_triple_intersection": not any(
+            c2.embedded(rec.tower).evaluate(rec.point).is_zero()
+            for rec in intersection_points(l0, c1, tower, multiplicities=False)
+        ),
+    }
+    report["all"] = all(report.values())
+    return report

@@ -2,18 +2,25 @@
 
 import json
 
+import pytest
+
+import maxflex.combinatorics
+import maxflex.reproductions
 from maxflex import (
     QQ,
+    CommonComponent,
     PlaneCurve,
     ProjPoint,
     UniPoly,
     admissible_permutations,
     check_incidence,
     fingerprint,
+    run_reproduction,
     verify_bigon,
 )
 from maxflex.catalog import bigon_conics, bigon_points, catalog_entry
 from maxflex.combinatorics import _point_key
+from oracles import bigon_clauses
 
 
 def cyclic_cubic():
@@ -157,19 +164,58 @@ def test_check_incidence_flags_concurrent_lines():
     assert report["concurrent_line_triples"] == [(0, 1, 2)]
 
 
+def bigon_fingerprint(e, c1, c2):
+    return fingerprint([e.cubic, e.origin_tangent, c1, c2])
+
+
 def test_verify_bigon_clauses_pass():
     e, p, q, c1, c2 = bigon_package(4)
-    report = verify_bigon(e, c1, c2, e.origin_tangent, p, q)
+    report = verify_bigon(bigon_fingerprint(e, c1, c2), p, q)
     assert report["all"]
     assert report["contact_pattern"] and report["pairwise_transversal"]
     assert report["empty_triple_intersection"]
 
 
-def test_verify_bigon_rejects_equal_conics():
+@pytest.mark.parametrize("r", [4, 12])
+def test_verify_bigon_matches_the_curve_by_curve_oracle(r):
+    e, p, q, c1, c2 = bigon_package(r)
+    fp = bigon_fingerprint(e, c1, c2)
+    assert verify_bigon(fp, p, q) == bigon_clauses(e.cubic, e.origin_tangent, c1, c2, p, q)
+    # with P and Q swapped each conic has the wrong contact at each point
+    fp_report = verify_bigon(fp, q, p)
+    oracle = bigon_clauses(e.cubic, e.origin_tangent, c1, c2, q, p)
+    assert fp_report == oracle
+    assert not fp_report["contact_pattern"] and not fp_report["all"]
+
+
+def test_equal_conics_share_a_component():
     e, p, q, c1, c2 = bigon_package(4)
-    report = verify_bigon(e, c1, c1, e.origin_tangent, p, q)
-    assert not report["all"]
-    assert not report["contact_pattern"]
+    with pytest.raises(CommonComponent):
+        fingerprint([e.cubic, e.origin_tangent, c1, c1])
+
+
+def test_verify_bigon_runs_no_second_sweep(monkeypatch):
+    e, p, q, c1, c2 = bigon_package(4)
+    fp = bigon_fingerprint(e, c1, c2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_bigon swept the curves again")
+
+    for name in ("intersection_points", "intersection_multiplicity", "is_smooth_curve"):
+        monkeypatch.setattr(maxflex.combinatorics, name, refuse)
+    assert verify_bigon(fp, p, q)["all"]
+
+
+def test_clubsuit_d2_builds_one_fingerprint_per_radius(monkeypatch):
+    built = []
+
+    def counting(pieces, tower=None):
+        built.append(len(pieces))
+        return fingerprint(pieces, tower)
+
+    monkeypatch.setattr(maxflex.reproductions, "fingerprint", counting)
+    assert run_reproduction("clubsuit-d2").ok
+    assert built == [4, 4]  # radii 4 and 12
 
 
 def test_point_key_separates_when_u_plus_7v_is_rational():
