@@ -109,9 +109,11 @@ def _cmd_realize(args):
     name = args.recipe
     if name == "fermat-witness":
         witness = fermat_witness(args.tower_budget or DEFAULT_DEGREE_CAP)
+        curves = [witness["structure"].cubic] + list(witness["lines"])
         payload = {
             "tower": witness["tower"].to_data(),
-            "lines": [l.to_data() for l in witness["lines"]],
+            # in fingerprint order: the Fermat cubic, then the six lines
+            "curves": [c.to_data() for c in curves],
             "triangle_vertices": [v.to_data() for v in witness["triangle"].vertices],
         }
     elif name.startswith("bigon-r") and name[len("bigon-r"):].isdecimal():

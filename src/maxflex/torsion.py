@@ -15,7 +15,8 @@ the span of the classes (``ArrangementSpec.class_points``), after which
 every weighted order is a lattice computation read off that map.  A spec
 compiles its lattice once, when it is built, into one integer row per
 component, so n_a and the class of a weight vector come from one pass
-over the rows (``_orders``).
+over the rows (``_orders``), and the box tables of ``distinguish`` from one
+pass per weight box (``_order_table``); it sorts each multiset once per coset.
 """
 
 from __future__ import annotations
@@ -196,6 +197,7 @@ class ArrangementSpec:
             x, y = (0, 0) if c.cls is None else c.cls.coords
             rows.append((c.m, c.degree, f * x, f * y))
         self._rows = tuple(rows)
+        self._signatures = tuple(c.signature() for c in self.components)
 
     def _validate(self):
         for comp in self.components:
@@ -227,7 +229,7 @@ class ArrangementSpec:
         return lcm(*(c.m for c in self.components))
 
     def signatures(self):
-        return tuple(c.signature() for c in self.components)
+        return self._signatures
 
     def uniform_gcd(self):
         """gcd of all intersection multiplicities and all component degrees."""
@@ -448,13 +450,7 @@ def _torsion_order(spec, weights):
     """(n_a, order) of the weights: ``cover_order`` and ``torsion_order``."""
     na, x, y = _orders(spec, weights)
     if spec.has_abstract:
-        mod = spec.lattice_modulus()
-        order = mod // gcd(x, y, mod)
-        if spec.has_geometric and _class_point_order(spec, (x % mod, y % mod), na) != order:
-            raise BackendDisagreement(
-                "backends disagree on the order of %r" % (TorsionClass(mod, (x, y)),)
-            )
-        return na, order
+        return na, _class_order(spec, na, x, y)
     if not spec.has_geometric:
         raise ValueError("spec carries no backend")
     e = spec.structure
@@ -469,6 +465,17 @@ def _torsion_order(spec, weights):
     if found is None:
         raise BackendDisagreement("geometric order exceeds the cover order bound")
     return na, found
+
+
+def _class_order(spec, na, x, y):
+    """N // gcd(x, y, N), checked on the class -> point map with both backends."""
+    mod = spec._modulus
+    order = mod // gcd(x, y, mod)
+    if spec.has_geometric and _class_point_order(spec, (x % mod, y % mod), na) != order:
+        raise BackendDisagreement(
+            "backends disagree on the order of %r" % (TorsionClass(mod, (x, y)),)
+        )
+    return order
 
 
 def _class_point_order(spec, coords, bound):
@@ -712,8 +719,23 @@ def self_admissible(spec):
     return out
 
 
-def _order_table(spec, vectors):
-    return {v: _torsion_order(spec, v)[1] for v in vectors}
+def _order_table(spec, box):
+    """{a: ord(tau(a))} for the nonzero a in product(range(box), repeat=k): one
+    comprehension per row extends every prefix's (gcd a_j m_j, sum a_j d_j,
+    sum a_j fx_j, sum a_j fy_j), and n_a = 0 marks the zero vector.  A
+    geometry-only spec sums points once per primitive vector."""
+    if not spec.has_abstract:
+        return {v: _torsion_order(spec, v)[1] for v in weight_vectors(spec.k, box)}
+    sums = [(0, 0, 0, 0)]
+    for m, d, fx, fy in spec._rows:
+        sums = [(gcd(g, a * m), s + a * d, sx + a * fx, sy + a * fy)
+                for g, s, sx, sy in sums for a in range(box)]
+    table = {}
+    for v, (g, s, sx, sy) in zip(product(range(box), repeat=spec.k), sums):
+        na = gcd(g, s)
+        if na:
+            table[v] = _class_order(spec, na, sx // na, sy // na)
+    return table
 
 
 def distinguish(spec1, spec2, admissible):
@@ -764,23 +786,26 @@ def distinguish(spec1, spec2, admissible):
 
     box = max(spec1.weight_box(), spec2.weight_box())
     vectors = weight_vectors(k, box)
-    t1 = _order_table(spec1, vectors)
-    t2 = _order_table(spec2, vectors)
+    t1 = _order_table(spec1, box)
+    t2 = _order_table(spec2, box)
 
     # multiset witness over the signature-preserving self sets.  The tables
     # are read with plain index tuples: entry j of a.permuted(r) is a[inv_r[j]]
-    # and of a.permuted(rho).permuted(r) is a[inv_rho[inv_r[j]]].
+    # and of a.permuted(rho).permuted(r) is a[inv_rho[inv_r[j]]].  Distinct r
+    # give distinct tuples, so m2 is sorted once per a0 and set (per coset).
     s1 = self_admissible(spec1)
     s2 = self_admissible(spec2)
     take1 = [_inv(r1) for r1 in s1]
     take2 = {}
     for rho0 in admissible:
         inv = _inv(rho0)
-        take2[rho0] = [tuple([inv[i] for i in _inv(r2)]) for r2 in s2]
+        take2[rho0] = frozenset(tuple([inv[i] for i in _inv(r2)]) for r2 in s2)
+    cosets = set(take2.values())
     for a0 in vectors:
         m1 = sorted([t1[tuple([a0[i] for i in ix])] for ix in take1])
+        m2s = {ixs: sorted([t2[tuple([a0[i] for i in ix])] for ix in ixs]) for ixs in cosets}
         for rho0 in admissible:
-            m2 = sorted([t2[tuple([a0[i] for i in ix])] for ix in take2[rho0]])
+            m2 = m2s[take2[rho0]]
             if m1 != m2:
                 _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2)
                 return ZariskiCertificate(

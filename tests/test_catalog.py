@@ -29,7 +29,8 @@ from maxflex.catalog import (
     fermat_witness,
     fermat_witness_spec,
 )
-from maxflex.torsion import weight_vectors
+from maxflex import torsion
+from maxflex.torsion import _order_table, _torsion_order, weight_vectors
 
 
 def test_90c3_designated_flex_is_found():
@@ -67,6 +68,51 @@ def test_backend_agreement_over_the_search_box():
         geometric = ArrangementSpec(3, bare, structure=e)
         for w in weight_vectors(spec.k, spec.weight_box()):
             assert torsion_order(spec, w) == torsion_order(geometric, w), w
+
+
+def _bigon_specs():
+    """The four catalog bi-gon specs, r = 4 and 12 with and without the line,
+    each carrying both backends; built afresh, so no class map is shared."""
+    entry = catalog_entry("90c3").build(64)
+    specs = []
+    for r in (4, 12):
+        _tw, e, p, q = bigon_points(entry, r)
+        c1, c2 = bigon_conics(e, p, q)
+        for with_line in (True, False):
+            specs.append(bigon_spec(e, p, q, c1, c2, r, with_line=with_line)[0])
+    return specs
+
+
+def test_box_table_cross_checks_every_entry_once(monkeypatch):
+    # the box table agrees with the per-vector route and, with both
+    # backends, walks the class -> point map once per nonzero entry
+    calls = []
+    real = torsion._class_point_order
+    monkeypatch.setattr(
+        torsion, "_class_point_order", lambda *args: calls.append(args) or real(*args)
+    )
+    for spec in _bigon_specs():
+        assert spec.has_abstract and spec.has_geometric
+        box = spec.weight_box()
+        del calls[:]
+        table = _order_table(spec, box)
+        assert len(calls) == len(table) == box ** spec.k - 1
+        for v in weight_vectors(spec.k, box):
+            assert table[v] == _torsion_order(spec, v)[1], v
+
+
+def test_box_table_catches_a_corrupted_class_map_entry():
+    # mutant: one class some weight vector reaches is sent to the origin in
+    # the verified class -> point map; the box table's cross-check refuses it
+    spec = _bigon_specs()[2]  # r = 12 with the line
+    mod = spec.lattice_modulus()
+    for v in weight_vectors(spec.k, spec.weight_box()):
+        _na, x, y = torsion._orders(spec, v)
+        if (x % mod, y % mod) != (0, 0):
+            break
+    spec.class_points()[(x % mod, y % mod)] = spec.structure.origin
+    with pytest.raises(BackendDisagreement, match="backends disagree"):
+        distinguish(spec, spec, [tuple(range(spec.k))])
 
 
 def _relabelled_r12_line_spec(coords):

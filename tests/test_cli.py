@@ -7,6 +7,7 @@ import pytest
 from maxflex import cover_order, splitting_number, torsion_order, uniform_group
 from maxflex.catalog import fermat_witness, fermat_witness_spec
 from maxflex.cli import invariant_table, main
+from maxflex.combinatorics import fingerprint
 from maxflex.torsion import ArrangementSpec, weight_vectors
 
 
@@ -126,6 +127,20 @@ def test_realize_and_fingerprint_round_trip(capsys, tmp_path):
     assert out1 == out2
     data = json.loads(out1.strip().splitlines()[-1])
     assert data["pieces"][0] == [3, True]
+
+
+def test_realize_fermat_witness_feeds_fingerprint(capsys, tmp_path):
+    # the witness file lists the Fermat cubic and its six lines under
+    # ``curves``, in fingerprint order, so ``fingerprint`` reads it as is
+    path = tmp_path / "fw.json"
+    code, out, _ = run_cli(capsys, "realize", "fermat-witness", "--out", str(path))
+    assert code == 0
+    assert set(json.loads(out)) == {"tower", "curves", "triangle_vertices"}
+    code, out, _ = run_cli(capsys, "fingerprint", str(path))
+    assert code == 0
+    witness = fermat_witness()
+    pieces = [witness["structure"].cubic] + list(witness["lines"])
+    assert out == fingerprint(pieces, witness["tower"]).canonical() + "\n"
 
 
 def test_realize_unknown_recipe(capsys):

@@ -1,8 +1,10 @@
 """The invariant calculus over the abstract lattice and its geometric twin."""
 
+import ast
 import random
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,15 @@ from maxflex import (
     uniform_group,
     weil_exponent,
 )
-from maxflex.torsion import GroupDescriptor, lattice_span, self_admissible, weight_vectors
+from maxflex import torsion
+from maxflex.torsion import (
+    GroupDescriptor,
+    _order_table,
+    _torsion_order,
+    lattice_span,
+    self_admissible,
+    weight_vectors,
+)
 
 from oracles import brute_order, lattice_subgroup, weighted_invariants
 
@@ -501,30 +511,95 @@ def _first_multiset_witness(spec1, spec2, admissible):
 
 def test_multiset_search_matches_its_definition():
     # tangents and triangles in random positions: a self set that is not
-    # normal in S3 makes the order in which the permutations act matter
+    # normal in S_k makes the order in which the permutations act matter.
+    # distinguish sorts m2 once per set of index tuples, the coset s2 rho,
+    # so some admissible lists hold r rho beside rho for an r in s2 (the
+    # set repeats) and some repeat an entry outright
     rng = random.Random(5)
-    found = 0
-    for _ in range(60):
-        specs = []
-        for _ in range(2):
-            comps = []
-            for j in range(3):
-                cls = TorsionClass(9, (3 * rng.randrange(3), 3 * rng.randrange(3)))
-                d = rng.choice((1, 3))
-                divisor = [("p%d_%d" % (j, i), 3) for i in range(d)]
-                comps.append(ComponentData(d, 3, divisor, cls))
-            specs.append(ArrangementSpec(3, comps))
-        admissible = rng.sample(list(permutations(range(3))), 2)
-        cert = distinguish(specs[0], specs[1], admissible)
-        want = _first_multiset_witness(specs[0], specs[1], admissible)
-        if cert.mode == "multiset-witness":
-            w = cert.witnesses
-            got = (w["base_weights"], w["pair_permutation"], w["multiset1"], w["multiset2"])
-            assert got == want
-            found += 1
-        elif cert.mode != "group-witness":
-            assert want is None
-    assert found
+    for k, rounds in ((3, 60), (4, 30)):
+        found = shared = 0
+        perms = list(permutations(range(k)))
+        for _ in range(rounds):
+            specs = []
+            for _ in range(2):
+                comps = []
+                for j in range(k):
+                    cls = TorsionClass(9, (3 * rng.randrange(3), 3 * rng.randrange(3)))
+                    d = rng.choice((1, 3))
+                    divisor = [("p%d_%d" % (j, i), 3) for i in range(d)]
+                    comps.append(ComponentData(d, 3, divisor, cls))
+                specs.append(ArrangementSpec(3, comps))
+            rho, other = rng.sample(perms, 2)
+            r = rng.choice(self_admissible(specs[1]))
+            twin = tuple(r[i] for i in rho)
+            shared += twin != rho
+            admissible = rng.choice(
+                (rng.sample(perms, 2), [rho, other, twin], [other, twin, rho], [rho, rho, other])
+            )
+            cert = distinguish(specs[0], specs[1], admissible)
+            want = _first_multiset_witness(specs[0], specs[1], admissible)
+            if cert.mode == "multiset-witness":
+                w = cert.witnesses
+                got = (w["base_weights"], w["pair_permutation"], w["multiset1"], w["multiset2"])
+                assert got == want
+                found += 1
+            elif cert.mode != "group-witness":
+                assert want is None
+        assert found and shared, k
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _workload_shapes():
+    """``SPEC_SHAPES`` of the abstract-specs benchmark, read from its source."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "SPEC_SHAPES":
+            return ast.literal_eval(node.value)
+    raise LookupError("SPEC_SHAPES not found")
+
+
+def _seeded_spec(rng, shape):
+    """A spec of the given (degree, m) shape with random classes, as the
+    abstract-specs benchmark draws them."""
+    lcm_m = lcm(*(m for _, m in shape))
+    mod = rng.choice([n for n in (4, 6, 9, 12) if n % lcm_m == 0])
+    comps = []
+    for j, (d, m) in enumerate(shape):
+        cls = TorsionClass(mod, (rng.randrange(mod), rng.randrange(mod))).scale(mod // m)
+        comps.append(ComponentData(d, m, [("c%d_%d" % (j, i), m) for i in range(3 * d // m)], cls))
+    return ArrangementSpec(3, comps)
+
+
+def test_box_table_matches_the_per_vector_orders():
+    rng = random.Random(11)
+    for shape in _workload_shapes():
+        for _ in range(3):
+            spec = _seeded_spec(rng, shape)
+            for box in (spec.weight_box(), spec.weight_box() + 1):
+                table = _order_table(spec, box)
+                zero = (0,) * spec.k
+                assert set(table) == set(product(range(box), repeat=spec.k)) - {zero}
+                assert set(weight_vectors(spec.k, box)) <= set(table)
+                for v, order in table.items():
+                    assert order == _torsion_order(spec, v)[1], (shape, v)
+
+
+def test_inconclusive_distinguish_takes_no_per_vector_route(monkeypatch):
+    # guard: the order tables come from one pass per spec, so an
+    # inconclusive search over abstract specs never reads one vector alone
+    def refuse(*args):
+        raise AssertionError("per-vector order route taken")
+
+    rng = random.Random(2)
+    pairs = [(tangent_triangle_spec(T1, T1.scale(2), T1),) * 2]
+    for shape in _workload_shapes():
+        spec = _seeded_spec(rng, shape)
+        pairs.append((spec, spec))
+    monkeypatch.setattr(torsion, "_orders", refuse)
+    monkeypatch.setattr(torsion, "_torsion_order", refuse)
+    for spec1, spec2 in pairs:
+        assert distinguish(spec1, spec2, self_admissible(spec1)).verdict == "inconclusive"
 
 
 def test_spec_serialization_round_trip(tmp_path):
