@@ -143,7 +143,7 @@ def _point_profiles(herd, tower):
     """Full local profiles of all pairwise intersection points.
 
     For each point of the union, determines the incident pieces and every
-    pairwise Fulton multiplicity at the point, working under local tower
+    pairwise local multiplicity at the point, working under local tower
     splitting: the membership and multiplicity computations force exactly
     the splits that separate accidentally-merged conjugate packets.  Points
     are deduplicated across pair sweeps by minimal-polynomial keys.
@@ -159,11 +159,10 @@ def _point_profiles(herd, tower):
 
                 def profile(tw, rec=rec):
                     pt = rec.point.embedded(tw)
-                    incident = [k for k in range(n) if herd[k].embedded(tw).evaluate(pt).is_zero()]
+                    pieces = [piece.embedded(tw) for piece in herd]
+                    incident = [k for k in range(n) if pieces[k].evaluate(pt).is_zero()]
                     pairs = {
-                        (a, b): intersection_multiplicity(
-                            herd[a].embedded(tw), herd[b].embedded(tw), pt
-                        )
+                        (a, b): intersection_multiplicity(pieces[a], pieces[b], pt)
                         for a, b in combinations(incident, 2)
                     }
                     return pt, incident, pairs

@@ -2,16 +2,19 @@
 
 Curves are homogeneous forms in (x, y, z) with coefficients in a FieldTower.
 The module provides Hessians and flexes, tangent lines, the chord-tangent
-group law of a smooth cubic with a flex origin, Fulton's recursive
-intersection multiplicity, local branch expansions at smooth points, and
-interpolation of curves through prescribed tangency divisors.
+group law of a smooth cubic with a flex origin, intersection multiplicities
+(one where the tangents differ, Fulton's recursion elsewhere), local branch
+expansions at smooth points, and interpolation of curves through prescribed
+tangency divisors.
 
 The group law rests on one residual: a line meeting the cubic C in p + q + r
 gives r = (grad C(q).p) p - (grad C(p).q) q for p != q, two polar values
 weighting the known points (Fulton, Algebraic Curves, section 5).  Each
 polar value is a dot product of a gradient with a point, so the law takes
 one gradient per point, and it reads C(x) off Euler's relation
-grad C(x).x = 3 C(x), exact in characteristic zero.
+grad C(x).x = 3 C(x), exact in characteristic zero.  The gradient at the
+origin is kept with the structure, and a doubling reuses the gradient of
+its tangent.
 
 Operations are pure; anything that has to invert a tower element may raise
 ZeroDivisorEncountered, which callers handle by splitting the tower.
@@ -533,7 +536,12 @@ def hessian(c):
 
 
 def tangent_line(c, p):
-    """The tangent line of c at a smooth point p on c.
+    """The tangent line of c at a smooth point p on c."""
+    return PlaneCurve.line(c.tower, _tangent_gradient(c, p))
+
+
+def _tangent_gradient(c, p):
+    """grad c(p), the coefficients of the tangent line at a smooth point p on c.
 
     The one gradient serves both checks: p is on c when grad c(p).p = 0
     (Euler's relation; a nonzero constant form contains no point).
@@ -543,7 +551,7 @@ def tangent_line(c, p):
         raise LineNotIncident("point is not on the curve")
     if all(g.is_zero() for g in grad):
         raise SingularPoint("gradient vanishes at the point")
-    return PlaneCurve.line(c.tower, grad)
+    return grad
 
 
 def polar_curve(c, q):
@@ -614,10 +622,11 @@ class EllipticStructure:
 
     Construction certifies smoothness, membership of the origin, and maximal
     tangency of the inflectional tangent (the tangent meets the cubic only at
-    the origin).
+    the origin).  The gradient at the origin, whose entries are the
+    tangent's coefficients, is kept for every step of the group law.
     """
 
-    __slots__ = ("cubic", "origin", "origin_tangent")
+    __slots__ = ("cubic", "origin", "origin_tangent", "origin_gradient")
 
     def __init__(self, cubic, origin, check=True):
         if cubic.degree != 3:
@@ -629,14 +638,16 @@ class EllipticStructure:
                 raise SingularPoint("cubic is not smooth")
             if not cubic.contains(origin):
                 raise LineNotIncident("origin is not on the cubic")
-        tangent = tangent_line(cubic, origin)
+        grad = _tangent_gradient(cubic, origin)
+        tangent = PlaneCurve.line(cubic.tower, grad)
         if check:
-            residual = _third_intersection(cubic, tangent, origin, origin)
+            residual = _third_intersection(cubic, tangent, origin, origin, grad, grad)
             if residual != origin:
                 raise WrongFlex("tangent at origin is not maximal")
         self.cubic = cubic
         self.origin = origin
         self.origin_tangent = tangent
+        self.origin_gradient = grad
 
     @property
     def tower(self):
@@ -676,7 +687,7 @@ def _line_frame(line):
     raise ValueError("degenerate line coefficients")
 
 
-def _third_intersection(cubic, line, p, q):
+def _third_intersection(cubic, line, p, q, gp=None, gq=None):
     """The residual point r with line . cubic = p + q + r as divisors.
 
     On the line through A and B, C(sA + tB) = C(A) s^3 + (grad C(A).B) s^2 t
@@ -686,12 +697,15 @@ def _third_intersection(cubic, line, p, q):
     r = C(B) p - (grad C(B).p) B.  Each polar value grad C(x).y is a dot
     product with the gradient at x, taken once per point, and C(x) is read
     off Euler's relation grad C(x).x = 3 C(x); that also decides whether x
-    is on the cubic.
+    is on the cubic.  A caller that holds grad C(p) or grad C(q) already
+    passes it as ``gp`` or ``gq``; the checks run on it all the same.
     """
     if not line.contains(p) or not line.contains(q):
         raise LineNotIncident("point off the line")
-    gp = cubic.gradient(p)
-    gq = gp if q is p else cubic.gradient(q)
+    if gp is None:
+        gp = cubic.gradient(p)
+    if gq is None:
+        gq = gp if q is p else cubic.gradient(q)
     if not _polar_value(gp, p).is_zero() or not _polar_value(gq, q).is_zero():
         raise LineNotIncident("point off the cubic")
     if p == q:
@@ -714,26 +728,34 @@ def line_cubic_residual(e, line, p, q):
     return _third_intersection(cubic, line, p, q)
 
 
-def _chord(cubic, p, q):
-    if p == q:
-        return tangent_line(cubic, p)
-    return line_through(p, q)
-
-
 def ec_add(e, p, q):
-    """Chord-tangent sum on the cubic with the structure's flex as origin."""
+    """Chord-tangent sum on the cubic with the structure's flex as origin.
+
+    A doubling hands the tangent's gradient at p on to the residual, and
+    the step through the origin reads the structure's origin gradient.
+    """
     cubic = e.cubic
-    line1 = _chord(cubic, p, q)
-    r = _third_intersection(cubic, line1, p, q)
-    line2 = _chord(cubic, r, e.origin)
-    return _third_intersection(cubic, line2, r, e.origin)
+    if p == q:
+        gp = _tangent_gradient(cubic, p)
+        r = _third_intersection(cubic, PlaneCurve.line(cubic.tower, gp), p, q, gp, gp)
+    else:
+        r = _third_intersection(cubic, line_through(p, q), p, q)
+    return _origin_residual(e, r)
 
 
 def ec_neg(e, p):
     if p == e.origin:
         return p
-    line = _chord(e.cubic, p, e.origin)
-    return _third_intersection(e.cubic, line, p, e.origin)
+    return _origin_residual(e, p)
+
+
+def _origin_residual(e, r):
+    """The third point of the cubic on the line through r and the origin,
+    which is the origin tangent when r is the origin."""
+    g0 = e.origin_gradient
+    if r == e.origin:
+        return _third_intersection(e.cubic, e.origin_tangent, r, e.origin, g0, g0)
+    return _third_intersection(e.cubic, line_through(r, e.origin), r, e.origin, gq=g0)
 
 
 def ec_mul(e, n, p):
@@ -783,15 +805,28 @@ def point_order(e, p, bound):
 # ---------------------------------------------------------------------------
 
 def intersection_multiplicity(c, d, p):
-    """Fulton's recursive intersection number of c and d at p.
+    """The intersection number of c and d at p.
 
-    The curves are dehomogenized in the canonical chart of p and translated
-    so p becomes the origin; the recursion then runs on the affine forms.
-    A count past the Bezout number deg(c) * deg(d) can only come from a
-    shared component through p, which raises CommonComponent.
+    Where p is smooth on both curves, the number is one exactly when their
+    tangent lines differ (Fulton, Algebraic Curves, section 3.3, property
+    (5)): p is on a curve when grad C(p).p = 0 (Euler's relation), and two
+    gradients that are not proportional have a nonzero cross product.
+    Everywhere else Fulton's recursion decides: the curves are
+    dehomogenized in the canonical chart of p and translated so p becomes
+    the origin, and the recursion runs on the affine forms.  A count past
+    the Bezout number deg(c) * deg(d) can only come from a shared component
+    through p, which raises CommonComponent.
     """
     if c.tower != d.tower or p.tower != c.tower:
         raise ValueError("curve/point towers differ")
+    gc = c.gradient(p)
+    gd = d.gradient(p)
+    if (
+        _polar_value(gc, p).is_zero()
+        and _polar_value(gd, p).is_zero()
+        and not all(x.is_zero() for x in cross(gc, gd))
+    ):
+        return 1
     chart = p.chart
     u0, v0 = p.affine()
     F = c.dehomogenize(chart).translate(u0, v0)

@@ -347,7 +347,7 @@ class ArrangementSpec:
         data = read_json(path, "spec file")
         with malformed("spec file %s" % path):
             spec = cls.from_data(data)
-            admissible = [tuple(p) for p in data.get("admissible", [])]
+            admissible = _admissible_tuples(data.get("admissible", []), spec.k)
         return spec, admissible
 
 
@@ -749,12 +749,13 @@ def distinguish(spec1, spec2, admissible):
     Each witness returned is evaluated once more by a brute route that reads
     only the components, and BackendDisagreement is raised if it disagrees.
     """
-    admissible = [tuple(p) for p in admissible]
+    admissible = list(admissible)
     if not admissible:
         raise EmptyAdmissibleSet("no admissible permutations supplied")
     if spec1.k != spec2.k:
         raise ValueError("component counts differ")
     k = spec1.k
+    admissible = _admissible_tuples(admissible, k)
 
     # uniform group witnesses need both abstract backends
     if spec1.has_abstract and spec2.has_abstract:
@@ -829,6 +830,21 @@ def distinguish(spec1, spec2, admissible):
         )
 
     return ZariskiCertificate(None, "inconclusive", {"searched_box": box})
+
+
+def _admissible_tuples(admissible, k):
+    """The entries of an admissible set as tuples.
+
+    ValueError unless every entry is a permutation of range(k): the
+    searches index the weight vectors with them.
+    """
+    out = []
+    for entry in admissible:
+        perm = tuple(entry)
+        if any(type(i) is not int for i in perm) or sorted(perm) != list(range(k)):
+            raise ValueError("admissible entry %r is not a permutation of range(%d)" % (entry, k))
+        out.append(perm)
+    return out
 
 
 def _inv(perm):

@@ -179,6 +179,27 @@ def test_distinguish_without_admissible_permutations_is_a_spec_error(capsys, tmp
     assert err.startswith("error: spec files declare no admissible permutations")
 
 
+@pytest.mark.parametrize("entry", [[0, 0], [0, 1, 2]], ids=["repeated", "too-long"])
+def test_distinguish_with_an_entry_that_is_no_permutation_is_a_spec_error(
+    capsys, tmp_path, entry
+):
+    spec = {
+        "d0": 3,
+        "components": [
+            {"degree": 1, "m": 3, "class": [3, 0], "modulus": 9, "divisor": [["p", 3]]},
+            {"degree": 1, "m": 3, "class": [6, 0], "modulus": 9, "divisor": [["q", 3]]},
+        ],
+        "admissible": [entry],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "distinguish", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed spec file %s: ValueError: " % path)
+    assert "is not a permutation of range(2)" in err
+
+
 def test_invariants_on_spec_without_components_is_a_spec_error(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"d0": 3}))

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -32,10 +32,12 @@ from maxflex import (
     line_cubic_residual,
     line_through,
     point_order,
+    run_reproduction,
     tangent_line,
 )
-from maxflex.fields import TowerElement
-from maxflex.geometry import _series_eval_bipoly, _third_intersection, is_smooth_curve
+from maxflex import geometry
+from maxflex.fields import TowerElement, with_splitting
+from maxflex.geometry import _fulton, _series_eval_bipoly, _third_intersection, is_smooth_curve
 from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
 from oracles import form_value, local_quotient_dimension, polar_residual
@@ -295,6 +297,41 @@ def test_fulton_refuses_a_shared_component_other_than_v():
         intersection_multiplicity(F, G, origin)
     with pytest.raises(CommonComponent):
         intersection_multiplicity(G, F, origin)
+
+
+def _fulton_at(c, d, p):
+    """Fulton's recursion at p called directly, past the tangent rule."""
+    u0, v0 = p.affine()
+    F = c.dehomogenize(p.chart).translate(u0, v0)
+    G = d.dehomogenize(p.chart).translate(u0, v0)
+    return _fulton(F, G, c.tower, c.degree * d.degree)
+
+
+@pytest.mark.parametrize(
+    "r, cap",
+    [(4, 64), (12, 64), (4, 128), (8, 128), (12, 128), (24, 128)],
+    ids=["default-r4", "default-r12", "extended-r4", "extended-r8", "extended-r12", "extended-r24"],
+)
+def test_tangent_rule_matches_fulton_on_the_bigon_arrangements(r, cap):
+    """Every intersection point of the clubsuit-d2 arrangements (cubic,
+    flex tangent, two conics), at the default and the extended radii and
+    caps: the tangent rule answers most of them, so Fulton stays checked
+    on the points it no longer serves."""
+    entry = catalog.catalog_entry("90c3").build(cap)
+    _tower, e, p, q = catalog.bigon_points(entry, r)
+    pieces = [e.cubic, e.origin_tangent, *catalog.bigon_conics(e, p, q)]
+    seen = set()
+    for i, j in combinations(range(len(pieces)), 2):
+        for rec in intersection_points(pieces[i], pieces[j], e.tower, multiplicities=False):
+
+            def both(tw, rec=rec, c=pieces[i], d=pieces[j]):
+                pt, c, d = rec.point.embedded(tw), c.embedded(tw), d.embedded(tw)
+                return intersection_multiplicity(c, d, pt), _fulton_at(c, d, pt)
+
+            for _tw, (fast, slow) in with_splitting(rec.tower, both, e.tower.height):
+                assert fast == slow
+                seen.add(slow)
+    assert seen == {1, 3, 5}  # crossings, the flex tangent and the conic contacts
 
 
 def _homogenize(terms):
@@ -715,3 +752,38 @@ def test_ec_add_multiplication_count_on_the_halving_tower(monkeypatch):
     for a, b in [(p, q), (p, p), (q, q), (q, p)]:
         ec_add(e, a, b)
     assert 0 < count[0] <= 1758 // 2
+
+
+def test_clubsuit_d2_runs_fulton_only_where_tangents_meet(monkeypatch):
+    """A count, not a timing: the default run's fingerprint sweeps made 44
+    Fulton calls before the tangent rule, 30 of them at plain crossings."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _fulton(*args)
+
+    monkeypatch.setattr(geometry, "_fulton", counted)
+    assert run_reproduction("clubsuit-d2").ok
+    assert 0 < calls[0] <= 14
+
+
+def test_ec_add_takes_three_gradients_on_the_halving_tower(monkeypatch):
+    """One gradient per point of the law: a doubling reuses the tangent's,
+    and every step through the origin reads the structure's.  Before, a
+    doubling took 5 and a chord 4."""
+    e, (p, q, _double, _origin) = catalog_shape("t4-1")
+    calls = [0]
+    gradient = geometry.PlaneCurve.gradient
+
+    def counted(self, point):
+        calls[0] += 1
+        return gradient(self, point)
+
+    monkeypatch.setattr(geometry.PlaneCurve, "gradient", counted)
+    taken = []
+    for a, b in [(p, p), (p, q)]:
+        calls[0] = 0
+        ec_add(e, a, b)
+        taken.append(calls[0])
+    assert taken == [3, 3]

@@ -426,6 +426,15 @@ def test_distinguish_requires_admissible_set():
         distinguish(s4, s4, [])
 
 
+@pytest.mark.parametrize("entry", [[0, 0], [0, 1, 2]], ids=["repeated", "too-long"])
+def test_distinguish_refuses_an_entry_that_is_no_permutation(entry):
+    # two components: [0, 0] used to come back inconclusive, and [0, 1, 2]
+    # ended in an IndexError inside the order-witness search
+    spec = triangle_spec(T1, T1)
+    with pytest.raises(ValueError, match="is not a permutation of range\\(2\\)"):
+        distinguish(spec, spec, [(0, 1), entry])
+
+
 def test_self_admissible_respects_signatures():
     s4 = tangent_triangle_spec(T1, T1.scale(2), T1)
     assert set(self_admissible(s4)) == {(0, 1, 2), (1, 0, 2)}
