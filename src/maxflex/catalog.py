@@ -20,8 +20,9 @@ from .geometry import (
     ProjPoint,
     ec_add,
     ec_mul,
-    flex_points,
+    hessian,
     interpolate_curve_with_divisor,
+    intersection_points,
     line_cubic_residual,
     tangent_line,
 )
@@ -290,9 +291,18 @@ def cyclic_triangle_chain(data):
 
 
 def cyclic_flex_origins(data):
-    """Flex origins of the cyclic cubic computable within the tower budget;
-    the packets past it are dropped."""
-    return flex_points(data["cubic"], data["tower"], on_budget="skip")
+    """One flex origin per conjugate packet of the cyclic cubic's flexes, as
+    (point, tower) pairs; the packets' orbits sum to nine.
+
+    Each origin is a generic root of its whole packet, adjoined as Q[x]/(m)
+    without factoring m.  By dynamic evaluation (Della Dora-Dicrescenzo-
+    Duval, EUROCAL '85), a computation that finishes over Q[x]/(m) without
+    meeting a zero divisor holds in every factor of m, so a check made at
+    the representative covers every flex of its packet.
+    """
+    c = data["cubic"]
+    records = intersection_points(c, hessian(c), data["tower"], multiplicities=False)
+    return [(rec.point, rec.tower) for rec in records]
 
 
 # ---------------------------------------------------------------------------

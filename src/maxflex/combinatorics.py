@@ -213,31 +213,27 @@ def fingerprint(pieces, tower=None):
     return fp
 
 
-def admissible_permutations(f1, f2, grouping1, grouping2=None):
+def admissible_permutations(f1, f2, grouping):
     """Degree- and incidence-preserving bijections of grouped components.
 
-    ``grouping1``/``grouping2`` list, per grouped component, the indices of
-    its pieces in the respective fingerprint (piece 0, the distinguished
-    curve, stays outside all groups).  Returns the set of group permutations
-    realizable by a piece bijection carrying every point record of f1 to one
-    of f2; a superset of the arrangement's admissible set, empty when the
-    fingerprints are not equivalent under the grouping.
+    ``grouping`` lists, per grouped component, the indices of its pieces in
+    both fingerprints (piece 0, the distinguished curve, stays outside all
+    groups).  Returns the set of group permutations realizable by a piece
+    bijection carrying every point record of f1 to one of f2; a superset of
+    the arrangement's admissible set, empty when the fingerprints are not
+    equivalent under the grouping.
     """
-    if grouping2 is None:
-        grouping2 = grouping1
-    k = len(grouping1)
-    if len(grouping2) != k:
-        return set()
+    k = len(grouping)
     if len(f1.piece_data) != len(f2.piece_data):
         return set()
     records2 = _record_multiset(f2)
     out = set()
-    sig1 = [_group_signature(f1, g) for g in grouping1]
-    sig2 = [_group_signature(f2, g) for g in grouping2]
+    sig1 = [_group_signature(f1, g) for g in grouping]
+    sig2 = [_group_signature(f2, g) for g in grouping]
     for rho in permutations(range(k)):
         if any(sig1[j] != sig2[rho[j]] for j in range(k)):
             continue
-        if _exists_piece_bijection(f1, f2, grouping1, grouping2, rho, records2):
+        if _exists_piece_bijection(f1, f2, grouping, rho, records2):
             out.add(tuple(rho))
     return out
 
@@ -260,11 +256,11 @@ def _record_multiset(f, sigma=None):
     return recs
 
 
-def _exists_piece_bijection(f1, f2, grouping1, grouping2, rho, records2):
+def _exists_piece_bijection(f1, f2, grouping, rho, records2):
     n = len(f1.piece_data)
     slots = []
-    for gi, group in enumerate(grouping1):
-        target = grouping2[rho[gi]]
+    for gi, group in enumerate(grouping):
+        target = grouping[rho[gi]]
         by_class1 = {}
         by_class2 = {}
         for i in group:

@@ -913,7 +913,6 @@ def intersection_points(
     tower=None,
     enumerate_conjugates=False,
     multiplicities=True,
-    on_budget="raise",
 ):
     """All intersection points of two curves over extensions of ``tower``.
 
@@ -922,9 +921,7 @@ def intersection_points(
     are the common roots of the restrictions to z = 0 in the chart y = 1, and
     [1:0:0] is checked on its own.  Each record carries an orbit count so
     that sum(multiplicity * orbit) equals the Bezout number deg(c) * deg(d).
-
-    ``on_budget`` may be "skip" to silently drop packets whose towers would
-    exceed the degree cap instead of raising BudgetExceeded.
+    A packet whose tower would exceed the degree cap raises BudgetExceeded.
     """
     tower = tower or c.tower
     cc = c.embedded(tower)
@@ -953,10 +950,7 @@ def intersection_points(
     else:
         common = poly_gcd(uf, ug)
     if common.degree >= 1:
-        packets = root_packets(
-            common, tower, enumerate_conjugates, name_hint="w", on_budget=on_budget
-        )
-        for rp in packets:
+        for rp in root_packets(common, tower, enumerate_conjugates, name_hint="w"):
 
             def probe(tw, x0=rp.element):
                 return record(tw, ProjPoint(tw, [x0.embedded(tw), tw.one(), tw.zero()]))
@@ -966,11 +960,11 @@ def intersection_points(
     # affine chart z = 1
     F = cc.dehomogenize(2)
     G = dd.dehomogenize(2)
-    records.extend(_affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record))
+    records.extend(_affine_sweep(F, G, tower, enumerate_conjugates, record))
     return records
 
 
-def _affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record):
+def _affine_sweep(F, G, tower, enumerate_conjugates, record):
     cols_f = F.v_columns()
     cols_g = G.v_columns()
     if len(cols_f) == 1 and len(cols_g) == 1:
@@ -985,8 +979,7 @@ def _affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record):
     if res.degree < 1:
         return []
     out = []
-    packets = root_packets(res, tower, enumerate_conjugates, name_hint="x", on_budget=on_budget)
-    for rp in packets:
+    for rp in root_packets(res, tower, enumerate_conjugates, name_hint="x"):
 
         def stage(ext, x0=rp.element):
             x = x0.embedded(ext)
@@ -1003,7 +996,7 @@ def _affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record):
             if h.degree < 1:
                 return []  # spurious resultant root
             found = []
-            for yp in root_packets(h, ext, enumerate_conjugates, name_hint="y", on_budget=on_budget):
+            for yp in root_packets(h, ext, enumerate_conjugates, name_hint="y"):
 
                 def measure(final, y0=yp.element, x=x):
                     pt = point_from_affine(final, 2, x.embedded(final), y0.embedded(final))
@@ -1017,18 +1010,17 @@ def _affine_sweep(F, G, tower, enumerate_conjugates, on_budget, record):
     return out
 
 
-def flex_points(c, tower=None, on_budget="raise"):
+def flex_points(c, tower=None):
     """Common zeros of a smooth cubic and its Hessian.
 
     Returns (point, tower) pairs, each flex in the (possibly extended) tower
-    it was found in; at most nine over the closure.  With on_budget="skip"
-    the conjugates whose towers would exceed the cap are dropped.
+    it was found in; at most nine over the closure.  Conjugates are
+    enumerated one by one, so a tower past the degree cap raises
+    BudgetExceeded.
     """
     tower = tower or c.tower
     h = hessian(c)
-    records = intersection_points(
-        c, h, tower, enumerate_conjugates=True, multiplicities=False, on_budget=on_budget
-    )
+    records = intersection_points(c, h, tower, enumerate_conjugates=True, multiplicities=False)
     return [(rec.point, rec.tower) for rec in records]
 
 

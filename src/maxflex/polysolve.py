@@ -330,19 +330,15 @@ class RootPacket:
         return "RootPacket(orbit=%d, tower=%r)" % (self.orbit, self.tower)
 
 
-def root_packets(f, tower, enumerate_conjugates=False, name_hint=None, on_budget="raise"):
+def root_packets(f, tower, enumerate_conjugates=False, name_hint=None):
     """Distinct roots of f over the closure of ``tower``.
 
     Multiplicities are dropped (take the squarefree part first if they
     matter).  With ``enumerate_conjugates`` the factors are peeled root by
-    root inside nested extensions (budget permitting); otherwise one
-    representative per adjoined squarefree factor is returned with its orbit
-    size.  A required extension past the degree cap raises BudgetExceeded,
-    or with on_budget="skip" ends the enumeration with the roots found so
-    far.
+    root inside nested extensions; otherwise one representative per adjoined
+    squarefree factor is returned with its orbit size.  A required extension
+    past the degree cap raises BudgetExceeded.
     """
-    from .errors import BudgetExceeded
-
     g = squarefree_part(f)
     out = []
     hint = name_hint or "r"
@@ -355,12 +351,7 @@ def root_packets(f, tower, enumerate_conjugates=False, name_hint=None, on_budget
             root = -(g.coefficient(0) / g.coefficient(1))
             out.append(RootPacket(root, tower, 1))
             break
-        try:
-            ext = tower.extend(g.monic(), name="%s%d" % (hint, tower.height))
-        except BudgetExceeded:
-            if on_budget == "skip":
-                break
-            raise
+        ext = tower.extend(g.monic(), name="%s%d" % (hint, tower.height))
         alpha = ext.generator()
         if not enumerate_conjugates:
             out.append(RootPacket(alpha, ext, g.degree))

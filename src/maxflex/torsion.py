@@ -496,16 +496,12 @@ def _class_point_order(spec, coords, bound):
 
 def splitting_number(spec, weights):
     """Predicted number of components of the pullback of D: n_a / ord(tau(a))."""
-    na, ord_tau = _torsion_order(spec, weights)
-    if na % ord_tau:
-        raise BackendDisagreement("class order does not divide the cover order")
-    return na // ord_tau
+    return invariant_row(spec, weights)[2]
 
 
 def invariant_row(spec, weights):
-    """(n_a, ord(tau(a)), splitting number) from one ``_torsion_order`` pass,
-    with ``splitting_number``'s check, repeated there because one call more
-    per row shows in the seeded invariant tables."""
+    """(n_a, ord(tau(a)), splitting number) from one ``_torsion_order`` pass;
+    n_a must be a multiple of the class order."""
     na, ord_tau = _torsion_order(spec, weights)
     if na % ord_tau:
         raise BackendDisagreement("class order does not divide the cover order")

@@ -36,7 +36,7 @@ from maxflex.torsion import _order_table, _torsion_order, weight_vectors
 def test_90c3_designated_flex_is_found():
     entry = catalog_entry("90c3").build(64)
     cubic = entry["structure"].cubic
-    flexes = flex_points(cubic, entry["tower"], on_budget="skip")
+    flexes = flex_points(cubic, entry["tower"])
     target = ProjPoint(entry["tower"], [0, 1, 0])
     assert any(tw == entry["tower"] and p == target for p, tw in flexes)
 

@@ -15,6 +15,7 @@ from maxflex import (
     extend_field,
     invert,
     poly_gcd,
+    root_packets,
     squarefree_part,
     with_splitting,
 )
@@ -84,6 +85,9 @@ def test_extend_rejects_over_budget():
     small = QQ.with_cap(4)
     with pytest.raises(BudgetExceeded):
         extend_field(small, UniPoly.from_rationals(small, [1, 0, 0, 0, 0, 1]))
+    # enumerating the roots of t^3 - 2 adjoins the quadratic cofactor too
+    with pytest.raises(BudgetExceeded, match="tower degree 6 exceeds cap 4"):
+        root_packets(qpoly(-2, 0, 0, 1), small, enumerate_conjugates=True)
 
 
 def test_invert_identity():

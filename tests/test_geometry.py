@@ -9,6 +9,7 @@ import pytest
 
 from maxflex import (
     QQ,
+    BudgetExceeded,
     CommonComponent,
     EllipticStructure,
     LineNotIncident,
@@ -73,11 +74,13 @@ def test_hessian_of_fermat_is_216_xyz():
 
 
 def test_hessian_vanishes_on_flexes():
+    # one record per conjugate packet; a zero test at the packet's generic
+    # root holds at every root, so this covers all nine flexes
     c = cyclic_cubic()
     h = hessian(c)
-    for p, tw in flex_points(c, QQ, on_budget="skip"):
-        hh = h.embedded(tw) if tw != QQ else h
-        assert hh.evaluate(p).is_zero()
+    for rec in intersection_points(c, h, QQ, multiplicities=False):
+        assert h.embedded(rec.tower).evaluate(rec.point).is_zero()
+        assert c.embedded(rec.tower).evaluate(rec.point).is_zero()
 
 
 def test_hessian_commutes_with_coordinate_rotation():
@@ -105,11 +108,16 @@ def test_fermat_has_the_nine_stated_flexes():
     assert families == {0: 3, 1: 3, 2: 3}
 
 
-def test_cyclic_flex_count_within_budget():
-    flexes = flex_points(cyclic_cubic(), QQ.with_cap(64), on_budget="skip")
-    assert len(flexes) >= 1
-    for p, tw in flexes:
-        assert tw.absolute_degree <= 64
+def test_cyclic_flexes_past_the_cap_raise_and_packets_cover_all_nine():
+    tower = QQ.with_cap(64)
+    c = cyclic_cubic(tower)
+    # enumerating conjugates needs the degree-9 packet and its degree-8 cofactor
+    with pytest.raises(BudgetExceeded, match="tower degree 72 exceeds cap 64"):
+        flex_points(c, tower)
+    records = intersection_points(c, hessian(c), tower, multiplicities=False)
+    assert sum(rec.orbit for rec in records) == 9
+    origins = catalog.cyclic_flex_origins({"cubic": c, "tower": tower})
+    assert origins == [(rec.point, rec.tower) for rec in records]
 
 
 # -- tangents and residuals ------------------------------------------------------
