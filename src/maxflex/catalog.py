@@ -10,10 +10,8 @@ the two-conic contact arrangements on 90c3.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import UnknownReproduction, WrongOrder
-from .fields import DEFAULT_DEGREE_CAP, QQ, UniPoly, extend_field, with_splitting
+from .fields import DEFAULT_DEGREE_CAP, QQ, UniPoly, extend_field
 from .geometry import (
     EllipticStructure,
     PlaneCurve,
@@ -28,14 +26,7 @@ from .geometry import (
 )
 from .combinatorics import concurrent_line_triples
 from .torsion import ArrangementSpec, ComponentData, TorsionClass, Triangle
-from .weierstrass import (
-    halve_point,
-    rational_points_of_order,
-    signed_preimage,
-    trisection_polynomial,
-    weierstrass_model,
-)
-from .polysolve import root_packets
+from .weierstrass import divide_point, halve_point, rational_points_of_order, weierstrass_model
 
 
 class CatalogEntry:
@@ -148,35 +139,21 @@ def fermat_triangle(data):
     Returns (tower, structure, Triangle) with everything embedded in the
     trisection tower; the associated class is verified to be exactly T1.
     """
-    tower = data["tower"]
     e = data["structure"]
     t1 = fermat_t1(data)
     model = weierstrass_model(e)
-    mt = model.point_from_source(t1)
-    tri_poly = trisection_polynomial(model, mt[0])
-    packet = root_packets(tri_poly, tower, enumerate_conjugates=False, name_hint="v")[0]
-    ext = packet.tower
-    x0 = packet.element
-    a, disc = model.embedded(ext).y_discriminant(x0)
-    ext2 = ext.extend(UniPoly(ext, (-disc, ext.zero(), ext.one())), name="vy")
-    y0 = (-(a.embedded(ext2)) + ext2.generator()) * Fraction(1, 2)
-
-    def locate(tw):
-        return signed_preimage(model, 3, (x0.embedded(tw), y0.embedded(tw)), mt)
-
-    for branch, found in with_splitting(ext2, locate):
-        if found is None:
-            continue
-        m = model.embedded(branch)
-        verts_model = (found, m.mul(-2, found), m.mul(4, found))
-        verts = tuple(m.point_to_source(v) for v in verts_model)
-        eb = e.embedded(branch)
-        lines = tuple(tangent_line(eb.cubic, v) for v in verts)
-        assoc = ec_mul(eb, 3, verts[0])
-        if assoc != t1.embedded(branch):
-            raise WrongOrder("triangle class does not match its seed")
-        return branch, eb, Triangle(verts, assoc, lines)
-    raise WrongOrder("trisection produced no verified triangle seed")
+    found = divide_point(model, 3, model.point_from_source(t1), "v")
+    if not found:
+        raise WrongOrder("trisection produced no verified triangle seed")
+    branch, seed = found[0]
+    m = model.embedded(branch)
+    verts = tuple(m.point_to_source(v) for v in (seed, m.mul(-2, seed), m.mul(4, seed)))
+    eb = e.embedded(branch)
+    lines = tuple(tangent_line(eb.cubic, v) for v in verts)
+    assoc = ec_mul(eb, 3, verts[0])
+    if assoc != t1.embedded(branch):
+        raise WrongOrder("triangle class does not match its seed")
+    return branch, eb, Triangle(verts, assoc, lines)
 
 
 def fermat_offline_flexes(data):

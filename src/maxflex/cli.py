@@ -62,6 +62,8 @@ def _cmd_torsion(args):
     data = entry.build(args.tower_budget or DEFAULT_DEGREE_CAP)
     if "structure" not in data:
         raise SpecError("curve %r carries no designated flex" % args.curve)
+    if data["tower"].height:
+        raise SpecError("curve %r is not defined over Q" % args.curve)
     model = weierstrass_model(data["structure"])
     pts = rational_points_of_order(model, args.order)
     lines = ["curve %s, exact order %d" % (args.curve, args.order)]

@@ -4,9 +4,10 @@ A cubic with a flex origin is carried to y^2 z + a1 x y z + a3 y z^2 =
 x^3 + a2 x^2 z + a4 x z^2 + a6 z^3 by a projective change of coordinates
 sending the flex to [0:1:0] and its tangent to the line z = 0.  The model
 supports the textbook affine addition formulas and the univariate division
-polynomial machinery used by the torsion oracles, point halving and
-trisection.  The chord-tangent law in geometry.py stays the independent
-primary route; everything here is a search/oracle device.
+polynomial machinery used by the torsion oracles and by ``divide_point``,
+the one routine that finds every P with nP = a given point.  The
+chord-tangent law in geometry.py stays the independent primary route;
+everything here is a search/oracle device.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ class WeierstrassModel:
         while n:
             if n & 1:
                 acc = self.add(acc, base)
-            base = self.add(base, base)
             n >>= 1
+            if n:
+                base = self.add(base, base)
         return acc
 
     def order(self, pt, bound):
@@ -395,13 +397,15 @@ def rational_points_of_order(model, n):
     return out
 
 
-def halving_polynomial(model, target):
-    """Quartic whose roots are x-coordinates of points P with x(2P) = x(target)."""
+def preimage_polynomial(model, n, x):
+    """phi_n - x psi_n^2, whose roots are the x(P) with x(nP) = x.
+
+    x(nP) = phi_n / psi_n^2 (Silverman, The Arithmetic of Elliptic Curves,
+    Exercise 3.7).
+    """
     div = DivisionPolynomials(model)
-    num = div.multiplication_numerator(2)
-    den = div.multiplication_denominator(2)
-    xq = target[0]
-    return num - UniPoly(model.tower, (xq,)) * den
+    den = div.multiplication_denominator(n)
+    return div.multiplication_numerator(n) - UniPoly(model.tower, (x,)) * den
 
 
 def signed_preimage(model, n, pt, target):
@@ -424,61 +428,52 @@ def signed_preimage(model, n, pt, target):
     return m.neg(pt)
 
 
-def halve_point(model, target):
-    """Points P with 2P = target, each with the tower it needs.
+def divide_point(model, n, target, name):
+    """Points P with nP = target, each with the tower it needs.
 
-    Prefers rational solutions; otherwise adjoins the squarefree part of the
-    halving quartic and, when required, a square root for the y-coordinate.
-    Every candidate is verified by doubling (with a sign fix when it doubles
-    to -target); reducible adjoined moduli are split transparently, so the
+    x(P) is one root per packet of the preimage polynomial, adjoined at a
+    level named ``name`` plus its height; y(P) is taken directly when its
+    discriminant is a rational square or zero, and otherwise from a
+    square-root level named ``name + "y"`` plus its height.  Every candidate
+    is verified by multiplying by n (with a sign fix when it lands on
+    -target); reducible adjoined moduli are split transparently, so the
     returned towers may be branch towers.
     """
-    t = model.tower
-    quartic = halving_polynomial(model, target)
     half = Fraction(1, 2)
     out = []
 
     def y_case(tower, x0):
-        """Classify the y-solution over ``tower``: the discriminant and whether
-        a square root extension is needed."""
+        """(a, disc, y): y is the direct y-solution over ``tower``, or None
+        when y needs the square root of disc."""
         a, disc = model.embedded(tower).y_discriminant(x0)
         root = _rational_sqrt(disc)
         if root is not None:
-            return ("direct", (-a + tower.rational(root)) * half, disc)
-        if disc.is_zero():
-            return ("direct", -a * half, disc)
-        return ("sqrt", a, disc)
+            return a, disc, (-a + tower.rational(root)) * half
+        return a, disc, (-a * half if disc.is_zero() else None)
 
-    for packet in root_packets(quartic, t, enumerate_conjugates=False, name_hint="h"):
-        ext = packet.tower
+    poly = preimage_polynomial(model, n, target[0])
+    for packet in root_packets(poly, model.tower, name_hint=name):
         x0 = packet.element
-        for branch, case in with_splitting(ext, lambda tw: y_case(tw, x0.embedded(tw))):
-            kind, val, disc = case
-            if kind == "direct":
-                pairs = [(branch, x0.embedded(branch), val)]
-            else:
-                ext2 = branch.extend(
-                    UniPoly(branch, (-disc, branch.zero(), branch.one())),
-                    name="hy%d" % branch.height,
-                )
-                s = ext2.generator()
-                y0 = (-val.embedded(ext2) + s) * half
-                pairs = [(ext2, x0.embedded(ext2), y0)]
-            for tower2, xx, yy in pairs:
-                for final, res in with_splitting(
-                    tower2,
-                    lambda tw, xx=xx, yy=yy: signed_preimage(
-                        model, 2, (xx.embedded(tw), yy.embedded(tw)), target
-                    ),
-                ):
-                    if res is not None:
-                        out.append((final, res))
+        for branch, (a, disc, y0) in with_splitting(
+            packet.tower, lambda tw: y_case(tw, x0.embedded(tw))
+        ):
+            tower = branch
+            if y0 is None:
+                sq = UniPoly(branch, (-disc, branch.zero(), branch.one()))
+                tower = branch.extend(sq, name="%sy%d" % (name, branch.height))
+                y0 = (-a.embedded(tower) + tower.generator()) * half
+            xx = x0.embedded(tower)
+            for final, res in with_splitting(
+                tower,
+                lambda tw: signed_preimage(
+                    model, n, (xx.embedded(tw), y0.embedded(tw)), target
+                ),
+            ):
+                if res is not None:
+                    out.append((final, res))
     return out
 
 
-def trisection_polynomial(model, x_target):
-    """Degree-9 polynomial whose roots are x(P) with x(3P) = x_target."""
-    div = DivisionPolynomials(model)
-    num = div.multiplication_numerator(3)
-    den = div.multiplication_denominator(3)
-    return num - UniPoly(model.tower, (x_target,)) * den
+def halve_point(model, target):
+    """Points P with 2P = target, each with the tower it needs."""
+    return divide_point(model, 2, target, "h")

@@ -164,6 +164,14 @@ def test_torsion_on_curve_without_flex_is_a_spec_error(capsys):
     assert err.startswith("error: curve 'cyclic' carries no designated flex")
 
 
+def test_torsion_on_curve_over_an_extension_is_a_spec_error(capsys):
+    # the Fermat entry is built over Q(w); the rational torsion search needs Q
+    code, out, err = run_cli(capsys, "torsion", "fermat", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: curve 'fermat' is not defined over Q")
+
+
 def test_distinguish_without_admissible_permutations_is_a_spec_error(capsys, tmp_path):
     spec = {
         "d0": 3,

@@ -28,7 +28,7 @@ from maxflex import (
     weierstrass_model,
 )
 from maxflex.catalog import bigon_points, catalog_entry, fermat_t1, fermat_triangle
-from maxflex.weierstrass import curve_y_solutions
+from maxflex.weierstrass import WeierstrassModel, curve_y_solutions, divide_point
 
 
 def structure_90c3(cap=64):
@@ -148,10 +148,30 @@ def _repeated_sum(e, terms):
     return acc
 
 
-def test_ec_mul_matches_repeated_addition():
+def test_ec_mul_matches_repeated_addition(monkeypatch):
     e, P = _order_twelve_point()
     for n in range(-13, 14):
         assert ec_mul(e, n, P) == _repeated_sum(e, [(n, P)]), n
+    # the model's double-and-add agrees with n-fold addition and, like
+    # ec_mul, makes no doubling past the top bit
+    m = weierstrass_model(e)
+    p = m.point_from_source(P)
+    sums = {}
+    for n in range(-13, 14):
+        acc = None
+        for _ in range(abs(n)):
+            acc = m.add(acc, p if n > 0 else m.neg(p))
+        sums[n] = acc
+    add = WeierstrassModel.add
+    calls = []
+    monkeypatch.setattr(
+        WeierstrassModel, "add", lambda self, p1, p2: calls.append(1) or add(self, p1, p2)
+    )
+    for n, want in sums.items():
+        calls.clear()
+        assert m.mul(n, p) == want, n
+        k = abs(n)
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 1 if k else 0), n
 
 
 def test_ec_mul_rejects_a_point_off_the_cubic():
@@ -192,16 +212,21 @@ def test_halving_reaches_order_eight():
     assert m2.mul(2, pt) is not None
 
 
-def test_halving_a_rational_double_stays_rational():
-    # 2P has the rational halves P and P + T, T the rational 2-torsion
-    # point: their y-discriminants are rational squares, so both come from
+@pytest.mark.parametrize("n", [2, 3])
+def test_halving_a_rational_double_stays_rational(n):
+    # nP has the rational preimages P and P + T, T a rational point of
+    # order n: their y-discriminants are rational squares, so both come from
     # the direct y-branch without a square root extension
     m = weierstrass_model(structure_90c3())
     p = rational_points_of_order(m, 12)[0]
-    t = rational_points_of_order(m, 2)[0]
-    found = halve_point(m, m.mul(2, p))
+    t = rational_points_of_order(m, n)[0]
+    target = m.mul(n, p)
+    found = divide_point(m, n, target, "d")
     rational = [pt for tw, pt in found if tw == m.tower]
     assert p in rational and m.add(p, t) in rational
+    for tw, c in found:
+        target_tw = tuple(v.embedded(tw) for v in target)
+        assert m.embedded(tw).mul(n, c) == target_tw
 
 
 def test_exact_order_poly_strips_lower_orders():
