@@ -30,13 +30,11 @@ from .weierstrass import divide_point, halve_point, rational_points_of_order, we
 
 
 class CatalogEntry:
-    """A named cubic with a designated flex and its known torsion data."""
+    """A named cubic and the builder of its curve data."""
 
-    def __init__(self, name, builder, torsion_note, provenance):
+    def __init__(self, name, builder):
         self.name = name
         self.builder = builder
-        self.torsion_note = torsion_note
-        self.provenance = provenance
 
     def build(self, degree_cap=DEFAULT_DEGREE_CAP):
         return self.builder(degree_cap)
@@ -61,6 +59,7 @@ def _build_cyclic(degree_cap):
 
 
 def _build_90c3(degree_cap):
+    """LMFDB elliptic curve 90c3: rational torsion Z/12, 8- and 24-torsion in quartic extensions."""
     tower = QQ.with_cap(degree_cap)
     cubic = PlaneCurve(
         tower,
@@ -83,24 +82,9 @@ def _build_90c3(degree_cap):
 
 
 CATALOG = {
-    "fermat": CatalogEntry(
-        "fermat",
-        _build_fermat,
-        "nine rational-or-quadratic flexes; full 3-torsion over Q(w)",
-        "the classical diagonal cubic",
-    ),
-    "cyclic": CatalogEntry(
-        "cyclic",
-        _build_cyclic,
-        "coordinate points are 9-torsion for every flex origin",
-        "cyclically symmetric cubic x^2 y + y^2 z + z^2 x",
-    ),
-    "90c3": CatalogEntry(
-        "90c3",
-        _build_90c3,
-        "rational torsion Z/12; 8- and 24-torsion in quartic extensions",
-        "LMFDB elliptic curve 90c3",
-    ),
+    "fermat": CatalogEntry("fermat", _build_fermat),
+    "cyclic": CatalogEntry("cyclic", _build_cyclic),
+    "90c3": CatalogEntry("90c3", _build_90c3),
 }
 
 

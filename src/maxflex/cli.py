@@ -121,7 +121,7 @@ def _cmd_realize(args):
     elif name.startswith("bigon-r") and name[len("bigon-r"):].isdecimal():
         r = int(name[len("bigon-r"):])
         budget = args.tower_budget or (
-            EXTENDED_DEGREE_CAP if args.extended or r in (8, 24) else DEFAULT_DEGREE_CAP
+            EXTENDED_DEGREE_CAP if r in (8, 24) else DEFAULT_DEGREE_CAP
         )
         data = catalog_entry("90c3").build(budget)
         tw, e, p, q = bigon_points(data, r)
@@ -164,7 +164,7 @@ def build_parser():
     p = sub.add_parser("reproduce", help="run a named reproduction")
     p.add_argument("name", choices=REPRODUCTION_NAMES)
     p.add_argument("--extended", action="store_true",
-                   help="include the quartic-extension cases (slower)")
+                   help="clubsuit-d2 only: add the quartic-extension cases (slower)")
     p.add_argument("--tower-budget", type=_tower_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reproduce)
@@ -189,7 +189,6 @@ def build_parser():
 
     p = sub.add_parser("realize", help="construct a catalog arrangement")
     p.add_argument("recipe")
-    p.add_argument("--extended", action="store_true")
     p.add_argument("--tower-budget", type=_tower_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_realize)

@@ -937,77 +937,62 @@ def intersection_points(
     # points on the line z = 0: c(x0, 1, 0) = d(x0, 1, 0) = 0, and [1:0:0]
     uf = cc.dehomogenize(1).restrict_v0()
     ug = dd.dehomogenize(1).restrict_v0()
-    if uf.is_zero() and ug.is_zero():
-        raise CommonComponent("z divides both curves")
-    records = []
+    records = _common_roots(
+        uf, ug, tower, enumerate_conjugates, "w", "z divides both curves",
+        lambda tw, x0: [record(tw, ProjPoint(tw, [x0, tw.one(), tw.zero()]))],
+    )
     if uf.degree < cc.degree and ug.degree < dd.degree:
-        origin = ProjPoint(tower, [tower.one(), tower.zero(), tower.zero()])
-        records.append(record(tower, origin))
-    if uf.is_zero():
-        common = ug
-    elif ug.is_zero():
-        common = uf
-    else:
-        common = poly_gcd(uf, ug)
-    if common.degree >= 1:
-        for rp in root_packets(common, tower, enumerate_conjugates, name_hint="w"):
+        records.insert(0, record(tower, ProjPoint(tower, [1, 0, 0])))
 
-            def probe(tw, x0=rp.element):
-                return record(tw, ProjPoint(tw, [x0.embedded(tw), tw.one(), tw.zero()]))
-
-            records.extend(rec for _tw, rec in with_splitting(rp.tower, probe, tower.height))
-
-    # affine chart z = 1
+    # affine chart z = 1: the x-roots of Res_y, then the common y-roots above each
     F = cc.dehomogenize(2)
     G = dd.dehomogenize(2)
-    records.extend(_affine_sweep(F, G, tower, enumerate_conjugates, record))
-    return records
-
-
-def _affine_sweep(F, G, tower, enumerate_conjugates, record):
     cols_f = F.v_columns()
     cols_g = G.v_columns()
     if len(cols_f) == 1 and len(cols_g) == 1:
         # both curves are unions of lines through [0:1:0]
-        r = poly_gcd(cols_f[0], cols_g[0])
-        if r.degree >= 1:
+        if poly_gcd(cols_f[0], cols_g[0]).degree >= 1:
             raise CommonComponent("curves share a vertical line")
-        return []
+        return records
     res = resultant_bivariate(cols_f, cols_g, tower)
     if res.is_zero():
         raise CommonComponent("vanishing resultant")
-    if res.degree < 1:
-        return []
+
+    def fiber(ext, x):
+        return _common_roots(
+            F.embedded(ext).specialize_u(x), G.embedded(ext).specialize_u(x), ext,
+            enumerate_conjugates, "y", "curves share the line x = const",
+            lambda tw, y0: [record(tw, point_from_affine(tw, 2, x.embedded(tw), y0))],
+        )
+
+    return records + _at_roots(res, tower, enumerate_conjugates, "x", fiber)
+
+
+def _at_roots(h, tower, enumerate_conjugates, hint, fn):
+    """The lists ``fn(tw, r)`` joined over the roots r of h, each in its tower tw.
+
+    ``fn`` runs under ``with_splitting`` above ``tower``; a zero divisor at a
+    level of ``tower`` itself is the caller's to split.
+    """
+    if h.degree < 1:
+        return []  # no roots, as above a spurious resultant root
     out = []
-    for rp in root_packets(res, tower, enumerate_conjugates, name_hint="x"):
+    for rp in root_packets(h, tower, enumerate_conjugates, name_hint=hint):
 
-        def stage(ext, x0=rp.element):
-            x = x0.embedded(ext)
-            fu = F.embedded(ext).specialize_u(x)
-            gu = G.embedded(ext).specialize_u(x)
-            if fu.is_zero() and gu.is_zero():
-                raise CommonComponent("curves share the line x = const")
-            if fu.is_zero():
-                h = gu
-            elif gu.is_zero():
-                h = fu
-            else:
-                h = poly_gcd(fu, gu)
-            if h.degree < 1:
-                return []  # spurious resultant root
-            found = []
-            for yp in root_packets(h, ext, enumerate_conjugates, name_hint="y"):
+        def run(tw, r=rp.element):
+            return fn(tw, r.embedded(tw))
 
-                def measure(final, y0=yp.element, x=x):
-                    pt = point_from_affine(final, 2, x.embedded(final), y0.embedded(final))
-                    return record(final, pt)
-
-                found.extend(rec for _tw, rec in with_splitting(yp.tower, measure, ext.height))
-            return found
-
-        for _ext, found in with_splitting(rp.tower, stage, tower.height):
+        for _tw, found in with_splitting(rp.tower, run, tower.height):
             out.extend(found)
     return out
+
+
+def _common_roots(f, g, tower, enumerate_conjugates, hint, shared, fn):
+    """``_at_roots`` on the common roots of f and g; both vanishing is ``shared``."""
+    if f.is_zero() and g.is_zero():
+        raise CommonComponent(shared)
+    h = g if f.is_zero() else (f if g.is_zero() else poly_gcd(f, g))
+    return _at_roots(h, tower, enumerate_conjugates, hint, fn)
 
 
 def flex_points(c, tower=None):
@@ -1117,15 +1102,20 @@ def _compose_coefficient(F, vs, k, tower):
     return acc
 
 
+def _monomial_series(us, vs, exps, order, tower):
+    """u(t)^i v(t)^j truncated at ``order`` for each (i, j) in ``exps``.
+
+    One power table per coordinate serves every monomial.
+    """
+    utab = _series_pow_table(us, max((i for i, _ in exps), default=0), order, tower)
+    vtab = _series_pow_table(vs, max((j for _, j in exps), default=0), order, tower)
+    return [_series_mul(utab[i], vtab[j], order, tower) for i, j in exps]
+
+
 def _series_eval_bipoly(F, us, vs, order, tower):
     """F(u(t), v(t)) truncated at the given order."""
-    maxu = max((i for i, _ in F.terms), default=0)
-    maxv = max((j for _, j in F.terms), default=0)
-    utab = _series_pow_table(us, maxu, order, tower)
-    vtab = _series_pow_table(vs, maxv, order, tower)
     out = [tower.zero()] * (order + 1)
-    for (i, j), c in F.terms.items():
-        prod = _series_mul(utab[i], vtab[j], order, tower)
+    for c, prod in zip(F.terms.values(), _monomial_series(us, vs, list(F.terms), order, tower)):
         for m, val in enumerate(prod):
             out[m] = out[m] + c * val
     return out
@@ -1141,24 +1131,20 @@ def interpolate_curve_with_divisor(e, conditions, degree):
     total = sum(m for _, m in conditions)
     if total != 3 * degree:
         raise ValueError("multiplicities must sum to 3 * degree")
+    if any(m < 1 for _, m in conditions):
+        raise ValueError("multiplicities must be positive")
     t = e.tower
     monomials = [
         (i, j, degree - i - j) for i in range(degree + 1) for j in range(degree - i + 1)
     ]
     rows = []
     for point, mult in conditions:
-        series = branch_series(e.cubic, point, mult + 1)
-        chart = series.chart
-        a, b = _chart_pair(chart)
-        cond_rows = [[None] * len(monomials) for _ in range(mult)]
-        for col, exps in enumerate(monomials):
-            # dehomogenize the monomial in the point's chart
-            eu, ev = exps[a], exps[b]
-            mono = BiPoly(t, {(eu, ev): t.one()})
-            vals = _series_eval_bipoly(mono, series.u_series, series.v_series, mult - 1, t)
-            for r in range(mult):
-                cond_rows[r][col] = vals[r]
-        rows.extend(cond_rows)
+        # the rows read t^0 .. t^(mult - 1) of each monomial along the branch
+        series = branch_series(e.cubic, point, mult - 1)
+        a, b = _chart_pair(series.chart)
+        exps = [(m[a], m[b]) for m in monomials]
+        cols = _monomial_series(series.u_series, series.v_series, exps, mult - 1, t)
+        rows.extend([col[r] for col in cols] for r in range(mult))
     kernel = kernel_basis(rows, len(monomials), t)
     if not kernel:
         raise NoSolution("no curve satisfies the tangency conditions")

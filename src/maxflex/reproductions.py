@@ -187,7 +187,7 @@ def _budget(tower_budget, default):
     return tower_budget
 
 
-def repro_thm_main1(extended=False, tower_budget=None):
+def repro_thm_main1(tower_budget=None):
     rep = Report("thm-main1")
     s1, s2, s3 = abstract_triangle_specs()
     g1, g2, g3 = uniform_group(s1), uniform_group(s2), uniform_group(s3)
@@ -209,7 +209,7 @@ def repro_thm_main1(extended=False, tower_budget=None):
     return rep
 
 
-def repro_thm_main2(extended=False, tower_budget=None):
+def repro_thm_main2(tower_budget=None):
     rep = Report("thm-main2")
     s4, s5 = abstract_tangent_triangle_specs()
     w121 = WeightVector((1, 2, 1))
@@ -231,7 +231,7 @@ def repro_thm_main2(extended=False, tower_budget=None):
     return rep
 
 
-def repro_clubsuit_tables(extended=False, tower_budget=None):
+def repro_clubsuit_tables(tower_budget=None):
     rep = Report("clubsuit-tables")
     expected_d2 = {4: 1, 8: 2, 12: 3, 24: 6}
     for r, want in sorted(expected_d2.items()):
@@ -250,7 +250,7 @@ def repro_clubsuit_tables(extended=False, tower_budget=None):
     return rep
 
 
-def repro_fermat_existence(extended=False, tower_budget=None):
+def repro_fermat_existence(tower_budget=None):
     rep = Report("fermat-existence")
     budget = _budget(tower_budget, DEFAULT_DEGREE_CAP)
     # nine flexes over Q, grouped by which coordinate vanishes
@@ -328,7 +328,7 @@ def repro_fermat_existence(extended=False, tower_budget=None):
     return rep
 
 
-def repro_appendix_triangle(extended=False, tower_budget=None):
+def repro_appendix_triangle(tower_budget=None):
     rep = Report("appendix-triangle")
     budget = _budget(tower_budget, DEFAULT_DEGREE_CAP)
     data = catalog_entry("cyclic").build(budget)
@@ -434,4 +434,8 @@ def run_reproduction(name, extended=False, tower_budget=None):
             "unknown reproduction %r (expected one of %s)"
             % (name, ", ".join(REPRODUCTION_NAMES))
         )
-    return _RUNNERS[name](extended=extended, tower_budget=tower_budget)
+    if name == "clubsuit-d2":
+        return repro_clubsuit_d2(extended=extended, tower_budget=tower_budget)
+    if extended:
+        raise SpecError("reproduction %r has no extended run (only clubsuit-d2 has)" % name)
+    return _RUNNERS[name](tower_budget=tower_budget)

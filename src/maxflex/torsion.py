@@ -178,7 +178,7 @@ class ArrangementSpec:
     (x, y) mod N_j and F = N / N_j.
     """
 
-    def __init__(self, d0, components, structure=None, check=True):
+    def __init__(self, d0, components, structure=None):
         self.d0 = d0
         self.components = tuple(components)
         self.structure = structure
@@ -186,8 +186,7 @@ class ArrangementSpec:
         self._class_points = None
         if not self.components:
             raise ValueError("at least one component required")
-        if check:
-            self._validate()
+        self._validate()
         classes = [c.cls for c in self.components if c.cls is not None]
         self.has_abstract = len(classes) == len(self.components)
         self._modulus = lcm(*(cls.modulus for cls in classes))
@@ -612,13 +611,11 @@ def triangle_from(arg, point=None):
     return Triangle((v1, v2, v3), ec_mul(e, 3, v1), lines)
 
 
-def enumerate_triangles(modulus=9):
+def enumerate_triangles():
     """All triangles of the mod-9 lattice, grouped by associated class.
 
     Returns (triangles, by_class): 24 triangles in 8 classes of 3.
     """
-    if modulus != 9:
-        raise ValueError("triangle enumeration is a mod-9 construction")
     seen = {}
     for a in range(9):
         for b in range(9):

@@ -34,6 +34,23 @@ def test_reproduce_unknown_name_rejected(capsys):
         main(["reproduce", "thm-nothing"])
 
 
+@pytest.mark.parametrize(
+    "name", ["thm-main1", "thm-main2", "clubsuit-tables", "fermat-existence", "appendix-triangle"]
+)
+def test_reproduce_extended_is_refused_where_there_is_no_extended_run(capsys, name):
+    code, out, err = run_cli(capsys, "reproduce", name, "--extended")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: reproduction %r has no extended run" % name)
+
+
+def test_realize_takes_no_extended_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["realize", "bigon-r4", "--extended"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --extended" in capsys.readouterr().err
+
+
 def test_reproduce_tables(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "clubsuit-tables")
     assert code == 0

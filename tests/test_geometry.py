@@ -402,6 +402,13 @@ RECORD_CASES = {
     ),
     "fermat-hessian": (None, None, {}),
     "fermat-hessian-no-mult": (None, None, {"multiplicities": False}),
+    # Res_y has the x-packet (x^2 - 2)(x^2 + x - 1), which splits in the y-fiber:
+    # above x^2 = 2 the fiber gcd is one, above x^2 + x = 1 it is y + x
+    "split-in-x-packet": (
+        {(2, 1, 0): 1, (0, 1, 2): -2, (0, 0, 3): -1},
+        {(2, 1, 0): 1, (0, 1, 2): -2, (3, 0, 0): 1, (1, 0, 2): -2},
+        {},
+    ),
 }
 
 PINNED_RECORDS = {
@@ -439,6 +446,12 @@ PINNED_RECORDS = {
          [{"minpoly": ["1/1", "-1/1", "1/1"], "name": "y0"}]),
         ([["1/1", "0/1"], ["0/1", "0/1"], ["1/1", "-1/1"]], 1, 2,
          [{"minpoly": ["1/1", "-1/1", "1/1"], "name": "x0"}]),
+    ],
+    "split-in-x-packet": [
+        (["0/1", "1/1", "0/1"], 6, 1, []),
+        (["1/1", "-1/1", "1/1"], 1, 1, []),
+        ([["1/1", "0/1"], ["-1/1", "0/1"], ["1/1", "1/1"]], 1, 2,
+         [{"minpoly": ["-1/1", "1/1", "1/1"], "name": "x0"}]),
     ],
 }
 PINNED_RECORDS["fermat-hessian-no-mult"] = [
@@ -566,6 +579,12 @@ def test_interpolate_group_law_obstruction():
     with pytest.raises(NoSolution):
         interpolate_curve_with_divisor(e, [(e.origin, 1), (t1, 1), (t2, 1)], 1)
 
+
+def test_interpolate_refuses_a_zero_multiplicity():
+    k, e = fermat_structure()
+    t1 = ProjPoint(k, [k.one(), -k.generator(), k.zero()])
+    with pytest.raises(ValueError, match="positive"):
+        interpolate_curve_with_divisor(e, [(e.origin, 3), (t1, 0)], 1)
 
 # -- smoothness ---------------------------------------------------------------------------
 
