@@ -18,9 +18,8 @@ from .geometry import (
     ProjPoint,
     ec_add,
     ec_mul,
-    hessian,
+    flex_points,
     interpolate_curve_with_divisor,
-    intersection_points,
     line_cubic_residual,
     tangent_line,
 )
@@ -252,8 +251,8 @@ def cyclic_triangle_chain(data):
 
 
 def cyclic_flex_origins(data):
-    """One flex origin per conjugate packet of the cyclic cubic's flexes, as
-    (point, tower) pairs; the packets' orbits sum to nine.
+    """One flex origin per packet record of ``flex_points`` on the cyclic
+    cubic, as (point, tower) pairs; the packets' orbits sum to nine.
 
     Each origin is a generic root of its whole packet, adjoined as Q[x]/(m)
     without factoring m.  By dynamic evaluation (Della Dora-Dicrescenzo-
@@ -261,9 +260,7 @@ def cyclic_flex_origins(data):
     meeting a zero divisor holds in every factor of m, so a check made at
     the representative covers every flex of its packet.
     """
-    c = data["cubic"]
-    records = intersection_points(c, hessian(c), data["tower"], multiplicities=False)
-    return [(rec.point, rec.tower) for rec in records]
+    return [(rec.point, rec.tower) for rec in flex_points(data["cubic"], data["tower"])]
 
 
 # ---------------------------------------------------------------------------

@@ -587,17 +587,19 @@ def is_smooth_curve(c):
 
 
 def tangents_through(c, q, tower=None):
-    """All tangent lines of c passing through the point q.
+    """The tangent lines of c passing through the point q, one per packet.
 
     Tangency points are the smooth points of c on the first polar of q.
-    Lines are returned normalized, each with the tower it lives in.
+    Each packet record of that intersection gives one normalized line over
+    the record's tower, standing for as many conjugate lines as that tower's
+    degree over ``tower``.
     """
     tower = tower or c.tower
     base = c.embedded(tower)
     qq = q.embedded(tower)
     pol = polar_curve(base, qq)
     out = []
-    for rec in intersection_points(base, pol, tower, multiplicities=False, enumerate_conjugates=True):
+    for rec in intersection_points(base, pol, tower, multiplicities=False):
         cur = base.embedded(rec.tower)
         grad = cur.gradient(rec.point)
         if all(g.is_zero() for g in grad):
@@ -835,45 +837,39 @@ def intersection_multiplicity(c, d, p):
 
 
 def _fulton(F, G, tower, bound):
-    stack = [(F, G)]
-    guard = 0
+    f = F.restrict_v0()
+    g = G.restrict_v0()
     result = 0
-    while stack:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("Fulton recursion did not terminate")
-        F, G = stack.pop()
+    for _step in range(100000):
         if F.is_zero() or G.is_zero() or result > bound:
             raise CommonComponent("a shared factor passes through the point")
         if not F.coefficient(0, 0).is_zero() or not G.coefficient(0, 0).is_zero():
-            continue
-        f = F.restrict_v0()
-        g = G.restrict_v0()
+            return result
         if f.is_zero() and g.is_zero():
             raise CommonComponent("v divides both forms at the point")
         if f.is_zero():
             # F = v * F1 ; I(v, G) is the u-order of G(u, 0)
             result += _u_order(g)
-            stack.append((F.div_v(), G))
+            F = F.div_v()
+            f = F.restrict_v0()
             continue
         if g.is_zero():
             result += _u_order(f)
-            stack.append((F, G.div_v()))
+            G = G.div_v()
+            g = G.restrict_v0()
             continue
         r, s = f.degree, g.degree
         if r > s:
-            F, G = G, F
-            f, g = g, f
+            F, G, f, g = G, F, g, f
             r, s = s, r
         if r == 0:
             # F(u,0) is a nonzero constant, but F(0,0) = 0: impossible
             raise CommonComponent("inconsistent local forms")
-        # kill the leading u-term of g|v=0 with a multiple of F
+        # kill the leading u-term of g|v=0 with a multiple of F; f stays
         coeff = g.coefficient(s) * f.coefficient(r).invert()
-        mono = BiPoly(tower, {(s - r, 0): coeff})
-        G2 = G - mono * F
-        stack.append((F, G2))
-    return result
+        G = G - BiPoly(tower, {(s - r, 0): coeff}) * F
+        g = G.restrict_v0()
+    raise RuntimeError("Fulton recursion did not terminate")
 
 
 def _u_order(f):
@@ -884,7 +880,7 @@ def _u_order(f):
 
 
 # ---------------------------------------------------------------------------
-# intersection point enumeration
+# intersection points, one record per conjugate packet
 # ---------------------------------------------------------------------------
 
 class IntersectionRecord:
@@ -911,7 +907,6 @@ def intersection_points(
     c,
     d,
     tower=None,
-    enumerate_conjugates=False,
     multiplicities=True,
 ):
     """All intersection points of two curves over extensions of ``tower``.
@@ -931,14 +926,13 @@ def intersection_points(
         mult = 0
         if multiplicities:
             mult = intersection_multiplicity(cc.embedded(tw), dd.embedded(tw), pt)
-        orbit = 1 if enumerate_conjugates else tw.absolute_degree // tower.absolute_degree
-        return IntersectionRecord(pt, mult, tw, orbit)
+        return IntersectionRecord(pt, mult, tw, tw.absolute_degree // tower.absolute_degree)
 
     # points on the line z = 0: c(x0, 1, 0) = d(x0, 1, 0) = 0, and [1:0:0]
     uf = cc.dehomogenize(1).restrict_v0()
     ug = dd.dehomogenize(1).restrict_v0()
     records = _common_roots(
-        uf, ug, tower, enumerate_conjugates, "w", "z divides both curves",
+        uf, ug, tower, "w", "z divides both curves",
         lambda tw, x0: [record(tw, ProjPoint(tw, [x0, tw.one(), tw.zero()]))],
     )
     if uf.degree < cc.degree and ug.degree < dd.degree:
@@ -961,14 +955,14 @@ def intersection_points(
     def fiber(ext, x):
         return _common_roots(
             F.embedded(ext).specialize_u(x), G.embedded(ext).specialize_u(x), ext,
-            enumerate_conjugates, "y", "curves share the line x = const",
+            "y", "curves share the line x = const",
             lambda tw, y0: [record(tw, point_from_affine(tw, 2, x.embedded(tw), y0))],
         )
 
-    return records + _at_roots(res, tower, enumerate_conjugates, "x", fiber)
+    return records + _at_roots(res, tower, "x", fiber)
 
 
-def _at_roots(h, tower, enumerate_conjugates, hint, fn):
+def _at_roots(h, tower, hint, fn):
     """The lists ``fn(tw, r)`` joined over the roots r of h, each in its tower tw.
 
     ``fn`` runs under ``with_splitting`` above ``tower``; a zero divisor at a
@@ -977,7 +971,7 @@ def _at_roots(h, tower, enumerate_conjugates, hint, fn):
     if h.degree < 1:
         return []  # no roots, as above a spurious resultant root
     out = []
-    for rp in root_packets(h, tower, enumerate_conjugates, name_hint=hint):
+    for rp in root_packets(h, tower, name_hint=hint):
 
         def run(tw, r=rp.element):
             return fn(tw, r.embedded(tw))
@@ -987,26 +981,22 @@ def _at_roots(h, tower, enumerate_conjugates, hint, fn):
     return out
 
 
-def _common_roots(f, g, tower, enumerate_conjugates, hint, shared, fn):
+def _common_roots(f, g, tower, hint, shared, fn):
     """``_at_roots`` on the common roots of f and g; both vanishing is ``shared``."""
     if f.is_zero() and g.is_zero():
         raise CommonComponent(shared)
     h = g if f.is_zero() else (f if g.is_zero() else poly_gcd(f, g))
-    return _at_roots(h, tower, enumerate_conjugates, hint, fn)
+    return _at_roots(h, tower, hint, fn)
 
 
 def flex_points(c, tower=None):
-    """Common zeros of a smooth cubic and its Hessian.
+    """Common zeros of a smooth cubic and its Hessian, as packet records.
 
-    Returns (point, tower) pairs, each flex in the (possibly extended) tower
-    it was found in; at most nine over the closure.  Conjugates are
-    enumerated one by one, so a tower past the degree cap raises
-    BudgetExceeded.
+    Each IntersectionRecord holds the generic root of one conjugate packet
+    over its tower; the orbits sum to nine.  A packet whose tower would pass
+    the degree cap raises BudgetExceeded.
     """
-    tower = tower or c.tower
-    h = hessian(c)
-    records = intersection_points(c, h, tower, enumerate_conjugates=True, multiplicities=False)
-    return [(rec.point, rec.tower) for rec in records]
+    return intersection_points(c, hessian(c), tower, multiplicities=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Everything here is exact.  Rational roots are found p-adically: the roots
 mod one small prime are Newton-lifted past the rational-root-theorem bound,
 read off as symmetric residues and checked exactly.  Roots in the algebraic
-closure are produced either as conjugate packets (one representative per
-adjoined factor) or, on request, fully enumerated inside a nested tower.
+closure are produced as conjugate packets: one representative per adjoined
+factor, standing for all of that factor's roots.
 """
 
 from __future__ import annotations
@@ -308,15 +308,15 @@ def rational_roots(f):
     return sorted(out)
 
 # ---------------------------------------------------------------------------
-# roots over towers: packets and full enumeration
+# roots over towers: conjugate packets
 # ---------------------------------------------------------------------------
 
 class RootPacket:
     """A representative root together with the tower it lives in.
 
-    ``orbit`` counts how many closure roots the entry stands for: 1 when the
-    root was pinned down individually, the degree of the adjoined factor when
-    the entry represents a full conjugate packet.
+    ``orbit`` counts how many closure roots the entry stands for: 1 for a
+    root in ``tower`` itself, the degree of the adjoined factor for the
+    generic root of a conjugate packet.
     """
 
     __slots__ = ("element", "tower", "orbit")
@@ -330,34 +330,25 @@ class RootPacket:
         return "RootPacket(orbit=%d, tower=%r)" % (self.orbit, self.tower)
 
 
-def root_packets(f, tower, enumerate_conjugates=False, name_hint=None):
-    """Distinct roots of f over the closure of ``tower``.
+def root_packets(f, tower, name_hint=None):
+    """Distinct roots of f over the closure of ``tower``, as conjugate packets.
 
     Multiplicities are dropped (take the squarefree part first if they
-    matter).  With ``enumerate_conjugates`` the factors are peeled root by
-    root inside nested extensions; otherwise one representative per adjoined
-    squarefree factor is returned with its orbit size.  A required extension
-    past the degree cap raises BudgetExceeded.
+    matter).  Over Q the rational roots come first, each with orbit 1; a
+    linear remainder gives one more root in ``tower``; any other remainder
+    is adjoined whole, and its generator is returned with the remainder's
+    degree as its orbit.  A required extension past the degree cap raises
+    BudgetExceeded.
     """
     g = squarefree_part(f)
     out = []
-    hint = name_hint or "r"
     if tower.height == 0:
         for root, _m in rational_roots(g):
             out.append(RootPacket(tower.rational(root), tower, 1))
             g = g.exact_div(UniPoly(tower, (-root, Fraction(1))))
-    while g.degree >= 1:
-        if g.degree == 1:
-            root = -(g.coefficient(0) / g.coefficient(1))
-            out.append(RootPacket(root, tower, 1))
-            break
-        ext = tower.extend(g.monic(), name="%s%d" % (hint, tower.height))
-        alpha = ext.generator()
-        if not enumerate_conjugates:
-            out.append(RootPacket(alpha, ext, g.degree))
-            break
-        out.append(RootPacket(alpha, ext, 1))
-        lifted = g.monic().embedded(ext)
-        g = lifted.exact_div(UniPoly(ext, (-alpha, ext.one())))
-        tower = ext
+    if g.degree == 1:
+        out.append(RootPacket(-(g.coefficient(0) / g.coefficient(1)), tower, 1))
+    elif g.degree > 1:
+        ext = tower.extend(g.monic(), name="%s%d" % (name_hint or "r", tower.height))
+        out.append(RootPacket(ext.generator(), ext, g.degree))
     return out

@@ -24,12 +24,11 @@ from .catalog import (
 )
 from .combinatorics import admissible_permutations, concurrent_line_triples, fingerprint, verify_bigon
 from .errors import SpecError, UnknownReproduction
-from .fields import DEFAULT_DEGREE_CAP, QQ
+from .fields import DEFAULT_DEGREE_CAP, QQ, UniPoly
 from .geometry import (
     EllipticStructure,
     PlaneCurve,
     ProjPoint,
-    _proportional_forms,
     ec_add,
     flex_points,
     point_order,
@@ -259,17 +258,17 @@ def repro_fermat_existence(tower_budget=None):
     base = QQ.with_cap(budget)
     fq = PlaneCurve(base, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     flexes = flex_points(fq, base)
-    rep.check("flex-count", 9, len(flexes))
+    rep.check("flex-count", 9, sum(rec.orbit for rec in flexes))
     families = {0: 0, 1: 0, 2: 0}
-    for p, tw in flexes:
-        zero_axes = [i for i in range(3) if p.coords[i].is_zero()]
+    for rec in flexes:
+        zero_axes = [i for i in range(3) if rec.point.coords[i].is_zero()]
         if len(zero_axes) == 1:
-            families[zero_axes[0]] += 1
+            families[zero_axes[0]] += rec.orbit
     rep.check("flex-families", {0: 3, 1: 3, 2: 3}, families)
     rational = {
-        tuple(str(c.as_rational()) for c in p.coords)
-        for p, tw in flexes
-        if tw.height == 0
+        tuple(str(c.as_rational()) for c in rec.point.coords)
+        for rec in flexes
+        if rec.tower.height == 0
     }
     stated = set()
     for coords in ([1, -1, 0], [1, 0, -1], [0, 1, -1]):
@@ -287,31 +286,27 @@ def repro_fermat_existence(tower_budget=None):
 
     corner = ProjPoint(tower, [tower.zero(), tower.zero(), tower.one()])
     tangents = tangents_through(e.cubic, corner, tower)
-    rep.check("tangents-through-corner-count", 3, len(tangents))
-    # the set of tangents is {x + c y : c^3 = 1}: each line has that shape and
-    # their product is exactly x^3 + y^3 (so the three c values are the three
-    # cube roots of unity, even when the lines live over packet towers)
+    orbits = [line.tower.absolute_degree // tower.absolute_degree for line in tangents]
+    rep.check("tangents-through-corner-count", 3, sum(orbits))
+    # the set of tangents is {x + c y : c^3 = 1}.  Each packet's line has that
+    # shape at its generic root, hence at every conjugate, and the minimal
+    # polynomials of the c values multiply to c^3 - 1 (which is the statement
+    # that the lines multiply to x^3 + y^3)
     shapes = []
-    deepest = tangents[-1].tower if tangents else tower
-    for line in tangents:
+    prod = UniPoly(tower, (1,))
+    for line, orbit in zip(tangents, orbits):
         cx = line.coefficient((1, 0, 0))
         cy = line.coefficient((0, 1, 0))
         cz = line.coefficient((0, 0, 1))
-        shapes.append(
+        shapes += [
             (cx - line.tower.one()).is_zero()
             and cz.is_zero()
             and (cy * cy * cy - line.tower.one()).is_zero()
-        )
-        if line.tower.height > deepest.height:
-            deepest = line.tower
+        ] * orbit
+        prod = prod * cy.minimal_polynomial(tower.height)
     rep.check("tangent-shape-x-plus-cy", [True] * 3, shapes)
     if tangents:
-        prod = None
-        for line in tangents:
-            lifted = line.embedded(deepest)
-            prod = lifted if prod is None else prod * lifted
-        target = PlaneCurve(deepest, 3, {(3, 0, 0): 1, (0, 3, 0): 1})
-        rep.check("tangent-product-x3-plus-y3", True, _proportional_forms(prod, target))
+        rep.check("tangent-product-x3-plus-y3", True, prod == UniPoly(tower, (-1, 0, 0, 1)))
 
     witness = fermat_witness(budget)
     concurrent = list(concurrent_line_triples(witness["lines"]))

@@ -37,8 +37,12 @@ def test_90c3_designated_flex_is_found():
     entry = catalog_entry("90c3").build(64)
     cubic = entry["structure"].cubic
     flexes = flex_points(cubic, entry["tower"])
+    assert sum(rec.orbit for rec in flexes) == 9
     target = ProjPoint(entry["tower"], [0, 1, 0])
-    assert any(tw == entry["tower"] and p == target for p, tw in flexes)
+    assert any(
+        rec.orbit == 1 and rec.tower == entry["tower"] and rec.point == target
+        for rec in flexes
+    )
 
 
 def test_bigon_intersection_divisors():

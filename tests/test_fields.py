@@ -85,9 +85,9 @@ def test_extend_rejects_over_budget():
     small = QQ.with_cap(4)
     with pytest.raises(BudgetExceeded):
         extend_field(small, UniPoly.from_rationals(small, [1, 0, 0, 0, 0, 1]))
-    # enumerating the roots of t^3 - 2 adjoins the quadratic cofactor too
-    with pytest.raises(BudgetExceeded, match="tower degree 6 exceeds cap 4"):
-        root_packets(qpoly(-2, 0, 0, 1), small, enumerate_conjugates=True)
+    # the packet of t^3 - 2 is adjoined whole
+    with pytest.raises(BudgetExceeded, match="tower degree 3 exceeds cap 2"):
+        root_packets(qpoly(-2, 0, 0, 1), QQ.with_cap(2))
 
 
 def test_invert_identity():

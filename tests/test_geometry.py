@@ -9,7 +9,6 @@ import pytest
 
 from maxflex import (
     QQ,
-    BudgetExceeded,
     CommonComponent,
     EllipticStructure,
     LineNotIncident,
@@ -35,6 +34,7 @@ from maxflex import (
     point_order,
     run_reproduction,
     tangent_line,
+    tangents_through,
 )
 from maxflex import geometry
 from maxflex.fields import TowerElement, with_splitting
@@ -95,29 +95,38 @@ def test_hessian_commutes_with_coordinate_rotation():
 
 def test_fermat_has_the_nine_stated_flexes():
     flexes = flex_points(fermat(), QQ)
-    assert len(flexes) == 9
-    # families [-1:0:a], [0:-1:a], [-1:a:0] with a^3 = 1
+    assert sum(rec.orbit for rec in flexes) == 9
+    # families [-1:0:a], [0:-1:a], [-1:a:0] with a^3 = 1, counted by orbit
     families = {0: 0, 1: 0, 2: 0}
-    for p, tw in flexes:
+    for rec in flexes:
+        p = rec.point
         zero_axes = [i for i in range(3) if p.coords[i].is_zero()]
         assert len(zero_axes) == 1
-        families[zero_axes[0]] += 1
+        families[zero_axes[0]] += rec.orbit
         cube = [c * c * c for c in p.coords]
         nonzero = [i for i in range(3) if i not in zero_axes]
         assert (cube[nonzero[0]] + cube[nonzero[1]]).is_zero()
     assert families == {0: 3, 1: 3, 2: 3}
 
 
-def test_cyclic_flexes_past_the_cap_raise_and_packets_cover_all_nine():
+def test_fermat_flexes_over_the_cube_roots_of_unity():
+    # above Q no rational roots are split off: each packet, reducible over
+    # Q(w) or not, is adjoined whole, and no zero divisor may escape
+    entry = catalog.catalog_entry("fermat").build()
+    k = entry["tower"]
+    flexes = flex_points(entry["structure"].cubic, k)
+    assert sum(rec.orbit for rec in flexes) == 9
+    for rec in flexes:
+        assert rec.orbit == rec.tower.absolute_degree // k.absolute_degree
+
+
+def test_cyclic_flexes_are_one_packet_of_orbit_nine():
     tower = QQ.with_cap(64)
     c = cyclic_cubic(tower)
-    # enumerating conjugates needs the degree-9 packet and its degree-8 cofactor
-    with pytest.raises(BudgetExceeded, match="tower degree 72 exceeds cap 64"):
-        flex_points(c, tower)
-    records = intersection_points(c, hessian(c), tower, multiplicities=False)
-    assert sum(rec.orbit for rec in records) == 9
+    [rec] = flex_points(c, tower)
+    assert rec.orbit == 9 and rec.tower.absolute_degree == 9
     origins = catalog.cyclic_flex_origins({"cubic": c, "tower": tower})
-    assert origins == [(rec.point, rec.tower) for rec in records]
+    assert origins == [(rec.point, rec.tower)]
 
 
 # -- tangents and residuals ------------------------------------------------------
@@ -132,6 +141,15 @@ def test_tangent_at_fermat_flexes():
     assert line.coefficient((0, 0, 1)).is_zero()
     line_o = tangent_line(e.cubic, e.origin).normalized()
     assert (line_o.coefficient((0, 1, 0)) - k.one()).is_zero()
+
+
+def test_tangents_through_the_corner_are_packets_over_small_towers():
+    # the three tangents x + c y (c^3 = 1) through [0:0:1] come from the one
+    # packet x^3 + 1 on z = 0, adjoined once over Q(w)
+    k, e = fermat_structure()
+    lines = tangents_through(e.cubic, ProjPoint(k, [0, 0, 1]), k)
+    assert sum(line.tower.absolute_degree // k.absolute_degree for line in lines) == 3
+    assert all(line.tower.absolute_degree <= 6 for line in lines)
 
 
 def test_tangent_of_line_is_itself():
@@ -389,11 +407,6 @@ RECORD_CASES = {
         {(2, 0, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
         {},
     ),
-    "packet-on-z0-conjugates": (
-        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
-        {(2, 0, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
-        {"enumerate_conjugates": True},
-    ),
     # z (x - y) contains the line z = 0
     "contains-z0": (
         {(1, 0, 1): 1, (0, 1, 1): -1},
@@ -420,13 +433,6 @@ PINNED_RECORDS = {
     ],
     "packet-on-z0": [
         ([["1/1", "0/1"], ["0/1", "-1/1"], ["0/1", "0/1"]], 1, 2,
-         [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
-        (["1/1", "0/1", "-1/1"], 2, 1, []),
-    ],
-    "packet-on-z0-conjugates": [
-        ([["1/1", "0/1"], ["0/1", "-1/1"], ["0/1", "0/1"]], 1, 1,
-         [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
-        ([["1/1", "0/1"], ["0/1", "1/1"], ["0/1", "0/1"]], 1, 1,
          [{"minpoly": ["1/1", "0/1", "1/1"], "name": "w0"}]),
         (["1/1", "0/1", "-1/1"], 2, 1, []),
     ],

@@ -167,20 +167,13 @@ def test_resultant_bivariate_eliminates():
     assert r.rational_coeffs() == [Fraction(0), Fraction(-1), Fraction(1)]
 
 
-def test_root_packets_enumerates_conjugates():
-    pk = root_packets(qpoly(1, 0, 0, 1), QQ, enumerate_conjugates=True)
-    assert [p.orbit for p in pk] == [1, 1, 1]
-    degs = sorted(p.tower.absolute_degree for p in pk)
-    assert degs == [1, 2, 2]
+def test_root_packets_orbit_mode():
+    pk = root_packets(qpoly(1, 0, 0, 1), QQ)
+    assert sorted(p.orbit for p in pk) == [1, 2]
     # every returned element is a root
     for p in pk:
         f = qpoly(1, 0, 0, 1).embedded(p.tower)
         assert f.evaluate(p.element).is_zero()
-
-
-def test_root_packets_orbit_mode():
-    pk = root_packets(qpoly(1, 0, 0, 1), QQ, enumerate_conjugates=False)
-    assert sorted(p.orbit for p in pk) == [1, 2]
 
 
 def test_root_packets_over_extension():
