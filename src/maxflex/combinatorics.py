@@ -12,9 +12,10 @@ as the full set of data-preserving bijections; this over-approximates the
 arrangement's true admissible set, which is the safe direction for the
 certificates built on top.
 
-The point profiles a fingerprint keeps are the module's only incidence data:
-``check_incidence`` and the bi-gon clauses of ``verify_bigon`` are read from
-them, so each arrangement is swept once.
+The point profiles a fingerprint keeps are the module's only incidence data.
+Each point is profiled once, in the sweep of its first two incident pieces,
+and ``check_incidence`` and the bi-gon clauses of ``verify_bigon`` are read
+from the profiles, so each arrangement is swept once.
 """
 
 from __future__ import annotations
@@ -142,56 +143,48 @@ def _relabelings(n, slots):
 def _point_profiles(herd, tower):
     """Full local profiles of all pairwise intersection points.
 
-    For each point of the union, determines the incident pieces and every
-    pairwise local multiplicity at the point, working under local tower
-    splitting: the membership and multiplicity computations force exactly
-    the splits that separate accidentally-merged conjugate packets.  Points
-    are deduplicated across pair sweeps by minimal-polynomial keys.
+    A point on pieces a < b < ... is profiled once, in the (a, b) sweep, the
+    first to find it.  Every sweep still tests incidence on all pieces under
+    local tower splitting, so the splits that separate accidentally-merged
+    conjugate packets are forced before a point of another pair's sweep is
+    passed over.  A key met twice raises CommonComponent.
     Returns {key: {"pairs": {(a, b): mult}, "incident": set, "orbit": int}}.
     """
     profiles = {}
     n = len(herd)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for rec in intersection_points(
-                herd[i], herd[j], tower, multiplicities=False
-            ):
+    for i, j in combinations(range(n), 2):
+        for rec in intersection_points(herd[i], herd[j], tower, multiplicities=False):
 
-                def profile(tw, rec=rec):
-                    pt = rec.point.embedded(tw)
-                    pieces = [piece.embedded(tw) for piece in herd]
-                    incident = [k for k in range(n) if pieces[k].evaluate(pt).is_zero()]
-                    pairs = {
-                        (a, b): intersection_multiplicity(pieces[a], pieces[b], pt)
-                        for a, b in combinations(incident, 2)
-                    }
-                    return pt, incident, pairs
+            def profile(tw, rec=rec):
+                pt = rec.point.embedded(tw)
+                pieces = [piece.embedded(tw) for piece in herd]
+                incident = [k for k in range(n) if pieces[k].evaluate(pt).is_zero()]
+                if incident[:2] != [i, j]:
+                    return None
+                pairs = {
+                    (a, b): intersection_multiplicity(pieces[a], pieces[b], pt)
+                    for a, b in combinations(incident, 2)
+                }
+                return pt, incident, pairs
 
-                for tw, (pt, incident, pairs) in with_splitting(
-                    rec.tower, profile, tower.height
-                ):
-                    orbit = tw.absolute_degree // tower.absolute_degree
-                    key = _point_key(pt, tower, orbit)
-                    entry = profiles.get(key)
-                    if entry is None:
-                        profiles[key] = {
-                            "pairs": pairs,
-                            "incident": set(incident),
-                            "orbit": orbit,
-                        }
-                    elif entry["pairs"] != pairs or entry["orbit"] != orbit:
-                        raise CommonComponent(
-                            "inconsistent local profiles at a shared point"
-                        )
+            for tw, found in with_splitting(rec.tower, profile, tower.height):
+                if found is None:
+                    continue
+                pt, incident, pairs = found
+                orbit = tw.absolute_degree // tower.absolute_degree
+                key = _point_key(pt, tower, orbit)
+                if key in profiles:
+                    raise CommonComponent("two intersection points share one key")
+                profiles[key] = {"pairs": pairs, "incident": set(incident), "orbit": orbit}
     return profiles
 
 
 def fingerprint(pieces, tower=None):
     """Canonical fingerprint of a list of curve pieces (first = distinguished).
 
-    Pieces must be pairwise free of common components; conjugate point orbits
-    are identified by minimal-polynomial matching and kept as single records
-    with an orbit count.
+    Pieces must be pairwise free of common components; each conjugate point
+    orbit is keyed by minimal polynomials and kept as a single record with an
+    orbit count.
     """
     if not pieces:
         raise ValueError("empty arrangement")

@@ -249,6 +249,7 @@ class BiPoly:
 
     def specialize_u(self, u0):
         """The univariate polynomial in v obtained by substituting u = u0."""
+        upow = _powers(self.tower, u0, max((i for i, _ in self.terms), default=0))
         cols = {}
         for (i, j), c in self.terms.items():
             cols.setdefault(j, []).append((i, c))
@@ -257,7 +258,7 @@ class BiPoly:
         for j in range(dv + 1):
             acc = self.tower.zero()
             for i, c in cols.get(j, ()):
-                acc = acc + c * u0**i
+                acc = acc + c * upow[i]
             out.append(acc)
         return UniPoly(self.tower, out)
 

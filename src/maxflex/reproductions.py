@@ -186,7 +186,7 @@ def _budget(tower_budget, default):
     return tower_budget
 
 
-def repro_thm_main1(tower_budget=None):
+def repro_thm_main1():
     rep = Report("thm-main1")
     s1, s2, s3 = abstract_triangle_specs()
     g1, g2, g3 = uniform_group(s1), uniform_group(s2), uniform_group(s3)
@@ -208,7 +208,7 @@ def repro_thm_main1(tower_budget=None):
     return rep
 
 
-def repro_thm_main2(tower_budget=None):
+def repro_thm_main2():
     rep = Report("thm-main2")
     s4, s5 = abstract_tangent_triangle_specs()
     w121 = WeightVector((1, 2, 1))
@@ -230,7 +230,7 @@ def repro_thm_main2(tower_budget=None):
     return rep
 
 
-def repro_clubsuit_tables(tower_budget=None):
+def repro_clubsuit_tables():
     rep = Report("clubsuit-tables")
     expected_d2 = {4: 1, 8: 2, 12: 3, 24: 6}
     for r, want in sorted(expected_d2.items()):
@@ -249,9 +249,8 @@ def repro_clubsuit_tables(tower_budget=None):
     return rep
 
 
-def repro_fermat_existence(tower_budget=None):
+def repro_fermat_existence(budget):
     rep = Report("fermat-existence")
-    budget = _budget(tower_budget, DEFAULT_DEGREE_CAP)
     # nine flexes over Q, grouped by which coordinate vanishes
     cubic_q = catalog_entry("fermat").build(budget)
     # build a rational-coefficient copy for the flex scan
@@ -323,9 +322,8 @@ def repro_fermat_existence(tower_budget=None):
     return rep
 
 
-def repro_appendix_triangle(tower_budget=None):
+def repro_appendix_triangle(budget):
     rep = Report("appendix-triangle")
-    budget = _budget(tower_budget, DEFAULT_DEGREE_CAP)
     data = catalog_entry("cyclic").build(budget)
     chain = cyclic_triangle_chain(data)
     rep.check("residual-chain-closes", True, chain["closes"])
@@ -363,9 +361,8 @@ def _bigon_package(entry_data, r):
     }
 
 
-def repro_clubsuit_d2(extended=False, tower_budget=None):
+def repro_clubsuit_d2(budget, extended=False):
     rep = Report("clubsuit-d2")
-    budget = _budget(tower_budget, EXTENDED_DEGREE_CAP if extended else DEFAULT_DEGREE_CAP)
     entry_data = catalog_entry("90c3").build(budget)
     for r in (4, 12):
         pts = entry_data["rational_torsion"][r]
@@ -423,14 +420,20 @@ _RUNNERS = {
 
 
 def run_reproduction(name, extended=False, tower_budget=None):
-    """Build and check one named reproduction; returns its Report."""
+    """Build and check one named reproduction; returns its Report.
+
+    None selects the default ``tower_budget``; every name refuses one below 1.
+    """
     if name not in _RUNNERS:
         raise UnknownReproduction(
             "unknown reproduction %r (expected one of %s)"
             % (name, ", ".join(REPRODUCTION_NAMES))
         )
-    if name == "clubsuit-d2":
-        return repro_clubsuit_d2(extended=extended, tower_budget=tower_budget)
-    if extended:
+    if extended and name != "clubsuit-d2":
         raise SpecError("reproduction %r has no extended run (only clubsuit-d2 has)" % name)
-    return _RUNNERS[name](tower_budget=tower_budget)
+    budget = _budget(tower_budget, EXTENDED_DEGREE_CAP if extended else DEFAULT_DEGREE_CAP)
+    if name == "clubsuit-d2":
+        return repro_clubsuit_d2(budget, extended)
+    if name in ("fermat-existence", "appendix-triangle"):
+        return _RUNNERS[name](budget)
+    return _RUNNERS[name]()

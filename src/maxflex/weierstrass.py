@@ -17,8 +17,8 @@ from math import isqrt
 
 from .errors import SingularPoint
 from .fields import UniPoly, poly_gcd, squarefree_part, with_splitting
-from .geometry import PlaneCurve, ProjPoint, _line_frame, _proportional_forms, form_sum
-from .polysolve import mat3_adjugate, mat3_apply, rational_roots, root_packets
+from .geometry import PlaneCurve, ProjPoint, _at_roots, _line_frame, _proportional_forms, form_sum
+from .polysolve import mat3_adjugate, mat3_apply, rational_roots
 
 
 class WeierstrassModel:
@@ -431,47 +431,41 @@ def signed_preimage(model, n, pt, target):
 def divide_point(model, n, target, name):
     """Points P with nP = target, each with the tower it needs.
 
-    x(P) is one root per packet of the preimage polynomial, adjoined at a
-    level named ``name`` plus its height; y(P) is taken directly when its
-    discriminant is a rational square or zero, and otherwise from a
-    square-root level named ``name + "y"`` plus its height.  Every candidate
-    is verified by multiplying by n (with a sign fix when it lands on
-    -target); reducible adjoined moduli are split transparently, so the
-    returned towers may be branch towers.
+    x(P) runs over the roots of the preimage polynomial through
+    ``geometry._at_roots``, one per packet, adjoined at a level named
+    ``name`` plus its height; y(P) is taken directly when its discriminant
+    is a rational square or zero, and otherwise from a square-root level
+    named ``name + "y"`` plus its height.  Every candidate is verified by
+    multiplying by n (with a sign fix when it lands on -target); reducible
+    adjoined moduli are split transparently, so the returned towers may be
+    branch towers.  A zero divisor at a level of the model's tower is the
+    caller's to split.
     """
     half = Fraction(1, 2)
-    out = []
 
-    def y_case(tower, x0):
-        """(a, disc, y): y is the direct y-solution over ``tower``, or None
-        when y needs the square root of disc."""
-        a, disc = model.embedded(tower).y_discriminant(x0)
+    def solve(tw, x0):
+        a, disc = model.embedded(tw).y_discriminant(x0)
         root = _rational_sqrt(disc)
+        tower = tw
         if root is not None:
-            return a, disc, (-a + tower.rational(root)) * half
-        return a, disc, (-a * half if disc.is_zero() else None)
-
-    poly = preimage_polynomial(model, n, target[0])
-    for packet in root_packets(poly, model.tower, name_hint=name):
-        x0 = packet.element
-        for branch, (a, disc, y0) in with_splitting(
-            packet.tower, lambda tw: y_case(tw, x0.embedded(tw))
-        ):
-            tower = branch
-            if y0 is None:
-                sq = UniPoly(branch, (-disc, branch.zero(), branch.one()))
-                tower = branch.extend(sq, name="%sy%d" % (name, branch.height))
-                y0 = (-a.embedded(tower) + tower.generator()) * half
-            xx = x0.embedded(tower)
+            y0 = (-a + tw.rational(root)) * half
+        elif disc.is_zero():
+            y0 = -a * half
+        else:
+            sq = UniPoly(tw, (-disc, tw.zero(), tw.one()))
+            tower = tw.extend(sq, name="%sy%d" % (name, tw.height))
+            y0 = (-a.embedded(tower) + tower.generator()) * half
+        xx = x0.embedded(tower)
+        return [
+            (final, res)
             for final, res in with_splitting(
                 tower,
-                lambda tw: signed_preimage(
-                    model, n, (xx.embedded(tw), y0.embedded(tw)), target
-                ),
-            ):
-                if res is not None:
-                    out.append((final, res))
-    return out
+                lambda t: signed_preimage(model, n, (xx.embedded(t), y0.embedded(t)), target),
+            )
+            if res is not None
+        ]
+
+    return _at_roots(preimage_polynomial(model, n, target[0]), model.tower, name, solve)
 
 
 def halve_point(model, target):

@@ -10,6 +10,9 @@ with ``TorsionClass`` arithmetic, never with the spec's compiled rows.
 ``bigon_clauses`` keeps the bi-gon clauses' former route, direct Fulton
 multiplicities and one ``intersection_points`` sweep per pair, as the
 reference for ``verify_bigon``'s reading of the fingerprint.
+``sweep_profiles`` keeps the fingerprint's former route, which profiles a
+point again in the sweep of every pair of pieces through it, as the
+reference for profiling each point once.
 """
 
 from fractions import Fraction
@@ -346,3 +349,39 @@ def bigon_clauses(cubic, l0, c1, c2, p, q):
     }
     report["all"] = all(report.values())
     return report
+
+
+def sweep_profiles(pieces, tower):
+    """The point profiles of an arrangement, from every record of every sweep.
+
+    Each pair sweep profiles every point it finds, under tower splitting,
+    whichever pieces it lies on first; the copies of a point met in several
+    sweeps must agree on their pairs, incident pieces and orbit.  Returns
+    {key: profile}, keyed by ``_point_key`` as ``fingerprint`` keys them.
+    """
+    from itertools import combinations
+
+    from maxflex.combinatorics import _point_key
+    from maxflex.fields import with_splitting
+    from maxflex.geometry import intersection_multiplicity, intersection_points
+
+    herd = [p.embedded(tower) for p in pieces]
+    profiles = {}
+    for i, j in combinations(range(len(herd)), 2):
+        for rec in intersection_points(herd[i], herd[j], tower, multiplicities=False):
+
+            def profile(tw, rec=rec):
+                pt = rec.point.embedded(tw)
+                curves = [piece.embedded(tw) for piece in herd]
+                incident = [k for k, c in enumerate(curves) if c.evaluate(pt).is_zero()]
+                pairs = {
+                    (a, b): intersection_multiplicity(curves[a], curves[b], pt)
+                    for a, b in combinations(incident, 2)
+                }
+                return pt, {"pairs": pairs, "incident": set(incident)}
+
+            for tw, (pt, entry) in with_splitting(rec.tower, profile, tower.height):
+                entry["orbit"] = tw.absolute_degree // tower.absolute_degree
+                key = _point_key(pt, tower, entry["orbit"])
+                assert profiles.setdefault(key, entry) == entry, "sweeps disagree at a point"
+    return profiles

@@ -20,7 +20,7 @@ from maxflex import (
 )
 from maxflex.catalog import bigon_conics, bigon_points, catalog_entry
 from maxflex.combinatorics import _point_key
-from oracles import bigon_clauses
+from oracles import bigon_clauses, sweep_profiles
 
 
 def cyclic_cubic():
@@ -204,6 +204,43 @@ def test_verify_bigon_runs_no_second_sweep(monkeypatch):
     for name in ("intersection_points", "intersection_multiplicity", "is_smooth_curve"):
         monkeypatch.setattr(maxflex.combinatorics, name, refuse)
     assert verify_bigon(fp, p, q)["all"]
+
+
+def test_each_profiled_pair_takes_one_multiplicity(monkeypatch):
+    e, p, q, c1, c2 = bigon_package(4)
+    real = maxflex.combinatorics.intersection_multiplicity
+    calls = []
+
+    def counting(c, d, point):
+        calls.append(point)
+        return real(c, d, point)
+
+    monkeypatch.setattr(maxflex.combinatorics, "intersection_multiplicity", counting)
+    fp = bigon_fingerprint(e, c1, c2)
+    # one call per pair of pieces at each point, not one per sweep through it
+    assert len(calls) == sum(len(entry["pairs"]) for entry in fp.points.values()) == 10
+
+
+def _arrangement(name):
+    if name == "cyclic-triangle":
+        return [cyclic_cubic()] + coordinate_lines()
+    e, p, q, c1, c2 = bigon_package(int(name[len("bigon-r"):]))
+    return [e.cubic, e.origin_tangent, c1, c2]
+
+
+@pytest.mark.parametrize("name", ["bigon-r4", "bigon-r12", "cyclic-triangle"])
+def test_profiles_match_the_every_sweep_oracle(name):
+    pieces = _arrangement(name)
+    fp = fingerprint(pieces)
+    oracle = sweep_profiles(pieces, pieces[0].tower)
+    assert list(fp.points) == list(oracle)  # the same keys, in the same order
+    assert fp.points == oracle
+
+
+def test_a_key_met_twice_raises(monkeypatch):
+    monkeypatch.setattr(maxflex.combinatorics, "_point_key", lambda point, base, orbit: "one")
+    with pytest.raises(CommonComponent, match="share one key"):
+        fingerprint([cyclic_cubic()] + coordinate_lines())
 
 
 def test_clubsuit_d2_builds_one_fingerprint_per_radius(monkeypatch):
