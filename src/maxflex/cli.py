@@ -148,6 +148,8 @@ def _cmd_fingerprint(args):
         budget = args.tower_budget or DEFAULT_DEGREE_CAP
         tower = FieldTower.from_data(data.get("tower", []), budget)
         pieces = [PlaneCurve.from_data(tower, entry) for entry in data["curves"]]
+        if not pieces:
+            raise SpecError("arrangement file %s lists no curves" % args.arrangement)
     f = fingerprint(pieces, tower)
     _emit(f.canonical(), args.out)
     return 0

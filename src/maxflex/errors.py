@@ -83,7 +83,7 @@ def malformed(what):
     """Turn the errors a malformed JSON-shaped input raises into SpecError."""
     try:
         yield
-    except (AttributeError, LookupError, TypeError, ValueError) as err:
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as err:
         raise SpecError("malformed %s: %s: %s" % (what, type(err).__name__, err)) from err
 
 

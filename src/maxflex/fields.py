@@ -18,9 +18,12 @@ take them in, ``as_rational`` and ``rational_coeffs`` hand them out.
 
 A product is formed in the integers and reduced by each level's modulus with
 its denominators cleared, a pseudo-remainder whose scale is fixed per level,
-then normalised with one gcd.  An inverse at height 1 runs an integer
-remainder sequence with content stripping; an inverse at a linear level (the
-trivial level a split leaves) is the inverse of its one coefficient.
+then normalised with one gcd.  Two cases skip that work.  A linear level
+(the trivial level a split leaves) has the scale of the level below, so the
+product of its one entry passes through; and a rational operand only scales
+the other operand's numerators, which are already reduced.  An inverse at
+height 1 runs an integer remainder sequence with content stripping; an
+inverse at a linear level is the inverse of its one coefficient.
 
 ``is_zero`` has three stages.  (1) Structural: a rep without a nonzero
 numerator is zero, and on a tower of levels all marked irreducible (a field)
@@ -86,6 +89,18 @@ def _zany(Z, k):
     if k == 1:
         return any(Z)
     return any(_zany(z, k - 1) for z in Z)
+
+
+def _zbelow(Z, k, low):
+    """The entries at int-height ``low`` of numerators Z at int-height k that
+    are constant in every level above ``low``, else None."""
+    while k > low:
+        k -= 1
+        for z in Z[1:]:
+            if _zany(z, k):
+                return None
+        Z = Z[0]
+    return Z
 
 
 def _zop(op, A, B, k):
@@ -200,6 +215,9 @@ def _zmul(levels, k, A, B):
                     P[n - d + t] -= c * m
         return tuple(P)
     low = k - 1
+    if d == 1:
+        # a linear level has the scale of the one below: nothing to reduce
+        return (_zmul(levels, low, A[0], B[0]),)
     P = [_zlevel(levels, low).zero] * (2 * d - 1)
     nonzero_b = [(j, y) for j, y in enumerate(B) if _zany(y, low)]
     for i, x in enumerate(A):
@@ -476,10 +494,16 @@ def _rsub(levels, h, a, b):
 
 
 def _rmul(levels, h, a, b):
+    den = a[0] * b[0]
     if h == 0:
-        return _znorm(a[0] * b[0], a[1] * b[1], 0)
-    P = _zmul(levels, h, a[1], b[1])
-    return _znorm(a[0] * b[0] * _zlevel(levels, h).scale, P, h)
+        return _znorm(den, a[1] * b[1], 0)
+    # a rational operand scales the other, which is already reduced
+    n, other = _zbelow(a[1], h, 0), b[1]
+    if n is None:
+        n, other = _zbelow(b[1], h, 0), a[1]
+    if n is not None:
+        return _znorm(den, _zscale(other, n, h), h)
+    return _znorm(den * _zlevel(levels, h).scale, _zmul(levels, h, a[1], b[1]), h)
 
 
 def _rinv(levels, h, a):
@@ -1004,16 +1028,10 @@ class TowerElement:
         Succeeds exactly when every residue above the prefix is structurally
         constant, i.e. the value already lives in the prefix tower.
         """
-        h = self.tower.height
-        if h == base_height:
-            return self.rep
         den, Z = self.rep
-        for k in range(h, base_height, -1):
-            if any(_zany(z, k - 1) for z in Z[1:]):
-                return None
-            Z = Z[0]
+        Z = _zbelow(Z, self.tower.height, base_height)
         # the entries dropped are zero, so (den, Z) is still canonical
-        return (den, Z)
+        return None if Z is None else (den, Z)
 
 
 def _eliminate_top_level(p):
@@ -1248,8 +1266,13 @@ def rep_to_data(rep):
 
 
 def rep_from_data(levels, h, data):
-    if isinstance(data, str):
+    """The rep at height h of ``rep_to_data`` output.  A JSON integer is a
+    rational too; a float or a bool is refused, since it is no exact value."""
+    if isinstance(data, str) or type(data) is int:
         return _rfrom_rational(levels, h, Fraction(data))
+    if not isinstance(data, list):
+        raise TypeError("coefficient %r is neither an integer, a \"p/q\" string nor a list"
+                        % (data,))
     if h == 0:
         raise ValueError("nested coefficient list at the rational level")
     return _join(levels, h, [rep_from_data(levels, h - 1, c) for c in data])

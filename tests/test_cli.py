@@ -281,6 +281,70 @@ def test_fingerprint_on_non_squarefree_tower_is_rejected(capsys, tmp_path):
     assert "squarefree" in err
 
 
+def _arrangement(cubic_z3="-1/1", line_x=("0/1", "1/1"), minpoly=("-2/1", "0/1", "1/1")):
+    """The Fermat cubic and a line over Q(t), t^2 = 2, with settable entries."""
+    return {
+        "tower": [{"name": "t", "minpoly": list(minpoly)}],
+        "curves": [
+            {"degree": 3, "terms": {"3,0,0": "1/1", "0,3,0": "1/1", "0,0,3": cubic_z3}},
+            {"degree": 1, "terms": {"1,0,0": list(line_x), "0,1,0": "-1/1"}},
+        ],
+    }
+
+
+def _fingerprint_of(capsys, tmp_path, arrangement):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(arrangement))
+    return run_cli(capsys, "fingerprint", str(path))
+
+
+@pytest.mark.parametrize(
+    "arrangement, what",
+    [
+        (_arrangement(cubic_z3="1/0"), "curve data"),
+        (_arrangement(minpoly=("-2/1", "1/0", "1/1")), "tower data"),
+    ],
+    ids=["term", "minpoly"],
+)
+def test_fingerprint_with_a_zero_denominator_is_a_spec_error(capsys, tmp_path, arrangement, what):
+    code, out, err = _fingerprint_of(capsys, tmp_path, arrangement)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed %s: ZeroDivisionError" % what)
+
+
+def test_fingerprint_on_an_empty_curve_list_is_a_spec_error(capsys, tmp_path):
+    code, out, err = _fingerprint_of(capsys, tmp_path, {"tower": [], "curves": []})
+    assert code == 2
+    assert out == ""
+    assert err == "error: arrangement file %s lists no curves\n" % (tmp_path / "arr.json")
+
+
+def test_fingerprint_reads_json_integers_as_rationals(capsys, tmp_path):
+    code, want, _ = _fingerprint_of(capsys, tmp_path, _arrangement())
+    assert code == 0
+    as_ints = _arrangement(cubic_z3=-1, line_x=(0, 1), minpoly=(-2, 0, 1))
+    assert _fingerprint_of(capsys, tmp_path, as_ints) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "arrangement, what, shown",
+    [
+        (_arrangement(cubic_z3=-1.0), "curve data", "-1.0"),
+        (_arrangement(line_x=(0.5, "1/1")), "curve data", "0.5"),
+        (_arrangement(minpoly=(-2.0, "0/1", "1/1")), "tower data", "-2.0"),
+        (_arrangement(cubic_z3=True), "curve data", "True"),
+        (_arrangement(minpoly=("-2/1", False, "1/1")), "tower data", "False"),
+    ],
+    ids=["float-term", "float-residue", "float-minpoly", "bool-term", "bool-minpoly"],
+)
+def test_fingerprint_refuses_floats_and_bools_by_value(capsys, tmp_path, arrangement, what, shown):
+    code, out, err = _fingerprint_of(capsys, tmp_path, arrangement)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed %s: TypeError: coefficient %s " % (what, shown))
+
+
 def test_fingerprint_on_a_missing_file_is_a_read_error(capsys, tmp_path):
     path = tmp_path / "absent.json"
     code, out, err = run_cli(capsys, "fingerprint", str(path))

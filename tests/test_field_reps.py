@@ -2,7 +2,8 @@
 
 Elements are drawn with a seeded, bounded hypothesis profile on the three
 tower shapes the catalog builds (Q, the [4,1] halving tower and the Fermat
-[2,9,1] tower) and on random two-level towers.  Every result is compared
+[2,9,1] tower), on two towers with a linear level below a quadratic top, and
+on random two-level towers.  Every result is compared
 with ``oracles.NestedTower``, which shares no code with ``maxflex.fields``;
 minimal polynomials are compared with sympy's characteristic polynomial of
 the multiplication matrix.
@@ -26,6 +27,7 @@ from maxflex import (  # noqa: E402
     UniPoly,
     ZeroDivisorEncountered,
     catalog,
+    fields,
     poly_gcd,
 )
 from maxflex.fields import rep_from_data, rep_to_data  # noqa: E402
@@ -37,8 +39,11 @@ PROFILE = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 SHAPES = ("q", "t4-1", "t2-9-1")
+#: Towers with a linear level below a quadratic top: a split branch of
+#: Q[t]/(t^2 - 1) and the [4,1] halving tower, each extended by s^2 - t - 2.
+LINEAR_BELOW_TOP = ("t1-2", "t4-1-2")
 #: Examples per test and shape; the Fermat tower's operations cost the most.
-EXAMPLES = {"q": 40, "t4-1": 40, "t2-9-1": 12, "random": 40}
+EXAMPLES = {"q": 40, "t4-1": 40, "t2-9-1": 12, "t1-2": 40, "t4-1-2": 20, "random": 40}
 
 
 @lru_cache(maxsize=None)
@@ -47,7 +52,13 @@ def shape_tower(shape):
         return QQ
     if shape == "t4-1":
         return catalog.bigon_points(catalog.catalog_entry("90c3").build(), 8)[0]
-    return catalog.fermat_witness()["tower"]
+    if shape == "t2-9-1":
+        return catalog.fermat_witness()["tower"]
+    if shape == "t1-2":
+        base = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1])).split(0, [-1, 1])[0]
+    else:
+        base = shape_tower("t4-1")
+    return base.extend(UniPoly(base, [-base.generator(0) - 2, 0, base.one()]))
 
 
 def coeff_lists(n):
@@ -61,10 +72,15 @@ def to_data(x, h):
     return [to_data(c, h - 1) for c in x]
 
 
-def element(tower, ref, qs):
-    """The same value in the tower under test and in the reference."""
-    x = ref.unflat(list(qs), tower.height)
-    return tower.element(rep_from_data(tower.levels, tower.height, to_data(x, tower.height))), x
+def element(tower, ref, qs, k=None):
+    """The same value in the tower under test and in the reference; with k, a
+    value of the height-k prefix (len(qs) its degree), constant above it."""
+    h = tower.height
+    k = h if k is None else k
+    x = ref.unflat(list(qs), k)
+    for j in range(k + 1, h + 1):
+        x = [x] + [ref.zero(j - 1) for _ in range(ref.degree(j) - 1)]
+    return tower.element(rep_from_data(tower.levels, h, to_data(x, h))), x
 
 
 def ints_of(Z, k):
@@ -190,6 +206,57 @@ def test_poly_gcd_matches_reference_on_catalog_shapes(shape):
         check_poly_gcd(tower, ref, qr, qs, qu)
 
     run()
+
+
+@pytest.mark.parametrize("shape", SHAPES + LINEAR_BELOW_TOP)
+def test_products_with_a_rational_or_lower_operand_match_reference(shape):
+    """Products that the shortcuts take: a rational operand in either order,
+    operands whose values lie below the top level, and linear levels."""
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+    h = tower.height
+
+    @settings(max_examples=EXAMPLES[shape], **PROFILE)
+    @given(st.integers(0, h), st.data())
+    def run(k, data):
+        prefix_degree = FieldTower(tower.levels[:k]).absolute_degree
+        x, rx = element(tower, ref, data.draw(coeff_lists(prefix_degree)), k)
+        y, ry = element(tower, ref, data.draw(coeff_lists(tower.absolute_degree)))
+        q, rq = element(tower, ref, data.draw(coeff_lists(1)), 0)
+        for (a, ra), (b, rb) in ((x, rx), (y, ry)), ((q, rq), (y, ry)), ((q, rq), (x, rx)):
+            want = ref.mul(ra, rb, h)
+            assert_same(tower, ref, a * b, want)
+            assert_same(tower, ref, b * a, want)
+        assert_same(tower, ref, x * x, ref.mul(rx, rx, h))
+
+    run()
+
+
+def test_rational_products_skip_the_multiply_and_linear_levels_pass_through(monkeypatch):
+    """A product of two rationals runs no integer multiply, and a generic
+    product on [4,1] multiplies and reduces once, at int-height 1, with no
+    sum at the linear level above it."""
+    zmul, zop = fields._zmul, fields._zop
+    heights, sums = [], []
+
+    def counted_zmul(levels, k, A, B):
+        heights.append(k)
+        return zmul(levels, k, A, B)
+
+    def counted_zop(op, A, B, k):
+        sums.append(k)
+        return zop(op, A, B, k)
+
+    towers = [shape_tower(shape) for shape in ("t4-1", "t2-9-1")]
+    rationals = [(t.rational(Fraction(3, 7)), t.rational(-14)) for t in towers]
+    g = towers[0].generator(0)
+    a, b, want = g + 1, g * g - 3, g ** 3 + g * g - 3 * g - 3
+    monkeypatch.setattr(fields, "_zmul", counted_zmul)
+    monkeypatch.setattr(fields, "_zop", counted_zop)
+    assert [(x * y).as_rational() for x, y in rationals] == [-6, -6]
+    assert heights == []
+    assert (a * b).rep == want.rep
+    assert heights == [2, 1] and sums == []
 
 
 @st.composite
