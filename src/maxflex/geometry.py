@@ -393,11 +393,16 @@ class PlaneCurve:
     @classmethod
     def from_data(cls, tower, data):
         with malformed("curve data"):
+            degree = data["degree"]
+            if type(degree) is not int or degree < 1:
+                raise ValueError("curve degree %r is not a positive integer" % (degree,))
             form = {}
             for key, val in data["terms"].items():
                 exps = tuple(int(s) for s in key.split(","))
+                if any(s < 0 for s in exps):
+                    raise ValueError("negative exponent in term %r" % (key,))
                 form[exps] = TowerElement(tower, rep_from_data(tower.levels, tower.height, val))
-            return cls(tower, data["degree"], form)
+            return cls(tower, degree, form)
 
     def __repr__(self):
         return "PlaneCurve(degree=%d, %d terms)" % (self.degree, len(self.form))
@@ -792,15 +797,71 @@ def ec_sum(e, terms):
 
 def point_order(e, p, bound):
     """Least n <= bound with n*p = origin, or None."""
+    return order_by_descent(
+        p,
+        bound,
+        lambda a, b: ec_add(e, a, b),
+        lambda n, a: ec_mul(e, n, a),
+        lambda a: a == e.origin,
+    )
+
+
+def prime_powers(n):
+    """(q, k) for each prime power q^k exactly dividing n >= 1, q increasing."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            k = 0
+            while n % q == 0:
+                n //= q
+                k += 1
+            out.append((q, k))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def order_by_descent(p, bound, add, mul, is_origin):
+    """Least n <= bound with n*p at the origin, or None, in any group law.
+
+    When the order divides ``bound``, its q-part is the least q^f that takes
+    (bound / q^k) * p to the origin, for each q^k exactly dividing bound
+    (Sutherland, Order Computations in Generic Groups, 2007): one descent
+    per prime, a few multiplications in all.  A chain that does not reach
+    the origin after k steps shows bound * p is not the origin, and then
+    the multiples are walked one by one, so an order below bound that does
+    not divide it is still found.
+    """
     if bound < 1:
         raise ValueError("bound must be positive")
+    if bound > 1:
+        order = _order_dividing(p, bound, mul, is_origin)
+        if order is not None:
+            return order
     acc = p
     for n in range(1, bound + 1):
-        if acc == e.origin:
+        if is_origin(acc):
             return n
         if n < bound:
-            acc = ec_add(e, acc, p)
+            acc = add(acc, p)
     return None
+
+
+def _order_dividing(p, bound, mul, is_origin):
+    """The order of p when it divides bound > 1, else None."""
+    order = 1
+    for q, k in prime_powers(bound):
+        acc = mul(bound // q**k, p)
+        f = 0
+        while not is_origin(acc):
+            if f == k:
+                return None
+            acc = mul(q, acc)
+            f += 1
+        order *= q**f
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -330,16 +330,19 @@ class ArrangementSpec:
         for entry in data["components"]:
             tc = None
             if entry.get("class") is not None:
-                tc = TorsionClass(entry["modulus"], tuple(entry["class"]))
+                tc = TorsionClass(
+                    _integer(entry["modulus"], "modulus"),
+                    tuple(_integer(c, "class") for c in entry["class"]),
+                )
             comps.append(
                 ComponentData(
-                    entry["degree"],
-                    entry["m"],
-                    [(p, mult) for p, mult in entry["divisor"]],
+                    _integer(entry["degree"], "degree"),
+                    _integer(entry["m"], "m"),
+                    [(p, _integer(mult, "divisor multiplicity")) for p, mult in entry["divisor"]],
                     tc,
                 )
             )
-        return cls(data["d0"], comps)
+        return cls(_integer(data["d0"], "d0"), comps)
 
     @classmethod
     def load(cls, path):
@@ -348,6 +351,13 @@ class ArrangementSpec:
             spec = cls.from_data(data)
             admissible = _admissible_tuples(data.get("admissible", []), spec.k)
         return spec, admissible
+
+
+def _integer(value, field):
+    """A spec file's integer field; a float, a bool or a string is refused by name."""
+    if type(value) is not int:
+        raise TypeError("field %s is %r, not an integer" % (field, value))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ x^3 + a2 x^2 z + a4 x z^2 + a6 z^3 by a projective change of coordinates
 sending the flex to [0:1:0] and its tangent to the line z = 0.  The model
 supports the textbook affine addition formulas and the univariate division
 polynomial machinery used by the torsion oracles and by ``divide_point``,
-the one routine that finds every P with nP = a given point.  The
+the one routine that finds every P with nP = a given point.  Rational
+torsion is found one prime power at a time: ``rational_points_of_order``
+reads psi_{q^k} only for prime powers q^k and sums the parts for any other
+order, so 90c3's Z/12 comes from psi_4 and psi_3 rather than the degree-70
+psi_12.  Orders are found by one descent per prime of the bound
+(``geometry.order_by_descent``), shared with the chord-tangent law.  The
 chord-tangent law in geometry.py stays the independent primary route;
 everything here is a search/oracle device.
 """
@@ -17,7 +22,16 @@ from math import isqrt
 
 from .errors import SingularPoint
 from .fields import UniPoly, poly_gcd, squarefree_part, with_splitting
-from .geometry import PlaneCurve, ProjPoint, _at_roots, _line_frame, _proportional_forms, form_sum
+from .geometry import (
+    PlaneCurve,
+    ProjPoint,
+    _at_roots,
+    _line_frame,
+    _proportional_forms,
+    form_sum,
+    order_by_descent,
+    prime_powers,
+)
 from .polysolve import mat3_adjugate, mat3_apply, rational_roots
 
 
@@ -135,12 +149,8 @@ class WeierstrassModel:
         return acc
 
     def order(self, pt, bound):
-        acc = pt
-        for n in range(1, bound + 1):
-            if acc is None:
-                return n
-            acc = self.add(acc, pt)
-        return None
+        """Least n <= bound with n*pt the point at infinity, or None."""
+        return order_by_descent(pt, bound, self.add, self.mul, lambda a: a is None)
 
     # -- moving points between the model and the source cubic --------------------
 
@@ -378,17 +388,31 @@ def curve_y_solutions(model, x0):
 def rational_points_of_order(model, n):
     """All model points of exact order n with rational coordinates, in x order.
 
-    The x-coordinates are rational roots of psi_n itself (of the doubling
-    cubic for n = 2).  Its roots also carry the points of every order d | n
-    other than 2, so each candidate is checked on the curve and for exact
-    order n by explicit multiplication.
+    A point of exact order n is the sum of its parts of exact order q^k, one
+    for each prime power q^k exactly dividing n, and those parts are
+    multiples of it, so rational with it.  For a prime power n the
+    x-coordinates are the rational roots of psi_n itself (of the doubling
+    cubic for n = 2), whose roots also carry the points of every order
+    d | n other than 2.  Otherwise they are the x-coordinates of the sums of
+    one rational point of each exact order q^k, found the same way, in
+    increasing order.  Every candidate x gives its points through
+    ``curve_y_solutions``, and each is checked on the curve and for exact
+    order n by multiplication.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    div = DivisionPolynomials(model)
-    poly = div.doubling_cubic if n == 2 else div.raw(n)
+    parts = prime_powers(n)
+    if len(parts) == 1:
+        div = DivisionPolynomials(model)
+        poly = div.doubling_cubic if n == 2 else div.raw(n)
+        xs = [x0 for x0, _mult in rational_roots(poly)]
+    else:
+        sums = [None]
+        for q, k in parts:
+            sums = [model.add(s, pt) for s in sums for pt in rational_points_of_order(model, q**k)]
+        xs = sorted({s[0].as_rational() for s in sums})
     out = []
-    for x0, _mult in rational_roots(poly):
+    for x0 in xs:
         for pt in curve_y_solutions(model, model.tower.rational(x0)):
             if not model.on_curve(pt):
                 continue

@@ -12,7 +12,11 @@ multiplicities and one ``intersection_points`` sweep per pair, as the
 reference for ``verify_bigon``'s reading of the fingerprint.
 ``sweep_profiles`` keeps the fingerprint's former route, which profiles a
 point again in the sweep of every pair of pieces through it, as the
-reference for profiling each point once.
+reference for profiling each point once.  ``psi_torsion_points`` keeps
+rational torsion's former route, the rational roots of psi_n for every n,
+as the reference for the route one prime power at a time, and
+``walked_order`` the one-multiple-at-a-time order as the reference for the
+prime descent.
 """
 
 from fractions import Fraction
@@ -385,3 +389,32 @@ def sweep_profiles(pieces, tower):
                 key = _point_key(pt, tower, entry["orbit"])
                 assert profiles.setdefault(key, entry) == entry, "sweeps disagree at a point"
     return profiles
+
+
+def walked_order(p, bound, add, is_origin):
+    """Least n <= bound with n*p at the origin, or None, adding p once per step."""
+    acc = p
+    for n in range(1, bound + 1):
+        if is_origin(acc):
+            return n
+        acc = add(acc, p)
+    return None
+
+
+def psi_torsion_points(model, n):
+    """Model points of exact order n >= 2 with rational coordinates, from psi_n.
+
+    The candidate x-coordinates are the rational roots of psi_n itself (of
+    the doubling cubic for n = 2) whatever n is, and exact order is walked.
+    """
+    from maxflex.polysolve import rational_roots
+    from maxflex.weierstrass import DivisionPolynomials, curve_y_solutions
+
+    div = DivisionPolynomials(model)
+    poly = div.doubling_cubic if n == 2 else div.raw(n)
+    return [
+        pt
+        for x0, _mult in rational_roots(poly)
+        for pt in curve_y_solutions(model, model.tower.rational(x0))
+        if model.on_curve(pt) and walked_order(pt, n, model.add, lambda a: a is None) == n
+    ]

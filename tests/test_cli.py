@@ -69,8 +69,8 @@ def test_torsion_empty_order(capsys):
     assert "no rational points" in out
 
 
-def _write_spec_files(tmp_path):
-    spec4 = {
+def _spec4():
+    return {
         "d0": 3,
         "components": [
             {"degree": 1, "m": 3, "class": [3, 0], "modulus": 9, "divisor": [["p", 3]]},
@@ -85,7 +85,11 @@ def _write_spec_files(tmp_path):
         ],
         "admissible": [[0, 1, 2], [1, 0, 2]],
     }
-    spec5 = json.loads(json.dumps(spec4))
+
+
+def _write_spec_files(tmp_path):
+    spec4 = _spec4()
+    spec5 = _spec4()
     spec5["components"][1]["class"] = [0, 3]
     f4 = tmp_path / "spec4.json"
     f5 = tmp_path / "spec5.json"
@@ -343,6 +347,69 @@ def test_fingerprint_refuses_floats_and_bools_by_value(capsys, tmp_path, arrange
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed %s: TypeError: coefficient %s " % (what, shown))
+
+
+def test_fingerprint_refuses_a_negative_exponent_by_name(capsys, tmp_path):
+    arrangement = _arrangement()
+    arrangement["curves"][0]["terms"]["-1,2,2"] = "1/1"
+    code, out, err = _fingerprint_of(capsys, tmp_path, arrangement)
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed curve data: ValueError: negative exponent in term '-1,2,2'\n"
+
+
+@pytest.mark.parametrize(
+    "index, degree", [(0, 3.5), (1, 1.0), (1, True), (1, 0)], ids=["3.5", "1.0", "true", "0"]
+)
+def test_fingerprint_refuses_a_degree_that_is_no_positive_integer(capsys, tmp_path, index, degree):
+    arrangement = _arrangement()
+    arrangement["curves"][index]["degree"] = degree
+    code, out, err = _fingerprint_of(capsys, tmp_path, arrangement)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: malformed curve data: ValueError: curve degree %r is not a positive integer\n"
+        % (degree,)
+    )
+
+
+def _set_spec_field(spec, field, value):
+    entry = spec["components"][0]
+    if field == "d0":
+        spec["d0"] = value
+    elif field == "divisor multiplicity":
+        entry["divisor"][0][1] = value
+    else:
+        entry[field] = value
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("class", [3.5, 0], "3.5"),
+        ("modulus", 9.0, "9.0"),
+        ("degree", 1.0, "1.0"),
+        ("m", 3.0, "3.0"),
+        ("d0", 3.0, "3.0"),
+        ("divisor multiplicity", 3.0, "3.0"),
+        ("m", "3", "'3'"),
+        ("d0", True, "True"),
+    ],
+    ids=["class", "modulus", "degree", "m", "d0", "multiplicity", "string-m", "bool-d0"],
+)
+def test_spec_file_refuses_a_non_integer_field_by_name(capsys, tmp_path, field, value, shown):
+    spec = _spec4()
+    _set_spec_field(spec, field, value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed spec file %s: TypeError: field %s is %s, not an integer\n" % (
+        path,
+        field,
+        shown,
+    )
 
 
 def test_fingerprint_on_a_missing_file_is_a_read_error(capsys, tmp_path):

@@ -27,8 +27,16 @@ from maxflex import (
     rational_roots,
     weierstrass_model,
 )
-from maxflex.catalog import bigon_points, catalog_entry, fermat_t1, fermat_triangle
+from maxflex import geometry
+from maxflex.catalog import (
+    bigon_points,
+    catalog_entry,
+    cyclic_flex_origins,
+    fermat_t1,
+    fermat_triangle,
+)
 from maxflex.weierstrass import WeierstrassModel, curve_y_solutions, divide_point
+from oracles import psi_torsion_points, walked_order
 
 
 def structure_90c3(cap=64):
@@ -112,7 +120,7 @@ def test_rational_torsion_points_come_in_a_pinned_order():
         8: [],
         12: [(-9, -41), (-9, 49), (81, -761), (81, 679)],
     }
-    # the x-coordinates read off psi_n are those of the stripped
+    # the x-coordinates found are those of the stripped
     # exact-order polynomial that carry a rational y
     for n, pts in got.items():
         reference = [
@@ -298,3 +306,73 @@ def test_residual_refuses_points_off_the_line_or_cubic_and_non_tangents():
     with pytest.raises(LineNotIncident, match="off the cubic"):
         line_cubic_residual(e, line, P, off)
 
+
+# -- rational torsion one prime power at a time, orders by prime descent -------
+
+#: a-invariants [a1, a2, a3, a4, a6] of curves with rational Z/6 torsion
+Z6_CURVES = {"14a1": (1, 0, 1, 4, -6), "30a1": (1, 0, 1, 1, 2)}
+
+
+def _model_of(a_invariants):
+    one, zero = QQ.one(), QQ.zero()
+    identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    return WeierstrassModel(QQ, tuple(QQ.rational(a) for a in a_invariants), identity)
+
+
+@pytest.mark.parametrize(
+    "label, orders",
+    [("90c3", (2, 3, 4, 6, 12)), ("14a1", range(2, 13)), ("30a1", range(2, 13))],
+)
+def test_rational_torsion_by_prime_powers_matches_psi_n(label, orders):
+    if label == "90c3":
+        m = weierstrass_model(structure_90c3())
+    else:
+        m = _model_of(Z6_CURVES[label])
+    found = {n: rational_points_of_order(m, n) for n in orders}
+    for n, pts in found.items():
+        assert pts == psi_torsion_points(m, n), n
+    assert sum(len(pts) for pts in found.values()) == (11 if label == "90c3" else 5)
+
+
+def test_order_by_descent_matches_the_walk_on_both_group_laws():
+    e = structure_90c3()
+    m = weierstrass_model(e)
+    pool = [pt for n in (2, 3, 4, 6, 12) for pt in rational_points_of_order(m, n)]
+
+    def model_walk(p, bound):
+        return walked_order(p, bound, m.add, lambda a: a is None)
+
+    def chord_walk(p, bound):
+        return walked_order(p, bound, lambda a, b: ec_add(e, a, b), lambda a: a == e.origin)
+
+    for pt in pool:
+        r = model_walk(pt, 12)
+        P = m.point_to_source(pt)
+        # a multiple of the order, bounds past it that it does not divide,
+        # and a bound below it
+        for bound, want in ((24, r), (r, r), (r + 1, r), (2 * r + 1, r), (r - 1, None)):
+            assert m.order(pt, bound) == model_walk(pt, bound) == want, (r, bound)
+            assert point_order(e, P, bound) == chord_walk(P, bound) == want, (r, bound)
+
+
+def test_order_of_an_appendix_coordinate_point_takes_four_sums(monkeypatch):
+    data = catalog_entry("cyclic").build(64)
+    origin, tw = cyclic_flex_origins(data)[0]
+    e = EllipticStructure(data["cubic"].embedded(tw), origin, check=False)
+    p = ProjPoint(tw, [1, 0, 0])
+    add = geometry.ec_add
+    calls = []
+    monkeypatch.setattr(geometry, "ec_add", lambda *args: calls.append(1) or add(*args))
+    assert point_order(e, p, 9) == 9
+    assert len(calls) <= 4
+
+    def walk(bound):
+        return walked_order(
+            p, bound, lambda a, b: geometry.ec_add(e, a, b), lambda a: a == e.origin
+        )
+
+    calls.clear()
+    assert walk(9) == 9
+    assert len(calls) == 8
+    for bound in (18, 10, 8):
+        assert point_order(e, p, bound) == walk(bound), bound
