@@ -76,7 +76,8 @@ def _build_90c3(degree_cap):
     origin = ProjPoint(tower, [0, 1, 0])
     e = EllipticStructure(cubic, origin)
     model = weierstrass_model(e)
-    torsion = {r: rational_points_of_order(model, r) for r in (4, 12)}
+    found = {}
+    torsion = {r: rational_points_of_order(model, r, found) for r in (4, 12)}
     return {"tower": tower, "structure": e, "model": model, "rational_torsion": torsion}
 
 

@@ -21,9 +21,12 @@ its denominators cleared, a pseudo-remainder whose scale is fixed per level,
 then normalised with one gcd.  Two cases skip that work.  A linear level
 (the trivial level a split leaves) has the scale of the level below, so the
 product of its one entry passes through; and a rational operand only scales
-the other operand's numerators, which are already reduced.  An inverse at
-height 1 runs an integer remainder sequence with content stripping; an
-inverse at a linear level is the inverse of its one coefficient.
+the other operand's numerators, which are already reduced.  An inverse runs
+one remainder sequence on numerators, at height 1 on integer polynomials and
+above it on polynomials of numerators one level down: content is stripped
+once per remainder, each leading coefficient is inverted once, one level
+down, and the sequence stops at a constant.  The inverse of a value constant
+in its level, or at a linear level, is that of its one coefficient.
 
 ``is_zero`` has three stages.  (1) Structural: a rep without a nonzero
 numerator is zero, and on a tower of levels all marked irreducible (a field)
@@ -246,6 +249,13 @@ def _zz_trim(v):
     return v
 
 
+def _ztrim(v, k):
+    """v, a list of numerators at int-height k, without its trailing zeros."""
+    while v and not _zany(v[-1], k):
+        v.pop()
+    return v
+
+
 def _zz_pseudo_divmod(f, g):
     """Integer q and r with lc(g)^(deg f - deg g + 1) * f = q * g + r."""
     dg = len(g) - 1
@@ -310,6 +320,63 @@ def _zinv1(zl, a):
         inv_den, den = -inv_den, -den
     Z = [den * x for x in s1] + [0] * (zl.degree - len(s1))
     return _znorm(inv_den, tuple(Z), 1)
+
+
+def _zinvk(levels, h, a):
+    """Inverse of a rep at height h >= 2, not constant in the top level, whose
+    level has degree > 1: ``_zinv1``'s remainder sequence one height up.
+
+    A polynomial is a list of numerators at int-height k = h - 1, so that a
+    list of them is numerators at int-height h.  With s_i * A = l_i * r_i
+    modulo the modulus, each r_i is the field remainder up to a rational
+    factor, so the leading coefficients inverted (each once, by ``_rinv`` at
+    height k) and a zero divisor's monic gcd are those of Euclid on values.
+    """
+    k = h - 1
+    zl, below = _zlevel(levels, h), _zlevel(levels, k)
+    S = below.scale
+    den, A = a
+    r0 = list(zl.cleared[:-1]) + [_zscale(below.one, zl.cleared[-1], k)]
+    c = _zcontent(A, h, 0)
+    r1 = _ztrim(list(_zdiv(A, c, h) if c > 1 else A), k)
+    s0, l0, s1, l1 = [], 1, [below.one], c
+    while len(r1) > 1:
+        di, inv = _rinv(levels, k, (1, r1[-1]))
+        # with T the top of r, T / lc(r1) = C / (di S) for C = T * inv * S,
+        # so m = di S^2 scales r, and each step cancels r's top exactly
+        m = di * S * S
+        r, q, w = r0, [below.zero] * (len(r0) - len(r1) + 1), 1
+        for j in range(len(q) - 1, -1, -1):
+            top = r.pop()
+            if _zany(top, k):
+                C = _zmul(levels, k, top, inv)
+                r, q, w = list(_zscale(r, m, h)), list(_zscale(q, m, h)), w * m
+                q[j] = C
+                for t, y in enumerate(r1[:-1]):
+                    r[j + t] = _zop(sub, r[j + t], _zmul(levels, k, C, y), k)
+        # now r = w r0 - S q r1, so l0 l1 r = s A for s = l1 w s0 - l0 q s1,
+        # the products q s1 carrying the factor S
+        s = list(_zscale(s0, l1 * w, h)) + [below.zero] * (len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(_zscale(q, l0, h)):
+            if _zany(x, k):
+                for j, y in enumerate(s1):
+                    s[i + j] = _zop(sub, s[i + j], _zmul(levels, k, x, y), k)
+        r = _ztrim(r, k)
+        if not r:
+            monic = [_znorm(di * S, _zmul(levels, k, x, inv), k) for x in r1[:-1]]
+            raise ZeroDivisorEncountered(k, monic + [_rone(levels, k)])
+        cr = _zcontent(r, h, 0)
+        lam = l0 * l1 * cr
+        g = _zcontent(s, h, lam)
+        r0, s0, l0 = r1, s1, l1
+        r1 = list(_zdiv(r, cr, h)) if cr > 1 else r
+        s1 = list(_zdiv(s, g, h)) if g > 1 else s
+        l1 = lam // g
+    # s1 A = l1 g for the constant g = r1[0]
+    di, inv = _rinv(levels, k, (1, r1[0]))
+    Z = [_zscale(_zmul(levels, k, x, inv), den, k) for x in s1]
+    Z += [below.zero] * (zl.degree - len(Z))
+    return _znorm(l1 * di * S, tuple(Z), h)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +580,12 @@ def _rinv(levels, h, a):
         if num == 0:
             raise ZeroDivisionError("inverting zero")
         return (num, den) if num > 0 else (-num, -den)
-    if levels[h - 1].degree == 1:
-        return _lift(levels, h - 1, _rinv(levels, h - 1, _coeffs(a, h)[0]))
+    if levels[h - 1].degree == 1 or _zbelow(a[1], h, h - 1) is not None:
+        # a linear level, or a value constant in it: invert the one coefficient
+        return _lift(levels, h - 1, _rinv(levels, h - 1, _znorm(a[0], a[1][0], h - 1)))
     if h == 1:
         return _zinv1(_zlevel(levels, 1), a)
-    coeffs = _pl_trim(_coeffs(a, h), h - 1)
-    if not coeffs:
-        raise ZeroDivisionError("inverting zero")
-    g, u = _pl_half_xgcd(levels, h - 1, coeffs, list(levels[h - 1].modulus))
-    if len(g) > 1:
-        raise ZeroDivisorEncountered(h - 1, _pl_monic(levels, h - 1, g))
-    ginv = _rinv(levels, h - 1, g[0])
-    return _join(levels, h, [_rmul(levels, h - 1, c, ginv) for c in u])
+    return _zinvk(levels, h, a)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +645,15 @@ def _pl_reduce_inplace(levels, h, coeffs, modulus):
             )
 
 
-def _pl_divmod(levels, h, A, B):
-    """Quotient and remainder of coefficient lists; B's leading coeff is inverted."""
+def _pl_divmod(levels, h, A, B, linv=None):
+    """Quotient and remainder of coefficient lists; B's leading coeff is
+    inverted unless its inverse ``linv`` is given."""
     A = _pl_trim(A, h)
     B = _pl_trim(B, h)
     if not B:
         raise ZeroDivisionError("polynomial division by zero")
-    linv = _rinv(levels, h, B[-1])
+    if linv is None:
+        linv = _rinv(levels, h, B[-1])
     q = [_rzero(levels, h)] * max(0, len(A) - len(B) + 1)
     r = list(A)
     db = len(B) - 1
@@ -616,22 +679,18 @@ def _pl_monic(levels, h, A):
 
 
 def _pl_gcd(levels, h, A, B):
+    """The monic gcd, made from the inverse of the last divisor's leading
+    coefficient, which its division already took."""
     A = _pl_trim(A, h)
     B = _pl_trim(B, h)
-    while B:
-        A, B = B, _pl_divmod(levels, h, A, B)[1]
-    return _pl_monic(levels, h, A) if A else []
-
-
-def _pl_half_xgcd(levels, h, A, M):
-    """gcd(A, M) together with u such that u*A = gcd (mod M)."""
-    r0, r1 = _pl_trim(M, h), _pl_trim(A, h)
-    s0, s1 = [], [_rone(levels, h)]
-    while r1:
-        q, r = _pl_divmod(levels, h, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _pl_sub(levels, h, s0, _pl_mul(levels, h, q, s1))
-    return r0, s0
+    if not B:
+        return _pl_monic(levels, h, A)
+    while True:
+        linv = _rinv(levels, h, B[-1])
+        r = _pl_divmod(levels, h, A, B, linv)[1]
+        if not r:
+            return [_rmul(levels, h, c, linv) for c in B[:-1]] + [_rone(levels, h)]
+        A, B = B, r
 
 
 def _pl_derivative(levels, h, A):

@@ -837,7 +837,7 @@ def order_by_descent(p, bound, add, mul, is_origin):
     if bound < 1:
         raise ValueError("bound must be positive")
     if bound > 1:
-        order = _order_dividing(p, bound, mul, is_origin)
+        order = _order_dividing(p, bound, add, mul, is_origin)
         if order is not None:
             return order
     acc = p
@@ -849,16 +849,37 @@ def order_by_descent(p, bound, add, mul, is_origin):
     return None
 
 
-def _order_dividing(p, bound, mul, is_origin):
-    """The order of p when it divides bound > 1, else None."""
+def _order_dividing(p, bound, add, mul, is_origin):
+    """The order of p when it divides bound > 1, else None.
+
+    Every chain reads one ladder: ``mults`` keeps n*p by n, and c*(m*p) is
+    double-and-add over it, so no sum is formed twice across the primes.
+    """
+    mults = {1: mul(1, p)}  # p itself, with the operand check ``mul`` makes
+
+    def total(i, j):
+        if i + j not in mults:
+            mults[i + j] = add(mults[i], mults[j])
+        return i + j
+
+    def times(c, m):
+        acc = None
+        while True:
+            if c & 1:
+                acc = m if acc is None else total(acc, m)
+            c >>= 1
+            if not c:
+                return acc
+            m = total(m, m)
+
     order = 1
     for q, k in prime_powers(bound):
-        acc = mul(bound // q**k, p)
+        m = times(bound // q**k, 1)
         f = 0
-        while not is_origin(acc):
+        while not is_origin(mults[m]):
             if f == k:
                 return None
-            acc = mul(q, acc)
+            m = times(q, m)
             f += 1
         order *= q**f
     return order

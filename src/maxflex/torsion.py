@@ -199,6 +199,9 @@ class ArrangementSpec:
         self._signatures = tuple(c.signature() for c in self.components)
 
     def _validate(self):
+        if self.structure is None and any(c.cls is None for c in self.components):
+            # neither backend could compute an invariant of it
+            raise ValueError("a component has no class and the spec no cubic")
         for comp in self.components:
             total = sum(mult for _, mult in comp.divisor)
             if total != self.d0 * comp.degree:

@@ -385,7 +385,7 @@ def curve_y_solutions(model, x0):
     return [(x0, y) for y in ys]
 
 
-def rational_points_of_order(model, n):
+def rational_points_of_order(model, n, found=None):
     """All model points of exact order n with rational coordinates, in x order.
 
     A point of exact order n is the sum of its parts of exact order q^k, one
@@ -397,10 +397,13 @@ def rational_points_of_order(model, n):
     one rational point of each exact order q^k, found the same way, in
     increasing order.  Every candidate x gives its points through
     ``curve_y_solutions``, and each is checked on the curve and for exact
-    order n by multiplication.
+    order n by multiplication.  ``found``, a dict from order to these lists,
+    is read and filled, so that no order is searched for twice.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
+    if found is not None and n in found:
+        return found[n]
     parts = prime_powers(n)
     if len(parts) == 1:
         div = DivisionPolynomials(model)
@@ -409,7 +412,8 @@ def rational_points_of_order(model, n):
     else:
         sums = [None]
         for q, k in parts:
-            sums = [model.add(s, pt) for s in sums for pt in rational_points_of_order(model, q**k)]
+            of_qk = rational_points_of_order(model, q**k, found)
+            sums = [model.add(s, pt) for s in sums for pt in of_qk]
         xs = sorted({s[0].as_rational() for s in sums})
     out = []
     for x0 in xs:
@@ -418,6 +422,8 @@ def rational_points_of_order(model, n):
                 continue
             if model.order(pt, n) == n:
                 out.append(pt)
+    if found is not None:
+        found[n] = out
     return out
 
 

@@ -412,6 +412,26 @@ def test_spec_file_refuses_a_non_integer_field_by_name(capsys, tmp_path, field, 
     )
 
 
+@pytest.mark.parametrize("cls", ["drop", None], ids=["missing", "null"])
+def test_spec_file_component_without_a_class_is_a_spec_error(capsys, tmp_path, cls):
+    # a spec file has no cubic, so a component without a class leaves no
+    # backend for its invariants
+    spec = _spec4()
+    if cls == "drop":
+        del spec["components"][1]["class"]
+    else:
+        spec["components"][1]["class"] = cls
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed spec file %s: ValueError: %s\n" % (
+        path,
+        "a component has no class and the spec no cubic",
+    )
+
+
 def test_fingerprint_on_a_missing_file_is_a_read_error(capsys, tmp_path):
     path = tmp_path / "absent.json"
     code, out, err = run_cli(capsys, "fingerprint", str(path))

@@ -5,8 +5,9 @@ tower shapes the catalog builds (Q, the [4,1] halving tower and the Fermat
 [2,9,1] tower), on two towers with a linear level below a quadratic top, and
 on random two-level towers.  Every result is compared
 with ``oracles.NestedTower``, which shares no code with ``maxflex.fields``;
-minimal polynomials are compared with sympy's characteristic polynomial of
-the multiplication matrix.
+inverses also with ``oracles.xgcd_inverse``, the former rep-level route, on
+those towers and on two split-pending ones; minimal polynomials are compared
+with sympy's characteristic polynomial of the multiplication matrix.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import NestedTower  # noqa: E402
+from oracles import NestedTower, xgcd_inverse  # noqa: E402
 
 from maxflex import (  # noqa: E402
     QQ,
@@ -42,8 +43,14 @@ SHAPES = ("q", "t4-1", "t2-9-1")
 #: Towers with a linear level below a quadratic top: a split branch of
 #: Q[t]/(t^2 - 1) and the [4,1] halving tower, each extended by s^2 - t - 2.
 LINEAR_BELOW_TOP = ("t1-2", "t4-1-2")
+#: Split-pending towers: (v^2 - 2)(v^2 - 3) over Q(w), w^2 + w + 1 = 0, and
+#: v^2 - u over Q[u]/(u^2 - 1), whose lower level splits.
+SPLIT_PENDING = ("split-top", "split-below")
 #: Examples per test and shape; the Fermat tower's operations cost the most.
-EXAMPLES = {"q": 40, "t4-1": 40, "t2-9-1": 12, "t1-2": 40, "t4-1-2": 20, "random": 40}
+EXAMPLES = {
+    "q": 40, "t4-1": 40, "t2-9-1": 12, "t1-2": 40, "t4-1-2": 20, "random": 40,
+    "split-top": 40, "split-below": 40,
+}
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +61,12 @@ def shape_tower(shape):
         return catalog.bigon_points(catalog.catalog_entry("90c3").build(), 8)[0]
     if shape == "t2-9-1":
         return catalog.fermat_witness()["tower"]
+    if shape == "split-top":
+        base = QQ.extend(UniPoly.from_rationals(QQ, [1, 1, 1]), irreducible=True)
+        return base.extend(UniPoly.from_rationals(base, [6, 0, -5, 0, 1]))
+    if shape == "split-below":
+        base = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1]))
+        return base.extend(UniPoly(base, [-base.generator(), 0, base.one()]))
     if shape == "t1-2":
         base = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1])).split(0, [-1, 1])[0]
     else:
@@ -124,24 +137,41 @@ def check_ring_ops(tower, ref, qa, qb, qc):
     assert zero.rep == tower.zero().rep and hash(zero) == hash(tower.zero())
 
 
-def check_invert(tower, ref, qa):
-    a, ra = element(tower, ref, qa)
-    want = ref.inverse(ra, tower.height)
+def inverse_outcome(route, tower, rep):
+    """What an inverse route makes of a rep: the inverse, or the error with,
+    for a zero divisor, its level and factor."""
     try:
-        got = a.invert()
-    except ZeroDivisionError:
-        assert ref.is_zero(ra, tower.height)
-        return
+        return ("inverse", route(tower.levels, tower.height, rep))
     except ZeroDivisorEncountered as err:
+        return ("zero divisor", err.level, err.factor)
+    except ZeroDivisionError:
+        return ("zero",)
+
+
+def check_invert(tower, ref, qa):
+    check_inverse_of(tower, ref, *element(tower, ref, qa))
+
+
+def check_inverse_of(tower, ref, a, ra):
+    """``invert`` against the reference, and against the former route rep for
+    rep, zero divisor for zero divisor; returns the kind of outcome."""
+    got = inverse_outcome(fields._rinv, tower, a.rep)
+    assert got == inverse_outcome(xgcd_inverse, tower, a.rep)
+    if got[0] == "zero":
+        assert ref.is_zero(ra, tower.height)
+    elif got[0] == "zero divisor":
         # a sound split: a proper factor of that level's modulus
-        sub = FieldTower(tower.levels[: err.level])
-        mod = UniPoly(sub, tower.levels[err.level].modulus)
-        factor = UniPoly(sub, err.factor)
+        _, level, factor = got
+        sub = FieldTower(tower.levels[:level])
+        mod = UniPoly(sub, tower.levels[level].modulus)
+        factor = UniPoly(sub, factor)
         assert 1 <= factor.degree < mod.degree
         assert (mod % factor).is_zero()
-        return
-    assert want is not None
-    assert_same(tower, ref, got, want)
+    else:
+        want = ref.inverse(ra, tower.height)
+        assert want is not None
+        assert_same(tower, ref, tower.element(got[1]), want)
+    return got[0]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -169,6 +199,31 @@ def test_invert_matches_reference_on_catalog_shapes(shape):
         check_invert(tower, ref, qa)
 
     run()
+
+
+@pytest.mark.parametrize("shape", SPLIT_PENDING)
+def test_invert_on_split_pending_towers_splits_as_the_former_route(shape):
+    """Values times a factor of a reducible modulus are zero divisors: the
+    level and factor raised are the former route's."""
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+    h = tower.height
+    v, low = tower.generator(), tower.generator(0)
+    if shape == "split-top":
+        factors = [tower.one(), v * v - 2, v * v - 3, (v * v - 2) * (low + 1)]
+    else:
+        factors = [tower.one(), low - 1, low + 1, v - 1]
+    seen = set()
+
+    @settings(max_examples=EXAMPLES[shape], **PROFILE)
+    @given(coeff_lists(tower.absolute_degree), st.sampled_from(factors))
+    def run(qa, factor):
+        a, ra = element(tower, ref, qa)
+        rf = ref.parse(rep_to_data(factor.rep), h)
+        seen.add(check_inverse_of(tower, ref, a * factor, ref.mul(ra, rf, h)))
+
+    run()
+    assert {"inverse", "zero divisor"} <= seen
 
 
 def check_poly_gcd(tower, ref, qr, qs, qu):
@@ -257,6 +312,37 @@ def test_rational_products_skip_the_multiply_and_linear_levels_pass_through(monk
     assert heights == []
     assert (a * b).rep == want.rep
     assert heights == [2, 1] and sums == []
+
+
+def test_poly_gcd_on_the_fermat_tower_inverts_once_per_division(monkeypatch):
+    """gcd((x + r)(x + s), (x + r)(x + u)) over [2,9,1], with r, s and u sums
+    of the witness's point coordinates, as in the benchmark's kernels: one
+    top-level inverse per division, and none more for the monic result."""
+    wit = catalog.fermat_witness()
+    tower = wit["tower"]
+    pool = [c for p in list(wit["triangle"].vertices) + [wit["T1"], wit["2T1"]]
+            for c in p.affine() if not c.is_zero()]
+    rinv, divmod_ = fields._rinv, fields._pl_divmod
+    counts = {"inverses": 0, "divisions": 0}
+
+    def counted_rinv(levels, h, a):
+        counts["inverses"] += h == tower.height
+        return rinv(levels, h, a)
+
+    def counted_divmod(levels, h, *args):
+        counts["divisions"] += h == tower.height
+        return divmod_(levels, h, *args)
+
+    monkeypatch.setattr(fields, "_rinv", counted_rinv)
+    monkeypatch.setattr(fields, "_pl_divmod", counted_divmod)
+    n = len(pool)
+    for i in range(4):
+        r, s, u = (pool[(3 * i + j) % n] + pool[(5 * i + 2 * j + 1) % n] + j + 1 for j in range(3))
+        f = UniPoly(tower, [r, tower.one()])
+        counts.update(inverses=0, divisions=0)
+        g = poly_gcd(f * UniPoly(tower, [s, tower.one()]), f * UniPoly(tower, [u, tower.one()]))
+        assert g == f
+        assert counts == {"inverses": 2, "divisions": 2}
 
 
 @st.composite

@@ -27,7 +27,7 @@ from maxflex import (
     rational_roots,
     weierstrass_model,
 )
-from maxflex import geometry
+from maxflex import geometry, weierstrass
 from maxflex.catalog import (
     bigon_points,
     catalog_entry,
@@ -129,6 +129,21 @@ def test_rational_torsion_points_come_in_a_pinned_order():
             if curve_y_solutions(m, m.tower.rational(x))
         ]
         assert list(dict.fromkeys(x for x, _y in pts)) == reference, n
+
+
+def test_the_90c3_build_searches_each_prime_power_once(monkeypatch):
+    # order 12 is found from orders 4 and 3, so with order 4 asked for
+    # first the build searches psi_4 and psi_3 once each
+    roots = weierstrass.rational_roots
+    searched = []
+    monkeypatch.setattr(
+        weierstrass, "rational_roots", lambda poly: searched.append(poly.degree) or roots(poly)
+    )
+    torsion = catalog_entry("90c3").build()["rational_torsion"]
+    assert sorted(searched) == [4, 6]
+    monkeypatch.undo()
+    m = weierstrass_model(structure_90c3())
+    assert torsion == {r: rational_points_of_order(m, r) for r in (4, 12)}
 
 
 def test_twelve_torsion_generator_via_reduced_division_polynomial():
@@ -376,3 +391,21 @@ def test_order_of_an_appendix_coordinate_point_takes_four_sums(monkeypatch):
     assert len(calls) == 8
     for bound in (18, 10, 8):
         assert point_order(e, p, bound) == walk(bound), bound
+
+
+def test_order_of_the_90c3_generator_forms_no_sum_twice(monkeypatch):
+    entry = catalog_entry("90c3").build()
+    e = entry["structure"]
+    P = entry["model"].point_to_source(entry["rational_torsion"][12][0])
+    add = geometry.ec_add
+    operands = []
+
+    def counted(e, a, b):
+        operands.append((repr(a.to_data()), repr(b.to_data())))
+        return add(e, a, b)
+
+    monkeypatch.setattr(geometry, "ec_add", counted)
+    assert point_order(e, P, 12) == 12
+    # the 2-part forms 2P, 3P, 6P and 12P, and the 3-part only 4P and 8P:
+    # its 4P + 8P is the 12P the ladder already holds
+    assert len(operands) == len(set(operands)) == 6
