@@ -21,12 +21,17 @@ its denominators cleared, a pseudo-remainder whose scale is fixed per level,
 then normalised with one gcd.  Two cases skip that work.  A linear level
 (the trivial level a split leaves) has the scale of the level below, so the
 product of its one entry passes through; and a rational operand only scales
-the other operand's numerators, which are already reduced.  An inverse runs
-one remainder sequence on numerators, at height 1 on integer polynomials and
-above it on polynomials of numerators one level down: content is stripped
-once per remainder, each leading coefficient is inverted once, one level
-down, and the sequence stops at a constant.  The inverse of a value constant
-in its level, or at a linear level, is that of its one coefficient.
+the other operand's numerators, which are already reduced.
+
+Inverses and gcds run one remainder sequence, ``_zeuclid``, on polynomials
+whose coefficients are numerators, at every height, Q included: an inverse
+against the level's cleared modulus, a gcd on its operands with their
+denominators cleared.  Content is stripped once per remainder, each leading
+coefficient is inverted once, at the coefficients' height, and the sequence
+stops at a zero remainder or a constant; a monic gcd is made from the last
+inverse taken.  Over the integers a step is a pseudo-division.  The inverse
+of a value constant in its level, or at a linear level, is that of its one
+coefficient.
 
 ``is_zero`` has three stages.  (1) Structural: a rep without a nonzero
 numerator is zero, and on a tower of levels all marked irreducible (a field)
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, sub
 from types import SimpleNamespace
@@ -159,8 +163,8 @@ class _ZLevel:
     """Integer data of level k (1-based) of a tower.
 
     With D the lcm of the denominators of the modulus coefficients, D times
-    the modulus is ``cleared``: integer numerators N_0 .. N_{d-1} (at
-    int-height k - 1) and the leading D.  Reducing a product of two reduced
+    the modulus is ``cleared``: integer numerators N_0 .. N_{d-1} and the
+    leading D, all at int-height k - 1.  Reducing a product of two reduced
     numerators by it takes d - 1 pseudo-remainder steps, each scaling by
     ``step`` = D * S_{k-1}, so the reduced product carries the fixed factor
     ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.  ``frame`` is the
@@ -177,7 +181,7 @@ class _ZLevel:
         D = lcm(*(c[0] for c in mod))
         N = [_zscale(c[1], D // c[0], k - 1) for c in mod[:d]]
         self.degree = d
-        self.cleared = tuple(N) + (D,)
+        self.cleared = tuple(N) + (_zscale(below.one, D, k - 1),)
         self.terms = tuple((t, n) for t, n in enumerate(N) if _zany(n, k - 1))
         self.step = D * below.scale
         self.scale = below.scale * self.step ** (d - 1)
@@ -202,8 +206,10 @@ def _zlevel(levels, k):
 
 
 def _zmul(levels, k, A, B):
-    """The product of numerators A and B at int-height k >= 1, reduced, times
-    the level's fixed ``scale``."""
+    """The product of numerators A and B at int-height k, reduced, times the
+    level's fixed ``scale``."""
+    if k == 0:
+        return A * B
     zl = _zlevel(levels, k)
     d = zl.degree
     step = zl.step
@@ -282,101 +288,72 @@ def _zz_mul(u, v):
     return out
 
 
-def _zinv1(zl, a):
-    """Inverse of a rep at height 1 by an integer remainder sequence.
+def _zeuclid(levels, k, r0, r1, cofactor):
+    """One remainder sequence on polynomials whose coefficients are numerators
+    at int-height k: r0 and r1 are lists, lowest degree first and trimmed, r1
+    nonzero, and the sequence may change them.
 
-    Each remainder r_i comes with an integer cofactor s_i and an integer
-    l_i such that s_i * A = l_i * r_i modulo the level's modulus; remainders
-    are stripped of their content and (s_i, l_i) of their common factor.
+    It stops at a zero remainder or a constant and returns that last
+    remainder g, the rep (di, inv) of the inverse of g's leading coefficient,
+    and, with ``cofactor``, (s, l) such that s A = l g modulo the first r0, A
+    being the first r1.  Each remainder is the field remainder up to a
+    rational factor: content is stripped once per remainder, so the leading
+    coefficients inverted (each once, by ``_rinv`` at height k) and the monic
+    g are those of Euclid on values.  At k = 0 a step is an integer
+    pseudo-division.
     """
-    den, A = a
-    r1 = _zz_trim(list(A))
-    if not r1:
-        raise ZeroDivisionError("inverting zero")
-    c = gcd(*r1)
-    r0, s0, l0 = _zz_primitive(list(zl.cleared)), [], 1
-    r1, s1, l1 = [x // c for x in r1], [1], c
+    zl = _zlevel(levels, k)
+    S, h = zl.scale, k + 1
+    c = _zcontent(r1, h, 0)
+    if c > 1:
+        r1 = list(_zdiv(r1, c, h))
+    s0, l0, s1, l1 = [], 1, [zl.one], c
+    inv = None
     while len(r1) > 1:
-        q, r = _zz_pseudo_divmod(r0, r1)
-        if not r:
-            r1 = _zz_primitive(r1)
-            raise ZeroDivisorEncountered(0, [_znorm(r1[-1], x, 0) for x in r1])
-        # r = L r0 - q r1 with L = lc(r1)^(deg r0 - deg r1 + 1), so that
-        # l0 l1 r = (L l1 s0 - l0 q s1) A
-        f0 = r1[-1] ** (len(r0) - len(r1) + 1) * l1
-        qs = _zz_mul(q, s1)
-        s = _zz_trim([f0 * x - l0 * y for x, y in zip_longest(s0, qs, fillvalue=0)])
-        cr = gcd(*r)
-        r = [x // cr for x in r]
-        lam = l0 * l1 * cr
-        g = gcd(lam, *s)
-        if g > 1:
-            lam //= g
-            s = [x // g for x in s]
-        r0, s0, l0, r1, s1, l1 = r1, s1, l1, r, s, lam
-    # s1 * A = l1 * r1[0], so 1 / (A / den) = den * s1 / (l1 * r1[0])
-    inv_den = l1 * r1[0]
-    if inv_den < 0:
-        inv_den, den = -inv_den, -den
-    Z = [den * x for x in s1] + [0] * (zl.degree - len(s1))
-    return _znorm(inv_den, tuple(Z), 1)
-
-
-def _zinvk(levels, h, a):
-    """Inverse of a rep at height h >= 2, not constant in the top level, whose
-    level has degree > 1: ``_zinv1``'s remainder sequence one height up.
-
-    A polynomial is a list of numerators at int-height k = h - 1, so that a
-    list of them is numerators at int-height h.  With s_i * A = l_i * r_i
-    modulo the modulus, each r_i is the field remainder up to a rational
-    factor, so the leading coefficients inverted (each once, by ``_rinv`` at
-    height k) and a zero divisor's monic gcd are those of Euclid on values.
-    """
-    k = h - 1
-    zl, below = _zlevel(levels, h), _zlevel(levels, k)
-    S = below.scale
-    den, A = a
-    r0 = list(zl.cleared[:-1]) + [_zscale(below.one, zl.cleared[-1], k)]
-    c = _zcontent(A, h, 0)
-    r1 = _ztrim(list(_zdiv(A, c, h) if c > 1 else A), k)
-    s0, l0, s1, l1 = [], 1, [below.one], c
-    while len(r1) > 1:
-        di, inv = _rinv(levels, k, (1, r1[-1]))
-        # with T the top of r, T / lc(r1) = C / (di S) for C = T * inv * S,
-        # so m = di S^2 scales r, and each step cancels r's top exactly
-        m = di * S * S
-        r, q, w = r0, [below.zero] * (len(r0) - len(r1) + 1), 1
-        for j in range(len(q) - 1, -1, -1):
-            top = r.pop()
-            if _zany(top, k):
-                C = _zmul(levels, k, top, inv)
-                r, q, w = list(_zscale(r, m, h)), list(_zscale(q, m, h)), w * m
-                q[j] = C
-                for t, y in enumerate(r1[:-1]):
-                    r[j + t] = _zop(sub, r[j + t], _zmul(levels, k, C, y), k)
-        # now r = w r0 - S q r1, so l0 l1 r = s A for s = l1 w s0 - l0 q s1,
-        # the products q s1 carrying the factor S
-        s = list(_zscale(s0, l1 * w, h)) + [below.zero] * (len(q) + len(s1) - 1 - len(s0))
-        for i, x in enumerate(_zscale(q, l0, h)):
-            if _zany(x, k):
-                for j, y in enumerate(s1):
-                    s[i + j] = _zop(sub, s[i + j], _zmul(levels, k, x, y), k)
+        if k == 0:
+            q, r = _zz_pseudo_divmod(r0, r1)
+            w = r1[-1] ** len(q)
+        else:
+            inv = _rinv(levels, k, (1, r1[-1]))
+            # with T the top of r, T / lc(r1) = C / (di S) for C = T * inv * S,
+            # so m = di S^2 scales r, and each step cancels r's top exactly
+            m = inv[0] * S * S
+            r, q, w = r0, [zl.zero] * (len(r0) - len(r1) + 1), 1
+            for j in range(len(q) - 1, -1, -1):
+                top = r.pop()
+                if _zany(top, k):
+                    C = _zmul(levels, k, top, inv[1])
+                    r, q, w = list(_zscale(r, m, h)), list(_zscale(q, m, h)), w * m
+                    q[j] = C
+                    for t, y in enumerate(r1[:-1]):
+                        r[j + t] = _zop(sub, r[j + t], _zmul(levels, k, C, y), k)
         r = _ztrim(r, k)
         if not r:
-            monic = [_znorm(di * S, _zmul(levels, k, x, inv), k) for x in r1[:-1]]
-            raise ZeroDivisorEncountered(k, monic + [_rone(levels, k)])
+            break
         cr = _zcontent(r, h, 0)
-        lam = l0 * l1 * cr
-        g = _zcontent(s, h, lam)
-        r0, s0, l0 = r1, s1, l1
-        r1 = list(_zdiv(r, cr, h)) if cr > 1 else r
-        s1 = list(_zdiv(s, g, h)) if g > 1 else s
-        l1 = lam // g
-    # s1 A = l1 g for the constant g = r1[0]
-    di, inv = _rinv(levels, k, (1, r1[0]))
-    Z = [_zscale(_zmul(levels, k, x, inv), den, k) for x in s1]
-    Z += [below.zero] * (zl.degree - len(Z))
-    return _znorm(l1 * di * S, tuple(Z), h)
+        if cofactor:
+            # r = w r0 - S q r1 (S = 1 at k = 0), so l0 l1 r = s A for
+            # s = l1 w s0 - l0 q s1, the products q s1 carrying the factor S
+            s = list(_zscale(s0, l1 * w, h)) + [zl.zero] * (len(q) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(q):
+                if _zany(x, k):
+                    x = _zscale(x, l0, k)
+                    for j, y in enumerate(s1):
+                        s[i + j] = _zop(sub, s[i + j], _zmul(levels, k, x, y), k)
+            lam = l0 * l1 * cr
+            g = _zcontent(s, h, lam)
+            s0, l0, s1, l1 = s1, l1, list(_zdiv(s, g, h)) if g > 1 else s, lam // g
+        r0, r1, inv = r1, list(_zdiv(r, cr, h)) if cr > 1 else r, None
+    if inv is None:
+        inv = _rinv(levels, k, (1, r1[-1]))
+    return r1, inv, (s1, l1)
+
+
+def _zmonic(levels, k, g, inv):
+    """The monic polynomial, as reps at height k, of numerators g whose leading
+    coefficient has the inverse rep ``inv``."""
+    den = inv[0] * _zlevel(levels, k).scale
+    return [_znorm(den, _zmul(levels, k, x, inv[1]), k) for x in g[:-1]] + [_rone(levels, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +560,19 @@ def _rinv(levels, h, a):
     if levels[h - 1].degree == 1 or _zbelow(a[1], h, h - 1) is not None:
         # a linear level, or a value constant in it: invert the one coefficient
         return _lift(levels, h - 1, _rinv(levels, h - 1, _znorm(a[0], a[1][0], h - 1)))
-    if h == 1:
-        return _zinv1(_zlevel(levels, 1), a)
-    return _zinvk(levels, h, a)
+    # s A = l g modulo the cleared modulus, g a constant unless A is a zero divisor
+    k = h - 1
+    zl, below = _zlevel(levels, h), _zlevel(levels, k)
+    den, A = a
+    g, inv, (s, l) = _zeuclid(levels, k, list(zl.cleared), _ztrim(list(A), k), True)
+    if len(g) > 1:
+        raise ZeroDivisorEncountered(k, _zmonic(levels, k, g, inv))
+    # a loop, not a comprehension: one would make closure cells of these
+    # locals, a cost on every call, those at height 0 included
+    Z = [below.zero] * zl.degree
+    for i, x in enumerate(s):
+        Z[i] = _zscale(_zmul(levels, k, x, inv[1]), den, k)
+    return _znorm(l * inv[0] * below.scale, tuple(Z), h)
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +632,14 @@ def _pl_reduce_inplace(levels, h, coeffs, modulus):
             )
 
 
-def _pl_divmod(levels, h, A, B, linv=None):
-    """Quotient and remainder of coefficient lists; B's leading coeff is
-    inverted unless its inverse ``linv`` is given."""
+def _pl_divmod(levels, h, A, B):
+    """Quotient and remainder of coefficient lists.  Each step's top term
+    cancels exactly and is dropped, not computed."""
     A = _pl_trim(A, h)
     B = _pl_trim(B, h)
     if not B:
         raise ZeroDivisionError("polynomial division by zero")
-    if linv is None:
-        linv = _rinv(levels, h, B[-1])
+    linv = _rinv(levels, h, B[-1])
     q = [_rzero(levels, h)] * max(0, len(A) - len(B) + 1)
     r = list(A)
     db = len(B) - 1
@@ -664,7 +650,7 @@ def _pl_divmod(levels, h, A, B, linv=None):
         c = _rmul(levels, h, r[-1], linv)
         k = len(r) - 1 - db
         q[k] = c
-        for j in range(db + 1):
+        for j in range(db):
             r[k + j] = _rsub(levels, h, r[k + j], _rmul(levels, h, c, B[j]))
         r = r[: len(r) - 1]
     return _pl_trim(q, h), r
@@ -679,18 +665,18 @@ def _pl_monic(levels, h, A):
 
 
 def _pl_gcd(levels, h, A, B):
-    """The monic gcd, made from the inverse of the last divisor's leading
-    coefficient, which its division already took."""
-    A = _pl_trim(A, h)
-    B = _pl_trim(B, h)
+    """The monic gcd of trimmed A and B, the zero polynomial only when
+    A = B = 0: ``_zeuclid`` on their numerators with denominators cleared."""
     if not B:
-        return _pl_monic(levels, h, A)
-    while True:
-        linv = _rinv(levels, h, B[-1])
-        r = _pl_divmod(levels, h, A, B, linv)[1]
-        if not r:
-            return [_rmul(levels, h, c, linv) for c in B[:-1]] + [_rone(levels, h)]
-        A, B = B, r
+        A, B = B, A
+    if not B:
+        return []
+    cleared = []
+    for P in (A, B):
+        den = lcm(*(c[0] for c in P))
+        cleared.append([_zscale(c[1], den // c[0], h) for c in P])
+    g, inv, _ = _zeuclid(levels, h, *cleared, False)
+    return _zmonic(levels, h, g, inv)
 
 
 def _pl_derivative(levels, h, A):
@@ -1239,39 +1225,7 @@ def poly_gcd(f, g):
     if f.tower != g.tower:
         raise ValueError("polynomials over different towers")
     t = f.tower
-    if t.height == 0:
-        return UniPoly(t, _qq_gcd(f.coeffs, g.coeffs))
     return UniPoly(t, _pl_gcd(t.levels, t.height, list(f.coeffs), list(g.coeffs)))
-
-
-def _zz_primitive(v):
-    """Integer coefficient list divided by its content, leading sign positive."""
-    c = gcd(*v)
-    if c > 1:
-        v = [x // c for x in v]
-    if v and v[-1] < 0:
-        v = [-x for x in v]
-    return v
-
-
-def _qq_to_int(coeffs):
-    den = lcm(*(c[0] for c in coeffs))
-    return _zz_primitive([c[1] * (den // c[0]) for c in coeffs])
-
-
-def _qq_gcd(fc, gc):
-    """Monic gcd of coefficient lists of reps over Q via a primitive remainder
-    sequence.
-
-    Keeps all intermediate arithmetic in Z with content stripping, which is
-    dramatically faster than naive fraction Euclid on the large division
-    polynomials.
-    """
-    f = _qq_to_int(fc)
-    g = _qq_to_int(gc)
-    while g:
-        f, g = g, _zz_primitive(_zz_pseudo_divmod(f, g)[1])
-    return [_znorm(f[-1], c, 0) for c in f]
 
 
 def squarefree_part(f):

@@ -20,6 +20,9 @@ prime descent.  ``xgcd_inverse`` keeps the tower inverse's former route, the
 extended Euclid on canonical reps built from ``maxflex.fields``' rep
 helpers, as the reference for the remainder sequence on numerators: the
 same inverse, and the same zero divisor raised on a split-pending tower.
+``euclid_gcd`` keeps the polynomial gcd's former route, Euclid on canonical
+reps with the same division as ``xgcd_inverse``, as the reference for the
+gcd on numerators: the same monic gcd and the same zero divisor.
 """
 
 from fractions import Fraction
@@ -424,43 +427,29 @@ def psi_torsion_points(model, n):
 
 
 def xgcd_inverse(levels, h, rep):
-    """The inverse of a rep by ``fields._rinv``'s former route above height 1.
+    """The inverse of a rep by ``fields._rinv``'s former route above height 0.
 
-    At a level of degree > 1 above height 1 it runs the extended Euclid on
-    reps: each leading coefficient is inverted by this route one height
-    down, every product and sum is a canonical rep, the constant gcd is
-    inverted once more at the end, and a nonconstant gcd is made monic
-    with a second inverse of its leading coefficient.  Height 0, height 1
-    and linear levels take the route ``fields`` takes.
+    At a level of degree > 1 it runs the extended Euclid on reps: each
+    leading coefficient is inverted by this route one height down, every
+    product and sum is a canonical rep, the constant gcd is inverted once
+    more at the end, and a nonconstant gcd is made monic with a second
+    inverse of its leading coefficient.  Height 0 and linear levels take
+    the route ``fields`` takes.
     """
     from maxflex import fields as F
     from maxflex.errors import ZeroDivisorEncountered
 
-    if h <= 1:
+    if h == 0:
         return F._rinv(levels, h, rep)
     k = h - 1
     if levels[k].degree == 1:
         return F._lift(levels, k, xgcd_inverse(levels, k, F._coeffs(rep, h)[0]))
-
-    def divmod_(a, b):
-        linv = xgcd_inverse(levels, k, b[-1])
-        q = [F._rzero(levels, k)] * (len(a) - len(b) + 1)
-        r = list(a)
-        while len(r) >= len(b):
-            c = F._rmul(levels, k, r[-1], linv)
-            j = len(r) - len(b)
-            q[j] = c
-            for t, y in enumerate(b):
-                r[j + t] = F._rsub(levels, k, r[j + t], F._rmul(levels, k, c, y))
-            r = F._pl_trim(r[:-1], k)
-        return F._pl_trim(q, k), r
-
     r0, r1 = list(levels[k].modulus), F._pl_trim(F._coeffs(rep, h), k)
     if not r1:
         raise ZeroDivisionError("inverting zero")
     s0, s1 = [], [F._rone(levels, k)]
     while r1:
-        q, r = divmod_(r0, r1)
+        q, r = rep_divmod(levels, k, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, F._pl_sub(levels, k, s0, F._pl_mul(levels, k, q, s1))
     if len(r0) > 1:
@@ -468,3 +457,37 @@ def xgcd_inverse(levels, h, rep):
         raise ZeroDivisorEncountered(k, [F._rmul(levels, k, c, linv) for c in r0])
     ginv = xgcd_inverse(levels, k, r0[0])
     return F._join(levels, h, [F._rmul(levels, k, c, ginv) for c in s0])
+
+
+def rep_divmod(levels, h, a, b):
+    """Quotient and remainder of trimmed lists of reps at height h, b's
+    leading coefficient inverted by ``xgcd_inverse``."""
+    from maxflex import fields as F
+
+    linv = xgcd_inverse(levels, h, b[-1])
+    q = [F._rzero(levels, h)] * (len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        c = F._rmul(levels, h, r[-1], linv)
+        j = len(r) - len(b)
+        q[j] = c
+        for t, y in enumerate(b):
+            r[j + t] = F._rsub(levels, h, r[j + t], F._rmul(levels, h, c, y))
+        r = F._pl_trim(r[:-1], h)
+    return F._pl_trim(q, h), r
+
+
+def euclid_gcd(levels, h, a, b):
+    """The monic gcd of two lists of reps at height h by ``fields._pl_gcd``'s
+    former route: Euclid with ``rep_divmod``, each divisor's leading
+    coefficient inverted once per division, and the last divisor made monic.
+    The zero polynomial only when a = b = 0."""
+    from maxflex import fields as F
+
+    a, b = F._pl_trim(a, h), F._pl_trim(b, h)
+    while b:
+        a, b = b, rep_divmod(levels, h, a, b)[1]
+    if not a:
+        return []
+    linv = xgcd_inverse(levels, h, a[-1])
+    return [F._rmul(levels, h, c, linv) for c in a[:-1]] + [F._rone(levels, h)]

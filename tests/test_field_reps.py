@@ -5,9 +5,11 @@ tower shapes the catalog builds (Q, the [4,1] halving tower and the Fermat
 [2,9,1] tower), on two towers with a linear level below a quadratic top, and
 on random two-level towers.  Every result is compared
 with ``oracles.NestedTower``, which shares no code with ``maxflex.fields``;
-inverses also with ``oracles.xgcd_inverse``, the former rep-level route, on
-those towers and on two split-pending ones; minimal polynomials are compared
-with sympy's characteristic polynomial of the multiplication matrix.
+inverses and gcds also with ``oracles.xgcd_inverse`` and
+``oracles.euclid_gcd``, the former rep-level routes, on those towers and on
+two split-pending ones; gcds over Q also with sympy's gcd, on the division
+polynomials of 90c3; minimal polynomials are compared with sympy's
+characteristic polynomial of the multiplication matrix.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import NestedTower, xgcd_inverse  # noqa: E402
+from oracles import NestedTower, euclid_gcd, xgcd_inverse  # noqa: E402
 
 from maxflex import (  # noqa: E402
     QQ,
@@ -148,6 +150,15 @@ def inverse_outcome(route, tower, rep):
         return ("zero",)
 
 
+def assert_sound_split(tower, level, factor):
+    """The factor raised is a proper factor of that level's modulus."""
+    sub = FieldTower(tower.levels[:level])
+    mod = UniPoly(sub, tower.levels[level].modulus)
+    factor = UniPoly(sub, factor)
+    assert 1 <= factor.degree < mod.degree
+    assert (mod % factor).is_zero()
+
+
 def check_invert(tower, ref, qa):
     check_inverse_of(tower, ref, *element(tower, ref, qa))
 
@@ -160,13 +171,7 @@ def check_inverse_of(tower, ref, a, ra):
     if got[0] == "zero":
         assert ref.is_zero(ra, tower.height)
     elif got[0] == "zero divisor":
-        # a sound split: a proper factor of that level's modulus
-        _, level, factor = got
-        sub = FieldTower(tower.levels[:level])
-        mod = UniPoly(sub, tower.levels[level].modulus)
-        factor = UniPoly(sub, factor)
-        assert 1 <= factor.degree < mod.degree
-        assert (mod % factor).is_zero()
+        assert_sound_split(tower, *got[1:])
     else:
         want = ref.inverse(ra, tower.height)
         assert want is not None
@@ -201,6 +206,14 @@ def test_invert_matches_reference_on_catalog_shapes(shape):
     run()
 
 
+def split_factors(shape, tower):
+    """1 and factors of the reducible modulus of a split-pending tower."""
+    v, low = tower.generator(), tower.generator(0)
+    if shape == "split-top":
+        return [tower.one(), v * v - 2, v * v - 3, (v * v - 2) * (low + 1)]
+    return [tower.one(), low - 1, low + 1, v - 1]
+
+
 @pytest.mark.parametrize("shape", SPLIT_PENDING)
 def test_invert_on_split_pending_towers_splits_as_the_former_route(shape):
     """Values times a factor of a reducible modulus are zero divisors: the
@@ -208,11 +221,7 @@ def test_invert_on_split_pending_towers_splits_as_the_former_route(shape):
     tower = shape_tower(shape)
     ref = NestedTower(tower.to_data())
     h = tower.height
-    v, low = tower.generator(), tower.generator(0)
-    if shape == "split-top":
-        factors = [tower.one(), v * v - 2, v * v - 3, (v * v - 2) * (low + 1)]
-    else:
-        factors = [tower.one(), low - 1, low + 1, v - 1]
+    factors = split_factors(shape, tower)
     seen = set()
 
     @settings(max_examples=EXAMPLES[shape], **PROFILE)
@@ -226,10 +235,24 @@ def test_invert_on_split_pending_towers_splits_as_the_former_route(shape):
     assert {"inverse", "zero divisor"} <= seen
 
 
+def gcd_outcome(gcd, f, g):
+    """What a gcd route makes of two polynomials: the monic gcd's reps, or a
+    zero divisor's level and factor."""
+    try:
+        return ("gcd", list(gcd(f, g)))
+    except ZeroDivisorEncountered as err:
+        return ("zero divisor", err.level, err.factor)
+
+
 def check_poly_gcd(tower, ref, qr, qs, qu):
-    """gcd((x - r)(x - s), (x - r)(x - u)) against the reference Euclid."""
+    check_poly_gcd_of(tower, ref, *(element(tower, ref, q) for q in (qr, qs, qu)))
+
+
+def check_poly_gcd_of(tower, ref, *roots):
+    """gcd((x - r)(x - s), (x - r)(x - u)) against the reference Euclid, and
+    against the former route rep for rep, zero divisor for zero divisor;
+    returns the kind of outcome."""
     h = tower.height
-    roots = [element(tower, ref, q) for q in (qr, qs, qu)]
     f = [UniPoly(tower, [-x, tower.one()]) for x, _ in roots]
     rf = [[ref.sub(ref.zero(h), r, h), ref.one(h)] for _, r in roots]
 
@@ -240,13 +263,18 @@ def check_poly_gcd(tower, ref, qr, qs, qu):
                 out[i + j] = ref.add(out[i + j], ref.mul(x, y, h), h)
         return out
 
-    try:
-        got = poly_gcd(f[0] * f[1], f[0] * f[2])
-    except ZeroDivisorEncountered:
-        return  # a reducible level: the caller would split and retry
-    want = ref.poly_gcd(rmul(rf[0], rf[1]), rmul(rf[0], rf[2]), h)
-    assert want is not None
-    assert [ref.parse(rep_to_data(c), h) for c in got.coeffs] == want
+    a, b = f[0] * f[1], f[0] * f[2]
+    got = gcd_outcome(lambda p, q: poly_gcd(p, q).coeffs, a, b)
+    former = gcd_outcome(lambda p, q: euclid_gcd(tower.levels, h, list(p.coeffs), list(q.coeffs)),
+                         a, b)
+    assert got == former
+    if got[0] == "zero divisor":
+        assert_sound_split(tower, *got[1:])
+    else:
+        want = ref.poly_gcd(rmul(rf[0], rf[1]), rmul(rf[0], rf[2]), h)
+        assert want is not None
+        assert [ref.parse(rep_to_data(c), h) for c in got[1]] == want
+    return got[0]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -261,6 +289,62 @@ def test_poly_gcd_matches_reference_on_catalog_shapes(shape):
         check_poly_gcd(tower, ref, qr, qs, qu)
 
     run()
+
+
+@pytest.mark.parametrize("shape", SPLIT_PENDING)
+def test_poly_gcd_on_split_pending_towers_splits_as_the_former_route(shape):
+    """gcd((x - r)(x - s), (x - r)(x - u)) with u - s a value times a factor of
+    a reducible modulus: the first remainder's leading coefficient is u - s,
+    so the gcd meets a zero divisor unless the factor is 1, and the level and
+    factor raised are the former route's."""
+    tower = shape_tower(shape)
+    ref = NestedTower(tower.to_data())
+    h = tower.height
+    factors = split_factors(shape, tower)
+    n = tower.absolute_degree
+    seen = set()
+
+    @settings(max_examples=EXAMPLES[shape] // 2, **PROFILE)
+    @given(coeff_lists(n), coeff_lists(n), coeff_lists(n), st.sampled_from(factors))
+    def run(qr, qs, qz, factor):
+        r, s, (z, rz) = (element(tower, ref, q) for q in (qr, qs, qz))
+        rf = ref.parse(rep_to_data(factor.rep), h)
+        u = (s[0] + z * factor, ref.add(s[1], ref.mul(rz, rf, h), h))
+        seen.add(check_poly_gcd_of(tower, ref, r, s, u))
+
+    run()
+    assert {"gcd", "zero divisor"} <= seen
+
+
+def test_poly_gcd_over_q_matches_sympy_on_the_90c3_division_polynomials(monkeypatch):
+    """Every gcd that ``exact_order_poly(8)`` and ``exact_order_poly(12)`` take
+    on 90c3's Weierstrass model, in its squarefree parts and in stripping the
+    lower division polynomials, against sympy's gcd made monic."""
+    sympy = pytest.importorskip("sympy")
+    from maxflex import weierstrass
+
+    calls = []
+
+    def recorded(f, g):
+        got = poly_gcd(f, g)
+        calls.append((f.rational_coeffs(), g.rational_coeffs(), got.rational_coeffs()))
+        return got
+
+    div = weierstrass.DivisionPolynomials(catalog.catalog_entry("90c3").build()["model"])
+    monkeypatch.setattr(fields, "poly_gcd", recorded)
+    monkeypatch.setattr(weierstrass, "poly_gcd", recorded)
+    div.exact_order_poly(8)
+    div.exact_order_poly(12)
+    assert len(calls) >= 8 and any(len(got) > 1 for *_, got in calls)
+    x = sympy.Symbol("x")
+
+    def poly(qs):
+        return sympy.Poly([sympy.Rational(q.numerator, q.denominator) for q in reversed(qs)], x,
+                          domain="QQ")
+
+    for f, g, got in calls:
+        want = sympy.gcd(poly(f), poly(g)).monic()
+        assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
 
 
 @pytest.mark.parametrize("shape", SHAPES + LINEAR_BELOW_TOP)
@@ -317,32 +401,34 @@ def test_rational_products_skip_the_multiply_and_linear_levels_pass_through(monk
 def test_poly_gcd_on_the_fermat_tower_inverts_once_per_division(monkeypatch):
     """gcd((x + r)(x + s), (x + r)(x + u)) over [2,9,1], with r, s and u sums
     of the witness's point coordinates, as in the benchmark's kernels: one
-    top-level inverse per division, and none more for the monic result."""
+    top-level inverse per remainder step, and none more for the monic result.
+    Each remainder step trims its remainder once, so the trims of lists of
+    top-height numerators count the steps."""
     wit = catalog.fermat_witness()
     tower = wit["tower"]
     pool = [c for p in list(wit["triangle"].vertices) + [wit["T1"], wit["2T1"]]
             for c in p.affine() if not c.is_zero()]
-    rinv, divmod_ = fields._rinv, fields._pl_divmod
-    counts = {"inverses": 0, "divisions": 0}
+    rinv, ztrim = fields._rinv, fields._ztrim
+    counts = {"inverses": 0, "steps": 0}
 
     def counted_rinv(levels, h, a):
         counts["inverses"] += h == tower.height
         return rinv(levels, h, a)
 
-    def counted_divmod(levels, h, *args):
-        counts["divisions"] += h == tower.height
-        return divmod_(levels, h, *args)
+    def counted_ztrim(v, k):
+        counts["steps"] += k == tower.height
+        return ztrim(v, k)
 
     monkeypatch.setattr(fields, "_rinv", counted_rinv)
-    monkeypatch.setattr(fields, "_pl_divmod", counted_divmod)
+    monkeypatch.setattr(fields, "_ztrim", counted_ztrim)
     n = len(pool)
     for i in range(4):
         r, s, u = (pool[(3 * i + j) % n] + pool[(5 * i + 2 * j + 1) % n] + j + 1 for j in range(3))
         f = UniPoly(tower, [r, tower.one()])
-        counts.update(inverses=0, divisions=0)
+        counts.update(inverses=0, steps=0)
         g = poly_gcd(f * UniPoly(tower, [s, tower.one()]), f * UniPoly(tower, [u, tower.one()]))
         assert g == f
-        assert counts == {"inverses": 2, "divisions": 2}
+        assert counts == {"inverses": 2, "steps": 2}
 
 
 @st.composite

@@ -31,15 +31,19 @@ def callers(tree, name):
     return found
 
 
-def test_root_packets_is_called_only_in_at_roots():
+def callers_of(name):
+    """Every "module.function" in ``src/maxflex`` that calls ``name``, sorted."""
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    found = [
+    return sorted(
         "%s.%s" % (path.stem, where)
         for path in modules
-        for _line, where in callers(ast.parse(path.read_text(), str(path)), "root_packets")
-    ]
-    assert found == ["geometry._at_roots"]
+        for _line, where in callers(ast.parse(path.read_text(), str(path)), name)
+    )
+
+
+def test_root_packets_is_called_only_in_at_roots():
+    assert callers_of("root_packets") == ["geometry._at_roots"]
 
 
 def test_the_scan_sees_each_kind_of_call():
