@@ -21,7 +21,13 @@ its denominators cleared, a pseudo-remainder whose scale is fixed per level,
 then normalised with one gcd.  Two cases skip that work.  A linear level
 (the trivial level a split leaves) has the scale of the level below, so the
 product of its one entry passes through; and a rational operand only scales
-the other operand's numerators, which are already reduced.
+the other operand's numerators, which are already reduced.  The numerator
+helpers and the rep arithmetic on them (``_z*``, ``_rsum``, ``_rmul``,
+``_rinv``) hold no comprehension over their locals: on CPython <= 3.11 one
+makes its function build closure cells on every call, even on a branch that
+never runs it, so they loop or ``map`` over ``itertools.repeat`` instead
+(3.12 inlines list comprehensions but still builds a generator for
+``tuple(genexpr)``).  ``tests/test_no_cells.py`` keeps them so.
 
 Inverses and gcds run one remainder sequence, ``_zeuclid``, on polynomials
 whose coefficients are numerators, at every height, Q included: an inverse
@@ -49,8 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, floordiv, mul, sub
 from types import SimpleNamespace
 
 from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
@@ -95,7 +102,10 @@ def _zany(Z, k):
         return Z != 0
     if k == 1:
         return any(Z)
-    return any(_zany(z, k - 1) for z in Z)
+    for z in Z:
+        if _zany(z, k - 1):
+            return True
+    return False
 
 
 def _zbelow(Z, k, low):
@@ -115,7 +125,7 @@ def _zop(op, A, B, k):
         return op(A, B)
     if k == 1:
         return tuple(map(op, A, B))
-    return tuple(_zop(op, a, b, k - 1) for a, b in zip(A, B))
+    return tuple(map(_zop, repeat(op), A, B, repeat(k - 1)))
 
 
 def _zscale(A, c, k):
@@ -124,8 +134,8 @@ def _zscale(A, c, k):
     if k == 0:
         return A * c
     if k == 1:
-        return tuple(x * c for x in A)
-    return tuple(_zscale(a, c, k - 1) for a in A)
+        return tuple(map(mul, A, repeat(c)))
+    return tuple(map(_zscale, A, repeat(c), repeat(k - 1)))
 
 
 def _zcontent(Z, k, g):
@@ -145,8 +155,8 @@ def _zdiv(Z, g, k):
     if k == 0:
         return Z // g
     if k == 1:
-        return tuple(x // g for x in Z)
-    return tuple(_zdiv(z, g, k - 1) for z in Z)
+        return tuple(map(floordiv, Z, repeat(g)))
+    return tuple(map(_zdiv, Z, repeat(g), repeat(k - 1)))
 
 
 def _znorm(den, Z, k):
@@ -218,7 +228,7 @@ def _zmul(levels, k, A, B):
         for n in range(2 * d - 2, d - 1, -1):
             c = P.pop()
             if step != 1:
-                P = [p * step for p in P]
+                P = list(map(mul, P, repeat(step)))
             if c:
                 for t, m in zl.terms:
                     P[n - d + t] -= c * m
@@ -228,7 +238,10 @@ def _zmul(levels, k, A, B):
         # a linear level has the scale of the one below: nothing to reduce
         return (_zmul(levels, low, A[0], B[0]),)
     P = [_zlevel(levels, low).zero] * (2 * d - 1)
-    nonzero_b = [(j, y) for j, y in enumerate(B) if _zany(y, low)]
+    nonzero_b = []
+    for j, y in enumerate(B):
+        if _zany(y, low):
+            nonzero_b.append((j, y))
     for i, x in enumerate(A):
         if _zany(x, low):
             for j, y in nonzero_b:
@@ -246,7 +259,9 @@ def _zmul(levels, k, A, B):
                 caught_up = _zscale(P[i], step ** (done - seen[i]), low)
                 P[i] = _zop(sub, caught_up, _zmul(levels, low, c, m), low)
                 seen[i] = done
-    return tuple(_zscale(p, step ** (done - seen[i]), low) for i, p in enumerate(P))
+    for i, p in enumerate(P):
+        P[i] = _zscale(p, step ** (done - seen[i]), low)
+    return tuple(P)
 
 
 def _zz_trim(v):
@@ -270,9 +285,9 @@ def _zz_pseudo_divmod(f, g):
     r = list(f)
     for k in range(len(q) - 1, -1, -1):
         c = r.pop()
-        q = [lg * x for x in q]
+        q = list(map(mul, q, repeat(lg)))
         q[k] += c
-        r = [lg * x for x in r]
+        r = list(map(mul, r, repeat(lg)))
         if c:
             for j in range(dg):
                 r[k + j] -= c * g[j]
@@ -567,8 +582,6 @@ def _rinv(levels, h, a):
     g, inv, (s, l) = _zeuclid(levels, k, list(zl.cleared), _ztrim(list(A), k), True)
     if len(g) > 1:
         raise ZeroDivisorEncountered(k, _zmonic(levels, k, g, inv))
-    # a loop, not a comprehension: one would make closure cells of these
-    # locals, a cost on every call, those at height 0 included
     Z = [below.zero] * zl.degree
     for i, x in enumerate(s):
         Z[i] = _zscale(_zmul(levels, k, x, inv[1]), den, k)

@@ -23,6 +23,10 @@ same inverse, and the same zero divisor raised on a split-pending tower.
 ``euclid_gcd`` keeps the polynomial gcd's former route, Euclid on canonical
 reps with the same division as ``xgcd_inverse``, as the reference for the
 gcd on numerators: the same monic gcd and the same zero divisor.
+``former_zany``, ``former_zop``, ``former_zscale``, ``former_zdiv``,
+``former_zmul`` and ``former_zz_pseudo_divmod`` keep the numerator helpers'
+former forms, comprehensions over their locals, as the reference for the
+forms that make no closure cells: the same integers, result for result.
 """
 
 from fractions import Fraction
@@ -491,3 +495,106 @@ def euclid_gcd(levels, h, a, b):
         return []
     linv = xgcd_inverse(levels, h, a[-1])
     return [F._rmul(levels, h, c, linv) for c in a[:-1]] + [F._rone(levels, h)]
+
+
+def former_zany(Z, k):
+    """``fields._zany``'s former form, a generator expression over Z."""
+    if k == 0:
+        return Z != 0
+    if k == 1:
+        return any(Z)
+    return any(former_zany(z, k - 1) for z in Z)
+
+
+def former_zop(op, A, B, k):
+    """``fields._zop``'s former form, a generator expression over zip(A, B)."""
+    if k == 0:
+        return op(A, B)
+    if k == 1:
+        return tuple(map(op, A, B))
+    return tuple(former_zop(op, a, b, k - 1) for a, b in zip(A, B))
+
+
+def former_zscale(A, c, k):
+    """``fields._zscale``'s former form, generator expressions over A."""
+    if c == 1:
+        return A
+    if k == 0:
+        return A * c
+    if k == 1:
+        return tuple(x * c for x in A)
+    return tuple(former_zscale(a, c, k - 1) for a in A)
+
+
+def former_zdiv(Z, g, k):
+    """``fields._zdiv``'s former form, generator expressions over Z."""
+    if k == 0:
+        return Z // g
+    if k == 1:
+        return tuple(x // g for x in Z)
+    return tuple(former_zdiv(z, g, k - 1) for z in Z)
+
+
+def former_zmul(levels, k, A, B):
+    """``fields._zmul``'s former form, with comprehensions for the scaled
+    partial products, the nonzero entries of B and the caught-up result."""
+    from operator import add, sub
+
+    from maxflex import fields as F
+
+    if k == 0:
+        return A * B
+    zl = F._zlevel(levels, k)
+    d = zl.degree
+    step = zl.step
+    if k == 1:
+        P = F._zz_mul(A, B)
+        for n in range(2 * d - 2, d - 1, -1):
+            c = P.pop()
+            if step != 1:
+                P = [p * step for p in P]
+            if c:
+                for t, m in zl.terms:
+                    P[n - d + t] -= c * m
+        return tuple(P)
+    low = k - 1
+    if d == 1:
+        return (former_zmul(levels, low, A[0], B[0]),)
+    P = [F._zlevel(levels, low).zero] * (2 * d - 1)
+    nonzero_b = [(j, y) for j, y in enumerate(B) if former_zany(y, low)]
+    for i, x in enumerate(A):
+        if former_zany(x, low):
+            for j, y in nonzero_b:
+                P[i + j] = former_zop(add, P[i + j], former_zmul(levels, low, x, y), low)
+    seen = [0] * len(P)
+    done = 0
+    for n in range(2 * d - 2, d - 1, -1):
+        c = former_zscale(P.pop(), step ** (done - seen[n]), low)
+        done += 1
+        if former_zany(c, low):
+            for t, m in zl.terms:
+                i = n - d + t
+                caught_up = former_zscale(P[i], step ** (done - seen[i]), low)
+                P[i] = former_zop(sub, caught_up, former_zmul(levels, low, c, m), low)
+                seen[i] = done
+    return tuple(former_zscale(p, step ** (done - seen[i]), low) for i, p in enumerate(P))
+
+
+def former_zz_pseudo_divmod(f, g):
+    """``fields._zz_pseudo_divmod``'s former form, list comprehensions for
+    each step's scaling by lc(g)."""
+    dg = len(g) - 1
+    lg = g[-1]
+    q = [0] * (len(f) - dg)
+    r = list(f)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        q = [lg * x for x in q]
+        q[k] += c
+        r = [lg * x for x in r]
+        if c:
+            for j in range(dg):
+                r[k + j] -= c * g[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r

@@ -9,19 +9,33 @@ inverses and gcds also with ``oracles.xgcd_inverse`` and
 ``oracles.euclid_gcd``, the former rep-level routes, on those towers and on
 two split-pending ones; gcds over Q also with sympy's gcd, on the division
 polynomials of 90c3; minimal polynomials are compared with sympy's
-characteristic polynomial of the multiplication matrix.
+characteristic polynomial of the multiplication matrix.  The numerator
+helpers are compared, result for result, with their former comprehension
+forms in ``oracles`` on numerators drawn at every int-height of the three
+catalog shapes.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, sub
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import NestedTower, euclid_gcd, xgcd_inverse  # noqa: E402
+from oracles import (  # noqa: E402
+    NestedTower,
+    euclid_gcd,
+    former_zany,
+    former_zdiv,
+    former_zmul,
+    former_zop,
+    former_zscale,
+    former_zz_pseudo_divmod,
+    xgcd_inverse,
+)
 
 from maxflex import (  # noqa: E402
     QQ,
@@ -504,3 +518,50 @@ def test_minimal_polynomial_matches_sympy_on_random_two_level_towers(data, draw)
     except ZeroDivisorEncountered:
         assume(False)
     assert got == sympy_minimal_polynomial(ref, ra, tower.height)
+
+
+#: (shape, int-height) pairs for the numerator helpers: Q, then every
+#: int-height above it of the [4,1] and [2,9,1] towers.
+NUMERATOR_HEIGHTS = [("q", 0), ("t4-1", 1), ("t4-1", 2), ("t2-9-1", 1), ("t2-9-1", 2), ("t2-9-1", 3)]
+BIG = st.integers(-10**12, 10**12)
+#: Scale factors and exact divisors: 1 (which ``_zscale`` returns early on),
+#: -1 and integers of either sign.
+FACTORS = st.sampled_from((1, -1)) | st.integers(2, 10**9) | st.integers(-10**9, -2)
+
+
+def numerators(levels, k):
+    """Reduced numerators at int-height k on ``levels``, zero entries common."""
+    if k == 0:
+        return BIG | st.just(0)
+    entry = numerators(levels, k - 1) | st.just(fields._zlevel(levels, k - 1).zero)
+    return st.tuples(*[entry] * levels[k - 1].degree)
+
+
+@pytest.mark.parametrize("shape, k", NUMERATOR_HEIGHTS)
+def test_numerator_helpers_match_their_former_forms(shape, k):
+    levels = shape_tower(shape).levels
+    nums = numerators(levels, k)
+
+    @settings(max_examples=60, **PROFILE)
+    @given(nums, nums, FACTORS)
+    def run(A, B, c):
+        assert fields._zany(A, k) == former_zany(A, k)
+        assert fields._zany(B, k) == former_zany(B, k)
+        for op in (add, sub):
+            assert fields._zop(op, A, B, k) == former_zop(op, A, B, k)
+        assert fields._zscale(A, c, k) == former_zscale(A, c, k)
+        scaled = former_zscale(A, c, k)
+        assert fields._zdiv(scaled, c, k) == former_zdiv(scaled, c, k) == A
+        g = fields._zcontent(A, k, 0)
+        if g > 1:
+            assert fields._zdiv(A, g, k) == former_zdiv(A, g, k)
+        assert fields._zmul(levels, k, A, B) == former_zmul(levels, k, A, B)
+
+    run()
+
+
+@settings(max_examples=200, **PROFILE)
+@given(st.lists(BIG, min_size=1, max_size=9), st.lists(BIG, max_size=5), FACTORS)
+def test_pseudo_division_matches_its_former_form(f, g, lead):
+    g = g + [lead]
+    assert fields._zz_pseudo_divmod(f, g) == former_zz_pseudo_divmod(f, g)
