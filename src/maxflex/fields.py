@@ -39,6 +39,12 @@ inverse taken.  Over the integers a step is a pseudo-division.  The inverse
 of a value constant in its level, or at a linear level, is that of its one
 coefficient.
 
+Each representation has one division: Z[x] the pseudo-division
+``_zz_pseudo_divmod`` (Euclid over Q, GF(p) remainders, rational-root
+multiplicities), reps ``_pl_divmod``.  Roots mod p have two finders, each
+where it is cheaper: ``rational_roots`` scans its small primes, and
+``_gf_root`` splits at stage 2's primes near 2^31, which no scan reaches.
+
 ``is_zero`` has three stages.  (1) Structural: a rep without a nonzero
 numerator is zero, and on a tower of levels all marked irreducible (a field)
 any other rep is not.  (2) A unit certified mod p: let top be the highest
@@ -631,20 +637,6 @@ def _pl_scale(levels, h, A, c):
     return _pl_trim([_rmul(levels, h, a, c) for a in A], h)
 
 
-def _pl_reduce_inplace(levels, h, coeffs, modulus):
-    """Reduce coeffs (list of reps at height h) modulo a monic modulus in place."""
-    d = len(modulus) - 1
-    for i in range(len(coeffs) - 1, d - 1, -1):
-        lead = coeffs[i]
-        if _is_szero(lead, h):
-            continue
-        coeffs[i] = _rzero(levels, h)
-        for j in range(d):
-            coeffs[i - d + j] = _rsub(
-                levels, h, coeffs[i - d + j], _rmul(levels, h, lead, modulus[j])
-            )
-
-
 def _pl_divmod(levels, h, A, B):
     """Quotient and remainder of coefficient lists.  Each step's top term
     cancels exactly and is dropped, not computed."""
@@ -927,8 +919,7 @@ def _reduced_rep(dst, rep, h, low):
     if h == low:
         return rep
     coeffs = [_reduced_rep(dst, c, h - 1, low) for c in _coeffs(rep, h)]
-    _pl_reduce_inplace(dst, h - 1, coeffs, dst[h - 1].modulus)
-    return _join(dst, h, coeffs)
+    return _join(dst, h, _pl_divmod(dst, h - 1, coeffs, dst[h - 1].modulus)[1])
 
 
 # ---------------------------------------------------------------------------

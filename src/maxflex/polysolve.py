@@ -1,10 +1,11 @@
 """Resultants, exact linear algebra, and root finding.
 
 Everything here is exact.  Rational roots are found p-adically: the roots
-mod one small prime are Newton-lifted past the rational-root-theorem bound,
-read off as symmetric residues and checked exactly.  Roots in the algebraic
-closure are produced as conjugate packets: one representative per adjoined
-factor, standing for all of that factor's roots.
+mod one small prime are Newton-lifted past the rational-root-theorem bound
+and read off as symmetric residues; each candidate is checked, and its
+multiplicity counted, by exact division of the integer coefficients.  Roots
+in the algebraic closure are produced as conjugate packets: one
+representative per adjoined factor, standing for all of that factor's roots.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import UniPoly, squarefree_part
+from .fields import UniPoly, _zz_pseudo_divmod, squarefree_part
 
 # ---------------------------------------------------------------------------
 # determinants and resultants
@@ -228,26 +229,6 @@ def _simple_roots_mod(coeffs, p):
     return roots
 
 
-def _vanishes_at(coeffs, u, v):
-    """Whether the integer polynomial vanishes at u/v (v != 0), exactly."""
-    acc, w = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * u + c * w
-        w *= v
-    return acc == 0
-
-
-def _qdiv_linear(coeffs, root):
-    """Divide a rational coefficient list (lowest first) by (x - root)."""
-    n = len(coeffs) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = coeffs[n]
-    for j in range(n - 1, 0, -1):
-        q[j - 1] = coeffs[j] + root * q[j]
-    rem = coeffs[0] + root * q[0]
-    return q, rem
-
-
 def rational_roots(f):
     """All rational roots of a polynomial over Q, with multiplicities.
 
@@ -257,18 +238,20 @@ def rational_roots(f):
     most |a_0 a_n|.  Take the first prime p not dividing a_n at which every
     root of f in GF(p) is simple, Newton-lift each of those roots p-adically
     until p^k > 2 |a_0 a_n|, and read a_n x as the symmetric residue mod p^k.
-    Every rational root is among these candidates; each is checked exactly,
-    and multiplicities come from exact division.  A repeated rational root
-    is repeated mod every p, so after a few rejected primes f is replaced
-    by its squarefree part.
+    Every rational root is among these candidates.  Each candidate u/v is
+    checked and counted by exact integer division: its multiplicity is how
+    often v x - u divides f, 0 for no root.  A repeated rational root is
+    repeated mod every p, so after a few rejected primes the candidates
+    come from f's squarefree part.
     """
     if f.tower.height != 0:
         raise ValueError("rational_roots expects a polynomial over Q")
     if f.is_zero():
         raise ValueError("zero polynomial")
     qs = f.rational_coeffs()
-    roots = [Fraction(0)] if qs[0] == 0 else []
-    coeffs = _integer_coeffs(qs)
+    ints = coeffs = _integer_coeffs(qs)
+    # the root 0 has the multiplicity of the power of x stripped off
+    out = [(Fraction(0), len(qs) - len(ints))] if qs[0] == 0 else []
     rejected = 0
     for p in _primes():
         if len(coeffs) == 1:
@@ -291,20 +274,17 @@ def rational_roots(f):
                 a = (a - _horner(coeffs, a, m) * pow(_horner(deriv, a, m), -1, m)) % m
             s = an * a % m
             x = Fraction(s - m if 2 * s > m else s, an)
-            if _vanishes_at(coeffs, x.numerator, x.denominator):
-                roots.append(x)
+            # v^len(q) f = q (v X - u) + r for x = u/v, so q / v^len(q) is exact
+            mult, poly = 0, ints
+            while True:
+                q, r = _zz_pseudo_divmod(poly, [-x.numerator, x.denominator])
+                if r:
+                    break
+                w = x.denominator ** len(q)
+                poly, mult = [c // w for c in q], mult + 1
+            if mult:
+                out.append((x, mult))
         break
-    out = []
-    for root in roots:
-        mult = 0
-        poly = list(qs)
-        while len(poly) > 1:
-            q, rem = _qdiv_linear(poly, root)
-            if rem != 0:
-                break
-            poly = q
-            mult += 1
-        out.append((root, mult))
     return sorted(out)
 
 # ---------------------------------------------------------------------------

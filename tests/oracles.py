@@ -27,10 +27,15 @@ gcd on numerators: the same monic gcd and the same zero divisor.
 ``former_zmul`` and ``former_zz_pseudo_divmod`` keep the numerator helpers'
 former forms, comprehensions over their locals, as the reference for the
 forms that make no closure cells: the same integers, result for result.
+``former_root_multiplicities`` keeps ``rational_roots``' former check and
+count, an exact evaluation and division by x - root over Fractions, as the
+reference for the count by integer pseudo-division; ``former_reduce_inplace``
+keeps the former in-place reduction of residues into a split branch, built
+from ``maxflex.fields``' rep helpers, as the reference for ``_pl_divmod``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def local_quotient_dimension(f_terms, g_terms, cap=24):
@@ -598,3 +603,51 @@ def former_zz_pseudo_divmod(f, g):
     while r and r[-1] == 0:
         r.pop()
     return q, r
+
+
+def former_root_multiplicities(qs, candidates):
+    """The rational roots among ``candidates`` of the polynomial with rational
+    coefficients ``qs`` (lowest degree first), with their multiplicities,
+    sorted, by ``rational_roots``' former route: an exact evaluation at u/v
+    on the cleared integer coefficients, then division by x - root over
+    Fractions until a remainder is nonzero."""
+    den = lcm(*(q.denominator for q in qs))
+    ints = [q.numerator * (den // q.denominator) for q in qs]
+    out = []
+    for root in sorted(set(candidates)):
+        acc, w = 0, 1
+        for c in reversed(ints):
+            acc = acc * root.numerator + c * w
+            w *= root.denominator
+        if acc != 0:
+            continue
+        mult, poly = 0, list(qs)
+        while len(poly) > 1:
+            n = len(poly) - 1
+            q = [Fraction(0)] * n
+            q[n - 1] = poly[n]
+            for j in range(n - 1, 0, -1):
+                q[j - 1] = poly[j] + root * q[j]
+            if poly[0] + root * q[0] != 0:
+                break
+            poly, mult = q, mult + 1
+        out.append((root, mult))
+    return out
+
+
+def former_reduce_inplace(levels, h, coeffs, modulus):
+    """``fields._reduced_rep``'s former reduction: coeffs, a list of reps at
+    height h, reduced in place modulo a monic modulus, top term first, each
+    cancelled top replaced by a zero rep."""
+    from maxflex import fields as F
+
+    d = len(modulus) - 1
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        lead = coeffs[i]
+        if F._is_szero(lead, h):
+            continue
+        coeffs[i] = F._rzero(levels, h)
+        for j in range(d):
+            coeffs[i - d + j] = F._rsub(
+                levels, h, coeffs[i - d + j], F._rmul(levels, h, lead, modulus[j])
+            )

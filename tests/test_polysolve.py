@@ -121,6 +121,67 @@ def test_rational_roots_match_sympy():
         assert rational_roots(f) == _sympy_rational_roots(f), f.rational_coeffs()
 
 
+# -- rational_roots against its former check and count ------------------------
+
+#: Cofactors with no rational root: x^2 + 1, x^2 - 2, x^2 + x + 1,
+#: x^3 - 3x + 1 and a cubic with coefficients near 10^40.
+_IRREDUCIBLE = (
+    (1, 0, 1), (-2, 0, 1), (1, 1, 1), (1, -3, 0, 1), (10**40 + 1, 0, 10**39 + 7, 1),
+)
+
+
+def test_rational_roots_match_the_former_route():
+    # f = c x^k (v1 x - u1)^m1 ... times cofactors with no rational root;
+    # the former route checks the built roots and a few decoys
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from oracles import former_root_multiplicities
+
+    root = st.one_of(
+        st.integers(-30, 30).map(Fraction),
+        st.builds(Fraction, st.integers(-40, 40), st.integers(2, 12)),
+        st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6)),
+    )
+    scale = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))
+    case = st.tuples(
+        st.lists(st.tuples(root, st.integers(1, 4)), max_size=4),
+        st.integers(0, 3),
+        st.lists(st.sampled_from(_IRREDUCIBLE), max_size=2),
+        scale,
+        st.lists(root, max_size=3),
+    )
+    seen = set()
+
+    @hyp.settings(max_examples=80, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[hyp.HealthCheck.too_slow])
+    @hyp.given(case)
+    def check(drawn):
+        linear, k, cofactors, c, decoys = drawn
+        f = qpoly(*[0] * k, c)
+        for r, m in linear:
+            for _ in range(m):
+                f = f * qpoly(-r.numerator, r.denominator)
+        for g in cofactors:
+            f = f * qpoly(*g)
+        candidates = [r for r, _m in linear] + decoys + [Fraction(0)]
+        found = rational_roots(f)
+        assert found == former_root_multiplicities(f.rational_coeffs(), candidates)
+        seen.update(("mult", m) for _r, m in found)
+        seen.update(
+            feature
+            for feature, present in (
+                ("zero", k > 0),
+                ("fraction", any(r.denominator > 1 for r, _m in found)),
+                ("1e40", max(abs(q.numerator) for q in f.rational_coeffs()) > 10**40),
+                ("cofactor", bool(cofactors)),
+            )
+            if present
+        )
+
+    check()
+    assert seen >= {("mult", m) for m in (1, 2, 3, 4)} | {"zero", "fraction", "1e40", "cofactor"}
+
+
 def test_rational_roots_through_the_squarefree_fallback(monkeypatch):
     calls = []
     real = polysolve.squarefree_part

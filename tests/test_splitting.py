@@ -1,5 +1,8 @@
 """Dynamic evaluation under deliberately reducible moduli, and moving values
-between related towers."""
+between related towers.
+
+Residues moved into split branches are compared, on seeded hypothesis
+draws, with ``oracles.former_reduce_inplace``, the former reduction."""
 
 import random
 from fractions import Fraction
@@ -12,6 +15,7 @@ from maxflex import (
     ProjPoint,
     UniPoly,
     ZeroDivisorEncountered,
+    fields,
     intersection_points,
     intersection_multiplicity,
     weierstrass_model,
@@ -231,3 +235,74 @@ def test_embedded_refuses_an_unrelated_level_of_the_same_name():
     # a branch is no prefix of its parent either
     with pytest.raises(ValueError, match="prefix-compatible"):
         br1.generator().embedded(t4)
+
+
+# -- residues moved into split branches, against the former reduction ---------
+
+def _former_reduced_rep(dst, rep, h, low):
+    """``fields._reduced_rep`` with ``oracles.former_reduce_inplace``."""
+    from oracles import former_reduce_inplace
+
+    if h == low:
+        return rep
+    coeffs = [_former_reduced_rep(dst, c, h - 1, low) for c in fields._coeffs(rep, h)]
+    former_reduce_inplace(dst, h - 1, coeffs, dst[h - 1].modulus)
+    return fields._join(dst, h, coeffs)
+
+
+def _split_cases():
+    """(tower, branch, lowest split level) for the towers of this module's
+    splits, down to linear branches, and for Q[t]/((t^2 - 1)(t^2 - 4)) with
+    u^2 = t + 7 above it."""
+    t3 = QQ.extend(
+        (UniPoly.from_rationals(QQ, [-1, 1]) * UniPoly.from_rationals(QQ, [-3, 1])
+         * UniPoly.from_rationals(QQ, [-2, 0, 1])).monic(),
+        name="t",
+    )
+    one, rest = t3.split(0, [-1, 1])
+    t4 = QQ.extend(UniPoly.from_rationals(QQ, [4, 0, -5, 0, 1]), name="t")
+    br1, br4 = t4.split(0, [-1, 0, 1])
+    up = _quadratic(t4, t4.generator() + 7, "u")
+    up1, up4 = up.split(0, [-1, 0, 1])
+    ts = _quadratic(_quadratic(QQ, 1, "t"), 4, "s")
+    ta = _quadratic(QQ, 1, "a")
+    tb = _quadratic(ta, ta.generator() + 3, "b")
+    tc = _quadratic(tb, tb.generator() + 5, "c")
+    return (
+        [(t3, br, 0) for br in (one, rest, *rest.split(0, [-3, 1]))]
+        + [(t4, br, 0) for br in (br1, br4, *br1.split(0, [-1, 1]), *br4.split(0, [2, 1]))]
+        + [(up, br, 0) for br in (up1, up4, *up1.split(0, [1, 1]))]
+        + [(ts, br, 0) for br in ts.split(0, [-1, 1])]
+        + [(ts, br, 1) for br in ts.split(1, [-2, 1])]
+        + [(tc, br, 0) for br in tc.split(0, [-1, 1])]
+    )
+
+
+def _monomials(tower):
+    """Every product of generator powers below the level degrees."""
+    out = [tower.one()]
+    for k, lv in enumerate(tower.levels):
+        g = tower.generator(k)
+        out = [m * g ** e for m in out for e in range(lv.degree)]
+    return out
+
+
+def test_reduced_rep_matches_the_former_reduction():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cases = [(src, dst, low, _monomials(src)) for src, dst, low in _split_cases()]
+    frac = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**4))
+
+    @hyp.settings(max_examples=30, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[hyp.HealthCheck.too_slow])
+    @hyp.given(st.data())
+    def check(data):
+        for src, dst, low, monomials in cases:
+            cs = data.draw(st.lists(frac, min_size=len(monomials), max_size=len(monomials)))
+            x = sum((m * c for m, c in zip(monomials, cs)), src.zero())
+            h = src.height
+            want = _former_reduced_rep(dst.levels, x.rep, h, low)
+            assert fields._reduced_rep(dst.levels, x.rep, h, low) == want
+            assert x.embedded(dst).rep == want
+
+    check()
