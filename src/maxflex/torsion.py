@@ -16,7 +16,13 @@ every weighted order is a lattice computation read off that map.  A spec
 compiles its lattice once, when it is built, into one integer row per
 component, so n_a and the class of a weight vector come from one pass
 over the rows (``_orders``), and the box tables of ``distinguish`` from one
-pass per weight box (``_order_table``); it sorts each multiset once per coset.
+pass per weight box (``_order_table``); it sorts each multiset once per a0.
+
+An inconclusive certificate is either proved or searched.  Every invariant
+``distinguish`` reads depends only on the signatures and on the relation
+lattice of the classes, so a signature-preserving isomorphism between the
+two class lattices (``_isomorphism``) proves that no witness exists in any
+box; otherwise the certificate names the box searched (``searched_box``).
 """
 
 from __future__ import annotations
@@ -691,6 +697,9 @@ class ZariskiCertificate:
     uniformly-normalized group), "order-witness" (one weight vector per
     admissible permutation) or "multiset-witness" (an order multiset
     mismatch).  A "distinguished" verdict carries the explicit inequalities.
+    An "inconclusive" one has mode None and is either proved, with the
+    isomorphism of the class lattices ("isomorphism", "span_order"), or
+    searched, with the weight box no witness turned up in ("searched_box").
     """
 
     def __init__(self, mode, verdict, witnesses):
@@ -744,16 +753,61 @@ def _order_table(spec, box):
     return table
 
 
+def _isomorphism(spec1, spec2, preserving):
+    """An inconclusive certificate proved by a lattice isomorphism, or None.
+
+    n_a, the order of a weighted class, kernel membership and the uniform
+    group's type depend only on the signatures and on Rel(t) = {c : sum
+    c_j t_j = 0}.  For a signature-preserving rho (weight a_j on component j
+    goes to component rho[j]), D = <(t1_j, t2_rho(j))> projects onto <t1>
+    and <t2>, so |D| = |<t1>| = |<t2>| exactly when Rel(t1) = Rel(t2 o rho),
+    and then no witness exists in any box.  D is walked breadth first and
+    left once it outgrows <t1>; the rho found is re-checked by
+    ``_verify_isomorphism``.
+    """
+    mod1, mod2 = spec1.lattice_modulus(), spec2.lattice_modulus()
+    t1 = [c.cls.rescaled(mod1) for c in spec1.components]
+    t2 = [c.cls.rescaled(mod2) for c in spec2.components]
+    n = len(lattice_span(t1, mod1))
+    if n != len(lattice_span(t2, mod2)):
+        return None
+    zero = (0, 0, 0, 0)
+    for rho in preserving:
+        gens = [t1[j].coords + t2[r].coords for j, r in enumerate(rho)]
+        seen = {zero}
+        frontier = [zero]
+        for x in frontier:
+            for g in gens:
+                y = ((x[0] + g[0]) % mod1, (x[1] + g[1]) % mod1,
+                     (x[2] + g[2]) % mod2, (x[3] + g[3]) % mod2)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+            if len(seen) > n:
+                break
+        if len(seen) == n:
+            _verify_isomorphism(spec1, spec2, rho, n)
+            return ZariskiCertificate(
+                None, "inconclusive", {"isomorphism": list(rho), "span_order": n}
+            )
+    return None
+
+
 def distinguish(spec1, spec2, admissible):
     """Search for a certificate that the two arrangements are a Zariski pair.
 
-    Tries, in order: the uniform-group isomorphism witness, the kernel
-    witness, the multiset witness, and the per-permutation order witness.
-    ``admissible`` must contain (a superset of) the admissible permutations
-    from spec1 to spec2; the multiset self-sets are recomputed here from the
-    component signatures, keeping the whole family closed under composition.
-    Each witness returned is evaluated once more by a brute route that reads
-    only the components, and BackendDisagreement is raised if it disagrees.
+    Tries, in order: the uniform-group isomorphism witness, a lattice
+    isomorphism that proves the pair inconclusive (``_isomorphism``), the
+    kernel witness, the multiset witness, and the per-permutation order
+    witness.  ``admissible`` must contain (a superset of) the admissible
+    permutations from spec1 to spec2; the multiset search reads only its
+    signature-preserving entries (a homeomorphism preserves signatures) and
+    recomputes the self-sets from the signatures, keeping the whole family
+    closed under composition.  The lattice step skips a spec that carries a
+    cubic, whose orders the searches read through the verified class ->
+    point map, so that cross-check still runs.  Each witness or isomorphism
+    returned is checked once more by a brute route that reads only the
+    components, and BackendDisagreement is raised if it disagrees.
     """
     admissible = list(admissible)
     if not admissible:
@@ -762,6 +816,10 @@ def distinguish(spec1, spec2, admissible):
         raise ValueError("component counts differ")
     k = spec1.k
     admissible = _admissible_tuples(admissible, k)
+    sig1, sig2 = spec1.signatures(), spec2.signatures()
+    preserving = [
+        rho for rho in admissible if all(sig1[j] == sig2[r] for j, r in enumerate(rho))
+    ]
 
     # uniform group witnesses need both abstract backends
     if spec1.has_abstract and spec2.has_abstract:
@@ -779,6 +837,10 @@ def distinguish(spec1, spec2, admissible):
                     "orders2": g2.generator_orders,
                 },
             )
+        if not (spec1.has_geometric or spec2.has_geometric):
+            proof = _isomorphism(spec1, spec2, preserving)
+            if proof:
+                return proof
         if g1.n > 1:
             kernel_hits = _first_differences(
                 spec1, spec2, admissible, list(product(range(g1.n), repeat=k)),
@@ -796,23 +858,21 @@ def distinguish(spec1, spec2, admissible):
     t1 = _order_table(spec1, box)
     t2 = _order_table(spec2, box)
 
-    # multiset witness over the signature-preserving self sets.  The tables
-    # are read with plain index tuples: entry j of a.permuted(r) is a[inv_r[j]]
-    # and of a.permuted(rho).permuted(r) is a[inv_rho[inv_r[j]]].  Distinct r
-    # give distinct tuples, so m2 is sorted once per a0 and set (per coset).
-    s1 = self_admissible(spec1)
-    s2 = self_admissible(spec2)
-    take1 = [_inv(r1) for r1 in s1]
-    take2 = {}
-    for rho0 in admissible:
+    # multiset witness over the signature-preserving self sets.  Every
+    # signature-preserving rho0 gives the same coset s2 rho0, so m2 is sorted
+    # once per a0 and the witness names the first such rho0.  The tables are
+    # read with plain index tuples: entry j of a.permuted(r) is a[inv_r[j]]
+    # and of a.permuted(rho).permuted(r) is a[inv_rho[inv_r[j]]].
+    if preserving:
+        rho0 = preserving[0]
+        s1 = self_admissible(spec1)
+        s2 = self_admissible(spec2)
+        take1 = [_inv(r1) for r1 in s1]
         inv = _inv(rho0)
-        take2[rho0] = frozenset(tuple([inv[i] for i in _inv(r2)]) for r2 in s2)
-    cosets = set(take2.values())
-    for a0 in vectors:
-        m1 = sorted([t1[tuple([a0[i] for i in ix])] for ix in take1])
-        m2s = {ixs: sorted([t2[tuple([a0[i] for i in ix])] for ix in ixs]) for ixs in cosets}
-        for rho0 in admissible:
-            m2 = m2s[take2[rho0]]
+        take2 = [tuple([inv[i] for i in _inv(r2)]) for r2 in s2]
+        for a0 in vectors:
+            m1 = sorted([t1[tuple([a0[i] for i in ix])] for ix in take1])
+            m2 = sorted([t2[tuple([a0[i] for i in ix])] for ix in take2])
             if m1 != m2:
                 _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2)
                 return ZariskiCertificate(
@@ -913,6 +973,33 @@ def _brute_order(spec, vec):
 def _brute_in_kernel(spec, vec):
     """Whether the uniform weight map sends vec to zero, from the classes."""
     return _brute_class(spec, vec, spec.uniform_gcd()).is_zero()
+
+
+def _verify_isomorphism(spec1, spec2, rho, n):
+    """Brute re-check of a lattice isomorphism from the components' classes:
+    walk <t1> by TorsionClass additions, carrying each element's image under
+    t1_j -> t2_rho(j); the map must agree on every edge, send only 0 to 0 and
+    have an image of n elements."""
+    mod1 = lcm(*(c.cls.modulus for c in spec1.components))
+    mod2 = lcm(*(c.cls.modulus for c in spec2.components))
+    gens = [
+        (c.cls.rescaled(mod1), spec2.components[r].cls.rescaled(mod2))
+        for c, r in zip(spec1.components, rho)
+    ]
+    zero = TorsionClass(mod1, (0, 0))
+    image = {zero: TorsionClass(mod2, (0, 0))}
+    frontier = [zero]
+    bad = False
+    for x in frontier:
+        for g1, g2 in gens:
+            y, fy = x + g1, image[x] + g2
+            if y not in image:
+                bad = bad or fy.is_zero()
+                image[y] = fy
+                frontier.append(y)
+            bad = bad or image[y] != fy
+    if bad or len(set(image.values())) != n:
+        raise BackendDisagreement("isomorphism witness failed re-verification")
 
 
 def _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2):

@@ -110,9 +110,12 @@ def test_invariants_and_distinguish_from_spec_files(capsys, tmp_path):
     assert "verdict: distinguished" in out
     assert "multiset-witness" in out
 
+    # the spec against itself is proved inconclusive by the identity
     code, out, _ = run_cli(capsys, "distinguish", str(f4), str(f4))
     assert code == 1
     assert "inconclusive" in out
+    assert "isomorphism: [0, 1, 2]" in out
+    assert "span_order: 3" in out
 
 
 def _three_call_table(spec):

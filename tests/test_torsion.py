@@ -1,7 +1,9 @@
 """The invariant calculus over the abstract lattice and its geometric twin."""
 
 import ast
+import inspect
 import random
+import textwrap
 from itertools import permutations, product
 from math import gcd, lcm
 from pathlib import Path
@@ -483,11 +485,14 @@ def test_distinguish_order_witness():
     assert witness["order2"] == torsion_order(swapped, a)
 
 
-def test_order_witness_recheck_reads_the_components():
+def test_order_witness_recheck_reads_the_components(monkeypatch):
     # mutant: spec1's compiled rows of the two tangent lines are exchanged.
     # Its order table is then spec2's with the lines swapped, so the order
     # multisets still agree and the search ends in an order witness taken
-    # from the corrupted table; the re-check from the components refuses it
+    # from the corrupted table; the re-check from the components refuses it.
+    # The components prove the pair isomorphic, so the lattice step is taken
+    # out to make the search read the rows
+    monkeypatch.setattr(torsion, "_isomorphism", lambda *args: None)
     s4 = tangent_triangle_spec(T1, T1.scale(2), T1)
     s4._rows = (s4._rows[1], s4._rows[0], s4._rows[2])
     with pytest.raises(BackendDisagreement, match="order witness"):
@@ -505,13 +510,23 @@ def test_kernel_witness_recheck_reads_the_classes(monkeypatch):
         distinguish(triangle_spec(T1, T1), triangle_spec(T1, T1.scale(2)), SWAP2)
 
 
+def _preserves_signatures(spec1, spec2, rho):
+    """Whether weight a_j on component j of spec1 may go to component rho[j]
+    of spec2: a homeomorphism preserves the components' signatures."""
+    sig1, sig2 = spec1.signatures(), spec2.signatures()
+    return all(sig1[j] == sig2[r] for j, r in enumerate(rho))
+
+
 def _first_multiset_witness(spec1, spec2, admissible):
-    """The multiset search by its definition, through WeightVector.permuted."""
+    """The multiset search by its definition, through WeightVector.permuted,
+    over the admissible entries that preserve signatures."""
     s1, s2 = self_admissible(spec1), self_admissible(spec2)
     box = max(spec1.weight_box(), spec2.weight_box())
     for a0 in weight_vectors(spec1.k, box):
         m1 = sorted(torsion_order(spec1, a0.permuted(r)) for r in s1)
         for rho in admissible:
+            if not _preserves_signatures(spec1, spec2, rho):
+                continue
             m2 = sorted(torsion_order(spec2, a0.permuted(rho).permuted(r)) for r in s2)
             if m1 != m2:
                 return list(a0), list(rho), m1, m2
@@ -596,7 +611,9 @@ def test_box_table_matches_the_per_vector_orders():
 
 def test_inconclusive_distinguish_takes_no_per_vector_route(monkeypatch):
     # guard: the order tables come from one pass per spec, so an
-    # inconclusive search over abstract specs never reads one vector alone
+    # inconclusive search over abstract specs never reads one vector alone.
+    # The pairs are isomorphic, so the lattice step is taken out to make
+    # distinguish search the tables
     def refuse(*args):
         raise AssertionError("per-vector order route taken")
 
@@ -605,10 +622,270 @@ def test_inconclusive_distinguish_takes_no_per_vector_route(monkeypatch):
     for shape in _workload_shapes():
         spec = _seeded_spec(rng, shape)
         pairs.append((spec, spec))
+    monkeypatch.setattr(torsion, "_isomorphism", lambda *args: None)
     monkeypatch.setattr(torsion, "_orders", refuse)
     monkeypatch.setattr(torsion, "_torsion_order", refuse)
     for spec1, spec2 in pairs:
         assert distinguish(spec1, spec2, self_admissible(spec1)).verdict == "inconclusive"
+
+
+def test_isomorphic_pairs_take_the_lattice_route(monkeypatch):
+    # twin of the guard above: the same pairs, with the lattice step in
+    # place, end in a proved inconclusive certificate and build no table
+    def refuse(*args):
+        raise AssertionError("search route taken")
+
+    rng = random.Random(2)
+    pairs = [(tangent_triangle_spec(T1, T1.scale(2), T1),) * 2]
+    for shape in _workload_shapes():
+        spec = _seeded_spec(rng, shape)
+        pairs.append((spec, spec))
+    for name in ("_orders", "_torsion_order", "_order_table"):
+        monkeypatch.setattr(torsion, name, refuse)
+    for spec1, spec2 in pairs:
+        cert = distinguish(spec1, spec2, self_admissible(spec1))
+        assert (cert.verdict, cert.mode) == ("inconclusive", None)
+        assert set(cert.witnesses) == {"isomorphism", "span_order"}
+        assert cert.witnesses["span_order"] == len(
+            lattice_span([c.cls.rescaled(spec1.lattice_modulus()) for c in spec1.components],
+                         spec1.lattice_modulus())
+        )
+
+
+def _line_cubic_pair():
+    """A pair whose multiset search once read a permutation that maps a
+    line to a cubic: (1, 2, 0) is an isomorphism, (2, 0, 1) preserves no
+    signature."""
+    def comp(d, xy, tag):
+        return ComponentData(d, 3, [("%s%d" % (tag, i), 3) for i in range(d)], TorsionClass(9, xy))
+
+    s1 = ArrangementSpec(3, [comp(1, (3, 3), "a"), comp(3, (0, 0), "b"), comp(3, (6, 6), "c")])
+    s2 = ArrangementSpec(3, [comp(3, (3, 0), "d"), comp(1, (6, 0), "e"), comp(3, (0, 0), "f")])
+    return s1, s2
+
+
+def test_multiset_search_skips_a_permutation_that_changes_signatures(monkeypatch):
+    # regression: with (2, 0, 1) beside the isomorphism (1, 2, 0), the
+    # search returned a multiset witness at (2, 0, 1), a false certificate
+    s1, s2 = _line_cubic_pair()
+    assert _preserves_signatures(s1, s2, (1, 2, 0))
+    assert not _preserves_signatures(s1, s2, (2, 0, 1))
+    for adm in ([(1, 2, 0)], [(1, 2, 0), (2, 0, 1)], [(2, 0, 1), (1, 2, 0)]):
+        assert distinguish(s1, s2, adm).witnesses == {"isomorphism": [1, 2, 0], "span_order": 3}
+    monkeypatch.setattr(torsion, "_isomorphism", lambda *args: None)
+    for adm in ([(1, 2, 0)], [(1, 2, 0), (2, 0, 1)], [(2, 0, 1), (1, 2, 0)]):
+        cert = distinguish(s1, s2, adm)
+        assert (cert.verdict, cert.witnesses) == ("inconclusive", {"searched_box": 3})
+
+
+def _hypothesis_spec_pair():
+    """A hypothesis strategy for (spec1, spec2, kind) over the abstract-specs
+    shapes and moduli.  ``kind`` "copy" is a re-classed copy as the
+    benchmark builds it (permuted within signature classes, multiplied by a
+    unit), "tweaked" such a copy with one class redrawn, and "random" an
+    independent spec of the same shape in a shuffled order."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    @st.composite
+    def draw(draw):
+        shape = draw(st.sampled_from(_workload_shapes()))
+        k = len(shape)
+        mod = draw(st.sampled_from([n for n in (4, 6, 9, 12) if n % lcm(*(m for _, m in shape)) == 0]))
+        coord = st.tuples(st.integers(0, mod - 1), st.integers(0, mod - 1))
+
+        def build(shape, coords):
+            comps = []
+            for j, ((d, m), xy) in enumerate(zip(shape, coords)):
+                cls = TorsionClass(mod, xy).scale(mod // m)
+                comps.append(ComponentData(d, m, [("c%d_%d" % (j, i), m) for i in range(3 * d // m)], cls))
+            return ArrangementSpec(3, comps)
+
+        coords = draw(st.lists(coord, min_size=k, max_size=k))
+        spec1 = build(shape, coords)
+        kind = draw(st.sampled_from(["copy", "tweaked", "random"]))
+        if kind == "random":
+            perm = draw(st.permutations(range(k)))
+            coords2 = draw(st.lists(coord, min_size=k, max_size=k))
+        else:
+            perm = draw(st.sampled_from(self_admissible(spec1)))
+            unit = draw(st.sampled_from([u for u in range(1, mod) if gcd(u, mod) == 1]))
+            coords2 = [(unit * coords[perm[j]][0], unit * coords[perm[j]][1]) for j in range(k)]
+            if kind == "tweaked":
+                coords2[draw(st.integers(0, k - 1))] = draw(coord)
+        return spec1, build([shape[perm[j]] for j in range(k)], coords2), kind
+
+    return draw()
+
+
+def _admissible_superset(draw, k, base):
+    """``base`` followed by up to four permutations drawn from all of S_k,
+    most of which preserve no signature."""
+    st = pytest.importorskip("hypothesis").strategies
+    perms = st.permutations(range(k)).map(tuple)
+    return list(base) + draw(st.lists(perms, max_size=4))
+
+
+def test_lattice_isomorphisms_agree_with_the_full_search():
+    # every isomorphism the lattice step returns is one the table search
+    # cannot refute: with the step taken out, the same call ends searched
+    # inconclusive; a re-classed copy always has one
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hyp.given(_hypothesis_spec_pair(), st.data())
+    def check(case, data):
+        spec1, spec2, kind = case
+        adm = _admissible_superset(data.draw, spec1.k, self_admissible(spec1))
+        cert = distinguish(spec1, spec2, adm)
+        if kind == "copy":
+            assert "isomorphism" in cert.witnesses
+        if "isomorphism" not in cert.witnesses:
+            return
+        rho = tuple(cert.witnesses["isomorphism"])
+        assert rho in adm and _preserves_signatures(spec1, spec2, rho)
+        real = torsion._isomorphism
+        torsion._isomorphism = lambda *args: None
+        try:
+            searched = distinguish(spec1, spec2, adm)
+        finally:
+            torsion._isomorphism = real
+        assert (searched.verdict, searched.mode) == ("inconclusive", None)
+        assert set(searched.witnesses) == {"searched_box"}
+
+    check()
+
+
+def test_more_admissible_entries_never_distinguish_an_inconclusive_pair():
+    # a witness must hold for every admissible permutation (or, for the
+    # multiset witness, for every signature-preserving one), so entries
+    # added to the list can only remove witnesses.  The base list holds a
+    # signature-preserving entry: a list without one names no
+    # homeomorphism, and there the multiset search, which needs one, is
+    # not run until an added entry supplies it
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hyp.given(_hypothesis_spec_pair(), st.data())
+    def check(case, data):
+        spec1, spec2, _kind = case
+        preserving = [
+            rho for rho in permutations(range(spec1.k)) if _preserves_signatures(spec1, spec2, rho)
+        ]
+        base = [data.draw(st.sampled_from(preserving))]
+        base = _admissible_superset(data.draw, spec1.k, base)
+        longer = _admissible_superset(data.draw, spec1.k, base)
+        real = torsion._isomorphism
+        try:
+            for route in (real, lambda *args: None):
+                torsion._isomorphism = route
+                if distinguish(spec1, spec2, base).verdict == "inconclusive":
+                    assert distinguish(spec1, spec2, longer).verdict == "inconclusive"
+        finally:
+            torsion._isomorphism = real
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def distinguished_pairs():
+    """(spec1, spec2, admissible) for every pair thm-main1, thm-main2 and
+    clubsuit-d2 distinguish, each spec rebuilt from its components alone
+    so that the lattice step runs on it."""
+    from maxflex.catalog import bigon_conics, bigon_points, bigon_spec, catalog_entry
+    from maxflex.reproductions import abstract_tangent_triangle_specs, abstract_triangle_specs
+
+    s1, s2, s3 = abstract_triangle_specs()
+    s4, s5 = abstract_tangent_triangle_specs()
+    swap = [(0, 1), (1, 0)]
+    lines = []
+    entry = catalog_entry("90c3").build(64)
+    for r in (4, 12):
+        _tw, e, p, q = bigon_points(entry, r)
+        spec, _ = bigon_spec(e, p, q, *bigon_conics(e, p, q), r, with_line=True)
+        lines.append(ArrangementSpec(spec.d0, spec.components))
+    return [
+        (s1, s2, swap),
+        (s1, s3, swap),
+        (s2, s3, swap),
+        (s4, s5, [(0, 1, 2), (1, 0, 2)]),
+        (lines[0], lines[1], [(0, 1)]),
+    ]
+
+
+def _proved(isomorphism, pairs):
+    """The pairs, both ways round, on which ``isomorphism`` returns a proof."""
+    out = []
+    for spec1, spec2, adm in pairs:
+        for a, b, rhos in ((spec1, spec2, adm), (spec2, spec1, [torsion._inv(r) for r in adm])):
+            assert all(_preserves_signatures(a, b, rho) for rho in rhos)
+            if isomorphism(a, b, rhos) is not None:
+                out.append((a, b))
+    return out
+
+
+def test_lattice_step_proves_no_distinguished_pair_inconclusive(distinguished_pairs):
+    for spec1, spec2, adm in distinguished_pairs:
+        assert not (spec1.has_geometric or spec2.has_geometric)
+        assert distinguish(spec1, spec2, adm).verdict == "distinguished"
+    assert _proved(torsion._isomorphism, distinguished_pairs) == []
+
+
+def _mutant_isomorphism(*edits):
+    """``torsion._isomorphism`` with each (old, new) source edit made once."""
+    src = textwrap.dedent(inspect.getsource(torsion._isomorphism))
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    namespace = dict(vars(torsion))
+    exec(compile(src, torsion.__file__, "exec"), namespace)
+    return namespace["_isomorphism"]
+
+
+def test_a_walk_that_accepts_every_permutation_is_caught(monkeypatch, distinguished_pairs):
+    accept = ("if len(seen) == n:", "if True:")
+    unchecked = _mutant_isomorphism(accept, ("_verify_isomorphism(spec1, spec2, rho, n)", "pass"))
+    # without its re-check the mutant proves a distinguished pair inconclusive
+    assert _proved(unchecked, distinguished_pairs)
+    # with it, distinguish refuses the proof
+    monkeypatch.setattr(torsion, "_isomorphism", _mutant_isomorphism(accept))
+    s1, s2, swap = distinguished_pairs[0]
+    with pytest.raises(BackendDisagreement, match="isomorphism witness"):
+        distinguish(s1, s2, swap)
+
+
+def test_isomorphism_recheck_reads_the_classes():
+    # the brute re-check accepts the isomorphism the walk found and refuses
+    # a map that breaks a relation or that sends a nonzero class to zero
+    s1, s2 = _line_cubic_pair()
+    torsion._verify_isomorphism(s1, s2, (1, 2, 0), 3)
+    for rho, n in (((1, 2, 0), 9), ((0, 1, 2), 3)):
+        with pytest.raises(BackendDisagreement, match="isomorphism witness"):
+            torsion._verify_isomorphism(s1, s2, rho, n)
+    s4 = tangent_triangle_spec(T1, T1.scale(2), T1)
+    collapsed = tangent_triangle_spec(T1, T1.scale(2), TorsionClass(9, (0, 0)))
+    with pytest.raises(BackendDisagreement, match="isomorphism witness"):
+        torsion._verify_isomorphism(s4, collapsed, (0, 1, 2), 3)
+
+
+def test_a_pair_with_a_cubic_keeps_the_search_route(monkeypatch):
+    # the r = 12 line-augmented bi-gon against a fresh build of itself: the
+    # two are isomorphic, but the orders are read through the verified
+    # class -> point map, so the lattice step is not taken
+    from maxflex.catalog import bigon_conics, bigon_points, bigon_spec, catalog_entry
+
+    def refuse(*args):
+        raise AssertionError("lattice step taken")
+
+    entry = catalog_entry("90c3").build(64)
+    _tw, e, p, q = bigon_points(entry, 12)
+    spec1, spec2 = (bigon_spec(e, p, q, *bigon_conics(e, p, q), 12, with_line=True)[0] for _ in range(2))
+    assert torsion._isomorphism(spec1, spec2, [(0, 1)]) is not None
+    monkeypatch.setattr(torsion, "_isomorphism", refuse)
+    cert = distinguish(spec1, spec2, [(0, 1)])
+    assert (cert.verdict, cert.witnesses) == ("inconclusive", {"searched_box": spec1.weight_box()})
+    assert spec1._class_points is not None and spec2._class_points is not None
 
 
 def test_spec_serialization_round_trip(tmp_path):
