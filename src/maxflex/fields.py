@@ -18,16 +18,24 @@ take them in, ``as_rational`` and ``rational_coeffs`` hand them out.
 
 A product is formed in the integers and reduced by each level's modulus with
 its denominators cleared, a pseudo-remainder whose scale is fixed per level,
-then normalised with one gcd.  Two cases skip that work.  A linear level
-(the trivial level a split leaves) has the scale of the level below, so the
-product of its one entry passes through; and a rational operand only scales
-the other operand's numerators, which are already reduced.  The numerator
-helpers and the rep arithmetic on them (``_z*``, ``_rsum``, ``_rmul``,
-``_rinv``) hold no comprehension over their locals: on CPython <= 3.11 one
-makes its function build closure cells on every call, even on a branch that
-never runs it, so they loop or ``map`` over ``itertools.repeat`` instead
-(3.12 inlines list comprehensions but still builds a generator for
-``tuple(genexpr)``).  ``tests/test_no_cells.py`` keeps them so.
+then normalised with one gcd.  That reduction is linear, so each coefficient
+of a product sums the unreduced products of the level below, which then
+reduces the sum once: 2d - 1 reductions at a level of degree d, not d^2.  A
+cleared modulus coefficient constant in the levels below is a scaling.  Two
+cases skip work.  A linear level (the trivial level a split leaves) has the
+scale of the level below, so the product of its one entry passes through;
+and a rational operand only scales the other operand's numerators, which are
+already reduced.  The numerator helpers and the rep arithmetic on them
+(``_z*``, ``_rsum``, ``_rmul``, ``_rinv``) hold no comprehension over their
+locals: on CPython <= 3.11 one makes its function build closure cells on
+every call, even on a branch that never runs it, so they loop or ``map``
+over ``itertools.repeat`` instead (3.12 inlines list comprehensions but still
+builds a generator for ``tuple(genexpr)``).  ``tests/test_no_cells.py`` keeps
+them so.
+
+The element layer tests a tower's identity before its equality: an operand
+of the very same tower object is taken with no comparison of levels, and
+``FieldTower.height`` is stored when the tower is built.
 
 Inverses and gcds run one remainder sequence, ``_zeuclid``, on polynomials
 whose coefficients are numerators, at every height, Q included: an inverse
@@ -183,8 +191,11 @@ class _ZLevel:
     leading D, all at int-height k - 1.  Reducing a product of two reduced
     numerators by it takes d - 1 pseudo-remainder steps, each scaling by
     ``step`` = D * S_{k-1}, so the reduced product carries the fixed factor
-    ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.  ``frame`` is the
-    level's unit certificate frame, built on first use by ``_unit_frame``.
+    ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.  ``terms`` pairs
+    each t < d with N_t != 0 with its multiplier: N_t, or the int c S_{k-1}
+    when N_t is a constant c in the levels below, since a product by it is a
+    scaling.  ``frame`` is the level's unit certificate frame, built on first
+    use by ``_unit_frame``.
     """
 
     __slots__ = ("degree", "cleared", "terms", "step", "scale", "zero", "one", "frame")
@@ -198,7 +209,12 @@ class _ZLevel:
         N = [_zscale(c[1], D // c[0], k - 1) for c in mod[:d]]
         self.degree = d
         self.cleared = tuple(N) + (_zscale(below.one, D, k - 1),)
-        self.terms = tuple((t, n) for t, n in enumerate(N) if _zany(n, k - 1))
+        terms = []
+        for t, n in enumerate(N):
+            if _zany(n, k - 1):
+                c = _zbelow(n, k - 1, 0)
+                terms.append((t, n if c is None else c * below.scale))
+        self.terms = tuple(terms)
         self.step = D * below.scale
         self.scale = below.scale * self.step ** (d - 1)
         self.zero = (below.zero,) * d
@@ -226,11 +242,49 @@ def _zmul(levels, k, A, B):
     level's fixed ``scale``."""
     if k == 0:
         return A * B
+    if k > 1 and levels[k - 1].degree == 1:
+        # a linear level has the scale of the one below: nothing to reduce
+        return (_zmul(levels, k - 1, A[0], B[0]),)
+    return _zreduce(levels, k, _zraw(levels, k, A, B))
+
+
+def _zraw(levels, k, A, B):
+    """The product of numerators A and B at int-height k >= 1 before level k
+    reduces it: 2d - 1 numerators at int-height k - 1, each reduced below.
+    A reduction is linear, so each of them sums the raw products of level
+    k - 1 and is reduced once: 2d - 1 reductions at level k - 1, not d^2.
+    The integer sums at level 1 add up in place."""
+    if k == 1:
+        return _zz_mul(A, B)
+    low = k - 1
+    sums = [None] * (len(A) + len(B) - 1)
+    nonzero_b = []
+    for j, y in enumerate(B):
+        if _zany(y, low):
+            nonzero_b.append((j, y))
+    for i, x in enumerate(A):
+        if _zany(x, low):
+            for j, y in nonzero_b:
+                s = sums[i + j]
+                if low == 1:
+                    sums[i + j] = _zz_mul(x, y, s)
+                else:
+                    p = _zraw(levels, low, x, y)
+                    sums[i + j] = p if s is None else _zop(add, s, p, low)
+    zero = _zlevel(levels, low).zero
+    for n, s in enumerate(sums):
+        sums[n] = zero if s is None else _zreduce(levels, low, s)
+    return sums
+
+
+def _zreduce(levels, k, P):
+    """2d - 1 numerators P at int-height k - 1, a raw product, reduced by
+    level k's cleared modulus: d numerators, times ``step^(d - 1)``."""
     zl = _zlevel(levels, k)
     d = zl.degree
     step = zl.step
+    P = list(P)
     if k == 1:
-        P = _zz_mul(A, B)
         for n in range(2 * d - 2, d - 1, -1):
             c = P.pop()
             if step != 1:
@@ -240,18 +294,6 @@ def _zmul(levels, k, A, B):
                     P[n - d + t] -= c * m
         return tuple(P)
     low = k - 1
-    if d == 1:
-        # a linear level has the scale of the one below: nothing to reduce
-        return (_zmul(levels, low, A[0], B[0]),)
-    P = [_zlevel(levels, low).zero] * (2 * d - 1)
-    nonzero_b = []
-    for j, y in enumerate(B):
-        if _zany(y, low):
-            nonzero_b.append((j, y))
-    for i, x in enumerate(A):
-        if _zany(x, low):
-            for j, y in nonzero_b:
-                P[i + j] = _zop(add, P[i + j], _zmul(levels, low, x, y), low)
     # each reduction step scales every lower entry by ``step``; an entry
     # takes the steps it missed (done - seen[i]) only when it is next used
     seen = [0] * len(P)
@@ -263,7 +305,8 @@ def _zmul(levels, k, A, B):
             for t, m in zl.terms:
                 i = n - d + t
                 caught_up = _zscale(P[i], step ** (done - seen[i]), low)
-                P[i] = _zop(sub, caught_up, _zmul(levels, low, c, m), low)
+                cm = _zscale(c, m, low) if type(m) is int else _zmul(levels, low, c, m)
+                P[i] = _zop(sub, caught_up, cm, low)
                 seen[i] = done
     for i, p in enumerate(P):
         P[i] = _zscale(p, step ** (done - seen[i]), low)
@@ -300,8 +343,10 @@ def _zz_pseudo_divmod(f, g):
     return q, _zz_trim(r)
 
 
-def _zz_mul(u, v):
-    out = [0] * (len(u) + len(v) - 1)
+def _zz_mul(u, v, out=None):
+    """The product of integer lists u and v, added into ``out`` when given."""
+    if out is None:
+        out = [0] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):
         if x:
             for j, y in enumerate(v):
@@ -711,19 +756,19 @@ class FieldTower:
     sharing across threads is safe.
     """
 
-    __slots__ = ("levels", "degree_cap", "_hash")
+    __slots__ = ("levels", "height", "degree_cap", "_hash")
 
     def __init__(self, levels=(), degree_cap=DEFAULT_DEGREE_CAP):
-        object.__setattr__(self, "levels", tuple(levels))
+        levels = tuple(levels)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "height", len(levels))
         object.__setattr__(self, "degree_cap", degree_cap)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldTower is immutable")
 
-    @property
-    def height(self):
-        return len(self.levels)
+    __delattr__ = __setattr__
 
     @property
     def absolute_degree(self):
@@ -937,28 +982,33 @@ class TowerElement:
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
-            if other.tower != self.tower:
+            if other.tower is not self.tower and other.tower != self.tower:
                 raise ValueError("elements of different towers")
             return other
         if isinstance(other, (int, Fraction)):
             return self.tower.rational(other)
         return NotImplemented
 
+    # the operators take an element of the very same tower object without
+    # calling ``_coerce``: an identity test before any equality
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         t = self.tower
-        return TowerElement(t, _radd(t.levels, t.height, self.rep, o.rep))
+        if type(other) is not TowerElement or other.tower is not t:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return TowerElement(t, _radd(t.levels, t.height, self.rep, other.rep))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         t = self.tower
-        return TowerElement(t, _rsub(t.levels, t.height, self.rep, o.rep))
+        if type(other) is not TowerElement or other.tower is not t:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return TowerElement(t, _rsub(t.levels, t.height, self.rep, other.rep))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -968,11 +1018,12 @@ class TowerElement:
         return TowerElement(t, _rsub(t.levels, t.height, o.rep, self.rep))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         t = self.tower
-        return TowerElement(t, _rmul(t.levels, t.height, self.rep, o.rep))
+        if type(other) is not TowerElement or other.tower is not t:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return TowerElement(t, _rmul(t.levels, t.height, self.rep, other.rep))
 
     __rmul__ = __mul__
 
@@ -1052,7 +1103,7 @@ class TowerElement:
         modulus, and the value is constant in the levels above.  Any other
         tower, such as a same-named level with another modulus, raises
         ValueError."""
-        if tower == self.tower:
+        if tower is self.tower or tower == self.tower:
             return self
         [rep] = _moved_reps(self.tower.levels, tower.levels, [self.rep])
         return TowerElement(tower, rep)
@@ -1120,7 +1171,7 @@ class UniPoly:
         reps = []
         for c in coeffs:
             if isinstance(c, TowerElement):
-                if c.tower != tower:
+                if c.tower is not tower and c.tower != tower:
                     raise ValueError("coefficient from a different tower")
                 reps.append(c.rep)
             elif isinstance(c, (int, Fraction)):
@@ -1226,7 +1277,7 @@ class UniPoly:
 
 def poly_gcd(f, g):
     """Monic greatest common divisor; the zero polynomial only if f = g = 0."""
-    if f.tower != g.tower:
+    if f.tower is not g.tower and f.tower != g.tower:
         raise ValueError("polynomials over different towers")
     t = f.tower
     return UniPoly(t, _pl_gcd(t.levels, t.height, list(f.coeffs), list(g.coeffs)))

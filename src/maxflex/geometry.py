@@ -51,7 +51,7 @@ from .polysolve import (
 
 def _coerce_elem(tower, value):
     if isinstance(value, TowerElement):
-        if value.tower != tower:
+        if value.tower is not tower and value.tower != tower:
             raise ValueError("element from a different tower")
         return value
     return tower.rational(value)
@@ -91,7 +91,7 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if self.tower != other.tower:
+        if self.tower is not other.tower and self.tower != other.tower:
             raise ValueError("points over different towers")
         return all((a - b).is_zero() for a, b in zip(self.coords, other.coords))
 
@@ -107,7 +107,7 @@ class ProjPoint:
         return self.coords[others[0]], self.coords[others[1]]
 
     def embedded(self, tower):
-        if tower == self.tower:
+        if tower is self.tower or tower == self.tower:
             return self
         return ProjPoint(tower, [c.embedded(tower) for c in self.coords])
 
@@ -166,7 +166,7 @@ class BiPoly:
         return max((i + j for i, j in self.terms), default=-1)
 
     def embedded(self, tower):
-        if tower == self.tower:
+        if tower is self.tower or tower == self.tower:
             return self
         return BiPoly(tower, {k: c.embedded(tower) for k, c in self.terms.items()})
 
@@ -282,7 +282,7 @@ class PlaneCurve:
     coefficients only.
     """
 
-    __slots__ = ("tower", "degree", "form", "components", "_partials")
+    __slots__ = ("tower", "degree", "form", "components", "_partials", "_smooth")
 
     def __init__(self, tower, degree, form, components=None):
         clean = {}
@@ -300,6 +300,7 @@ class PlaneCurve:
         self.form = clean
         self.components = tuple(components) if components else None
         self._partials = None
+        self._smooth = None
         if self.components is not None:
             prod = self.components[0]
             for comp in self.components[1:]:
@@ -374,7 +375,7 @@ class PlaneCurve:
         raise ValueError("zero form")
 
     def embedded(self, tower):
-        if tower == self.tower:
+        if tower is self.tower or tower == self.tower:
             return self
         form = {k: c.embedded(tower) for k, c in self.form.items()}
         comps = None
@@ -574,8 +575,15 @@ def is_smooth_curve(c):
 
     Candidates come from a resultant sweep on two partials and are verified
     on the third; by the Euler relation a common zero of the partials lies on
-    the curve, so this decides smoothness in characteristic zero.
+    the curve, so this decides smoothness in characteristic zero.  The answer
+    is kept on the curve object, which is certified once.
     """
+    if c._smooth is None:
+        c._smooth = _smooth_sweep(c)
+    return c._smooth
+
+
+def _smooth_sweep(c):
     if c.degree == 1:
         return True
     parts = [c.partial(axis) for axis in range(3)]

@@ -542,7 +542,10 @@ def former_zdiv(Z, g, k):
 
 def former_zmul(levels, k, A, B):
     """``fields._zmul``'s former form, with comprehensions for the scaled
-    partial products, the nonzero entries of B and the caught-up result."""
+    partial products, the nonzero entries of B and the caught-up result:
+    each product of the level below reduced on its own, and every product
+    by a modulus coefficient a full product.  It reads the modulus from
+    the level's ``cleared`` numerators."""
     from operator import add, sub
 
     from maxflex import fields as F
@@ -552,6 +555,7 @@ def former_zmul(levels, k, A, B):
     zl = F._zlevel(levels, k)
     d = zl.degree
     step = zl.step
+    terms = [(t, m) for t, m in enumerate(zl.cleared[:d]) if former_zany(m, k - 1)]
     if k == 1:
         P = F._zz_mul(A, B)
         for n in range(2 * d - 2, d - 1, -1):
@@ -559,7 +563,7 @@ def former_zmul(levels, k, A, B):
             if step != 1:
                 P = [p * step for p in P]
             if c:
-                for t, m in zl.terms:
+                for t, m in terms:
                     P[n - d + t] -= c * m
         return tuple(P)
     low = k - 1
@@ -577,7 +581,7 @@ def former_zmul(levels, k, A, B):
         c = former_zscale(P.pop(), step ** (done - seen[n]), low)
         done += 1
         if former_zany(c, low):
-            for t, m in zl.terms:
+            for t, m in terms:
                 i = n - d + t
                 caught_up = former_zscale(P[i], step ** (done - seen[i]), low)
                 P[i] = former_zop(sub, caught_up, former_zmul(levels, low, c, m), low)

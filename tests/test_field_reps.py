@@ -12,7 +12,8 @@ polynomials of 90c3; minimal polynomials are compared with sympy's
 characteristic polynomial of the multiplication matrix.  The numerator
 helpers are compared, result for result, with their former comprehension
 forms in ``oracles`` on numerators drawn at every int-height of the three
-catalog shapes.
+catalog shapes and at the quadratic top of [2,9,2]; products also on random
+two-level towers that take every branch of the reduction.
 """
 
 from fractions import Fraction
@@ -77,6 +78,11 @@ def shape_tower(shape):
         return catalog.bigon_points(catalog.catalog_entry("90c3").build(), 8)[0]
     if shape == "t2-9-1":
         return catalog.fermat_witness()["tower"]
+    if shape == "t2-9-2":
+        # the witness tower's [2,9] prefix under s^2 - t1 - 2: a product at
+        # int-height 3 reduces there and sums the products below
+        base = FieldTower(shape_tower("t2-9-1").levels[:2])
+        return base.extend(UniPoly(base, [-base.generator(1) - 2, 0, base.one()]))
     if shape == "split-top":
         base = QQ.extend(UniPoly.from_rationals(QQ, [1, 1, 1]), irreducible=True)
         return base.extend(UniPoly.from_rationals(base, [6, 0, -5, 0, 1]))
@@ -521,8 +527,12 @@ def test_minimal_polynomial_matches_sympy_on_random_two_level_towers(data, draw)
 
 
 #: (shape, int-height) pairs for the numerator helpers: Q, then every
-#: int-height above it of the [4,1] and [2,9,1] towers.
-NUMERATOR_HEIGHTS = [("q", 0), ("t4-1", 1), ("t4-1", 2), ("t2-9-1", 1), ("t2-9-1", 2), ("t2-9-1", 3)]
+#: int-height above it of the [4,1] and [2,9,1] towers, and the quadratic
+#: top of [2,9,2].
+NUMERATOR_HEIGHTS = [
+    ("q", 0), ("t4-1", 1), ("t4-1", 2), ("t2-9-1", 1), ("t2-9-1", 2), ("t2-9-1", 3),
+    ("t2-9-2", 3),
+]
 BIG = st.integers(-10**12, 10**12)
 #: Scale factors and exact divisors: 1 (which ``_zscale`` returns early on),
 #: -1 and integers of either sign.
@@ -558,6 +568,32 @@ def test_numerator_helpers_match_their_former_forms(shape, k):
         assert fields._zmul(levels, k, A, B) == former_zmul(levels, k, A, B)
 
     run()
+
+
+@st.composite
+def product_towers(draw):
+    """Data of a random tower Q[t]/(f)[s]/(g) on which a product takes every
+    branch of the reduction: f has a non-integral constant term, so level 1
+    scales by step != 1, and g has a lower coefficient constant in t (a
+    scaling) and one that is not (a product at level 1)."""
+    data = draw(two_level_towers())
+    f, g = data[0]["minpoly"], data[1]["minpoly"]
+    nonzero = st.integers(-5, 5).filter(bool)
+    f[0] = to_data(Fraction(2 * draw(st.integers(-3, 3)) + 1, 2), 0)
+    g[0] = [to_data(Fraction(draw(nonzero)), 0)] + ["0/1"] * (len(f) - 2)
+    g[1] = [g[1][0], to_data(Fraction(draw(nonzero)), 0)] + g[1][2:]
+    return data
+
+
+@settings(max_examples=EXAMPLES["random"], **PROFILE)
+@given(product_towers(), st.data())
+def test_products_match_their_former_form_on_random_two_level_towers(data, draw):
+    levels = build(data).levels
+    assert fields._zlevel(levels, 1).step != 1
+    assert {type(m) for _, m in fields._zlevel(levels, 2).terms} == {int, tuple}
+    for k in (1, 2):
+        A, B = (draw.draw(numerators(levels, k)) for _ in range(2))
+        assert fields._zmul(levels, k, A, B) == former_zmul(levels, k, A, B)
 
 
 @settings(max_examples=200, **PROFILE)

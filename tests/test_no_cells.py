@@ -13,8 +13,8 @@ import pytest
 from maxflex import fields
 
 CELL_FREE = (
-    "_zany", "_zop", "_zscale", "_zdiv", "_zmul", "_zz_pseudo_divmod",
-    "_zcontent", "_znorm", "_zbelow", "_zeuclid", "_rsum", "_rmul", "_rinv",
+    "_zany", "_zop", "_zscale", "_zdiv", "_zmul", "_zraw", "_zreduce", "_zz_mul",
+    "_zz_pseudo_divmod", "_zcontent", "_znorm", "_zbelow", "_zeuclid", "_rsum", "_rmul", "_rinv",
 )
 
 
