@@ -26,11 +26,11 @@ from itertools import combinations, permutations, product
 from .errors import CommonComponent
 from .fields import rep_to_data, with_splitting
 from .geometry import (
+    cross,
     intersection_multiplicity,
     intersection_points,
     is_smooth_curve,
 )
-from .polysolve import mat3_det
 
 
 def _point_key(point, base, orbit):
@@ -275,12 +275,18 @@ def _exists_piece_bijection(f1, f2, grouping, rho, records2):
 
 def concurrent_line_triples(lines):
     """Yield the index triples (i, j, k), i < j < k, of lines through a common
-    point, found by the determinant of their coefficients."""
+    point, found by the determinant of their coefficients, taken as
+    row_i . (row_j x row_k) with each pair's cross product formed once."""
     axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for triple in combinations(range(len(lines)), 3):
-        rows = [[lines[t].coefficient(a) for a in axes] for t in triple]
-        if mat3_det(rows).is_zero():
-            yield triple
+    rows = [[line.coefficient(a) for a in axes] for line in lines]
+    crosses = {}
+    for i, j, k in combinations(range(len(rows)), 3):
+        c = crosses.get((j, k))
+        if c is None:
+            c = crosses[j, k] = cross(rows[j], rows[k])
+        r = rows[i]
+        if (r[0] * c[0] + r[1] * c[1] + r[2] * c[2]).is_zero():
+            yield (i, j, k)
 
 
 def check_incidence(pieces, tower=None):

@@ -23,9 +23,10 @@ of a product sums the unreduced products of the level below, which then
 reduces the sum once: 2d - 1 reductions at a level of degree d, not d^2.  A
 cleared modulus coefficient constant in the levels below is a scaling.  Two
 cases skip work.  A linear level (the trivial level a split leaves) has the
-scale of the level below, so the product of its one entry passes through;
-and a rational operand only scales the other operand's numerators, which are
-already reduced.  The numerator helpers and the rep arithmetic on them
+scale of the level below, so the product of its one entry, and the sums of
+a product above it, pass through; and a rational operand only scales the
+other operand's numerators, which are already reduced.  The numerator
+helpers and the rep arithmetic on them
 (``_z*``, ``_rsum``, ``_rmul``, ``_rinv``) hold no comprehension over their
 locals: on CPython <= 3.11 one makes its function build closure cells on
 every call, even on a branch that never runs it, so they loop or ``map``
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, itemgetter, mul, sub
 from types import SimpleNamespace
 
 from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
@@ -253,10 +254,16 @@ def _zraw(levels, k, A, B):
     reduces it: 2d - 1 numerators at int-height k - 1, each reduced below.
     A reduction is linear, so each of them sums the raw products of level
     k - 1 and is reduced once: 2d - 1 reductions at level k - 1, not d^2.
+    A linear level below k reduces nothing: the sums pass through it as
+    those of its one entries, reduced at the level ``low`` below it.
     The integer sums at level 1 add up in place."""
     if k == 1:
         return _zz_mul(A, B)
     low = k - 1
+    while low > 1 and levels[low - 1].degree == 1:
+        low -= 1
+        A = tuple(map(itemgetter(0), A))
+        B = tuple(map(itemgetter(0), B))
     sums = [None] * (len(A) + len(B) - 1)
     nonzero_b = []
     for j, y in enumerate(B):
@@ -274,6 +281,8 @@ def _zraw(levels, k, A, B):
     zero = _zlevel(levels, low).zero
     for n, s in enumerate(sums):
         sums[n] = zero if s is None else _zreduce(levels, low, s)
+    for _ in range(k - 1 - low):
+        sums = list(zip(sums))  # each sum back in a linear level's 1-tuple
     return sums
 
 

@@ -16,6 +16,14 @@ grad C(x).x = 3 C(x), exact in characteristic zero.  The gradient at the
 origin is kept with the structure, and a doubling reuses the gradient of
 its tangent.
 
+An EllipticStructure keeps a table of the sums it has formed, and
+``EllipticStructure.add`` reads it.  The composite operations go through
+it (``ec_mul``'s double-and-add, ``ec_sum``, ``point_order`` and the torsion
+class map's walk), so a doubling or chord that several of their calls need
+is formed once per structure.  ``ec_add`` stays the uncached law: it is
+what the tests cross-check against the Weierstrass formulas, and one call
+of it is one chord-tangent sum whatever ran before.
+
 Operations are pure; anything that has to invert a tower element may raise
 ZeroDivisorEncountered, which callers handle by splitting the tower.
 """
@@ -640,9 +648,14 @@ class EllipticStructure:
     tangency of the inflectional tangent (the tangent meets the cubic only at
     the origin).  The gradient at the origin, whose entries are the
     tangent's coefficients, is kept for every step of the group law.
+
+    ``add`` is ``ec_add`` read through a table of the sums this structure
+    has formed, keyed by the two points' coordinate reps in sorted order,
+    so both orders of a pair read one entry.  ``embedded`` into another
+    tower makes a new structure with an empty table.
     """
 
-    __slots__ = ("cubic", "origin", "origin_tangent", "origin_gradient")
+    __slots__ = ("cubic", "origin", "origin_tangent", "origin_gradient", "_sums")
 
     def __init__(self, cubic, origin, check=True):
         if cubic.degree != 3:
@@ -664,10 +677,30 @@ class EllipticStructure:
         self.origin = origin
         self.origin_tangent = tangent
         self.origin_gradient = grad
+        self._sums = {}
 
     @property
     def tower(self):
         return self.cubic.tower
+
+    def add(self, p, q):
+        """``ec_add(self, p, q)``, formed once per pair of points.
+
+        Only points over this structure's very tower object read the table:
+        reps of equal shape over another tower name other points, and
+        ``ec_add`` refuses them.  A sum is stored once ``ec_add`` returns,
+        so a zero divisor met on the way leaves no entry.
+        """
+        tower = self.cubic.tower
+        if p.tower is not tower or q.tower is not tower:
+            return ec_add(self, p, q)
+        kp = tuple(c.rep for c in p.coords)
+        kq = tuple(c.rep for c in q.coords)
+        key = (kp, kq) if kp <= kq else (kq, kp)
+        r = self._sums.get(key)
+        if r is None:
+            r = self._sums[key] = ec_add(self, p, q)
+        return r
 
     def embedded(self, tower):
         if tower == self.tower:
@@ -786,11 +819,11 @@ def ec_mul(e, n, p):
     base = p
     while True:
         if n & 1:
-            acc = base if acc is None else ec_add(e, acc, base)
+            acc = base if acc is None else e.add(acc, base)
         n >>= 1
         if not n:
             return acc
-        base = ec_add(e, base, base)
+        base = e.add(base, base)
 
 
 def ec_sum(e, terms):
@@ -799,7 +832,7 @@ def ec_sum(e, terms):
     for n, p in terms:
         if n:
             q = ec_mul(e, n, p)
-            acc = q if acc is None else ec_add(e, acc, q)
+            acc = q if acc is None else e.add(acc, q)
     return e.origin if acc is None else acc
 
 
@@ -808,7 +841,7 @@ def point_order(e, p, bound):
     return order_by_descent(
         p,
         bound,
-        lambda a, b: ec_add(e, a, b),
+        e.add,
         lambda n, a: ec_mul(e, n, a),
         lambda a: a == e.origin,
     )

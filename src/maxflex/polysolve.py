@@ -152,14 +152,6 @@ def kernel_basis(rows, ncols, tower):
     return basis
 
 
-def mat3_det(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def mat3_adjugate(m):
     def minor(i, j):
         r = [k for k in range(3) if k != i]

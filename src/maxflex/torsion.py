@@ -40,7 +40,7 @@ from .errors import (
     malformed,
     read_json,
 )
-from .geometry import ec_add, ec_mul, ec_sum, point_order, tangent_line
+from .geometry import ec_mul, ec_sum, point_order, tangent_line
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ class ArrangementSpec:
         for x in frontier:
             for g, gp in gens.items():
                 y = ((x[0] + g[0]) % mod, (x[1] + g[1]) % mod)
-                yp = gp if x == zero else ec_add(e, table[x], gp)
+                yp = gp if x == zero else e.add(table[x], gp)
                 if y in table:
                     if table[y] != yp:
                         raise BackendDisagreement("the class map is not well defined")

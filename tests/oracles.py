@@ -32,6 +32,10 @@ count, an exact evaluation and division by x - root over Fractions, as the
 reference for the count by integer pseudo-division; ``former_reduce_inplace``
 keeps the former in-place reduction of residues into a split branch, built
 from ``maxflex.fields``' rep helpers, as the reference for ``_pl_divmod``.
+``former_concurrent_line_triples`` keeps the concurrency test's former
+route, the cofactor expansion of each triple's 3x3 coefficient determinant,
+as the reference for the determinant taken as a dot product with a cross
+product shared by each pair.
 """
 
 from fractions import Fraction
@@ -655,3 +659,23 @@ def former_reduce_inplace(levels, h, coeffs, modulus):
             coeffs[i - d + j] = F._rsub(
                 levels, h, coeffs[i - d + j], F._rmul(levels, h, lead, modulus[j])
             )
+
+
+def former_concurrent_line_triples(lines):
+    """``combinatorics.concurrent_line_triples``' former route: the index
+    triples i < j < k whose coefficient rows have a zero determinant, each
+    determinant expanded along its first row on its own."""
+    from itertools import combinations
+
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    out = []
+    for triple in combinations(range(len(lines)), 3):
+        m = [[lines[t].coefficient(a) for a in axes] for t in triple]
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        if det.is_zero():
+            out.append(triple)
+    return out

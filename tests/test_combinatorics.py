@@ -1,6 +1,7 @@
 """Fingerprints, admissible permutations, incidence reports, bigon clauses."""
 
 import json
+import random
 
 import pytest
 
@@ -18,9 +19,9 @@ from maxflex import (
     run_reproduction,
     verify_bigon,
 )
-from maxflex.catalog import bigon_conics, bigon_points, catalog_entry
-from maxflex.combinatorics import _point_key
-from oracles import bigon_clauses, sweep_profiles
+from maxflex.catalog import bigon_conics, bigon_points, catalog_entry, fermat_witness
+from maxflex.combinatorics import _point_key, concurrent_line_triples
+from oracles import bigon_clauses, former_concurrent_line_triples, sweep_profiles
 
 
 def cyclic_cubic():
@@ -162,6 +163,49 @@ def test_check_incidence_flags_concurrent_lines():
     ]
     report = check_incidence(pencil)
     assert report["concurrent_line_triples"] == [(0, 1, 2)]
+
+
+AXES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_concurrency_matches_the_cofactor_determinant_on_the_witness_lines():
+    lines = fermat_witness()["lines"]
+    assert list(concurrent_line_triples(lines)) == former_concurrent_line_triples(lines) == []
+    # two more lines through the meet of lines 0 and 1
+    tw = lines[0].tower
+    a, b = ([line.coefficient(x) for x in AXES] for line in lines[:2])
+    pencil = [PlaneCurve.line(tw, [u + c * v for u, v in zip(a, b)]) for c in (2, -3)]
+    planted = lines + pencil
+    got = list(concurrent_line_triples(planted))
+    assert got == former_concurrent_line_triples(planted)
+    assert got == [(0, 1, 6), (0, 1, 7), (0, 6, 7), (1, 6, 7)]
+
+
+def _int_cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_concurrency_matches_the_cofactor_determinant_on_seeded_lines(seed):
+    """Random lines over Q with concurrent triples planted: lines through
+    the meet of two others, and three lines through one random point."""
+    rng = random.Random(seed)
+
+    def coeffs():
+        return [rng.randint(-6, 6) for _ in range(3)]
+
+    rows = [coeffs() for _ in range(rng.randint(3, 6))]
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.sample(range(len(rows)), 2)
+        s, t = rng.randint(-3, 3), rng.randint(1, 3)
+        rows.append([s * u + t * v for u, v in zip(rows[i], rows[j])])
+    point = coeffs()
+    rows += [_int_cross(point, coeffs()) for _ in range(3)]
+    rng.shuffle(rows)
+    lines = [PlaneCurve.line(QQ, r) for r in rows if any(r)]
+    got = list(concurrent_line_triples(lines))
+    assert got == former_concurrent_line_triples(lines)
+    assert got
 
 
 def bigon_fingerprint(e, c1, c2):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from maxflex import QQ, FieldTower, UniPoly, poly_gcd
-from maxflex.geometry import PlaneCurve, ProjPoint, _coerce_elem
+from maxflex.geometry import EllipticStructure, PlaneCurve, ProjPoint, _coerce_elem
 from maxflex.reproductions import run_reproduction
 
 
@@ -62,6 +62,11 @@ def test_values_of_a_different_tower_raise():
     other = quadratic(3)
     a, c = TOWER.generator(), other.generator()
     assert other.levels[0].name == TOWER.levels[0].name and other != TOWER
+    fermat = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}
+    e = EllipticStructure(PlaneCurve(TOWER, 3, fermat), ProjPoint(TOWER, [1, -1, 0]))
+    flexes = ([1, 0, -1], [0, 1, -1])
+    # the table now holds a sum keyed by the reps these flexes have over either tower
+    e.add(*(ProjPoint(TOWER, f) for f in flexes))
     routes = [
         lambda: a + c,
         lambda: a - c,
@@ -77,6 +82,7 @@ def test_values_of_a_different_tower_raise():
         lambda: ProjPoint(TOWER, [a, c, 1]),
         lambda: ProjPoint(TOWER, [a, 1, 1]) == ProjPoint(other, [c, 1, 1]),
         lambda: PlaneCurve.line(TOWER, [a, c, 1]),
+        lambda: e.add(*(ProjPoint(other, f) for f in flexes)),
     ]
     for route in routes:
         with pytest.raises(ValueError):

@@ -91,6 +91,10 @@ def shape_tower(shape):
         return base.extend(UniPoly(base, [-base.generator(), 0, base.one()]))
     if shape == "t1-2":
         base = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1])).split(0, [-1, 1])[0]
+    elif shape == "t4-1-1-2":
+        # [4,1] under s^2 - 1, split on s - 1: two linear levels in a row
+        t41 = shape_tower("t4-1")
+        base = t41.extend(UniPoly(t41, [-1, 0, 1])).split(2, [-1, 1])[0]
     else:
         base = shape_tower("t4-1")
     return base.extend(UniPoly(base, [-base.generator(0) - 2, 0, base.one()]))
@@ -527,11 +531,11 @@ def test_minimal_polynomial_matches_sympy_on_random_two_level_towers(data, draw)
 
 
 #: (shape, int-height) pairs for the numerator helpers: Q, then every
-#: int-height above it of the [4,1] and [2,9,1] towers, and the quadratic
-#: top of [2,9,2].
+#: int-height above it of the [4,1] and [2,9,1] towers, the quadratic top of
+#: [2,9,2], and quadratic tops over one or two linear levels above [4].
 NUMERATOR_HEIGHTS = [
     ("q", 0), ("t4-1", 1), ("t4-1", 2), ("t2-9-1", 1), ("t2-9-1", 2), ("t2-9-1", 3),
-    ("t2-9-2", 3),
+    ("t2-9-2", 3), ("t4-1-2", 3), ("t4-1-1-2", 4),
 ]
 BIG = st.integers(-10**12, 10**12)
 #: Scale factors and exact divisors: 1 (which ``_zscale`` returns early on),
@@ -545,6 +549,14 @@ def numerators(levels, k):
         return BIG | st.just(0)
     entry = numerators(levels, k - 1) | st.just(fields._zlevel(levels, k - 1).zero)
     return st.tuples(*[entry] * levels[k - 1].degree)
+
+
+def dense_numerators(levels, k):
+    """Numerators at int-height k whose integers are all nonzero, so that a
+    product runs at every level."""
+    if k == 0:
+        return BIG.filter(bool)
+    return st.tuples(*[dense_numerators(levels, k - 1)] * levels[k - 1].degree)
 
 
 @pytest.mark.parametrize("shape, k", NUMERATOR_HEIGHTS)
@@ -568,6 +580,32 @@ def test_numerator_helpers_match_their_former_forms(shape, k):
         assert fields._zmul(levels, k, A, B) == former_zmul(levels, k, A, B)
 
     run()
+
+
+@pytest.mark.parametrize("shape", ["t4-1-2", "t4-1-1-2"])
+def test_products_reduce_nothing_at_a_linear_level(shape, monkeypatch):
+    """A product over a linear level sums the raw products of the level
+    below it and reduces each sum there: no reduction runs at the linear
+    level, whose scale is that of the level below."""
+    levels = shape_tower(shape).levels
+    h = len(levels)
+    reduce = fields._zreduce
+    at = []
+
+    def counted(levels, k, P):
+        at.append(levels[k - 1].degree)
+        return reduce(levels, k, P)
+
+    monkeypatch.setattr(fields, "_zreduce", counted)
+    nums = dense_numerators(levels, h)
+
+    @settings(max_examples=EXAMPLES["t4-1-2"], **PROFILE)
+    @given(nums, nums)
+    def run(A, B):
+        assert fields._zmul(levels, h, A, B) == former_zmul(levels, h, A, B)
+
+    run()
+    assert sorted(set(at)) == [2, 4]
 
 
 @st.composite

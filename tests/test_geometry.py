@@ -1,6 +1,7 @@
 """Projective curve geometry: hessians, group law, multiplicities, interpolation."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -820,3 +821,88 @@ def test_ec_add_takes_three_gradients_on_the_halving_tower(monkeypatch):
         ec_add(e, a, b)
         taken.append(calls[0])
     assert taken == [3, 3]
+
+
+# -- the structure's table of sums --------------------------------------------
+
+def _count_sums(monkeypatch):
+    """Every ``ec_add`` call from now on, through each maxflex module that
+    holds the function (catalog and reproductions import it by name)."""
+    add = geometry.ec_add
+    calls = []
+
+    def counted(e, p, q):
+        calls.append(1)
+        return add(e, p, q)
+
+    for name, module in list(sys.modules.items()):
+        if name == "maxflex" or name.startswith("maxflex."):
+            for attr, value in list(vars(module).items()):
+                if value is add:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, most",
+    # 11, 12 and 32 sums when each composite operation formed its own
+    [("fermat-existence", 9), ("appendix-triangle", 8), ("clubsuit-d2", 17)],
+)
+def test_reproductions_form_each_sum_once_per_structure(name, most, monkeypatch):
+    calls = _count_sums(monkeypatch)
+    assert run_reproduction(name).ok
+    assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_table_sums_are_symmetric_and_match_the_weierstrass_law(shape, monkeypatch):
+    e0, points = catalog_shape(shape)
+    e = EllipticStructure(e0.cubic, e0.origin, check=False)
+    m = weierstrass_model(e)
+    calls = _count_sums(monkeypatch)
+    pairs = list(combinations_with_replacement(points, 2))
+    for p, q in pairs:
+        got = e.add(p, q)
+        assert e.add(q, p) is got
+        assert got == ec_add(e, q, p)
+        want = m.add(m.point_from_source(p), m.point_from_source(q))
+        assert got == m.point_to_source(want), (p, q)
+    # the table formed each pair's sum once; the reversed pair read it
+    assert len(calls) == len(pairs)
+
+
+def _split_pending_fermat():
+    """The Fermat cubic over Q[t]/(t^2 - 1), not known to be a product of
+    two fields, with p = (1:0:-1) and a point q that is p where t = 1 and
+    the origin (1:-1:0) where t = -1: deciding p == q meets a zero divisor."""
+    tw = extend_field(QQ, UniPoly.from_rationals(QQ, [-1, 0, 1]), name="t")
+    t = tw.generator()
+    e = EllipticStructure(fermat(tw), ProjPoint(tw, [1, -1, 0]))
+    p = ProjPoint(tw, [1, 0, -1])
+    q = ProjPoint(tw, [1, (t - 1) / 2, -(t + 1) / 2])
+    return tw, e, p, q
+
+
+def test_a_zero_divisor_stores_no_sum(monkeypatch):
+    tw, e, p, q = _split_pending_fermat()
+    calls = _count_sums(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisorEncountered):
+            e.add(p, q)
+    assert len(calls) == 2 and not e._sums
+
+
+def test_a_structure_embedded_into_a_split_branch_starts_empty(monkeypatch):
+    tw, e, p, q = _split_pending_fermat()
+    twice = e.add(p, p)
+    assert len(e._sums) == 1
+    calls = _count_sums(monkeypatch)
+    # the factor branch has t = 1, where q = p; the other t = -1, where q = O
+    for branch, want in zip(tw.split(0, [-1, 1]), (twice, p)):
+        eb = e.embedded(branch)
+        assert eb is not e and not eb._sums
+        pb, qb = p.embedded(branch), q.embedded(branch)
+        got = eb.add(pb, qb)
+        assert eb.add(qb, pb) is got
+        assert got == want.embedded(branch)
+    assert len(calls) == 2 and len(e._sums) == 1
