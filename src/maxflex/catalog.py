@@ -167,6 +167,10 @@ def fermat_offline_flexes(data):
 def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
     """The full witness arrangement: L_T1, L_2T1, a triangle, and a third
     inflectional tangent chosen so that no three of the six lines meet.
+
+    ``concurrent_triples`` keeps the concurrent triples that the gate found
+    among the chosen lines (none), so that a report reads the gate's answer
+    rather than running the test again.
     """
     data = catalog_entry("fermat").build(degree_cap)
     frame = fermat_torsion_frame(data)
@@ -176,12 +180,13 @@ def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
     chosen = None
     for t2, line in fermat_offline_flexes(data):
         lines = [l_t1, l_2t1, line.embedded(tower)] + list(tri.lines)
-        if not any(concurrent_line_triples(lines)):
-            chosen = (t2, line, lines)
+        concurrent = list(concurrent_line_triples(lines))
+        if not concurrent:
+            chosen = (t2, line, lines, concurrent)
             break
     if chosen is None:
         raise WrongOrder("no concurrency-free third tangent found")
-    t2, l_t2, lines = chosen
+    t2, l_t2, lines, concurrent = chosen
     return {
         "tower": tower,
         "structure": e,
@@ -193,6 +198,7 @@ def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
         "L_T2": l_t2.embedded(tower),
         "triangle": tri,
         "lines": lines,
+        "concurrent_triples": concurrent,
     }
 
 

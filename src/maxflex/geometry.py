@@ -16,6 +16,16 @@ grad C(x).x = 3 C(x), exact in characteristic zero.  The gradient at the
 origin is kept with the structure, and a doubling reuses the gradient of
 its tangent.
 
+The law builds no line.  A chord's residual reads the two gradients alone:
+the line p x q holds p and q because (p x q).p and (p x q).q vanish
+identically, so there is nothing to test.  A tangent's coefficients are the
+gradient L = grad C(p), which holds p by Euler's relation once p is on C,
+and its second point is B = e_c x L for the chart c of p: B.L vanishes
+identically, and B_c = 0 while p_c = 1, so B is another point of the line
+with no zero test and no normalization.  Lines from outside the law (a flex
+check, ``line_cubic_residual``) go through ``_third_intersection``, which
+tests their incidences and hands off to the same two residuals.
+
 An EllipticStructure keeps a table of the sums it has formed, and
 ``EllipticStructure.add`` reads it.  The composite operations go through
 it (``ec_mul``'s double-and-add, ``ec_sum``, ``point_order`` and the torsion
@@ -422,12 +432,15 @@ def _monomial_table(tower, point, degree):
 
     Built degree by degree with one multiplication per monomial.  None
     stands for one: the empty product and the chart coordinate of a
-    ProjPoint, so that no value is multiplied by one.
+    ProjPoint, so that no value is multiplied by one.  False stands for
+    zero: a structurally zero coordinate of a raw triple and every monomial
+    it divides, so that no value is multiplied by zero.
     """
     if isinstance(point, ProjPoint):
         units = [None if i == point.chart else c for i, c in enumerate(point.coords)]
     else:
         units = [_coerce_elem(tower, c) for c in point]
+        units = [False if _is_szero(u.rep, tower.height) else u for u in units]
     table = {(0, 0, 0): None}
     for e in range(1, degree + 1):
         nxt = {}
@@ -438,7 +451,10 @@ def _monomial_table(tower, point, degree):
                 axis = 0 if i else (1 if j else 2)
                 low = table[(i - (axis == 0), j - (axis == 1), k - (axis == 2))]
                 u = units[axis]
-                nxt[(i, j, k)] = u if low is None else (low if u is None else low * u)
+                if low is False or u is False:
+                    nxt[(i, j, k)] = False
+                else:
+                    nxt[(i, j, k)] = u if low is None else (low if u is None else low * u)
         table = nxt
     return table
 
@@ -448,6 +464,8 @@ def _form_value(tower, form, table):
     acc = None
     for exps, c in form.items():
         m = table[exps]
+        if m is False:
+            continue
         term = c if m is None else c * m
         acc = term if acc is None else acc + term
     return tower.zero() if acc is None else acc
@@ -670,7 +688,7 @@ class EllipticStructure:
         grad = _tangent_gradient(cubic, origin)
         tangent = PlaneCurve.line(cubic.tower, grad)
         if check:
-            residual = _third_intersection(cubic, tangent, origin, origin, grad, grad)
+            residual = _third_intersection(cubic, tangent, origin, origin, grad)
             if residual != origin:
                 raise WrongFlex("tangent at origin is not maximal")
         self.cubic = cubic
@@ -736,39 +754,77 @@ def _line_frame(line):
     raise ValueError("degenerate line coefficients")
 
 
-def _third_intersection(cubic, line, p, q, gp=None, gq=None):
-    """The residual point r with line . cubic = p + q + r as divisors.
+def _third_intersection(cubic, line, p, q, gp=None):
+    """The residual point r with line . cubic = p + q + r as divisors, for a
+    line from outside the group law: ``line_cubic_residual``, the flex check
+    of ``EllipticStructure`` and the catalog's flex checks.
 
-    On the line through A and B, C(sA + tB) = C(A) s^3 + (grad C(A).B) s^2 t
-    + (grad C(B).A) s t^2 + C(B) t^3.  For p != q take A = p, B = q: the
-    outer terms vanish and r = (grad C(q).p) p - (grad C(p).q) q.  For p = q
-    take B a second point of the line: tangency is grad C(p).B = 0, and then
-    r = C(B) p - (grad C(B).p) B.  Each polar value grad C(x).y is a dot
-    product with the gradient at x, taken once per point, and C(x) is read
-    off Euler's relation grad C(x).x = 3 C(x); that also decides whether x
-    is on the cubic.  A caller that holds grad C(p) or grad C(q) already
-    passes it as ``gp`` or ``gq``; the checks run on it all the same.
+    It refuses a point off the line, then hands off to the law's residuals,
+    ``_chord_residual`` for p != q and ``_tangent_residual`` for p = q,
+    which refuse a point off the cubic and a line not tangent at p.  A
+    caller that holds grad C(p) already passes it as ``gp``; the checks run
+    on it all the same.
     """
     if not line.contains(p) or not line.contains(q):
         raise LineNotIncident("point off the line")
     if gp is None:
         gp = cubic.gradient(p)
-    if gq is None:
-        gq = gp if q is p else cubic.gradient(q)
+    if p == q:
+        coeffs = [line.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        return _tangent_residual(cubic, p, gp, coeffs)
+    return _chord_residual(cubic, p, q, gp, cubic.gradient(q))
+
+
+def _chord_residual(cubic, p, q, gp, gq):
+    """The third point of the cubic on the line through p != q.
+
+    On the line through A and B, C(sA + tB) = C(A) s^3 + (grad C(A).B) s^2 t
+    + (grad C(B).A) s t^2 + C(B) t^3.  With A = p and B = q on the cubic the
+    outer terms vanish, so r = (grad C(q).p) p - (grad C(p).q) q.  Euler's
+    relation grad C(x).x = 3 C(x) decides that p and q are on the cubic.
+    """
     if not _polar_value(gp, p).is_zero() or not _polar_value(gq, q).is_zero():
         raise LineNotIncident("point off the cubic")
-    if p == q:
-        A, B = _line_frame(line)
-        if B == p:
-            B = A
-        if not _polar_value(gp, B).is_zero():
-            raise LineNotIncident("line is not tangent at the point")
-        gb = cubic.gradient(B)
-        # d * (C(B) p - (grad C(B).p) B), the same projective point
-        a, b = _polar_value(gb, B), -(_polar_value(gb, p) * cubic.degree)
-    else:
-        a, b, B = _polar_value(gq, p), -_polar_value(gp, q), q
-    return ProjPoint(cubic.tower, [x + y for x, y in zip(_scaled(a, p), _scaled(b, B))])
+    a, b = _polar_value(gq, p), -_polar_value(gp, q)
+    return ProjPoint(cubic.tower, [x + y for x, y in zip(_scaled(a, p), _scaled(b, q))])
+
+
+def _second_point(line, c):
+    """B = e_c x line, a point of the line with B_c = 0, from the line's
+    coefficients with no product and no zero test."""
+    j, k = (c + 1) % 3, (c + 2) % 3
+    B = [line[c].tower.zero()] * 3
+    B[j], B[k] = -line[k], line[j]
+    return B
+
+
+def _tangent_residual(cubic, p, gp, line):
+    """The third point of the cubic on the line with coefficients ``line``,
+    tangent to it at p.
+
+    On the line through p and a second point B, C(sp + tB) = C(p) s^3 +
+    (grad C(p).B) s^2 t + (grad C(B).p) s t^2 + C(B) t^3.  Here p is on the
+    cubic, tangency is grad C(p).B = 0, and then r = 3 C(B) p -
+    3 (grad C(B).p) B, with 3 C(B) read off Euler's relation as grad C(B).B.
+    B is ``_second_point(line, c)`` with c the chart of p: it is on the line,
+    and B_c = 0 while p_c = 1, so B is another point; B is not zero, since a
+    line proportional to e_c would miss p.  So B needs no zero test, no
+    normalization and no comparison with p.
+    """
+    if not _polar_value(gp, p).is_zero():
+        raise LineNotIncident("point off the cubic")
+    c = p.chart
+    j, k = (c + 1) % 3, (c + 2) % 3
+    B = _second_point(line, c)
+    if not (gp[j] * B[j] + gp[k] * B[k]).is_zero():
+        raise LineNotIncident("line is not tangent at the point")
+    gb = cubic.gradient(B)
+    a = gb[j] * B[j] + gb[k] * B[k]
+    b = -(_polar_value(gb, p) * cubic.degree)
+    coords = [a, a, a]  # p_c = 1 and B_c = 0
+    coords[j] = a * p.coords[j] + b * B[j]
+    coords[k] = a * p.coords[k] + b * B[k]
+    return ProjPoint(cubic.tower, coords)
 
 
 def line_cubic_residual(e, line, p, q):
@@ -781,14 +837,15 @@ def ec_add(e, p, q):
     """Chord-tangent sum on the cubic with the structure's flex as origin.
 
     A doubling hands the tangent's gradient at p on to the residual, and
-    the step through the origin reads the structure's origin gradient.
+    the step through the origin reads the structure's origin gradient.  No
+    line is built: the residuals read the gradients alone.
     """
     cubic = e.cubic
     if p == q:
         gp = _tangent_gradient(cubic, p)
-        r = _third_intersection(cubic, PlaneCurve.line(cubic.tower, gp), p, q, gp, gp)
+        r = _tangent_residual(cubic, p, gp, gp)
     else:
-        r = _third_intersection(cubic, line_through(p, q), p, q)
+        r = _chord_residual(cubic, p, q, cubic.gradient(p), cubic.gradient(q))
     return _origin_residual(e, r)
 
 
@@ -803,8 +860,8 @@ def _origin_residual(e, r):
     which is the origin tangent when r is the origin."""
     g0 = e.origin_gradient
     if r == e.origin:
-        return _third_intersection(e.cubic, e.origin_tangent, r, e.origin, g0, g0)
-    return _third_intersection(e.cubic, line_through(r, e.origin), r, e.origin, gq=g0)
+        return _tangent_residual(e.cubic, r, g0, g0)
+    return _chord_residual(e.cubic, r, e.origin, e.cubic.gradient(r), g0)
 
 
 def ec_mul(e, n, p):

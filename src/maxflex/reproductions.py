@@ -22,7 +22,7 @@ from .catalog import (
     fermat_witness,
     fermat_witness_spec,
 )
-from .combinatorics import admissible_permutations, concurrent_line_triples, fingerprint, verify_bigon
+from .combinatorics import admissible_permutations, fingerprint, verify_bigon
 from .errors import SpecError, UnknownReproduction
 from .fields import DEFAULT_DEGREE_CAP, QQ, UniPoly
 from .geometry import (
@@ -308,8 +308,7 @@ def repro_fermat_existence(budget):
         rep.check("tangent-product-x3-plus-y3", True, prod == UniPoly(tower, (-1, 0, 0, 1)))
 
     witness = fermat_witness(budget)
-    concurrent = list(concurrent_line_triples(witness["lines"]))
-    rep.check("witness-gate-no-three-concurrent", True, not concurrent)
+    rep.check("witness-gate-no-three-concurrent", True, not witness["concurrent_triples"])
     spec = fermat_witness_spec(witness)
     rep.check(
         "witness-orders",

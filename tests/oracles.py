@@ -35,7 +35,10 @@ from ``maxflex.fields``' rep helpers, as the reference for ``_pl_divmod``.
 ``former_concurrent_line_triples`` keeps the concurrency test's former
 route, the cofactor expansion of each triple's 3x3 coefficient determinant,
 as the reference for the determinant taken as a dot product with a cross
-product shared by each pair.
+product shared by each pair.  ``former_ec_add`` keeps the group law's
+former route, which built the chord or the tangent as a line and took its
+residual (``polar_residual``) for both steps of a sum, as the reference for
+the residuals read straight off the gradients.
 """
 
 from fractions import Fraction
@@ -338,6 +341,18 @@ def polar_residual(cubic, line, p, q):
     else:
         a, b, B = value(polar_curve(cubic, p), q), -value(polar_curve(cubic, q), p), q
     return ProjPoint(cubic.tower, [a * x + b * y for x, y in zip(p.coords, B.coords)])
+
+
+def former_ec_add(e, p, q):
+    """``geometry.ec_add`` by its former route: the chord ``line_through``
+    or the tangent ``tangent_line``, and its residual by ``polar_residual``;
+    then the same for the residual and the origin, whose tangent serves when
+    the residual is the origin."""
+    from maxflex.geometry import line_through, tangent_line
+
+    cubic, o = e.cubic, e.origin
+    r = polar_residual(cubic, tangent_line(cubic, p) if p == q else line_through(p, q), p, q)
+    return polar_residual(cubic, tangent_line(cubic, o) if r == o else line_through(r, o), r, o)
 
 
 def bigon_clauses(cubic, l0, c1, c2, p, q):

@@ -226,6 +226,42 @@ def test_witness_weight_orders_match_lattice():
     assert torsion_order(spec, WeightVector((0, 0, 1))) == 3
 
 
+def test_witness_carries_its_concurrency_gate():
+    from maxflex.combinatorics import concurrent_line_triples
+
+    witness = fermat_witness(64)
+    assert witness["concurrent_triples"] == []
+    assert list(concurrent_line_triples(witness["lines"])) == []
+
+
+def test_fermat_existence_runs_the_concurrency_test_once(monkeypatch):
+    """The report reads the gate's triples; the first candidate is chosen,
+    so one test in all."""
+    from maxflex import catalog, combinatorics, run_reproduction
+
+    calls = []
+    triples = combinatorics.concurrent_line_triples
+
+    def counted(lines):
+        calls.append(1)
+        return triples(lines)
+
+    monkeypatch.setattr(catalog, "concurrent_line_triples", counted)
+    monkeypatch.setattr(combinatorics, "concurrent_line_triples", counted)
+    assert run_reproduction("fermat-existence").ok
+    assert len(calls) == 1
+
+
+def test_fermat_existence_refuses_concurrent_witness_lines(monkeypatch):
+    """A concurrency test that reports a triple for every candidate leaves
+    no witness: the run raises and reports no PASS."""
+    from maxflex import catalog, run_reproduction
+
+    monkeypatch.setattr(catalog, "concurrent_line_triples", lambda lines: iter([(0, 1, 2)]))
+    with pytest.raises(WrongOrder, match="no concurrency-free third tangent"):
+        run_reproduction("fermat-existence")
+
+
 def test_witness_pair_admissible_subset_of_swap():
     # the tangent/tangent/triangle arrangements built from the witness have
     # equal fingerprints, and only the two tangent lines may trade places

@@ -42,7 +42,7 @@ from maxflex.fields import TowerElement, with_splitting
 from maxflex.geometry import _fulton, _series_eval_bipoly, _third_intersection, is_smooth_curve
 from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
-from oracles import form_value, local_quotient_dimension, polar_residual
+from oracles import former_ec_add, form_value, local_quotient_dimension, polar_residual
 
 
 def fermat(tower=QQ):
@@ -769,23 +769,69 @@ def test_tangent_line_refuses_a_point_of_a_constant_form():
         tangent_line(PlaneCurve(QQ, 0, {(0, 0, 0): 2}), ProjPoint(QQ, [1, 0, 0]))
 
 
-def test_ec_add_multiplication_count_on_the_halving_tower(monkeypatch):
-    """A count of tower multiplications, not a timing, so it holds on any
-    machine.  Before the group law took one gradient per point, these four
-    sums took 1758 multiplications (373 or 506 each)."""
-    e, (p, q, _double, _origin) = catalog_shape("t4-1")
-    count = [0]
-    mul = TowerElement.__mul__
+def _law_counts(monkeypatch, shape):
+    """Tower products, inverses and zero tests of the four sums (p, q),
+    (p, p), (q, q) and (q, p) on a shape's first two points: counts, not
+    timings, so they hold on any machine."""
+    e, (p, q, *_rest) = catalog_shape(shape)
+    count = {"products": 0, "inverses": 0, "zero tests": 0}
 
-    def counted(self, other):
-        count[0] += 1
-        return mul(self, other)
+    def counted(key, method):
+        def wrapper(*args):
+            count[key] += 1
+            return method(*args)
 
-    monkeypatch.setattr(TowerElement, "__mul__", counted)
-    monkeypatch.setattr(TowerElement, "__rmul__", counted)
+        return wrapper
+
+    mul = counted("products", TowerElement.__mul__)
+    monkeypatch.setattr(TowerElement, "__mul__", mul)
+    monkeypatch.setattr(TowerElement, "__rmul__", mul)
+    monkeypatch.setattr(TowerElement, "invert", counted("inverses", TowerElement.invert))
+    monkeypatch.setattr(TowerElement, "is_zero", counted("zero tests", TowerElement.is_zero))
     for a, b in [(p, q), (p, p), (q, q), (q, p)]:
         ec_add(e, a, b)
-    assert 0 < count[0] <= 1758 // 2
+    return count
+
+
+def test_ec_add_multiplication_count_on_the_halving_tower(monkeypatch):
+    """Before the group law took one gradient per point, these four sums took
+    1758 multiplications (373 or 506 each); while each sum built its lines,
+    374 products, 12 inverses and 92 zero tests."""
+    count = _law_counts(monkeypatch, "t4-1")
+    assert 0 < count["products"] <= 298
+    assert 0 < count["inverses"] <= 8
+    assert 0 < count["zero tests"] <= 42
+
+
+def test_ec_add_counts_on_the_fermat_witness_tower(monkeypatch):
+    """While each sum built its lines, 270 products, 12 inverses and 100
+    zero tests."""
+    count = _law_counts(monkeypatch, "t2-9-1")
+    assert 0 < count["products"] <= 188
+    assert 0 < count["inverses"] <= 8
+    assert 0 < count["zero tests"] <= 46
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ec_add_matches_the_route_that_built_lines(shape):
+    """Every ordered pair of the shape's points, the doublings and the
+    origin included: the same point, rep for rep."""
+    e, points = catalog_shape(shape)
+    for a in points:
+        for b in points:
+            assert _same_point(ec_add(e, a, b), former_ec_add(e, a, b))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tangent_second_point_is_on_the_tangent_off_the_chart(shape):
+    """B = e_c x L for the tangent L at each point, c the point's chart."""
+    e, points = catalog_shape(shape)
+    for p in points:
+        line = geometry._tangent_gradient(e.cubic, p)
+        B = geometry._second_point(line, p.chart)
+        assert sum((x * y for x, y in zip(line, B)), e.tower.zero()).is_zero()
+        assert B[p.chart].is_zero()
+        assert not all(x.is_zero() for x in B)
 
 
 def test_clubsuit_d2_runs_fulton_only_where_tangents_meet(monkeypatch):
