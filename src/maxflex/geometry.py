@@ -22,9 +22,17 @@ identically, so there is nothing to test.  A tangent's coefficients are the
 gradient L = grad C(p), which holds p by Euler's relation once p is on C,
 and its second point is B = e_c x L for the chart c of p: B.L vanishes
 identically, and B_c = 0 while p_c = 1, so B is another point of the line
-with no zero test and no normalization.  Lines from outside the law (a flex
-check, ``line_cubic_residual``) go through ``_third_intersection``, which
-tests their incidences and hands off to the same two residuals.
+with no zero test and no normalization.
+
+The two residuals are plain formulas, and each check runs once, where a
+point enters.  ``ec_add`` tests a chord's p and q on the cubic by Euler's
+relation, or a doubling's p by ``_tangent_gradient``, whose gradient is the
+tangent, so tangency is an identity: grad C(p).(e_c x grad C(p)) = 0.  The
+step through the origin tests only the residual r, since the structure
+certified its origin when it was built.  Lines from outside the law
+(``line_cubic_residual``, which the catalog's flex checks call) go through
+``_third_intersection``, which tests their incidences, the points on the
+cubic and a tangent's tangency, and hands off to the same two residuals.
 
 An EllipticStructure keeps a table of the sums it has formed, and
 ``EllipticStructure.add`` reads it.  The composite operations go through
@@ -688,7 +696,7 @@ class EllipticStructure:
         grad = _tangent_gradient(cubic, origin)
         tangent = PlaneCurve.line(cubic.tower, grad)
         if check:
-            residual = _third_intersection(cubic, tangent, origin, origin, grad)
+            residual = _tangent_residual(cubic, origin, _second_point(grad, origin.chart))
             if residual != origin:
                 raise WrongFlex("tangent at origin is not maximal")
         self.cubic = cubic
@@ -732,59 +740,46 @@ class WrongFlex(SingularPoint):
     pass
 
 
-def _line_frame(line):
-    """Two independent points spanning a line given by its coefficients."""
-    a = line.coefficient((1, 0, 0))
-    b = line.coefficient((0, 1, 0))
-    c = line.coefficient((0, 0, 1))
-    t = line.tower
-    zero = t.zero()
-    candidates = [(zero, c, -b), (-c, zero, a), (b, -a, zero)]
-    pts = []
-    for cand in candidates:
-        if all(x.is_zero() for x in cand):
-            continue
-        pts.append(cand)
-        if len(pts) == 2:
-            cr = cross(pts[0], pts[1])
-            if all(x.is_zero() for x in cr):
-                pts.pop()
-                continue
-            return ProjPoint(t, pts[0]), ProjPoint(t, pts[1])
-    raise ValueError("degenerate line coefficients")
-
-
-def _third_intersection(cubic, line, p, q, gp=None):
+def _third_intersection(cubic, line, p, q):
     """The residual point r with line . cubic = p + q + r as divisors, for a
-    line from outside the group law: ``line_cubic_residual``, the flex check
-    of ``EllipticStructure`` and the catalog's flex checks.
+    line from outside the group law: ``line_cubic_residual`` and, through
+    it, the catalog's flex checks.
 
-    It refuses a point off the line, then hands off to the law's residuals,
-    ``_chord_residual`` for p != q and ``_tangent_residual`` for p = q,
-    which refuse a point off the cubic and a line not tangent at p.  A
-    caller that holds grad C(p) already passes it as ``gp``; the checks run
-    on it all the same.
+    It refuses a point off the line, a point off the cubic and, for p = q,
+    a line not tangent at p, then hands off to the law's residuals,
+    ``_chord_residual`` for p != q and ``_tangent_residual`` for p = q.
     """
     if not line.contains(p) or not line.contains(q):
         raise LineNotIncident("point off the line")
-    if gp is None:
-        gp = cubic.gradient(p)
+    gp = cubic.gradient(p)
     if p == q:
-        coeffs = [line.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        return _tangent_residual(cubic, p, gp, coeffs)
-    return _chord_residual(cubic, p, q, gp, cubic.gradient(q))
+        _check_on_cubic((gp, p))
+        c = p.chart
+        j, k = (c + 1) % 3, (c + 2) % 3
+        B = _second_point([line.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], c)
+        if not (gp[j] * B[j] + gp[k] * B[k]).is_zero():
+            raise LineNotIncident("line is not tangent at the point")
+        return _tangent_residual(cubic, p, B)
+    gq = cubic.gradient(q)
+    _check_on_cubic((gp, p), (gq, q))
+    return _chord_residual(cubic, p, q, gp, gq)
+
+
+def _check_on_cubic(*pairs):
+    """Refuse a point off the cubic: for each (grad C(x), x) pair, x is on C
+    when grad C(x).x = 3 C(x) vanishes (Euler's relation)."""
+    for g, x in pairs:
+        if not _polar_value(g, x).is_zero():
+            raise LineNotIncident("point off the cubic")
 
 
 def _chord_residual(cubic, p, q, gp, gq):
-    """The third point of the cubic on the line through p != q.
+    """The third point of the cubic on the line through p != q, both on it.
 
     On the line through A and B, C(sA + tB) = C(A) s^3 + (grad C(A).B) s^2 t
     + (grad C(B).A) s t^2 + C(B) t^3.  With A = p and B = q on the cubic the
-    outer terms vanish, so r = (grad C(q).p) p - (grad C(p).q) q.  Euler's
-    relation grad C(x).x = 3 C(x) decides that p and q are on the cubic.
+    outer terms vanish, so r = (grad C(q).p) p - (grad C(p).q) q.
     """
-    if not _polar_value(gp, p).is_zero() or not _polar_value(gq, q).is_zero():
-        raise LineNotIncident("point off the cubic")
     a, b = _polar_value(gq, p), -_polar_value(gp, q)
     return ProjPoint(cubic.tower, [x + y for x, y in zip(_scaled(a, p), _scaled(b, q))])
 
@@ -798,26 +793,20 @@ def _second_point(line, c):
     return B
 
 
-def _tangent_residual(cubic, p, gp, line):
-    """The third point of the cubic on the line with coefficients ``line``,
-    tangent to it at p.
+def _tangent_residual(cubic, p, B):
+    """The third point of the cubic on its tangent at p, where B is
+    ``_second_point`` of the tangent for the chart c of p.
 
-    On the line through p and a second point B, C(sp + tB) = C(p) s^3 +
-    (grad C(p).B) s^2 t + (grad C(B).p) s t^2 + C(B) t^3.  Here p is on the
-    cubic, tangency is grad C(p).B = 0, and then r = 3 C(B) p -
+    On the line through p and B, C(sp + tB) = C(p) s^3 + (grad C(p).B) s^2 t
+    + (grad C(B).p) s t^2 + C(B) t^3.  With p on the cubic and the line
+    tangent there the first two terms vanish, and r = 3 C(B) p -
     3 (grad C(B).p) B, with 3 C(B) read off Euler's relation as grad C(B).B.
-    B is ``_second_point(line, c)`` with c the chart of p: it is on the line,
-    and B_c = 0 while p_c = 1, so B is another point; B is not zero, since a
-    line proportional to e_c would miss p.  So B needs no zero test, no
-    normalization and no comparison with p.
+    B is on the line, and B_c = 0 while p_c = 1, so B is another point; B is
+    not zero, since a line proportional to e_c would miss p.  So B needs no
+    zero test, no normalization and no comparison with p.
     """
-    if not _polar_value(gp, p).is_zero():
-        raise LineNotIncident("point off the cubic")
     c = p.chart
     j, k = (c + 1) % 3, (c + 2) % 3
-    B = _second_point(line, c)
-    if not (gp[j] * B[j] + gp[k] * B[k]).is_zero():
-        raise LineNotIncident("line is not tangent at the point")
     gb = cubic.gradient(B)
     a = gb[j] * B[j] + gb[k] * B[k]
     b = -(_polar_value(gb, p) * cubic.degree)
@@ -836,16 +825,20 @@ def line_cubic_residual(e, line, p, q):
 def ec_add(e, p, q):
     """Chord-tangent sum on the cubic with the structure's flex as origin.
 
-    A doubling hands the tangent's gradient at p on to the residual, and
-    the step through the origin reads the structure's origin gradient.  No
-    line is built: the residuals read the gradients alone.
+    Each operand is tested once, here: a chord's p and q by Euler's
+    relation on their gradients, a doubling's p by ``_tangent_gradient``,
+    whose gradient is the tangent the residual reads.  The step through the
+    origin reads the structure's origin gradient.  No line is built: the
+    residuals read the gradients alone.
     """
     cubic = e.cubic
     if p == q:
         gp = _tangent_gradient(cubic, p)
-        r = _tangent_residual(cubic, p, gp, gp)
+        r = _tangent_residual(cubic, p, _second_point(gp, p.chart))
     else:
-        r = _chord_residual(cubic, p, q, cubic.gradient(p), cubic.gradient(q))
+        gp, gq = cubic.gradient(p), cubic.gradient(q)
+        _check_on_cubic((gp, p), (gq, q))
+        r = _chord_residual(cubic, p, q, gp, gq)
     return _origin_residual(e, r)
 
 
@@ -857,11 +850,14 @@ def ec_neg(e, p):
 
 def _origin_residual(e, r):
     """The third point of the cubic on the line through r and the origin,
-    which is the origin tangent when r is the origin."""
+    which is the origin tangent when r is the origin.  Only r is tested:
+    the structure certified its origin when it was built."""
     g0 = e.origin_gradient
     if r == e.origin:
-        return _tangent_residual(e.cubic, r, g0, g0)
-    return _chord_residual(e.cubic, r, e.origin, e.cubic.gradient(r), g0)
+        return _tangent_residual(e.cubic, r, _second_point(g0, r.chart))
+    gr = e.cubic.gradient(r)
+    _check_on_cubic((gr, r))
+    return _chord_residual(e.cubic, r, e.origin, gr, g0)
 
 
 def ec_mul(e, n, p):

@@ -5,14 +5,14 @@ maximal tangent assigns to every component a torsion class; weight vectors
 produce further classes whose orders predict splitting numbers of cyclic
 covers and, through order/multiset/group comparisons, certify Zariski pairs.
 
-Classes live either in the abstract lattice (Z/N)^2 standing for the
-N-torsion of the Picard group, or as honest points on a cubic through the
-chord-tangent law; a spec may carry both backends, which are required to
-agree.  A maximal flex makes the map from classes to points a group
-homomorphism, so the two backends are cross-checked once per spec: the
-map is verified to be well defined and injective on the degree-0 part of
-the span of the classes (``ArrangementSpec.class_points``), after which
-every weighted order is a lattice computation read off that map.  A spec
+Every component carries its class in the abstract lattice (Z/N)^2,
+standing for the N-torsion of the Picard group.  A spec may also carry the
+honest cubic, whose chord-tangent law gives each class a point.  A maximal
+flex makes the map from classes to points a group homomorphism, so the
+cubic is cross-checked against the lattice once per spec: the map is
+verified to be well defined and injective on the degree-0 part of the span
+of the classes (``ArrangementSpec.class_points``), after which every
+weighted order is a lattice computation read off that map.  A spec
 compiles its lattice once, when it is built, into one integer row per
 component, so n_a and the class of a weight vector come from one pass
 over the rows (``_orders``), and the box tables of ``distinguish`` from one
@@ -144,15 +144,15 @@ def lattice_span(vectors, modulus):
 class ComponentData:
     """Degree, gcd multiplicity, intersection divisor and class of one component.
 
-    ``divisor`` is a tuple of (point id, multiplicity) pairs; for a geometric
-    backend the ids are ProjPoint instances on the distinguished cubic, for
-    the abstract backend arbitrary hashable labels.  ``cls`` is the abstract
-    TorsionClass when known.
+    ``divisor`` is a tuple of (point id, multiplicity) pairs; on a spec with
+    a cubic the ids are ProjPoint instances on it, otherwise arbitrary
+    hashable labels.  ``cls`` is the component's TorsionClass; a spec
+    refuses a component whose ``cls`` is None.
     """
 
     __slots__ = ("degree", "m", "divisor", "cls")
 
-    def __init__(self, degree, m, divisor, cls=None):
+    def __init__(self, degree, m, divisor, cls):
         divisor = tuple((p, int(mult)) for p, mult in divisor)
         if not divisor:
             raise ValueError("empty intersection divisor")
@@ -174,14 +174,13 @@ class ComponentData:
 class ArrangementSpec:
     """A maximal-flex arrangement (D; C_1, ..., C_k) for the invariant calculus.
 
-    ``structure`` is the EllipticStructure of the distinguished cubic when a
-    geometric backend is available; abstract classes may coexist with it.
-    The two are then cross-checked once per spec, when the first order
+    Every component carries a lattice class.  ``structure`` is the
+    EllipticStructure of the distinguished cubic, or None; with a cubic the
+    lattice is cross-checked against it once per spec, when the first order
     computation builds the verified class -> point map (``class_points``).
     Components are never changed after construction, so the spec compiles
-    its lattice then, once: the modulus N, whether every component has a
-    class, and per component the row (m, d, F m x, F m y) for the class
-    (x, y) mod N_j and F = N / N_j.
+    its lattice then, once: the modulus N and per component the row
+    (m, d, F m x, F m y) for the class (x, y) mod N_j and F = N / N_j.
     """
 
     def __init__(self, d0, components, structure=None):
@@ -193,21 +192,18 @@ class ArrangementSpec:
         if not self.components:
             raise ValueError("at least one component required")
         self._validate()
-        classes = [c.cls for c in self.components if c.cls is not None]
-        self.has_abstract = len(classes) == len(self.components)
-        self._modulus = lcm(*(cls.modulus for cls in classes))
+        self._modulus = lcm(*(c.cls.modulus for c in self.components))
         rows = []
         for c in self.components:
-            f = 0 if c.cls is None else self._modulus // c.cls.modulus * c.m
-            x, y = (0, 0) if c.cls is None else c.cls.coords
+            f = self._modulus // c.cls.modulus * c.m
+            x, y = c.cls.coords
             rows.append((c.m, c.degree, f * x, f * y))
         self._rows = tuple(rows)
         self._signatures = tuple(c.signature() for c in self.components)
 
     def _validate(self):
-        if self.structure is None and any(c.cls is None for c in self.components):
-            # neither backend could compute an invariant of it
-            raise ValueError("a component has no class and the spec no cubic")
+        if any(c.cls is None for c in self.components):
+            raise ValueError("a component has no class")
         for comp in self.components:
             total = sum(mult for _, mult in comp.divisor)
             if total != self.d0 * comp.degree:
@@ -218,7 +214,7 @@ class ArrangementSpec:
             for _, mult in comp.divisor:
                 if mult % comp.m:
                     raise ValueError("m does not divide a divisor multiplicity")
-            if comp.cls is not None and not comp.cls.scale(comp.m).is_zero():
+            if not comp.cls.scale(comp.m).is_zero():
                 raise ValueError("m times the class does not vanish")
 
     @property
@@ -272,8 +268,8 @@ class ArrangementSpec:
         the span of the generators' classes checks every edge (the map is
         well defined) and that only 0 goes to the origin (it is injective),
         raising BackendDisagreement otherwise.  The map is then an
-        isomorphism onto its image, and this is where the abstract lattice
-        and the geometric group law are cross-checked.
+        isomorphism onto its image, and this is where the lattice and the
+        cubic's group law are cross-checked.
         """
         if self._class_points is not None:
             return self._class_points
@@ -326,8 +322,8 @@ class ArrangementSpec:
                 {
                     "degree": c.degree,
                     "m": c.m,
-                    "class": list(c.cls.coords) if c.cls else None,
-                    "modulus": c.cls.modulus if c.cls else None,
+                    "class": list(c.cls.coords),
+                    "modulus": c.cls.modulus,
                     "divisor": [[str(p), mult] for p, mult in c.divisor],
                 }
             )
@@ -454,12 +450,11 @@ def reduce_weights(spec, weights):
 def torsion_order(spec, weights):
     """Order of the weighted torsion class sum(a_j m_j / n_a * t_j).
 
-    With the abstract backend the order is lattice arithmetic.  When the spec
-    also carries the geometric one, the same class is looked up in the
-    spec's verified class -> point map (``ArrangementSpec.class_points``,
-    checked once per spec) and its order read off by walking multiples
-    there, within the bound n_a; a disagreement raises BackendDisagreement.
-    A geometry-only spec sums the points on the cubic.
+    The order is lattice arithmetic.  When the spec carries a cubic, the
+    same class is looked up in the spec's verified class -> point map
+    (``ArrangementSpec.class_points``, checked once per spec) and its order
+    read off by walking multiples there, within the bound n_a; a
+    disagreement raises BackendDisagreement.
     """
     return _torsion_order(spec, weights)[1]
 
@@ -467,26 +462,11 @@ def torsion_order(spec, weights):
 def _torsion_order(spec, weights):
     """(n_a, order) of the weights: ``cover_order`` and ``torsion_order``."""
     na, x, y = _orders(spec, weights)
-    if spec.has_abstract:
-        return na, _class_order(spec, na, x, y)
-    if not spec.has_geometric:
-        raise ValueError("spec carries no backend")
-    e = spec.structure
-    acc = ec_sum(
-        e,
-        [
-            (a * comp.m // na, spec.component_point(idx))
-            for idx, (a, comp) in enumerate(zip(weights, spec.components))
-        ],
-    )
-    found = point_order(e, acc, na)
-    if found is None:
-        raise BackendDisagreement("geometric order exceeds the cover order bound")
-    return na, found
+    return na, _class_order(spec, na, x, y)
 
 
 def _class_order(spec, na, x, y):
-    """N // gcd(x, y, N), checked on the class -> point map with both backends."""
+    """N // gcd(x, y, N), checked on the class -> point map when there is a cubic."""
     mod = spec._modulus
     order = mod // gcd(x, y, mod)
     if spec.has_geometric and _class_point_order(spec, (x % mod, y % mod), na) != order:
@@ -581,8 +561,6 @@ def uniform_group(spec):
     ``n`` is the gcd of all multiplicities and degrees of the arrangement;
     n = 1 yields the trivial group.
     """
-    if not spec.has_abstract:
-        raise ValueError("uniform group needs the abstract backend")
     n = spec.uniform_gcd()
     mod = spec.lattice_modulus()
     if n == 1:
@@ -737,10 +715,7 @@ def self_admissible(spec):
 def _order_table(spec, box):
     """{a: ord(tau(a))} for the nonzero a in product(range(box), repeat=k): one
     comprehension per row extends every prefix's (gcd a_j m_j, sum a_j d_j,
-    sum a_j fx_j, sum a_j fy_j), and n_a = 0 marks the zero vector.  A
-    geometry-only spec sums points once per primitive vector."""
-    if not spec.has_abstract:
-        return {v: _torsion_order(spec, v)[1] for v in weight_vectors(spec.k, box)}
+    sum a_j fx_j, sum a_j fy_j), and n_a = 0 marks the zero vector."""
     sums = [(0, 0, 0, 0)]
     for m, d, fx, fy in spec._rows:
         sums = [(gcd(g, a * m), s + a * d, sx + a * fx, sy + a * fy)
@@ -821,37 +796,35 @@ def distinguish(spec1, spec2, admissible):
         rho for rho in admissible if all(sig1[j] == sig2[r] for j, r in enumerate(rho))
     ]
 
-    # uniform group witnesses need both abstract backends
-    if spec1.has_abstract and spec2.has_abstract:
-        g1 = uniform_group(spec1)
-        g2 = uniform_group(spec2)
-        if g1.group_type() != g2.group_type():
+    g1 = uniform_group(spec1)
+    g2 = uniform_group(spec2)
+    if g1.group_type() != g2.group_type():
+        return ZariskiCertificate(
+            "group-witness",
+            "distinguished",
+            {
+                "kind": "isomorphism",
+                "group1": g1.type_string(),
+                "group2": g2.type_string(),
+                "orders1": g1.generator_orders,
+                "orders2": g2.generator_orders,
+            },
+        )
+    if not (spec1.has_geometric or spec2.has_geometric):
+        proof = _isomorphism(spec1, spec2, preserving)
+        if proof:
+            return proof
+    if g1.n > 1:
+        kernel_hits = _first_differences(
+            spec1, spec2, admissible, list(product(range(g1.n), repeat=k)),
+            (g1.kernel_contains, g2.kernel_contains), _brute_in_kernel, "kernel",
+        )
+        if kernel_hits:
             return ZariskiCertificate(
                 "group-witness",
                 "distinguished",
-                {
-                    "kind": "isomorphism",
-                    "group1": g1.type_string(),
-                    "group2": g2.type_string(),
-                    "orders1": g1.generator_orders,
-                    "orders2": g2.generator_orders,
-                },
+                {"kind": "kernel", "per_permutation": kernel_hits},
             )
-        if not (spec1.has_geometric or spec2.has_geometric):
-            proof = _isomorphism(spec1, spec2, preserving)
-            if proof:
-                return proof
-        if g1.n > 1:
-            kernel_hits = _first_differences(
-                spec1, spec2, admissible, list(product(range(g1.n), repeat=k)),
-                (g1.kernel_contains, g2.kernel_contains), _brute_in_kernel, "kernel",
-            )
-            if kernel_hits:
-                return ZariskiCertificate(
-                    "group-witness",
-                    "distinguished",
-                    {"kind": "kernel", "per_permutation": kernel_hits},
-                )
 
     box = max(spec1.weight_box(), spec2.weight_box())
     vectors = weight_vectors(k, box)
@@ -960,14 +933,10 @@ def _brute_class(spec, vec, div):
 
 def _brute_order(spec, vec):
     """ord(tau(a)) from the components alone, sharing nothing with the rows:
-    n_a = gcd(a_j m_j, sum a_j d_j), then ``order_brute`` on the lattice, or
-    the group law on a geometry-only spec."""
+    n_a = gcd(a_j m_j, sum a_j d_j), then ``order_brute`` on the lattice."""
     pairs = list(zip(vec, spec.components))
     na = gcd(sum(a * c.degree for a, c in pairs), *(a * c.m for a, c in pairs))
-    if spec.has_abstract:
-        return _brute_class(spec, vec, na).order_brute()
-    terms = [(a * c.m // na, spec.component_point(j)) for j, (a, c) in enumerate(pairs)]
-    return point_order(spec.structure, ec_sum(spec.structure, terms), na)
+    return _brute_class(spec, vec, na).order_brute()
 
 
 def _brute_in_kernel(spec, vec):

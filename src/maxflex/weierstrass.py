@@ -26,8 +26,8 @@ from .geometry import (
     PlaneCurve,
     ProjPoint,
     _at_roots,
-    _line_frame,
     _proportional_forms,
+    _second_point,
     form_sum,
     order_by_descent,
     prime_powers,
@@ -194,8 +194,8 @@ def weierstrass_model(e):
     cubic = e.cubic
     O = e.origin
     LO = e.origin_tangent
-    A, B0 = _line_frame(LO)
-    A_pt = A if A != O else B0
+    # a second point of the tangent line: zero on the origin's chart, so not the origin
+    A_pt = ProjPoint(t, _second_point(e.origin_gradient, O.chart))
     # a third basis point off the tangent line
     basis_b = None
     for cand in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):

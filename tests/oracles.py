@@ -38,7 +38,12 @@ as the reference for the determinant taken as a dot product with a cross
 product shared by each pair.  ``former_ec_add`` keeps the group law's
 former route, which built the chord or the tangent as a line and took its
 residual (``polar_residual``) for both steps of a sum, as the reference for
-the residuals read straight off the gradients.
+the residuals read straight off the gradients; ``_line_frame``, the two
+points spanning a line that ``polar_residual`` takes its tangent's second
+point from, goes with it.  ``geometric_order`` reads a spec's components
+and its cubic and no class: it sums the component points by the group law
+and walks the sum's multiples, as the reference for the orders read off the
+lattice and its verified class -> point map.
 """
 
 from fractions import Fraction
@@ -313,6 +318,31 @@ def form_value(terms, coords):
     return acc
 
 
+def _line_frame(line):
+    """Two independent points spanning a line given by its coefficients."""
+    from maxflex import ProjPoint
+    from maxflex.geometry import cross
+
+    a = line.coefficient((1, 0, 0))
+    b = line.coefficient((0, 1, 0))
+    c = line.coefficient((0, 0, 1))
+    t = line.tower
+    zero = t.zero()
+    candidates = [(zero, c, -b), (-c, zero, a), (b, -a, zero)]
+    pts = []
+    for cand in candidates:
+        if all(x.is_zero() for x in cand):
+            continue
+        pts.append(cand)
+        if len(pts) == 2:
+            cr = cross(pts[0], pts[1])
+            if all(x.is_zero() for x in cr):
+                pts.pop()
+                continue
+            return ProjPoint(t, pts[0]), ProjPoint(t, pts[1])
+    raise ValueError("degenerate line coefficients")
+
+
 def polar_residual(cubic, line, p, q):
     """The residual r of line . cubic = p + q + r by first polar curves.
 
@@ -322,7 +352,7 @@ def polar_residual(cubic, line, p, q):
     term by term.  Refusals raise the same LineNotIncident messages.
     """
     from maxflex import LineNotIncident, ProjPoint
-    from maxflex.geometry import _line_frame, polar_curve
+    from maxflex.geometry import polar_curve
 
     def value(curve, point):
         return form_value(curve.form, point.coords)
@@ -353,6 +383,19 @@ def former_ec_add(e, p, q):
     cubic, o = e.cubic, e.origin
     r = polar_residual(cubic, tangent_line(cubic, p) if p == q else line_through(p, q), p, q)
     return polar_residual(cubic, tangent_line(cubic, o) if r == o else line_through(r, o), r, o)
+
+
+def geometric_order(spec, weights):
+    """ord(tau(a)) from the cubic alone, reading no class: n_a from the
+    components, the weighted sum of their ``component_point``s by ``ec_sum``,
+    and ``point_order`` of that sum within the bound n_a (None past it)."""
+    from maxflex.geometry import ec_sum, point_order
+
+    pairs = list(zip(weights, spec.components))
+    na = gcd(sum(a * c.degree for a, c in pairs), *(a * c.m for a, c in pairs))
+    e = spec.structure
+    terms = [(a * c.m // na, spec.component_point(j)) for j, (a, c) in enumerate(pairs)]
+    return point_order(e, ec_sum(e, terms), na)
 
 
 def bigon_clauses(cubic, l0, c1, c2, p, q):

@@ -31,6 +31,7 @@ from maxflex.catalog import (
 )
 from maxflex import torsion
 from maxflex.torsion import _order_table, _torsion_order, weight_vectors
+from oracles import geometric_order
 
 
 def test_90c3_designated_flex_is_found():
@@ -60,18 +61,25 @@ def test_bigon_intersection_divisors():
 
 
 def test_backend_agreement_over_the_search_box():
-    # with both backends the class -> point map is verified once per spec;
-    # the same arrangement without classes sums the points on the cubic for
-    # every vector, and the two must agree over the whole reduced box
+    # with a cubic the class -> point map is verified once per spec; the
+    # oracle sums the component points on the cubic for every vector, reading
+    # no class, and the two must agree over the whole reduced box
     entry = catalog_entry("90c3").build(64)
     for r in (4, 12):
         tw, e, p, q = bigon_points(entry, r)
         c1, c2 = bigon_conics(e, p, q)
         spec, _ = bigon_spec(e, p, q, c1, c2, r, with_line=True)
-        bare = [ComponentData(c.degree, c.m, c.divisor) for c in spec.components]
-        geometric = ArrangementSpec(3, bare, structure=e)
         for w in weight_vectors(spec.k, spec.weight_box()):
-            assert torsion_order(spec, w) == torsion_order(geometric, w), w
+            assert torsion_order(spec, w) == geometric_order(spec, w), w
+
+
+def test_a_classless_component_is_refused_with_a_cubic():
+    # every spec carries its lattice: a cubic does not stand in for a class
+    spec = fermat_witness_spec(fermat_witness(64))
+    first, *rest = spec.components
+    bare = ComponentData(first.degree, first.m, first.divisor, None)
+    with pytest.raises(ValueError, match="a component has no class"):
+        ArrangementSpec(3, [bare, *rest], structure=spec.structure)
 
 
 def _bigon_specs():
@@ -96,7 +104,7 @@ def test_box_table_cross_checks_every_entry_once(monkeypatch):
         torsion, "_class_point_order", lambda *args: calls.append(args) or real(*args)
     )
     for spec in _bigon_specs():
-        assert spec.has_abstract and spec.has_geometric
+        assert spec.has_geometric
         box = spec.weight_box()
         del calls[:]
         table = _order_table(spec, box)
@@ -195,13 +203,13 @@ def test_class_points_of_a_triangle_only_spec():
     assert torsion_order(spec, WeightVector((1,))) == 3
 
 
-def test_geometry_only_witnesses_are_rechecked_from_the_components():
-    # the witness arrangement without classes, and the same with its two
-    # tangent lines traded: the order witness comes from the group law
-    spec = fermat_witness_spec(fermat_witness(64))
-    bare = [ComponentData(c.degree, c.m, c.divisor) for c in spec.components]
-    lines = ArrangementSpec(3, bare, structure=spec.structure)
-    swapped = ArrangementSpec(3, [bare[1], bare[0], bare[2]], structure=spec.structure)
+def test_order_witnesses_are_rechecked_from_the_components():
+    # the witness arrangement, and the same with its two tangent lines
+    # traded, classes kept: the order witness is read through the verified
+    # class -> point map of each
+    lines = fermat_witness_spec(fermat_witness(64))
+    comps = lines.components
+    swapped = ArrangementSpec(3, [comps[1], comps[0], comps[2]], structure=lines.structure)
     cert = distinguish(lines, swapped, [(0, 1, 2)])
     assert cert.mode == "order-witness"
     assert cert.witnesses["per_permutation"]["(0, 1, 2)"] == {

@@ -136,7 +136,7 @@ def test_invariants_table_is_the_three_call_table(capsys, tmp_path):
         assert out == "\n".join(head + _three_call_table(spec)) + "\n"
     # both backends: the class -> point cross-check runs on every row
     spec = fermat_witness_spec(fermat_witness())
-    assert spec.has_abstract and spec.has_geometric
+    assert spec.has_geometric
     assert invariant_table(spec) == _three_call_table(spec)
 
 
@@ -417,8 +417,8 @@ def test_spec_file_refuses_a_non_integer_field_by_name(capsys, tmp_path, field, 
 
 @pytest.mark.parametrize("cls", ["drop", None], ids=["missing", "null"])
 def test_spec_file_component_without_a_class_is_a_spec_error(capsys, tmp_path, cls):
-    # a spec file has no cubic, so a component without a class leaves no
-    # backend for its invariants
+    # every spec carries its lattice, so a component without a class is
+    # refused
     spec = _spec4()
     if cls == "drop":
         del spec["components"][1]["class"]
@@ -431,7 +431,7 @@ def test_spec_file_component_without_a_class_is_a_spec_error(capsys, tmp_path, c
     assert out == ""
     assert err == "error: malformed spec file %s: ValueError: %s\n" % (
         path,
-        "a component has no class and the spec no cubic",
+        "a component has no class",
     )
 
 

@@ -14,6 +14,7 @@ from maxflex import (
     LineNotIncident,
     PlaneCurve,
     ProjPoint,
+    TorsionClass,
     UniPoly,
     ec_add,
     ec_mul,
@@ -211,7 +212,9 @@ def test_component_point_matches_the_divisor_sum():
     e, P = _order_twelve_point()
     Q = ec_mul(e, 5, P)
     divisor = [(P, 1), (Q, 2)]
-    spec = ArrangementSpec(3, [ComponentData(1, 1, divisor)], structure=e)
+    # m = 1 forces the zero class
+    comp = ComponentData(1, 1, divisor, TorsionClass(12, (0, 0)))
+    spec = ArrangementSpec(3, [comp], structure=e)
     assert spec.component_point(0) == _repeated_sum(e, [(1, P), (2, Q)])
     assert spec.component_point(0) == ec_mul(e, 11, P)
 
