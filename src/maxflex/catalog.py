@@ -205,16 +205,14 @@ def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
 def fermat_witness_spec(witness, origin=None):
     """Geometric+abstract ArrangementSpec (C; L_T1, L_2T1, triangle).
 
-    An alternate flex may be supplied as the group-law origin; smoothness is
-    inherited from the witness structure and only the maximal-tangency of the
-    new origin is re-verified.
+    An alternate flex may be supplied as the group-law origin.  Its structure
+    certifies itself like any other: the cubic's smoothness certificate is
+    read from the witness cubic, and an origin whose tangent is not maximal
+    raises WrongFlex.
     """
-    tower = witness["tower"]
     e = witness["structure"]
     if origin is not None:
-        e = EllipticStructure(e.cubic, origin, check=False)
-        if line_cubic_residual(e.cubic, e.origin_tangent, origin, origin) != origin:
-            raise WrongOrder("alternate origin is not a maximal tangency point")
+        e = EllipticStructure(e.cubic, origin)
     tri = witness["triangle"]
     t1 = TorsionClass(9, (3, 0))
     comps = [

@@ -153,7 +153,7 @@ def _point_profiles(herd, tower):
     profiles = {}
     n = len(herd)
     for i, j in combinations(range(n), 2):
-        for rec in intersection_points(herd[i], herd[j], tower, multiplicities=False):
+        for rec in intersection_points(herd[i], herd[j], tower):
 
             def profile(tw, rec=rec):
                 pt = rec.point.embedded(tw)

@@ -25,14 +25,15 @@ identically, and B_c = 0 while p_c = 1, so B is another point of the line
 with no zero test and no normalization.
 
 The two residuals are plain formulas, and each check runs once, where a
-point enters.  ``ec_add`` tests a chord's p and q on the cubic by Euler's
+point enters.  Every EllipticStructure certifies its cubic smooth (once
+per curve: ``PlaneCurve.embedded`` carries the answer) and its origin a
+maximal flex.  ``ec_add`` tests a chord's p and q on the cubic by Euler's
 relation, or a doubling's p by ``_tangent_gradient``, whose gradient is the
 tangent, so tangency is an identity: grad C(p).(e_c x grad C(p)) = 0.  The
-step through the origin tests only the residual r, since the structure
-certified its origin when it was built.  Lines from outside the law
-(``line_cubic_residual``, which the catalog's flex checks call) go through
-``_third_intersection``, which tests their incidences, the points on the
-cubic and a tangent's tangency, and hands off to the same two residuals.
+step through the origin tests only the residual r.  Lines from outside the
+law (``line_cubic_residual``, which the catalog's flex checks call) go
+through ``_third_intersection``, which tests their incidences, the points
+on the cubic and a tangent's tangency, and hands off to the same residuals.
 
 An EllipticStructure keeps a table of the sums it has formed, and
 ``EllipticStructure.add`` reads it.  The composite operations go through
@@ -401,13 +402,16 @@ class PlaneCurve:
         raise ValueError("zero form")
 
     def embedded(self, tower):
+        """The curve over ``tower``, keeping its ``is_smooth_curve`` answer."""
         if tower is self.tower or tower == self.tower:
             return self
         form = {k: c.embedded(tower) for k, c in self.form.items()}
         comps = None
         if self.components:
             comps = [comp.embedded(tower) for comp in self.components]
-        return PlaneCurve(tower, self.degree, form, comps)
+        out = PlaneCurve(tower, self.degree, form, comps)
+        out._smooth = self._smooth
+        return out
 
     def to_data(self):
         return {
@@ -609,8 +613,11 @@ def is_smooth_curve(c):
 
     Candidates come from a resultant sweep on two partials and are verified
     on the third; by the Euler relation a common zero of the partials lies on
-    the curve, so this decides smoothness in characteristic zero.  The answer
-    is kept on the curve object, which is certified once.
+    the curve, so this decides smoothness in characteristic zero, over every
+    extension of the curve's tower; an answer reached over Q[x]/(m) without a
+    zero divisor holds in every factor of m (dynamic evaluation, Della Dora-
+    Dicrescenzo-Duval, EUROCAL '85).  So the answer is kept on the curve and
+    ``PlaneCurve.embedded`` carries it: a curve is certified once.
     """
     if c._smooth is None:
         c._smooth = _smooth_sweep(c)
@@ -624,7 +631,7 @@ def _smooth_sweep(c):
     if any(p is None for p in parts):
         return False
     try:
-        candidates = intersection_points(parts[0], parts[1], c.tower, multiplicities=False)
+        candidates = intersection_points(parts[0], parts[1], c.tower)
     except CommonComponent:
         return False
     for rec in candidates:
@@ -647,7 +654,7 @@ def tangents_through(c, q, tower=None):
     qq = q.embedded(tower)
     pol = polar_curve(base, qq)
     out = []
-    for rec in intersection_points(base, pol, tower, multiplicities=False):
+    for rec in intersection_points(base, pol, tower):
         cur = base.embedded(rec.tower)
         grad = cur.gradient(rec.point)
         if all(g.is_zero() for g in grad):
@@ -670,38 +677,34 @@ def tangents_through(c, q, tower=None):
 class EllipticStructure:
     """A smooth plane cubic with a distinguished flex serving as origin.
 
-    Construction certifies smoothness, membership of the origin, and maximal
-    tangency of the inflectional tangent (the tangent meets the cubic only at
-    the origin).  The gradient at the origin, whose entries are the
-    tangent's coefficients, is kept for every step of the group law.
+    Every construction certifies smoothness (``is_smooth_curve``), the
+    origin on the cubic (``_tangent_gradient``) and the maximal tangency of
+    its tangent (which meets the cubic only at the origin).  The gradient at
+    the origin, whose entries are the tangent's coefficients, is kept for
+    every step of the group law.
 
     ``add`` is ``ec_add`` read through a table of the sums this structure
     has formed, keyed by the two points' coordinate reps in sorted order,
     so both orders of a pair read one entry.  ``embedded`` into another
-    tower makes a new structure with an empty table.
+    tower makes a new structure with an empty table, whose cubic carries
+    its smoothness, so only the origin's tangency is tested again.
     """
 
     __slots__ = ("cubic", "origin", "origin_tangent", "origin_gradient", "_sums")
 
-    def __init__(self, cubic, origin, check=True):
+    def __init__(self, cubic, origin):
         if cubic.degree != 3:
             raise ValueError("elliptic structure needs a cubic")
         if origin.tower != cubic.tower:
             raise ValueError("origin must live in the cubic's tower")
-        if check:
-            if not is_smooth_curve(cubic):
-                raise SingularPoint("cubic is not smooth")
-            if not cubic.contains(origin):
-                raise LineNotIncident("origin is not on the cubic")
+        if not is_smooth_curve(cubic):
+            raise SingularPoint("cubic is not smooth")
         grad = _tangent_gradient(cubic, origin)
-        tangent = PlaneCurve.line(cubic.tower, grad)
-        if check:
-            residual = _tangent_residual(cubic, origin, _second_point(grad, origin.chart))
-            if residual != origin:
-                raise WrongFlex("tangent at origin is not maximal")
+        if _tangent_residual(cubic, origin, _second_point(grad, origin.chart)) != origin:
+            raise WrongFlex("tangent at origin is not maximal")
         self.cubic = cubic
         self.origin = origin
-        self.origin_tangent = tangent
+        self.origin_tangent = PlaneCurve.line(cubic.tower, grad)
         self.origin_gradient = grad
         self._sums = {}
 
@@ -731,9 +734,7 @@ class EllipticStructure:
     def embedded(self, tower):
         if tower == self.tower:
             return self
-        return EllipticStructure(
-            self.cubic.embedded(tower), self.origin.embedded(tower), check=False
-        )
+        return EllipticStructure(self.cubic.embedded(tower), self.origin.embedded(tower))
 
 
 class WrongFlex(SingularPoint):
@@ -861,10 +862,15 @@ def _origin_residual(e, r):
 
 
 def ec_mul(e, n, p):
-    """n*p by double-and-add; raises LineNotIncident for p off the cubic."""
+    """n*p by double-and-add; raises LineNotIncident for p off the cubic.
+
+    p is tested where it enters the law: by ``ec_neg`` for n < 0, by the
+    first doubling for n >= 2 (a table entry for (p, p) means ``ec_add``
+    tested it), and here for n = 1, which forms no sum.
+    """
     if n == 0:
         return e.origin
-    if not e.cubic.contains(p):
+    if n == 1 and not e.cubic.contains(p):
         raise LineNotIncident("point is not on the cubic")
     if n < 0:
         n, p = -n, ec_neg(e, p)
@@ -1061,49 +1067,37 @@ def _u_order(f):
 # ---------------------------------------------------------------------------
 
 class IntersectionRecord:
-    """One intersection entry: a representative point, its local multiplicity,
-    the tower it lives in, and how many closure points it stands for."""
+    """One intersection entry: a representative point, the tower it lives
+    in, and how many closure points it stands for."""
 
-    __slots__ = ("point", "multiplicity", "tower", "orbit")
+    __slots__ = ("point", "tower", "orbit")
 
-    def __init__(self, point, multiplicity, tower, orbit):
+    def __init__(self, point, tower, orbit):
         self.point = point
-        self.multiplicity = multiplicity
         self.tower = tower
         self.orbit = orbit
 
     def __repr__(self):
-        return "IntersectionRecord(mult=%s, orbit=%d, %r)" % (
-            self.multiplicity,
-            self.orbit,
-            self.point,
-        )
+        return "IntersectionRecord(orbit=%d, %r)" % (self.orbit, self.point)
 
 
-def intersection_points(
-    c,
-    d,
-    tower=None,
-    multiplicities=True,
-):
+def intersection_points(c, d, tower=None):
     """All intersection points of two curves over extensions of ``tower``.
 
     Points with a nonzero z-coordinate are found in the affine chart z = 1 by
     a resultant elimination in y; the points (x0 : 1 : 0) of the line z = 0
     are the common roots of the restrictions to z = 0 in the chart y = 1, and
-    [1:0:0] is checked on its own.  Each record carries an orbit count so
-    that sum(multiplicity * orbit) equals the Bezout number deg(c) * deg(d).
-    A packet whose tower would exceed the degree cap raises BudgetExceeded.
+    [1:0:0] is checked on its own.  Each record carries an orbit count, so
+    the sum over records of orbit * ``intersection_multiplicity`` at the
+    point is the Bezout number deg(c) * deg(d).  A packet whose tower would
+    exceed the degree cap raises BudgetExceeded.
     """
     tower = tower or c.tower
     cc = c.embedded(tower)
     dd = d.embedded(tower)
 
     def record(tw, pt):
-        mult = 0
-        if multiplicities:
-            mult = intersection_multiplicity(cc.embedded(tw), dd.embedded(tw), pt)
-        return IntersectionRecord(pt, mult, tw, tw.absolute_degree // tower.absolute_degree)
+        return IntersectionRecord(pt, tw, tw.absolute_degree // tower.absolute_degree)
 
     # points on the line z = 0: c(x0, 1, 0) = d(x0, 1, 0) = 0, and [1:0:0]
     uf = cc.dehomogenize(1).restrict_v0()
@@ -1173,7 +1167,7 @@ def flex_points(c, tower=None):
     over its tower; the orbits sum to nine.  A packet whose tower would pass
     the degree cap raises BudgetExceeded.
     """
-    return intersection_points(c, hessian(c), tower, multiplicities=False)
+    return intersection_points(c, hessian(c), tower)
 
 
 # ---------------------------------------------------------------------------

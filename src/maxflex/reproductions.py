@@ -334,7 +334,7 @@ def repro_appendix_triangle(budget):
     orders = []
     for origin, tw in origins:
         cubic = data["cubic"].embedded(tw)
-        e = EllipticStructure(cubic, origin, check=False)
+        e = EllipticStructure(cubic, origin)
         for coords in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
             p = ProjPoint(tw, coords)
             orders.append(point_order(e, p, 9))

@@ -10,9 +10,11 @@ with ``TorsionClass`` arithmetic, never with the spec's compiled rows.
 ``bigon_clauses`` keeps the bi-gon clauses' former route, direct Fulton
 multiplicities and one ``intersection_points`` sweep per pair, as the
 reference for ``verify_bigon``'s reading of the fingerprint.
-``sweep_profiles`` keeps the fingerprint's former route, which profiles a
-point again in the sweep of every pair of pieces through it, as the
-reference for profiling each point once.  ``psi_torsion_points`` keeps
+``with_multiplicities`` attaches ``intersection_multiplicity`` to each
+record of ``intersection_points``, for the tests that count Bezout numbers
+and contacts.  ``sweep_profiles`` keeps the fingerprint's former route,
+which profiles a point again in the sweep of every pair of pieces through
+it, as the reference for profiling each point once.  ``psi_torsion_points`` keeps
 rational torsion's former route, the rational roots of psi_n for every n,
 as the reference for the route one prime power at a time, and
 ``walked_order`` the one-multiple-at-a-time order as the reference for the
@@ -46,6 +48,7 @@ and walks the sum's multiples, as the reference for the orders read off the
 lattice and its verified class -> point map.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -398,11 +401,38 @@ def geometric_order(spec, weights):
     return point_order(e, ec_sum(e, terms), na)
 
 
+CountedRecord = namedtuple("CountedRecord", "point multiplicity tower orbit")
+
+
+def with_multiplicities(c, d, tower=None):
+    """The records of ``intersection_points(c, d, tower)``, each with its
+    ``intersection_multiplicity``, as CountedRecords in the sweep's order.
+
+    Each multiplicity is taken under ``with_splitting`` on the record's
+    tower, so a zero divisor that Fulton's recursion meets splits the record
+    into its branches, each with its own orbit.
+    """
+    from maxflex.fields import with_splitting
+    from maxflex.geometry import intersection_multiplicity, intersection_points
+
+    tower = tower or c.tower
+    out = []
+    for rec in intersection_points(c, d, tower):
+
+        def count(tw, rec=rec):
+            pt = rec.point.embedded(tw)
+            return pt, intersection_multiplicity(c.embedded(tw), d.embedded(tw), pt)
+
+        for tw, (pt, mult) in with_splitting(rec.tower, count, tower.height):
+            out.append(CountedRecord(pt, mult, tw, tw.absolute_degree // tower.absolute_degree))
+    return out
+
+
 def bigon_clauses(cubic, l0, c1, c2, p, q):
     """The clauses of ``verify_bigon`` computed curve by curve.
 
     The contact multiplicities at p and q are direct Fulton calls,
-    transversality reads every record of ``intersection_points`` for each
+    transversality reads every record of ``with_multiplicities`` for each
     pair of l0, c1, c2, and the triple test evaluates c2 at every point of
     l0 . c1.
     """
@@ -421,11 +451,11 @@ def bigon_clauses(cubic, l0, c1, c2, p, q):
         "pairwise_transversal": all(
             rec.multiplicity == 1
             for a, b in ((l0, c1), (l0, c2), (c1, c2))
-            for rec in intersection_points(a, b, tower)
+            for rec in with_multiplicities(a, b, tower)
         ),
         "empty_triple_intersection": not any(
             c2.embedded(rec.tower).evaluate(rec.point).is_zero()
-            for rec in intersection_points(l0, c1, tower, multiplicities=False)
+            for rec in intersection_points(l0, c1, tower)
         ),
     }
     report["all"] = all(report.values())
@@ -449,7 +479,7 @@ def sweep_profiles(pieces, tower):
     herd = [p.embedded(tower) for p in pieces]
     profiles = {}
     for i, j in combinations(range(len(herd)), 2):
-        for rec in intersection_points(herd[i], herd[j], tower, multiplicities=False):
+        for rec in intersection_points(herd[i], herd[j], tower):
 
             def profile(tw, rec=rec):
                 pt = rec.point.embedded(tw)

@@ -22,7 +22,6 @@ from maxflex import (
     cover_order,
     ec_add,
     intersection_multiplicity,
-    intersection_points,
     reduce_weights,
     run_reproduction,
     splitting_number,
@@ -40,7 +39,7 @@ from maxflex.combinatorics import admissible_permutations, fingerprint
 from maxflex.geometry import EllipticStructure
 from maxflex.torsion import ArrangementSpec, ComponentData, TorsionClass
 
-from oracles import local_quotient_dimension
+from oracles import local_quotient_dimension, with_multiplicities
 
 
 def _stamp(label, t0, bound):
@@ -193,7 +192,7 @@ def test_criterion_7a_bezout_on_random_pairs():
         c = _random_curve(rng, d1)
         d = _random_curve(rng, d2)
         try:
-            recs = intersection_points(c, d, QQ)
+            recs = with_multiplicities(c, d, QQ)
         except CommonComponent:
             continue
         total = sum(r.multiplicity * r.orbit for r in recs)
@@ -299,7 +298,7 @@ def test_criterion_7c_group_law_associativity():
     data = catalog_entry("cyclic").build(64)
     origin, tw = cyclic_flex_origins(data)[0]
     cubic = data["cubic"].embedded(tw)
-    ec = EllipticStructure(cubic, origin, check=False)
+    ec = EllipticStructure(cubic, origin)
     seed = ProjPoint(tw, [1, 0, 0])
     cyc_pool = [ec.origin]
     acc = seed

