@@ -104,19 +104,6 @@ def fermat_t1(data):
     return ProjPoint(tower, [tower.one(), -data["w"], tower.zero()])
 
 
-def fermat_torsion_frame(data):
-    """The flex origin, T1 = [1:-w:0], its double, and their tangents."""
-    e = data["structure"]
-    t1 = fermat_t1(data)
-    t2x = ec_add(e, t1, t1)
-    return {
-        "T1": t1,
-        "2T1": t2x,
-        "L_T1": tangent_line(e.cubic, t1),
-        "L_2T1": tangent_line(e.cubic, t2x),
-    }
-
-
 def fermat_triangle(data):
     """A triangle associated to T1, built by trisecting T1 on a model.
 
@@ -141,26 +128,22 @@ def fermat_triangle(data):
 
 
 def fermat_offline_flexes(data):
-    """The six Fermat flexes off the z = 0 line, as points over Q(w).
+    """The six Fermat flexes off the z = 0 line, with their tangents, over Q(w).
 
-    Built from the known coordinate pattern and re-verified: each candidate
-    must lie on the cubic and have an inflectional tangent there.
+    Built from the known coordinate pattern, and each certified as the
+    origin of an EllipticStructure: the cubic's smoothness is read off the
+    curve, a point off the cubic raises LineNotIncident, and one whose
+    tangent is not maximal raises WrongFlex.
     """
     tower = data["tower"]
-    e = data["structure"]
+    cubic = data["structure"].cubic
     w = data["w"]
     one, zero = tower.one(), tower.zero()
-    units = [one, w, w * w]
     out = []
-    for alpha in units:
+    for alpha in (one, w, w * w):
         for coords in ([-one, zero, alpha], [zero, -one, alpha]):
             p = ProjPoint(tower, coords)
-            if not e.cubic.contains(p):
-                raise WrongOrder("stated flex is not on the cubic")
-            line = tangent_line(e.cubic, p)
-            if line_cubic_residual(e.cubic, line, p, p) != p:
-                raise WrongOrder("stated flex is not inflectional")
-            out.append((p, line))
+            out.append((p, EllipticStructure(cubic, p).origin_tangent))
     return out
 
 
@@ -173,10 +156,12 @@ def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
     rather than running the test again.
     """
     data = catalog_entry("fermat").build(degree_cap)
-    frame = fermat_torsion_frame(data)
+    cubic = data["structure"].cubic
+    t1 = fermat_t1(data)
+    t2x = ec_add(data["structure"], t1, t1)
     tower, e, tri = fermat_triangle(data)
-    l_t1 = frame["L_T1"].embedded(tower)
-    l_2t1 = frame["L_2T1"].embedded(tower)
+    l_t1 = tangent_line(cubic, t1).embedded(tower)
+    l_2t1 = tangent_line(cubic, t2x).embedded(tower)
     chosen = None
     for t2, line in fermat_offline_flexes(data):
         lines = [l_t1, l_2t1, line.embedded(tower)] + list(tri.lines)
@@ -190,8 +175,8 @@ def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
     return {
         "tower": tower,
         "structure": e,
-        "T1": frame["T1"].embedded(tower),
-        "2T1": frame["2T1"].embedded(tower),
+        "T1": t1.embedded(tower),
+        "2T1": t2x.embedded(tower),
         "T2": t2.embedded(tower),
         "L_T1": l_t1,
         "L_2T1": l_2t1,

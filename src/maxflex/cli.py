@@ -26,7 +26,7 @@ from .torsion import (
     uniform_group,
     weight_vectors,
 )
-from .weierstrass import rational_points_of_order, weierstrass_model
+from .weierstrass import rational_points_of_order
 
 
 def _tower_budget(text):
@@ -64,8 +64,7 @@ def _cmd_torsion(args):
         raise SpecError("curve %r carries no designated flex" % args.curve)
     if data["tower"].height:
         raise SpecError("curve %r is not defined over Q" % args.curve)
-    model = weierstrass_model(data["structure"])
-    pts = rational_points_of_order(model, args.order)
+    pts = rational_points_of_order(data["model"], args.order, dict(data["rational_torsion"]))
     lines = ["curve %s, exact order %d" % (args.curve, args.order)]
     for x, y in pts:
         lines.append("x = %s, y = %s" % (x.as_rational(), y.as_rational()))

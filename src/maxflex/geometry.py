@@ -30,10 +30,10 @@ per curve: ``PlaneCurve.embedded`` carries the answer) and its origin a
 maximal flex.  ``ec_add`` tests a chord's p and q on the cubic by Euler's
 relation, or a doubling's p by ``_tangent_gradient``, whose gradient is the
 tangent, so tangency is an identity: grad C(p).(e_c x grad C(p)) = 0.  The
-step through the origin tests only the residual r.  Lines from outside the
-law (``line_cubic_residual``, which the catalog's flex checks call) go
-through ``_third_intersection``, which tests their incidences, the points
-on the cubic and a tangent's tangency, and hands off to the same residuals.
+step through the origin tests only the residual r.  A line from outside
+the law goes through ``line_cubic_residual``, which tests its incidences,
+the points on the cubic and a tangent's tangency, and hands off to the
+same residuals.  A flex is certified one way, as a structure's origin.
 
 An EllipticStructure keeps a table of the sums it has formed, and
 ``EllipticStructure.add`` reads it.  The composite operations go through
@@ -188,9 +188,6 @@ class BiPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((i + j for i, j in self.terms), default=-1)
 
     def embedded(self, tower):
         if tower is self.tower or tower == self.tower:
@@ -741,31 +738,6 @@ class WrongFlex(SingularPoint):
     pass
 
 
-def _third_intersection(cubic, line, p, q):
-    """The residual point r with line . cubic = p + q + r as divisors, for a
-    line from outside the group law: ``line_cubic_residual`` and, through
-    it, the catalog's flex checks.
-
-    It refuses a point off the line, a point off the cubic and, for p = q,
-    a line not tangent at p, then hands off to the law's residuals,
-    ``_chord_residual`` for p != q and ``_tangent_residual`` for p = q.
-    """
-    if not line.contains(p) or not line.contains(q):
-        raise LineNotIncident("point off the line")
-    gp = cubic.gradient(p)
-    if p == q:
-        _check_on_cubic((gp, p))
-        c = p.chart
-        j, k = (c + 1) % 3, (c + 2) % 3
-        B = _second_point([line.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], c)
-        if not (gp[j] * B[j] + gp[k] * B[k]).is_zero():
-            raise LineNotIncident("line is not tangent at the point")
-        return _tangent_residual(cubic, p, B)
-    gq = cubic.gradient(q)
-    _check_on_cubic((gp, p), (gq, q))
-    return _chord_residual(cubic, p, q, gp, gq)
-
-
 def _check_on_cubic(*pairs):
     """Refuse a point off the cubic: for each (grad C(x), x) pair, x is on C
     when grad C(x).x = 3 C(x) vanishes (Euler's relation)."""
@@ -818,9 +790,28 @@ def _tangent_residual(cubic, p, B):
 
 
 def line_cubic_residual(e, line, p, q):
-    """Residual intersection of a line with the cubic, past the points p and q."""
+    """The residual point r with line . cubic = p + q + r as divisors, for a
+    line from outside the group law; ``e`` is a structure or a bare cubic.
+
+    It refuses a point off the line, a point off the cubic and, for p = q,
+    a line not tangent at p, then hands off to the law's residuals,
+    ``_chord_residual`` for p != q and ``_tangent_residual`` for p = q.
+    """
     cubic = e.cubic if isinstance(e, EllipticStructure) else e
-    return _third_intersection(cubic, line, p, q)
+    if not line.contains(p) or not line.contains(q):
+        raise LineNotIncident("point off the line")
+    gp = cubic.gradient(p)
+    if p == q:
+        _check_on_cubic((gp, p))
+        c = p.chart
+        j, k = (c + 1) % 3, (c + 2) % 3
+        B = _second_point([line.coefficient(m) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], c)
+        if not (gp[j] * B[j] + gp[k] * B[k]).is_zero():
+            raise LineNotIncident("line is not tangent at the point")
+        return _tangent_residual(cubic, p, B)
+    gq = cubic.gradient(q)
+    _check_on_cubic((gp, p), (gq, q))
+    return _chord_residual(cubic, p, q, gp, gq)
 
 
 def ec_add(e, p, q):
@@ -1271,15 +1262,6 @@ def _monomial_series(us, vs, exps, order, tower):
     utab = _series_pow_table(us, max((i for i, _ in exps), default=0), order, tower)
     vtab = _series_pow_table(vs, max((j for _, j in exps), default=0), order, tower)
     return [_series_mul(utab[i], vtab[j], order, tower) for i, j in exps]
-
-
-def _series_eval_bipoly(F, us, vs, order, tower):
-    """F(u(t), v(t)) truncated at the given order."""
-    out = [tower.zero()] * (order + 1)
-    for c, prod in zip(F.terms.values(), _monomial_series(us, vs, list(F.terms), order, tower)):
-        for m, val in enumerate(prod):
-            out[m] = out[m] + c * val
-    return out
 
 
 def interpolate_curve_with_divisor(e, conditions, degree):

@@ -42,10 +42,13 @@ former route, which built the chord or the tangent as a line and took its
 residual (``polar_residual``) for both steps of a sum, as the reference for
 the residuals read straight off the gradients; ``_line_frame``, the two
 points spanning a line that ``polar_residual`` takes its tangent's second
-point from, goes with it.  ``geometric_order`` reads a spec's components
-and its cubic and no class: it sums the component points by the group law
-and walks the sum's multiples, as the reference for the orders read off the
-lattice and its verified class -> point map.
+point from, goes with it.  ``series_eval_bipoly`` composes a local
+equation with a branch's series through the package's monomial table, for
+the tests that read vanishing orders along a branch.  ``geometric_order``
+reads a spec's components and its cubic and no class: it sums the
+component points by the group law and walks the sum's multiples, as the
+reference for the orders read off the lattice and its verified
+class -> point map.
 """
 
 from collections import namedtuple
@@ -344,6 +347,18 @@ def _line_frame(line):
                 continue
             return ProjPoint(t, pts[0]), ProjPoint(t, pts[1])
     raise ValueError("degenerate line coefficients")
+
+
+def series_eval_bipoly(F, us, vs, order, tower):
+    """F(u(t), v(t)) truncated at the given order, from the package's table
+    of monomial series, for the tests that read a branch's vanishing order."""
+    from maxflex.geometry import _monomial_series
+
+    out = [tower.zero()] * (order + 1)
+    for c, prod in zip(F.terms.values(), _monomial_series(us, vs, list(F.terms), order, tower)):
+        for m, val in enumerate(prod):
+            out[m] = out[m] + c * val
+    return out
 
 
 def polar_residual(cubic, line, p, q):

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from maxflex import cover_order, splitting_number, torsion_order, uniform_group
-from maxflex.catalog import fermat_witness, fermat_witness_spec
+from maxflex import catalog, cli
+from maxflex.catalog import catalog_entry, fermat_witness, fermat_witness_spec
 from maxflex.cli import invariant_table, main
 from maxflex.combinatorics import fingerprint
 from maxflex.torsion import ArrangementSpec, weight_vectors
+from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,33 @@ def test_torsion_empty_order(capsys):
     code, out, _ = run_cli(capsys, "torsion", "90c3", "8")
     assert code == 0
     assert "no rational points" in out
+
+
+def test_torsion_reads_the_model_and_torsion_of_the_entry(capsys, monkeypatch):
+    """Every order 2-12 prints what a fresh model and a fresh search print,
+    and the command builds no model past the 90c3 entry's own."""
+    fresh = weierstrass_model(catalog_entry("90c3").build()["structure"])
+    models = []
+    build = catalog.weierstrass_model
+
+    def counted(e):
+        models.append(e)
+        return build(e)
+
+    monkeypatch.setattr(catalog, "weierstrass_model", counted)
+    # where the command would find the name, had it kept its own model
+    monkeypatch.setattr(cli, "weierstrass_model", counted, raising=False)
+    for n in range(2, 13):
+        lines = ["curve 90c3, exact order %d" % n]
+        pts = rational_points_of_order(fresh, n)
+        lines += ["x = %s, y = %s" % (x.as_rational(), y.as_rational()) for x, y in pts]
+        if not pts:
+            lines.append("no rational points of this exact order")
+        models.clear()
+        code, out, _ = run_cli(capsys, "torsion", "90c3", str(n))
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+        assert len(models) == 1
 
 
 def _spec4():

@@ -39,7 +39,7 @@ from maxflex import (
 )
 from maxflex import geometry
 from maxflex.fields import TowerElement, with_splitting
-from maxflex.geometry import _fulton, _series_eval_bipoly, _third_intersection, is_smooth_curve
+from maxflex.geometry import _fulton, is_smooth_curve
 from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
 from oracles import (
@@ -47,6 +47,7 @@ from oracles import (
     form_value,
     local_quotient_dimension,
     polar_residual,
+    series_eval_bipoly,
     with_multiplicities,
 )
 
@@ -564,7 +565,7 @@ def test_branch_series_vanishes_to_order():
     order = 6
     s = branch_series(c, p, order)
     local = c.dehomogenize(s.chart)
-    vals = _series_eval_bipoly(local, s.u_series, s.v_series, order, QQ)
+    vals = series_eval_bipoly(local, s.u_series, s.v_series, order, QQ)
     assert all(v.is_zero() for v in vals[: order + 1])
 
 
@@ -573,7 +574,7 @@ def test_tangent_composition_order_at_flex_and_nonflex():
     k, e = fermat_structure()
     s = branch_series(e.cubic, e.origin, 5)
     tl = e.origin_tangent.dehomogenize(s.chart)
-    vals = _series_eval_bipoly(tl, s.u_series, s.v_series, 5, k)
+    vals = series_eval_bipoly(tl, s.u_series, s.v_series, 5, k)
     orders = [i for i, v in enumerate(vals) if not v.is_zero()]
     assert orders and orders[0] == 3
     # order-9 non-flex point on the cyclic cubic: exactly 2
@@ -581,7 +582,7 @@ def test_tangent_composition_order_at_flex_and_nonflex():
     p = ProjPoint(QQ, [1, 0, 0])
     s2 = branch_series(c, p, 5)
     t2 = tangent_line(c, p).dehomogenize(s2.chart)
-    vals2 = _series_eval_bipoly(t2, s2.u_series, s2.v_series, 5, QQ)
+    vals2 = series_eval_bipoly(t2, s2.u_series, s2.v_series, 5, QQ)
     orders2 = [i for i, v in enumerate(vals2) if not v.is_zero()]
     assert orders2 and orders2[0] == 2
     assert intersection_multiplicity(c, tangent_line(c, p), p) == 2
@@ -759,7 +760,7 @@ def test_residual_matches_the_polar_curve_reference(shape):
             line = line_through(p, q)
             pairs = [(p, q), (q, p)]
         for a, b in pairs:
-            assert _same_point(_third_intersection(cubic, line, a, b), polar_residual(cubic, line, a, b))
+            assert _same_point(line_cubic_residual(cubic, line, a, b), polar_residual(cubic, line, a, b))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -778,7 +779,7 @@ def test_residual_refusals_match_the_polar_curve_reference(shape):
     ]
     for line, a, b, message in cases:
         with pytest.raises(LineNotIncident) as got:
-            _third_intersection(cubic, line, a, b)
+            line_cubic_residual(cubic, line, a, b)
         with pytest.raises(LineNotIncident) as want:
             polar_residual(cubic, line, a, b)
         assert type(got.value) is type(want.value)
