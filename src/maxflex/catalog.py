@@ -76,8 +76,7 @@ def _build_90c3(degree_cap):
     origin = ProjPoint(tower, [0, 1, 0])
     e = EllipticStructure(cubic, origin)
     model = weierstrass_model(e)
-    found = {}
-    torsion = {r: rational_points_of_order(model, r, found) for r in (4, 12)}
+    torsion = {r: rational_points_of_order(model, r) for r in (4, 12)}
     return {"tower": tower, "structure": e, "model": model, "rational_torsion": torsion}
 
 
@@ -128,23 +127,22 @@ def fermat_triangle(data):
 
 
 def fermat_offline_flexes(data):
-    """The six Fermat flexes off the z = 0 line, with their tangents, over Q(w).
+    """Yield the six Fermat flexes off the z = 0 line, with their tangents,
+    over Q(w).
 
     Built from the known coordinate pattern, and each certified as the
-    origin of an EllipticStructure: the cubic's smoothness is read off the
-    curve, a point off the cubic raises LineNotIncident, and one whose
-    tangent is not maximal raises WrongFlex.
+    origin of an EllipticStructure only when the caller reaches it: the
+    cubic's smoothness is read off the curve, a point off the cubic raises
+    LineNotIncident, and one whose tangent is not maximal raises WrongFlex.
     """
     tower = data["tower"]
     cubic = data["structure"].cubic
     w = data["w"]
     one, zero = tower.one(), tower.zero()
-    out = []
     for alpha in (one, w, w * w):
         for coords in ([-one, zero, alpha], [zero, -one, alpha]):
             p = ProjPoint(tower, coords)
-            out.append((p, EllipticStructure(cubic, p).origin_tangent))
-    return out
+            yield p, EllipticStructure(cubic, p).origin_tangent
 
 
 def fermat_witness(degree_cap=DEFAULT_DEGREE_CAP):
@@ -297,19 +295,18 @@ def bigon_conics(E, P, Q):
     return c1, c2
 
 
-def bigon_spec(E, P, Q, c1, c2, r, with_line=False):
+def bigon_spec(E, P, Q, r, with_line=False):
     """ArrangementSpec for (C; C1+C2) or (C; L_O, C1+C2) with both backends.
 
-    The abstract classes place P at (1, 0) in the mod-r lattice.
+    The conic pair enters through its divisor 6P + 6Q alone.  The abstract
+    classes place P at (1, 0) in the mod-r lattice.
     """
     clsP = TorsionClass(r, (1, 0))
     clsQ = clsP.scale(-5)
-    pair = c1 * c2
-    pair = PlaneCurve(pair.tower, pair.degree, pair.form, components=(c1, c2))
     comps = []
     if with_line:
         comps.append(
             ComponentData(1, 3, [(E.origin, 3)], TorsionClass(r, (0, 0)))
         )
     comps.append(ComponentData(4, 6, [(P, 6), (Q, 6)], clsP + clsQ))
-    return ArrangementSpec(3, comps, structure=E), pair
+    return ArrangementSpec(3, comps, structure=E)

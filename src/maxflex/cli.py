@@ -64,7 +64,7 @@ def _cmd_torsion(args):
         raise SpecError("curve %r carries no designated flex" % args.curve)
     if data["tower"].height:
         raise SpecError("curve %r is not defined over Q" % args.curve)
-    pts = rational_points_of_order(data["model"], args.order, dict(data["rational_torsion"]))
+    pts = rational_points_of_order(data["model"], args.order)
     lines = ["curve %s, exact order %d" % (args.curve, args.order)]
     for x, y in pts:
         lines.append("x = %s, y = %s" % (x.as_rational(), y.as_rational()))

@@ -299,16 +299,14 @@ def _powers(tower, x, n):
 # ---------------------------------------------------------------------------
 
 class PlaneCurve:
-    """A homogeneous form in x, y, z over a tower, with optional factorization.
+    """A homogeneous form in x, y, z over a tower.
 
-    ``components``, when given, lists curves whose product equals the form up
-    to a scalar (checked).  The form is kept with structurally nonzero
-    coefficients only.
+    The form is kept with structurally nonzero coefficients only.
     """
 
-    __slots__ = ("tower", "degree", "form", "components", "_partials", "_smooth")
+    __slots__ = ("tower", "degree", "form", "_partials", "_smooth")
 
-    def __init__(self, tower, degree, form, components=None):
+    def __init__(self, tower, degree, form):
         clean = {}
         for exps, c in form.items():
             i, j, k = exps
@@ -322,15 +320,8 @@ class PlaneCurve:
         self.tower = tower
         self.degree = degree
         self.form = clean
-        self.components = tuple(components) if components else None
         self._partials = None
         self._smooth = None
-        if self.components is not None:
-            prod = self.components[0]
-            for comp in self.components[1:]:
-                prod = prod * comp
-            if not _proportional_forms(prod, self):
-                raise ValueError("components do not multiply to the form")
 
     # -- constructors ---------------------------------------------------------
 
@@ -403,10 +394,7 @@ class PlaneCurve:
         if tower is self.tower or tower == self.tower:
             return self
         form = {k: c.embedded(tower) for k, c in self.form.items()}
-        comps = None
-        if self.components:
-            comps = [comp.embedded(tower) for comp in self.components]
-        out = PlaneCurve(tower, self.degree, form, comps)
+        out = PlaneCurve(tower, self.degree, form)
         out._smooth = self._smooth
         return out
 
@@ -789,15 +777,14 @@ def _tangent_residual(cubic, p, B):
     return ProjPoint(cubic.tower, coords)
 
 
-def line_cubic_residual(e, line, p, q):
+def line_cubic_residual(cubic, line, p, q):
     """The residual point r with line . cubic = p + q + r as divisors, for a
-    line from outside the group law; ``e`` is a structure or a bare cubic.
+    line from outside the group law.
 
     It refuses a point off the line, a point off the cubic and, for p = q,
     a line not tangent at p, then hands off to the law's residuals,
     ``_chord_residual`` for p != q and ``_tangent_residual`` for p = q.
     """
-    cubic = e.cubic if isinstance(e, EllipticStructure) else e
     if not line.contains(p) or not line.contains(q):
         raise LineNotIncident("point off the line")
     gp = cubic.gradient(p)

@@ -47,15 +47,6 @@ from .torsion import (
     uniform_group,
 )
 
-REPRODUCTION_NAMES = (
-    "thm-main1",
-    "thm-main2",
-    "fermat-existence",
-    "clubsuit-d2",
-    "clubsuit-tables",
-    "appendix-triangle",
-)
-
 #: Tower degree cap of the extended runs, whose r = 8 and 24 bi-gons need
 #: quartic halving extensions.
 EXTENDED_DEGREE_CAP = 128
@@ -348,8 +339,8 @@ def _bigon_package(entry_data, r):
     c1, c2 = bigon_conics(e, p, q)
     fp = fingerprint([e.cubic, e.origin_tangent, c1, c2])
     clauses = verify_bigon(fp, p, q)
-    spec_line, _ = bigon_spec(e, p, q, c1, c2, r, with_line=True)
-    spec_bare, _ = bigon_spec(e, p, q, c1, c2, r, with_line=False)
+    spec_line = bigon_spec(e, p, q, r, with_line=True)
+    spec_bare = bigon_spec(e, p, q, r, with_line=False)
     return {
         "structure": e,
         "P": p,
@@ -416,6 +407,8 @@ _RUNNERS = {
     "clubsuit-tables": repro_clubsuit_tables,
     "appendix-triangle": repro_appendix_triangle,
 }
+
+REPRODUCTION_NAMES = tuple(_RUNNERS)
 
 
 def run_reproduction(name, extended=False, tower_budget=None):

@@ -42,9 +42,14 @@ class WeierstrassModel:
     model was derived from; ``from_source`` is its adjugate inverse.
     Affine model points are (x, y) pairs of tower elements, with None for
     the point at infinity.
+
+    A model keeps a table of the rational points of each exact order it has
+    searched, which ``rational_points_of_order`` reads and fills, as an
+    EllipticStructure keeps its sums; ``embedded`` into another tower makes
+    a new model with an empty table.
     """
 
-    __slots__ = ("tower", "a1", "a2", "a3", "a4", "a6", "to_source", "from_source")
+    __slots__ = ("tower", "a1", "a2", "a3", "a4", "a6", "to_source", "from_source", "_torsion")
 
     def __init__(self, tower, a_invariants, to_source, from_source=None):
         self.tower = tower
@@ -53,6 +58,7 @@ class WeierstrassModel:
             from_source = mat3_adjugate(to_source)
         self.to_source = to_source
         self.from_source = from_source
+        self._torsion = {}
 
     # -- the model as a projective curve --------------------------------------
 
@@ -385,7 +391,7 @@ def curve_y_solutions(model, x0):
     return [(x0, y) for y in ys]
 
 
-def rational_points_of_order(model, n, found=None):
+def rational_points_of_order(model, n):
     """All model points of exact order n with rational coordinates, in x order.
 
     A point of exact order n is the sum of its parts of exact order q^k, one
@@ -397,13 +403,14 @@ def rational_points_of_order(model, n, found=None):
     one rational point of each exact order q^k, found the same way, in
     increasing order.  Every candidate x gives its points through
     ``curve_y_solutions``, and each is checked on the curve and for exact
-    order n by multiplication.  ``found``, a dict from order to these lists,
-    is read and filled, so that no order is searched for twice.
+    order n by multiplication.  The list is kept in the model's table, which
+    every call reads first, so that no order is searched for twice on one
+    model; callers share it and do not change it.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    if found is not None and n in found:
-        return found[n]
+    if n in model._torsion:
+        return model._torsion[n]
     parts = prime_powers(n)
     if len(parts) == 1:
         div = DivisionPolynomials(model)
@@ -412,7 +419,7 @@ def rational_points_of_order(model, n, found=None):
     else:
         sums = [None]
         for q, k in parts:
-            of_qk = rational_points_of_order(model, q**k, found)
+            of_qk = rational_points_of_order(model, q**k)
             sums = [model.add(s, pt) for s in sums for pt in of_qk]
         xs = sorted({s[0].as_rational() for s in sums})
     out = []
@@ -422,8 +429,7 @@ def rational_points_of_order(model, n, found=None):
                 continue
             if model.order(pt, n) == n:
                 out.append(pt)
-    if found is not None:
-        found[n] = out
+    model._torsion[n] = out
     return out
 
 

@@ -66,8 +66,7 @@ def test_backend_agreement_over_the_search_box():
     entry = catalog_entry("90c3").build(64)
     for r in (4, 12):
         tw, e, p, q = bigon_points(entry, r)
-        c1, c2 = bigon_conics(e, p, q)
-        spec, _ = bigon_spec(e, p, q, c1, c2, r, with_line=True)
+        spec = bigon_spec(e, p, q, r, with_line=True)
         for w in weight_vectors(spec.k, spec.weight_box()):
             assert torsion_order(spec, w) == geometric_order(spec, w), w
 
@@ -88,9 +87,8 @@ def _bigon_specs():
     specs = []
     for r in (4, 12):
         _tw, e, p, q = bigon_points(entry, r)
-        c1, c2 = bigon_conics(e, p, q)
         for with_line in (True, False):
-            specs.append(bigon_spec(e, p, q, c1, c2, r, with_line=with_line)[0])
+            specs.append(bigon_spec(e, p, q, r, with_line=with_line))
     return specs
 
 
@@ -131,8 +129,7 @@ def _relabelled_r12_line_spec(coords):
     replaced by ``coords``."""
     entry = catalog_entry("90c3").build(64)
     tw, e, p, q = bigon_points(entry, 12)
-    c1, c2 = bigon_conics(e, p, q)
-    spec, _ = bigon_spec(e, p, q, c1, c2, 12, with_line=True)
+    spec = bigon_spec(e, p, q, 12, with_line=True)
     line, pair = spec.components
     relabelled = ComponentData(pair.degree, pair.m, pair.divisor, TorsionClass(12, coords))
     return ArrangementSpec(3, [line, relabelled], structure=e)

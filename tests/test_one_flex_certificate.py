@@ -1,8 +1,9 @@
 """One flex certificate: every stated flex is a structure's origin.
 
-``catalog.fermat_offline_flexes`` certifies its six stated Fermat flexes by
-building ``EllipticStructure(cubic, p)`` for each and reads the tangent off
-the structure; the cubic's smoothness is already kept on the curve, so each
+``catalog.fermat_offline_flexes`` yields its six stated Fermat flexes,
+building ``EllipticStructure(cubic, p)`` for each as it is reached, and
+reads the tangent off the structure; the cubic's smoothness is already kept
+on the curve, so each
 flex costs one gradient, one residual and one comparison.  A stated point
 off the cubic raises LineNotIncident, and one whose tangent is not maximal
 raises WrongFlex.  The AST scans of ``test_one_backend`` find no second
@@ -44,7 +45,7 @@ def test_one_call_counts(monkeypatch, fermat_data):
     monkeypatch.setattr(TowerElement, "__mul__", mul)
     monkeypatch.setattr(TowerElement, "__rmul__", mul)
     monkeypatch.setattr(TowerElement, "is_zero", counted("zero tests", TowerElement.is_zero))
-    flexes = fermat_offline_flexes(fermat_data)
+    flexes = list(fermat_offline_flexes(fermat_data))
     assert len(flexes) == 6
     assert 0 < count["products"] <= 133
     assert 0 < count["zero tests"] <= 51
@@ -62,7 +63,7 @@ def test_a_stated_point_off_the_cubic_is_refused(fermat_data):
     # w = 2 states [-1:0:2] third, and -1 + 8 is not 0
     data = dict(fermat_data, w=fermat_data["tower"].rational(2))
     with pytest.raises(LineNotIncident):
-        fermat_offline_flexes(data)
+        list(fermat_offline_flexes(data))
 
 
 def test_a_stated_point_that_is_not_a_flex_is_refused(fermat_data):
@@ -71,7 +72,7 @@ def test_a_stated_point_that_is_not_a_flex_is_refused(fermat_data):
     cubic = PlaneCurve(tower, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (2, 1, 0): 1})
     data = dict(fermat_data, structure=SimpleNamespace(cubic=cubic))
     with pytest.raises(WrongFlex):
-        fermat_offline_flexes(data)
+        list(fermat_offline_flexes(data))
 
 
 def test_the_folded_layers_are_not_defined():

@@ -793,7 +793,7 @@ def distinguished_pairs():
     """(spec1, spec2, admissible) for every pair thm-main1, thm-main2 and
     clubsuit-d2 distinguish, each spec rebuilt from its components alone
     so that the lattice step runs on it."""
-    from maxflex.catalog import bigon_conics, bigon_points, bigon_spec, catalog_entry
+    from maxflex.catalog import bigon_points, bigon_spec, catalog_entry
     from maxflex.reproductions import abstract_tangent_triangle_specs, abstract_triangle_specs
 
     s1, s2, s3 = abstract_triangle_specs()
@@ -803,7 +803,7 @@ def distinguished_pairs():
     entry = catalog_entry("90c3").build(64)
     for r in (4, 12):
         _tw, e, p, q = bigon_points(entry, r)
-        spec, _ = bigon_spec(e, p, q, *bigon_conics(e, p, q), r, with_line=True)
+        spec = bigon_spec(e, p, q, r, with_line=True)
         lines.append(ArrangementSpec(spec.d0, spec.components))
     return [
         (s1, s2, swap),
@@ -873,14 +873,14 @@ def test_a_pair_with_a_cubic_keeps_the_search_route(monkeypatch):
     # the r = 12 line-augmented bi-gon against a fresh build of itself: the
     # two are isomorphic, but the orders are read through the verified
     # class -> point map, so the lattice step is not taken
-    from maxflex.catalog import bigon_conics, bigon_points, bigon_spec, catalog_entry
+    from maxflex.catalog import bigon_points, bigon_spec, catalog_entry
 
     def refuse(*args):
         raise AssertionError("lattice step taken")
 
     entry = catalog_entry("90c3").build(64)
     _tw, e, p, q = bigon_points(entry, 12)
-    spec1, spec2 = (bigon_spec(e, p, q, *bigon_conics(e, p, q), 12, with_line=True)[0] for _ in range(2))
+    spec1, spec2 = (bigon_spec(e, p, q, 12, with_line=True) for _ in range(2))
     assert torsion._isomorphism(spec1, spec2, [(0, 1)]) is not None
     monkeypatch.setattr(torsion, "_isomorphism", refuse)
     cert = distinguish(spec1, spec2, [(0, 1)])

@@ -316,13 +316,13 @@ def test_residual_refuses_points_off_the_line_or_cubic_and_non_tangents():
     line = line_through(P, Q)
     # the chord through P and Q is not tangent at P, so 2P is no divisor on it
     with pytest.raises(LineNotIncident, match="not tangent"):
-        line_cubic_residual(e, line, P, P)
+        line_cubic_residual(e.cubic, line, P, P)
     with pytest.raises(LineNotIncident, match="off the line"):
-        line_cubic_residual(e, line, P, ec_mul(e, 2, P))
+        line_cubic_residual(e.cubic, line, P, ec_mul(e, 2, P))
     off = ProjPoint(QQ, [a + b for a, b in zip(P.coords, Q.coords)])
     assert line.contains(off) and not e.cubic.contains(off)
     with pytest.raises(LineNotIncident, match="off the cubic"):
-        line_cubic_residual(e, line, P, off)
+        line_cubic_residual(e.cubic, line, P, off)
 
 
 # -- rational torsion one prime power at a time, orders by prime descent -------
