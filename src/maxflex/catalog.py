@@ -117,7 +117,9 @@ def fermat_triangle(data):
         raise WrongOrder("trisection produced no verified triangle seed")
     branch, seed = found[0]
     m = model.embedded(branch)
-    verts = tuple(m.point_to_source(v) for v in (seed, m.mul(-2, seed), m.mul(4, seed)))
+    # the vertices seed, -2 seed and 4 seed = -2 (-2 seed): two doublings
+    second = m.mul(-2, seed)
+    verts = tuple(m.point_to_source(v) for v in (seed, second, m.mul(-2, second)))
     eb = e.embedded(branch)
     lines = tuple(tangent_line(eb.cubic, v) for v in verts)
     assoc = ec_mul(eb, 3, verts[0])

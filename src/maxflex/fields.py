@@ -6,33 +6,41 @@ proceeds as if every level were a field; when an inversion meets a zero
 divisor the offending factor is reported via ZeroDivisorEncountered and the
 caller splits the tower on it (dynamic evaluation).
 
-Element representation: an element of a tower of height h is a "rep", a
-pair (den, Z) at every height: den is a positive int, and Z holds integer
-numerators, a plain int at height 0 and at height k >= 1 a tuple of deg(f_k)
-entries of the shape one level down.  The value is Z / den at height 0, and
-above it the residue polynomial in the generators (lowest degree first,
-zero-padded) whose coefficients are the entries of Z divided by den.  Reps
-are canonical: residues are reduced and gcd(den, every entry of Z) == 1.
-Fractions only cross the boundary: ``FieldTower.rational`` and the coercions
-take them in, ``as_rational`` and ``rational_coeffs`` hand them out.
+Element representation: an element of a tower of height h is a "rep",
+(den, Z) at heights 0 and 1 and (den, Z, degrees) above: den is a positive
+int, and Z holds the integer numerators, a plain int at height 0 and above
+it one flat tuple of deg(f_1) * ... * deg(f_h) ints, level 1 varying
+fastest.  The coefficient i of level k of numerators at int-height k is the
+slice Z[i*s:(i+1)*s], s the product of the degrees below k, so a value
+constant above level j has a zero tail past its first entries at j.  Above
+height 1 a rep carries ``degrees`` = (deg(f_1), ..., deg(f_h)), one tuple
+shared by its level, so that ``rep_to_data`` can nest it with no tower at
+hand.  The value is Z / den at height 0, and above it the residue
+polynomial in the generators (lowest degree first, zero-padded) whose
+coefficients are the entries of Z divided by den.  Reps are canonical:
+residues are reduced and gcd(den, every entry of Z) == 1.  Fractions only
+cross the boundary: ``FieldTower.rational`` and the coercions take them in,
+``as_rational`` and ``rational_coeffs`` hand them out.
 
-A product is formed in the integers and reduced by each level's modulus with
-its denominators cleared, a pseudo-remainder whose scale is fixed per level,
-then normalised with one gcd.  That reduction is linear, so each coefficient
-of a product sums the unreduced products of the level below, which then
-reduces the sum once: 2d - 1 reductions at a level of degree d, not d^2.  A
-cleared modulus coefficient constant in the levels below is a scaling.  Two
-cases skip work.  A linear level (the trivial level a split leaves) has the
-scale of the level below, so the product of its one entry, and the sums of
-a product above it, pass through; and a rational operand only scales the
-other operand's numerators, which are already reduced.  The numerator
-helpers and the rep arithmetic on them
-(``_z*``, ``_rsum``, ``_rmul``, ``_rinv``) hold no comprehension over their
-locals: on CPython <= 3.11 one makes its function build closure cells on
-every call, even on a branch that never runs it, so they loop or ``map``
-over ``itertools.repeat`` instead (3.12 inlines list comprehensions but still
-builds a generator for ``tuple(genexpr)``).  ``tests/test_no_cells.py`` keeps
-them so.
+A sum, a scaling, a content and an exact division of numerators is one
+``map`` or ``gcd`` over the flat tuple, and a zero test one ``any``, at
+every height.  A product is formed in the integers and reduced by each
+level's modulus with its denominators cleared, a pseudo-remainder whose
+scale is fixed per level, then normalised with one gcd.  That reduction is
+linear, so each coefficient of a product sums the unreduced products of the
+level below, which then reduces the sum once: 2d - 1 reductions at a level
+of degree d, not d^2.  A cleared modulus coefficient constant in the levels
+below is a scaling.  Two cases skip work.  A linear level (the trivial
+level a split leaves) adds no entries: it has the numerators and the scale
+of the level below, so a product at it, and the sums of a product above
+it, are those of that level; and a rational operand only scales the other
+operand's numerators, which are already reduced.  The numerator helpers and
+the rep arithmetic on them (``_z*``, ``_r*``, ``_pl_*``) hold no
+comprehension over their locals: on CPython <= 3.11 one makes its function
+build closure cells on every call, even on a branch that never runs it, so
+they loop or ``map`` over ``itertools.repeat`` instead (3.12 inlines list
+comprehensions but still builds a generator for ``tuple(genexpr)``).
+``tests/test_no_cells.py`` keeps them so.
 
 The element layer tests a tower's identity before its equality: an operand
 of the very same tower object is taken with no comparison of levels, and
@@ -70,9 +78,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mod, mul, sub
 from types import SimpleNamespace
 
 from .errors import BudgetExceeded, DegenerateModulus, ZeroDivisorEncountered, malformed
@@ -107,75 +115,48 @@ class TowerLevel:
 
 
 # ---------------------------------------------------------------------------
-# integer numerators: Z at "int-height" k is an int for k = 0 and a tuple of
-# deg(f_k) numerators at int-height k - 1 otherwise
+# integer numerators: Z at "int-height" k is an int for k = 0 and otherwise a
+# flat tuple of deg(f_1) * ... * deg(f_k) ints, level 1 varying fastest
 # ---------------------------------------------------------------------------
 
 def _zany(Z, k):
     """True when some entry of Z is nonzero."""
-    if k == 0:
-        return Z != 0
-    if k == 1:
-        return any(Z)
-    for z in Z:
-        if _zany(z, k - 1):
-            return True
-    return False
+    return Z != 0 if k == 0 else any(Z)
 
 
-def _zbelow(Z, k, low):
-    """The entries at int-height ``low`` of numerators Z at int-height k that
-    are constant in every level above ``low``, else None."""
-    while k > low:
-        k -= 1
-        for z in Z[1:]:
-            if _zany(z, k):
-                return None
-        Z = Z[0]
-    return Z
+def _zbelow(levels, Z, k, low):
+    """The numerators at int-height ``low`` of Z at int-height k when Z is
+    constant in every level above ``low`` (its entries past them are zero),
+    else None."""
+    if k == low:
+        return Z
+    if low == 0:
+        return None if any(Z[1:]) else Z[0]
+    s = _zlevel(levels, low).size
+    return None if any(Z[s:]) else Z[:s]
 
 
 def _zop(op, A, B, k):
-    if k == 0:
-        return op(A, B)
-    if k == 1:
-        return tuple(map(op, A, B))
-    return tuple(map(_zop, repeat(op), A, B, repeat(k - 1)))
+    return op(A, B) if k == 0 else tuple(map(op, A, B))
 
 
 def _zscale(A, c, k):
     if c == 1:
         return A
-    if k == 0:
-        return A * c
-    if k == 1:
-        return tuple(map(mul, A, repeat(c)))
-    return tuple(map(_zscale, A, repeat(c), repeat(k - 1)))
+    return A * c if k == 0 else tuple(map(mul, A, repeat(c)))
 
 
 def _zcontent(Z, k, g):
     """gcd of g and every entry of Z."""
-    if k == 0:
-        return gcd(g, Z)
-    if k == 1:
-        return gcd(g, *Z)
-    for z in Z:
-        g = _zcontent(z, k - 1, g)
-        if g == 1:
-            break
-    return g
+    return gcd(g, Z) if k == 0 else gcd(g, *Z)
 
 
 def _zdiv(Z, g, k):
-    if k == 0:
-        return Z // g
-    if k == 1:
-        return tuple(map(floordiv, Z, repeat(g)))
-    return tuple(map(_zdiv, Z, repeat(g), repeat(k - 1)))
+    return Z // g if k == 0 else tuple(map(floordiv, Z, repeat(g)))
 
 
 def _znorm(den, Z, k):
-    """The canonical rep of Z / den at height k (den > 0)."""
+    """The canonical (den, Z) of Z / den at int-height k (den > 0)."""
     if den == 1:
         return (1, Z)
     g = _zcontent(Z, k, den)
@@ -184,47 +165,88 @@ def _znorm(den, Z, k):
     return (den // g, _zdiv(Z, g, k))
 
 
+def _zparts(Z, k, d):
+    """The d coefficients in level k of numerators Z at int-height k >= 1,
+    numerators at int-height k - 1: consecutive slices of Z."""
+    if k == 1:
+        return list(Z)
+    return list(zip(*[iter(Z)] * (len(Z) // d)))
+
+
+def _zjoin(parts, k):
+    """The numerators at int-height k >= 1 whose level-k coefficients are
+    ``parts``, numerators at int-height k - 1."""
+    return tuple(parts) if k == 1 else tuple(chain.from_iterable(parts))
+
+
+def _zlscale(r, c, k):
+    """A new list of the numerators in r, at int-height k, each times c."""
+    if c == 1:
+        return list(r)
+    if k == 0:
+        return list(map(mul, r, repeat(c)))
+    return list(map(_zscale, r, repeat(c), repeat(k)))
+
+
+def _zldiv(r, g, k):
+    """A new list of the numerators in r, at int-height k, each divided by g."""
+    if k == 0:
+        return list(map(floordiv, r, repeat(g)))
+    return list(map(_zdiv, r, repeat(g), repeat(k)))
+
+
+def _zlcontent(r, k, g):
+    """gcd of g and every entry of the numerators in r, at int-height k."""
+    return gcd(g, *r) if k == 0 else gcd(g, *chain.from_iterable(r))
+
+
 class _ZLevel:
     """Integer data of level k (1-based) of a tower.
 
-    With D the lcm of the denominators of the modulus coefficients, D times
-    the modulus is ``cleared``: integer numerators N_0 .. N_{d-1} and the
-    leading D, all at int-height k - 1.  Reducing a product of two reduced
-    numerators by it takes d - 1 pseudo-remainder steps, each scaling by
-    ``step`` = D * S_{k-1}, so the reduced product carries the fixed factor
-    ``scale`` = S_k = S_{k-1} * step^(d-1), with S_0 = 1.  ``terms`` pairs
-    each t < d with N_t != 0 with its multiplier: N_t, or the int c S_{k-1}
-    when N_t is a constant c in the levels below, since a product by it is a
-    scaling.  ``frame`` is the level's unit certificate frame, built on first
-    use by ``_unit_frame``.
+    Numerators at int-height k are ``size`` = deg(f_1) ... deg(f_k) ints,
+    and a rep at height k >= 2 carries ``degrees`` = (deg(f_1), ...,
+    deg(f_k)), the one tuple of this level.  With D the lcm of the
+    denominators of the modulus coefficients, D times the modulus is
+    ``cleared``: integer numerators N_0 .. N_{d-1} and the leading D, all at
+    int-height k - 1.  Reducing a product of two reduced numerators by it
+    takes d - 1 pseudo-remainder steps, each scaling by ``step`` =
+    D * S_{k-1}, so the reduced product carries the fixed factor ``scale`` =
+    S_k = S_{k-1} * step^(d-1), with S_0 = 1.  ``terms`` pairs each t < d
+    with N_t != 0 with its multiplier: N_t, or the int c S_{k-1} when N_t is
+    a constant c in the levels below, since a product by it is a scaling.
+    ``frame`` is the level's unit certificate frame, built on first use by
+    ``_unit_frame``.
     """
 
-    __slots__ = ("degree", "cleared", "terms", "step", "scale", "zero", "one", "frame")
+    __slots__ = ("degree", "size", "degrees", "cleared", "terms", "step", "scale", "zero",
+                 "one", "frame")
 
     def __init__(self, levels, k):
         self.frame = _UNBUILT
-        mod = levels[k - 1].modulus
-        d = len(mod) - 1
+        modulus = levels[k - 1].modulus
+        d = len(modulus) - 1
         below = _zlevel(levels, k - 1)
-        D = lcm(*(c[0] for c in mod))
-        N = [_zscale(c[1], D // c[0], k - 1) for c in mod[:d]]
+        D = lcm(*(c[0] for c in modulus))
+        N = [_zscale(c[1], D // c[0], k - 1) for c in modulus[:d]]
         self.degree = d
+        self.size = below.size * d
+        self.degrees = below.degrees + (d,)
         self.cleared = tuple(N) + (_zscale(below.one, D, k - 1),)
         terms = []
         for t, n in enumerate(N):
             if _zany(n, k - 1):
-                c = _zbelow(n, k - 1, 0)
+                c = _zbelow(levels, n, k - 1, 0)
                 terms.append((t, n if c is None else c * below.scale))
         self.terms = tuple(terms)
         self.step = D * below.scale
         self.scale = below.scale * self.step ** (d - 1)
-        self.zero = (below.zero,) * d
-        self.one = (below.one,) + (below.zero,) * (d - 1)
+        self.zero = (0,) * self.size
+        self.one = (1,) + self.zero[1:]
 
 
 #: The integer data of Q, the base of every tower: numerators at int-height 0
 #: are plain ints, and a product over Q needs no reduction.
-_ZQ = SimpleNamespace(scale=1, zero=0, one=1)
+_ZQ = SimpleNamespace(scale=1, zero=0, one=1, size=1, degrees=())
 
 
 def _zlevel(levels, k):
@@ -243,52 +265,51 @@ def _zmul(levels, k, A, B):
     level's fixed ``scale``."""
     if k == 0:
         return A * B
-    if k > 1 and levels[k - 1].degree == 1:
-        # a linear level has the scale of the one below: nothing to reduce
-        return (_zmul(levels, k - 1, A[0], B[0]),)
+    if k == 1:
+        return _zreduce(levels, 1, _zz_mul(A, B))
+    if levels[k - 1].degree == 1:
+        # a linear level has the numerators and the scale of the one below
+        return _zmul(levels, k - 1, A, B)
     return _zreduce(levels, k, _zraw(levels, k, A, B))
 
 
 def _zraw(levels, k, A, B):
-    """The product of numerators A and B at int-height k >= 1 before level k
+    """The product of numerators A and B at int-height k >= 2 before level k
     reduces it: 2d - 1 numerators at int-height k - 1, each reduced below.
     A reduction is linear, so each of them sums the raw products of level
     k - 1 and is reduced once: 2d - 1 reductions at level k - 1, not d^2.
-    A linear level below k reduces nothing: the sums pass through it as
-    those of its one entries, reduced at the level ``low`` below it.
-    The integer sums at level 1 add up in place."""
-    if k == 1:
-        return _zz_mul(A, B)
+    A linear level below k has the numerators of the level ``low`` below
+    it, so the sums are reduced there.  The integer sums at level 1 add up
+    in place."""
+    d = levels[k - 1].degree
     low = k - 1
     while low > 1 and levels[low - 1].degree == 1:
         low -= 1
-        A = tuple(map(itemgetter(0), A))
-        B = tuple(map(itemgetter(0), B))
-    sums = [None] * (len(A) + len(B) - 1)
+    sums = [None] * (2 * d - 1)
     nonzero_b = []
-    for j, y in enumerate(B):
-        if _zany(y, low):
+    for j, y in enumerate(_zparts(B, k, d)):
+        if any(y):
             nonzero_b.append((j, y))
-    for i, x in enumerate(A):
-        if _zany(x, low):
+    for i, x in enumerate(_zparts(A, k, d)):
+        if any(x):
             for j, y in nonzero_b:
                 s = sums[i + j]
                 if low == 1:
                     sums[i + j] = _zz_mul(x, y, s)
                 else:
                     p = _zraw(levels, low, x, y)
-                    sums[i + j] = p if s is None else _zop(add, s, p, low)
+                    sums[i + j] = p if s is None else list(map(_zop, repeat(add), s, p,
+                                                               repeat(low - 1)))
     zero = _zlevel(levels, low).zero
     for n, s in enumerate(sums):
         sums[n] = zero if s is None else _zreduce(levels, low, s)
-    for _ in range(k - 1 - low):
-        sums = list(zip(sums))  # each sum back in a linear level's 1-tuple
     return sums
 
 
 def _zreduce(levels, k, P):
     """2d - 1 numerators P at int-height k - 1, a raw product, reduced by
-    level k's cleared modulus: d numerators, times ``step^(d - 1)``."""
+    level k's cleared modulus: the numerators at int-height k of its d
+    remaining coefficients, times ``step^(d - 1)``."""
     zl = _zlevel(levels, k)
     d = zl.degree
     step = zl.step
@@ -310,7 +331,7 @@ def _zreduce(levels, k, P):
     for n in range(2 * d - 2, d - 1, -1):
         c = _zscale(P.pop(), step ** (done - seen[n]), low)
         done += 1
-        if _zany(c, low):
+        if any(c):
             for t, m in zl.terms:
                 i = n - d + t
                 caught_up = _zscale(P[i], step ** (done - seen[i]), low)
@@ -319,7 +340,7 @@ def _zreduce(levels, k, P):
                 seen[i] = done
     for i, p in enumerate(P):
         P[i] = _zscale(p, step ** (done - seen[i]), low)
-    return tuple(P)
+    return _zjoin(P, k)
 
 
 def _zz_trim(v):
@@ -378,10 +399,10 @@ def _zeuclid(levels, k, r0, r1, cofactor):
     pseudo-division.
     """
     zl = _zlevel(levels, k)
-    S, h = zl.scale, k + 1
-    c = _zcontent(r1, h, 0)
+    S = zl.scale
+    c = _zlcontent(r1, k, 0)
     if c > 1:
-        r1 = list(_zdiv(r1, c, h))
+        r1 = _zldiv(r1, c, k)
     s0, l0, s1, l1 = [], 1, [zl.one], c
     inv = None
     while len(r1) > 1:
@@ -389,7 +410,7 @@ def _zeuclid(levels, k, r0, r1, cofactor):
             q, r = _zz_pseudo_divmod(r0, r1)
             w = r1[-1] ** len(q)
         else:
-            inv = _rinv(levels, k, (1, r1[-1]))
+            inv = _rinv(levels, k, _rep(levels, k, 1, r1[-1]))
             # with T the top of r, T / lc(r1) = C / (di S) for C = T * inv * S,
             # so m = di S^2 scales r, and each step cancels r's top exactly
             m = inv[0] * S * S
@@ -398,29 +419,29 @@ def _zeuclid(levels, k, r0, r1, cofactor):
                 top = r.pop()
                 if _zany(top, k):
                     C = _zmul(levels, k, top, inv[1])
-                    r, q, w = list(_zscale(r, m, h)), list(_zscale(q, m, h)), w * m
+                    r, q, w = _zlscale(r, m, k), _zlscale(q, m, k), w * m
                     q[j] = C
                     for t, y in enumerate(r1[:-1]):
                         r[j + t] = _zop(sub, r[j + t], _zmul(levels, k, C, y), k)
         r = _ztrim(r, k)
         if not r:
             break
-        cr = _zcontent(r, h, 0)
+        cr = _zlcontent(r, k, 0)
         if cofactor:
             # r = w r0 - S q r1 (S = 1 at k = 0), so l0 l1 r = s A for
             # s = l1 w s0 - l0 q s1, the products q s1 carrying the factor S
-            s = list(_zscale(s0, l1 * w, h)) + [zl.zero] * (len(q) + len(s1) - 1 - len(s0))
+            s = _zlscale(s0, l1 * w, k) + [zl.zero] * (len(q) + len(s1) - 1 - len(s0))
             for i, x in enumerate(q):
                 if _zany(x, k):
                     x = _zscale(x, l0, k)
                     for j, y in enumerate(s1):
                         s[i + j] = _zop(sub, s[i + j], _zmul(levels, k, x, y), k)
             lam = l0 * l1 * cr
-            g = _zcontent(s, h, lam)
-            s0, l0, s1, l1 = s1, l1, list(_zdiv(s, g, h)) if g > 1 else s, lam // g
-        r0, r1, inv = r1, list(_zdiv(r, cr, h)) if cr > 1 else r, None
+            g = _zlcontent(s, k, lam)
+            s0, l0, s1, l1 = s1, l1, _zldiv(s, g, k) if g > 1 else s, lam // g
+        r0, r1, inv = r1, _zldiv(r, cr, k) if cr > 1 else r, None
     if inv is None:
-        inv = _rinv(levels, k, (1, r1[-1]))
+        inv = _rinv(levels, k, _rep(levels, k, 1, r1[-1]))
     return r1, inv, (s1, l1)
 
 
@@ -428,7 +449,11 @@ def _zmonic(levels, k, g, inv):
     """The monic polynomial, as reps at height k, of numerators g whose leading
     coefficient has the inverse rep ``inv``."""
     den = inv[0] * _zlevel(levels, k).scale
-    return [_znorm(den, _zmul(levels, k, x, inv[1]), k) for x in g[:-1]] + [_rone(levels, k)]
+    out = []
+    for x in g[:-1]:
+        out.append(_rnorm(levels, k, den, _zmul(levels, k, x, inv[1])))
+    out.append(_rone(levels, k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +509,21 @@ def _gf_root(f, p):
     return -h[0] % p if len(h) == 2 else None
 
 
-def _gf_eval(Z, point, p):
-    """The image in GF(p) of numerators Z at int-height len(point)."""
-    if isinstance(Z, int):
-        return Z % p
-    acc = 0
-    for z in reversed(Z):
-        acc = (acc * point[-1] + _gf_eval(z, point[:-1], p)) % p
-    return acc
+def _gf_eval(levels, Z, point, p):
+    """The images in GF(p) of the coefficients of numerators Z in level
+    len(point) + 1, the generators of the levels below sent to ``point``:
+    each level in turn, lowest first, folds its runs of deg(f) entries."""
+    vals = [Z] if type(Z) is int else list(Z)
+    for lv, x in zip(levels, point):
+        d = lv.degree
+        out = []
+        for i in range(0, len(vals), d):
+            acc = 0
+            for v in reversed(vals[i:i + d]):
+                acc = (acc * x + v) % p
+            out.append(acc)
+        vals = out
+    return list(map(mod, vals, repeat(p)))
 
 
 def _unit_frame(levels, top):
@@ -511,7 +543,9 @@ def _frame_at(levels, top, p):
     ``top`` or a lower modulus has no root at the point taken so far."""
     point = ()
     for k in range(1, top + 1):
-        image = [_gf_eval(n, point, p) for n in _zlevel(levels, k).cleared]
+        image = []
+        for n in _zlevel(levels, k).cleared:
+            image += _gf_eval(levels, n, point, p)
         if image[-1] == 0:
             return None
         if k == top:
@@ -526,58 +560,87 @@ def _certified_unit(levels, rep):
     """True when a structurally nonzero rep is proved a unit mod p (the
     argument is in the module docstring); False when unproved."""
     h = len(levels)
-    Z = rep[1]
     while h > 1 and levels[h - 1].degree == 1:
-        h -= 1
-        Z = Z[0]
+        h -= 1  # a linear level has the numerators of the one below
     frame = _unit_frame(levels, h)
     if frame is None:
         return False
     p, point, M = frame
-    return len(_gf_gcd(M, _zz_trim([_gf_eval(z, point, p) for z in Z]), p)) == 1
+    return len(_gf_gcd(M, _zz_trim(_gf_eval(levels, rep[1], point, p)), p)) == 1
 
 
 # ---------------------------------------------------------------------------
-# rep arithmetic, recursive on the height
+# rep arithmetic: (den, Z) at heights 0 and 1, (den, Z, degrees) above
 # ---------------------------------------------------------------------------
+
+def _rep(levels, h, den, Z):
+    """The rep at height h of canonical numerators Z over den: the pair at
+    heights 0 and 1, and above them the pair followed by the level degrees."""
+    return (den, Z) if h < 2 else (den, Z, _zlevel(levels, h).degrees)
+
+
+def _rnorm(levels, h, den, Z):
+    """The canonical rep at height h of Z / den (den > 0)."""
+    den, Z = _znorm(den, Z, h)
+    return _rep(levels, h, den, Z)
+
 
 def _rzero(levels, h):
-    return (1, _zlevel(levels, h).zero)
+    zl = _zlevel(levels, h)
+    return (1, zl.zero) if h < 2 else (1, zl.zero, zl.degrees)
 
 
 def _rone(levels, h):
-    return (1, _zlevel(levels, h).one)
+    zl = _zlevel(levels, h)
+    return (1, zl.one) if h < 2 else (1, zl.one, zl.degrees)
 
 
 def _rfrom_rational(levels, h, q):
     """The rep at height h of a rational q given by its integer
     ``numerator`` and ``denominator``."""
     rep = (q.denominator, q.numerator)
-    for k in range(h):
-        rep = _lift(levels, k, rep)
-    return rep
+    return rep if h == 0 else _lift(levels, 0, rep, h)
 
 
-def _lift(levels, k, rep):
-    """A rep at height k as the constant residue at height k + 1."""
-    pad = levels[k].degree - 1
-    return (rep[0], (rep[1],) + (_zlevel(levels, k).zero,) * pad)
+def _lift(levels, k, rep, h):
+    """A rep at height k as the constant residue at height h >= k: its
+    numerators followed by zeros."""
+    if h == k:
+        return rep
+    Z = rep[1]
+    if k == 0:
+        Z = (Z,)
+    zl = _zlevel(levels, h)
+    Z += zl.zero[len(Z):]
+    return (rep[0], Z) if h < 2 else (rep[0], Z, zl.degrees)
 
 
 def _coeffs(rep, h):
-    """The residue coefficients of a rep at height h >= 1, as reps at h - 1."""
-    den, Z = rep
-    return [_znorm(den, z, h - 1) for z in Z]
+    """The residue coefficients of a rep at height h >= 1, as reps at h - 1,
+    read off the rep's own level degrees."""
+    den, Z = rep[0], rep[1]
+    if h == 1:
+        return list(map(_znorm, repeat(den), Z, repeat(0)))
+    degrees = rep[2]
+    below = degrees[:-1]
+    out = []
+    for z in _zparts(Z, h, degrees[-1]):
+        n, z = _znorm(den, z, h - 1)
+        out.append((n, z) if h == 2 else (n, z, below))
+    return out
 
 
 def _join(levels, h, coeffs):
     """The rep at height h >= 1 with the given residue coefficients (reps at
     height h - 1), zero-padded or cut to the level's degree."""
-    d = levels[h - 1].degree
-    coeffs = coeffs[:d]
-    den = lcm(*(c[0] for c in coeffs))
-    Z = [_zscale(c[1], den // c[0], h - 1) for c in coeffs]
-    return (den, tuple(Z) + (_zlevel(levels, h - 1).zero,) * (d - len(Z)))
+    zl = _zlevel(levels, h)
+    coeffs = coeffs[: zl.degree]
+    den = lcm(*map(itemgetter(0), coeffs))
+    parts = []
+    for c in coeffs:
+        parts.append(_zscale(c[1], den // c[0], h - 1))
+    Z = _zjoin(parts, h)
+    return _rep(levels, h, den, Z + zl.zero[len(Z):])
 
 
 def _is_szero(rep, h):
@@ -586,18 +649,20 @@ def _is_szero(rep, h):
 
 
 def _rsum(a, b, h, op):
-    da, A = a
-    db, B = b
+    da, db = a[0], b[0]
     if da == db:
-        return _znorm(da, _zop(op, A, B, h), h)
-    g = gcd(da, db)
-    Z = _zop(op, _zscale(A, db // g, h), _zscale(B, da // g, h), h)
-    if g == 1:
-        return (da * db, Z)
-    # a prime outside g divides one denominator only and cannot divide
-    # every entry of Z, so the content to remove divides g
-    g2 = _zcontent(Z, h, g)
-    return (da // g * (db // g2), _zdiv(Z, g2, h) if g2 > 1 else Z)
+        rep = _znorm(da, _zop(op, a[1], b[1], h), h)
+    else:
+        g = gcd(da, db)
+        Z = _zop(op, _zscale(a[1], db // g, h), _zscale(b[1], da // g, h), h)
+        if g == 1:
+            rep = (da * db, Z)
+        else:
+            # a prime outside g divides one denominator only and cannot
+            # divide every entry of Z, so the content to remove divides g
+            g2 = _zcontent(Z, h, g)
+            rep = (da // g * (db // g2), _zdiv(Z, g2, h) if g2 > 1 else Z)
+    return rep if h < 2 else (rep[0], rep[1], a[2])
 
 
 def _radd(levels, h, a, b):
@@ -605,7 +670,8 @@ def _radd(levels, h, a, b):
 
 
 def _rneg(levels, h, a):
-    return (a[0], _zscale(a[1], -1, h))
+    Z = _zscale(a[1], -1, h)
+    return (a[0], Z) if h < 2 else (a[0], Z, a[2])
 
 
 def _rsub(levels, h, a, b):
@@ -617,12 +683,14 @@ def _rmul(levels, h, a, b):
     if h == 0:
         return _znorm(den, a[1] * b[1], 0)
     # a rational operand scales the other, which is already reduced
-    n, other = _zbelow(a[1], h, 0), b[1]
+    n, other = _zbelow(levels, a[1], h, 0), b[1]
     if n is None:
-        n, other = _zbelow(b[1], h, 0), a[1]
+        n, other = _zbelow(levels, b[1], h, 0), a[1]
     if n is not None:
-        return _znorm(den, _zscale(other, n, h), h)
-    return _znorm(den * _zlevel(levels, h).scale, _zmul(levels, h, a[1], b[1]), h)
+        rep = _znorm(den, _zscale(other, n, h), h)
+    else:
+        rep = _znorm(den * _zlevel(levels, h).scale, _zmul(levels, h, a[1], b[1]), h)
+    return rep if h < 2 else (rep[0], rep[1], a[2])
 
 
 def _rinv(levels, h, a):
@@ -632,20 +700,24 @@ def _rinv(levels, h, a):
         if num == 0:
             raise ZeroDivisionError("inverting zero")
         return (num, den) if num > 0 else (-num, -den)
-    if levels[h - 1].degree == 1 or _zbelow(a[1], h, h - 1) is not None:
-        # a linear level, or a value constant in it: invert the one coefficient
-        return _lift(levels, h - 1, _rinv(levels, h - 1, _znorm(a[0], a[1][0], h - 1)))
-    # s A = l g modulo the cleared modulus, g a constant unless A is a zero divisor
     k = h - 1
+    c = _zbelow(levels, a[1], h, k)
+    if c is not None:
+        # a value constant in its level, as every value at a linear level
+        # is: invert the one coefficient (the entries dropped are zero, so
+        # its rep is canonical)
+        return _lift(levels, k, _rinv(levels, k, _rep(levels, k, a[0], c)), h)
+    # s A = l g modulo the cleared modulus, g a constant unless A is a zero divisor
     zl, below = _zlevel(levels, h), _zlevel(levels, k)
-    den, A = a
-    g, inv, (s, l) = _zeuclid(levels, k, list(zl.cleared), _ztrim(list(A), k), True)
+    den = a[0]
+    A = _ztrim(_zparts(a[1], h, zl.degree), k)
+    g, inv, (s, l) = _zeuclid(levels, k, list(zl.cleared), A, True)
     if len(g) > 1:
         raise ZeroDivisorEncountered(k, _zmonic(levels, k, g, inv))
     Z = [below.zero] * zl.degree
     for i, x in enumerate(s):
         Z[i] = _zscale(_zmul(levels, k, x, inv[1]), den, k)
-    return _znorm(l * inv[0] * below.scale, tuple(Z), h)
+    return _rnorm(levels, h, l * inv[0] * below.scale, _zjoin(Z, h))
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +744,7 @@ def _pl_add(levels, h, A, B):
 
 
 def _pl_sub(levels, h, A, B):
-    return _pl_add(levels, h, A, [_rneg(levels, h, b) for b in B])
+    return _pl_add(levels, h, A, list(map(_rneg, repeat(levels), repeat(h), B)))
 
 
 def _pl_mul(levels, h, A, B):
@@ -688,7 +760,7 @@ def _pl_mul(levels, h, A, B):
 
 
 def _pl_scale(levels, h, A, c):
-    return _pl_trim([_rmul(levels, h, a, c) for a in A], h)
+    return _pl_trim(list(map(_rmul, repeat(levels), repeat(h), A, repeat(c))), h)
 
 
 def _pl_divmod(levels, h, A, B):
@@ -732,8 +804,11 @@ def _pl_gcd(levels, h, A, B):
         return []
     cleared = []
     for P in (A, B):
-        den = lcm(*(c[0] for c in P))
-        cleared.append([_zscale(c[1], den // c[0], h) for c in P])
+        den = lcm(*map(itemgetter(0), P))
+        nums = []
+        for c in P:
+            nums.append(_zscale(c[1], den // c[0], h))
+        cleared.append(nums)
     g, inv, _ = _zeuclid(levels, h, *cleared, False)
     return _zmonic(levels, h, g, inv)
 
@@ -761,8 +836,8 @@ class FieldTower:
 
     The empty tower is Q itself.  Extensions are appended with ``extend``;
     ``branches_for`` trades a tower whose modulus turned out reducible for
-    the branch towers.  All element values are plain nested tuples, so
-    sharing across threads is safe.
+    the branch towers.  All element values are plain tuples, so sharing
+    across threads is safe.
     """
 
     __slots__ = ("levels", "height", "degree_cap", "_hash")
@@ -822,9 +897,7 @@ class FieldTower:
             # degree-1 level from a split: the generator equals -constant term
             coeffs = [_rneg(self.levels, index, lv.modulus[0])]
         rep = _join(self.levels, index + 1, coeffs)
-        for k in range(index + 1, self.height):
-            rep = _lift(self.levels, k, rep)
-        return TowerElement(self, rep)
+        return TowerElement(self, _lift(self.levels, index + 1, rep, self.height))
 
     def element(self, rep):
         return TowerElement(self, rep)
@@ -888,8 +961,8 @@ class FieldTower:
             for upper in self.levels[level_index + 1 :]:
                 # each upper modulus is a rep at its own level's height
                 src = self.levels[: len(levels)]
-                mod = tuple(_moved_reps(src, levels, upper.modulus))
-                levels += (TowerLevel(upper.name, mod, upper.irreducible, split_from=upper),)
+                moved = tuple(_moved_reps(src, levels, upper.modulus))
+                levels += (TowerLevel(upper.name, moved, upper.irreducible, split_from=upper),)
             branches.append(FieldTower(levels, self.degree_cap))
         return branches[0], branches[1]
 
@@ -954,16 +1027,14 @@ def _moved_reps(src, dst, reps):
     n = len(src)
     low = n
     if dst[:n] != src:
-        split = [k for k in range(min(n, len(dst))) if dst[k] != src[k]]
-        if len(dst) < n or not all(_descends(dst[k], src[k]) for k in split):
+        pairs = list(zip(dst, src))
+        split = [k for k, (a, b) in enumerate(pairs) if a != b]
+        if len(dst) < n or not all(_descends(a, b) for a, b in pairs if a != b):
             raise ValueError("towers are not prefix-compatible")
         low = split[0]
     out = []
     for rep in reps:
-        rep = _reduced_rep(dst, rep, n, low)
-        for k in range(n, len(dst)):
-            rep = _lift(dst, k, rep)
-        out.append(rep)
+        out.append(_lift(dst, n, _reduced_rep(dst, rep, n, low), len(dst)))
     return out
 
 
@@ -972,7 +1043,7 @@ def _reduced_rep(dst, rep, h, low):
     over the destination levels ``dst``."""
     if h == low:
         return rep
-    coeffs = [_reduced_rep(dst, c, h - 1, low) for c in _coeffs(rep, h)]
+    coeffs = list(map(_reduced_rep, repeat(dst), _coeffs(rep, h), repeat(h - 1), repeat(low)))
     return _join(dst, h, _pl_divmod(dst, h - 1, coeffs, dst[h - 1].modulus)[1])
 
 
@@ -1137,10 +1208,10 @@ class TowerElement:
         Succeeds exactly when every residue above the prefix is structurally
         constant, i.e. the value already lives in the prefix tower.
         """
-        den, Z = self.rep
-        Z = _zbelow(Z, self.tower.height, base_height)
-        # the entries dropped are zero, so (den, Z) is still canonical
-        return None if Z is None else (den, Z)
+        levels = self.tower.levels
+        Z = _zbelow(levels, self.rep[1], len(levels), base_height)
+        # the entries dropped are zero, so the rep is still canonical
+        return None if Z is None else _rep(levels, base_height, self.rep[0], Z)
 
 
 def _eliminate_top_level(p):
@@ -1335,11 +1406,21 @@ def with_splitting(tower, fn, base_height=0):
 # ---------------------------------------------------------------------------
 
 def rep_to_data(rep):
-    den, Z = rep
-    if isinstance(Z, int):
+    """A rep as nested lists, one list per level, of "p/q" strings; a rep
+    above height 1 is nested by its own level degrees."""
+    den, Z = rep[0], rep[1]
+    if type(Z) is int:
         den, Z = _znorm(den, Z, 0)
         return "%d/%d" % (Z, den)
-    return [rep_to_data((den, z)) for z in Z]
+    return _nested_data(den, Z, rep[2] if len(rep) > 2 else (len(Z),))
+
+
+def _nested_data(den, Z, degrees):
+    """``rep_to_data`` of flat numerators Z over den at the level degrees."""
+    if len(degrees) == 1:
+        return list(map(rep_to_data, zip(repeat(den), Z)))
+    parts = _zparts(Z, len(degrees), degrees[-1])
+    return list(map(_nested_data, repeat(den), parts, repeat(degrees[:-1])))
 
 
 def rep_from_data(levels, h, data):
@@ -1352,4 +1433,4 @@ def rep_from_data(levels, h, data):
                         % (data,))
     if h == 0:
         raise ValueError("nested coefficient list at the rational level")
-    return _join(levels, h, [rep_from_data(levels, h - 1, c) for c in data])
+    return _join(levels, h, list(map(rep_from_data, repeat(levels), repeat(h - 1), data)))

@@ -18,11 +18,14 @@ component, so n_a and the class of a weight vector come from one pass
 over the rows (``_orders``), and the box tables of ``distinguish`` from one
 pass per weight box (``_order_table``); it sorts each multiset once per a0.
 
-An inconclusive certificate is either proved or searched.  Every invariant
-``distinguish`` reads depends only on the signatures and on the relation
-lattice of the classes, so a signature-preserving isomorphism between the
-two class lattices (``_isomorphism``) proves that no witness exists in any
-box; otherwise the certificate names the box searched (``searched_box``).
+An admissible list none of whose entries preserves the components'
+signatures names no homeomorphism, so the pair is distinguished by its
+signatures alone (``signature-witness``).  An inconclusive certificate is
+either proved or searched.  Every invariant ``distinguish`` reads depends
+only on the signatures and on the relation lattice of the classes, so a
+signature-preserving isomorphism between the two class lattices
+(``_isomorphism``) proves that no witness exists in any box; otherwise the
+certificate names the box searched (``searched_box``).
 """
 
 from __future__ import annotations
@@ -672,10 +675,11 @@ class ZariskiCertificate:
     """Outcome of a distinguishing run.
 
     ``mode`` is one of "group-witness" (isomorphism or kernel data from the
-    uniformly-normalized group), "order-witness" (one weight vector per
-    admissible permutation) or "multiset-witness" (an order multiset
-    mismatch).  A "distinguished" verdict carries the explicit inequalities.
-    An "inconclusive" one has mode None and is either proved, with the
+    uniformly-normalized group), "signature-witness" (per admissible
+    permutation, a component sent to one of another signature),
+    "order-witness" (one weight vector per admissible permutation) or
+    "multiset-witness" (an order multiset mismatch).  A "distinguished"
+    verdict carries the explicit inequalities.  An "inconclusive" one has mode None and is either proved, with the
     isomorphism of the class lattices ("isomorphism", "span_order"), or
     searched, with the weight box no witness turned up in ("searched_box").
     """
@@ -771,14 +775,15 @@ def _isomorphism(spec1, spec2, preserving):
 def distinguish(spec1, spec2, admissible):
     """Search for a certificate that the two arrangements are a Zariski pair.
 
-    Tries, in order: the uniform-group isomorphism witness, a lattice
-    isomorphism that proves the pair inconclusive (``_isomorphism``), the
-    kernel witness, the multiset witness, and the per-permutation order
-    witness.  ``admissible`` must contain (a superset of) the admissible
-    permutations from spec1 to spec2; the multiset search reads only its
-    signature-preserving entries (a homeomorphism preserves signatures) and
-    recomputes the self-sets from the signatures, keeping the whole family
-    closed under composition.  The lattice step skips a spec that carries a
+    Tries, in order: the uniform-group isomorphism witness, the signature
+    witness (no admissible entry preserves the components' signatures, so
+    none is a homeomorphism), a lattice isomorphism that proves the pair
+    inconclusive (``_isomorphism``), the kernel witness, the multiset
+    witness, and the per-permutation order witness.  ``admissible`` must
+    contain (a superset of) the admissible permutations from spec1 to spec2;
+    the multiset search reads only its signature-preserving entries (a
+    homeomorphism preserves signatures) and recomputes the self-sets from
+    the signatures, keeping the whole family closed under composition.  The lattice step skips a spec that carries a
     cubic, whose orders the searches read through the verified class ->
     point map, so that cross-check still runs.  Each witness or isomorphism
     returned is checked once more by a brute route that reads only the
@@ -810,6 +815,8 @@ def distinguish(spec1, spec2, admissible):
                 "orders2": g2.generator_orders,
             },
         )
+    if not preserving:
+        return _signature_witness(spec1, spec2, admissible)
     if not (spec1.has_geometric or spec2.has_geometric):
         proof = _isomorphism(spec1, spec2, preserving)
         if proof:
@@ -836,28 +843,27 @@ def distinguish(spec1, spec2, admissible):
     # once per a0 and the witness names the first such rho0.  The tables are
     # read with plain index tuples: entry j of a.permuted(r) is a[inv_r[j]]
     # and of a.permuted(rho).permuted(r) is a[inv_rho[inv_r[j]]].
-    if preserving:
-        rho0 = preserving[0]
-        s1 = self_admissible(spec1)
-        s2 = self_admissible(spec2)
-        take1 = [_inv(r1) for r1 in s1]
-        inv = _inv(rho0)
-        take2 = [tuple([inv[i] for i in _inv(r2)]) for r2 in s2]
-        for a0 in vectors:
-            m1 = sorted([t1[tuple([a0[i] for i in ix])] for ix in take1])
-            m2 = sorted([t2[tuple([a0[i] for i in ix])] for ix in take2])
-            if m1 != m2:
-                _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2)
-                return ZariskiCertificate(
-                    "multiset-witness",
-                    "distinguished",
-                    {
-                        "base_weights": list(a0),
-                        "pair_permutation": list(rho0),
-                        "multiset1": m1,
-                        "multiset2": m2,
-                    },
-                )
+    rho0 = preserving[0]
+    s1 = self_admissible(spec1)
+    s2 = self_admissible(spec2)
+    take1 = [_inv(r1) for r1 in s1]
+    inv = _inv(rho0)
+    take2 = [tuple([inv[i] for i in _inv(r2)]) for r2 in s2]
+    for a0 in vectors:
+        m1 = sorted([t1[tuple([a0[i] for i in ix])] for ix in take1])
+        m2 = sorted([t2[tuple([a0[i] for i in ix])] for ix in take2])
+        if m1 != m2:
+            _verify_multiset(spec1, spec2, a0, rho0, s1, s2, m1, m2)
+            return ZariskiCertificate(
+                "multiset-witness",
+                "distinguished",
+                {
+                    "base_weights": list(a0),
+                    "pair_permutation": list(rho0),
+                    "multiset1": m1,
+                    "multiset2": m2,
+                },
+            )
 
     # per-permutation order witness
     per = _first_differences(
@@ -869,6 +875,26 @@ def distinguish(spec1, spec2, admissible):
         )
 
     return ZariskiCertificate(None, "inconclusive", {"searched_box": box})
+
+
+def _signature_witness(spec1, spec2, admissible):
+    """The signature witness: per admissible rho, the first component j
+    whose signature differs from that of component rho[j] of spec2, each
+    re-checked from the components' own ``signature()``."""
+    sig1, sig2 = spec1.signatures(), spec2.signatures()
+    per = {}
+    for rho in admissible:
+        j = next(j for j, r in enumerate(rho) if sig1[j] != sig2[r])
+        s1 = spec1.components[j].signature()
+        s2 = spec2.components[rho[j]].signature()
+        if s1 == s2:
+            raise BackendDisagreement("signature witness failed re-verification")
+        per[str(rho)] = {
+            "component": j,
+            "signature1": [s1[0], s1[1], list(s1[2])],
+            "signature2": [s2[0], s2[1], list(s2[2])],
+        }
+    return ZariskiCertificate("signature-witness", "distinguished", {"per_permutation": per})
 
 
 def _admissible_tuples(admissible, k):

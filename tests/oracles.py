@@ -27,8 +27,10 @@ reps with the same division as ``xgcd_inverse``, as the reference for the
 gcd on numerators: the same monic gcd and the same zero divisor.
 ``former_zany``, ``former_zop``, ``former_zscale``, ``former_zdiv``,
 ``former_zmul`` and ``former_zz_pseudo_divmod`` keep the numerator helpers'
-former forms, comprehensions over their locals, as the reference for the
-forms that make no closure cells: the same integers, result for result.
+former forms, comprehensions over their locals on nested numerators, as the
+reference for the forms that make no closure cells and keep one flat tuple:
+the same integers, result for result, through the pair ``flatten`` and
+``nest``.
 ``former_root_multiplicities`` keeps ``rational_roots``' former check and
 count, an exact evaluation and division by x - root over Fractions, as the
 reference for the count by integer pseudo-division; ``former_reduce_inplace``
@@ -559,7 +561,7 @@ def xgcd_inverse(levels, h, rep):
         return F._rinv(levels, h, rep)
     k = h - 1
     if levels[k].degree == 1:
-        return F._lift(levels, k, xgcd_inverse(levels, k, F._coeffs(rep, h)[0]))
+        return F._lift(levels, k, xgcd_inverse(levels, k, F._coeffs(rep, h)[0]), h)
     r0, r1 = list(levels[k].modulus), F._pl_trim(F._coeffs(rep, h), k)
     if not r1:
         raise ZeroDivisionError("inverting zero")
@@ -609,6 +611,29 @@ def euclid_gcd(levels, h, a, b):
     return [F._rmul(levels, h, c, linv) for c in a[:-1]] + [F._rone(levels, h)]
 
 
+def flatten(Z, k):
+    """Nested numerators at int-height k (an int at k = 0, else a tuple of
+    deg(f_k) nested numerators one int-height down) as the one flat tuple of
+    ints that ``maxflex.fields`` keeps above int-height 0, level 1 varying
+    fastest."""
+    if k == 0:
+        return Z
+    if k == 1:
+        return tuple(Z)
+    return tuple(x for z in Z for x in flatten(z, k - 1))
+
+
+def nest(Z, levels, k):
+    """The nested numerators at int-height k of a flat tuple Z on ``levels``,
+    the inverse of ``flatten``: Z cut into deg(f_k) equal slices, each nested
+    one int-height down.  The degrees are read off the moduli."""
+    if k <= 1:
+        return Z
+    d = len(levels[k - 1].modulus) - 1
+    s = len(Z) // d
+    return tuple(nest(Z[i * s:(i + 1) * s], levels, k - 1) for i in range(d))
+
+
 def former_zany(Z, k):
     """``fields._zany``'s former form, a generator expression over Z."""
     if k == 0:
@@ -648,11 +673,11 @@ def former_zdiv(Z, g, k):
 
 
 def former_zmul(levels, k, A, B):
-    """``fields._zmul``'s former form, with comprehensions for the scaled
-    partial products, the nonzero entries of B and the caught-up result:
-    each product of the level below reduced on its own, and every product
-    by a modulus coefficient a full product.  It reads the modulus from
-    the level's ``cleared`` numerators."""
+    """``fields._zmul``'s former form on nested numerators, with
+    comprehensions for the scaled partial products, the nonzero entries of B
+    and the caught-up result: each product of the level below reduced on its
+    own, and every product by a modulus coefficient a full product.  It
+    reads the modulus from the level's ``cleared`` numerators, nested."""
     from operator import add, sub
 
     from maxflex import fields as F
@@ -662,7 +687,8 @@ def former_zmul(levels, k, A, B):
     zl = F._zlevel(levels, k)
     d = zl.degree
     step = zl.step
-    terms = [(t, m) for t, m in enumerate(zl.cleared[:d]) if former_zany(m, k - 1)]
+    cleared = [nest(m, levels, k - 1) for m in zl.cleared[:d]]
+    terms = [(t, m) for t, m in enumerate(cleared) if former_zany(m, k - 1)]
     if k == 1:
         P = F._zz_mul(A, B)
         for n in range(2 * d - 2, d - 1, -1):
@@ -676,7 +702,7 @@ def former_zmul(levels, k, A, B):
     low = k - 1
     if d == 1:
         return (former_zmul(levels, low, A[0], B[0]),)
-    P = [F._zlevel(levels, low).zero] * (2 * d - 1)
+    P = [nest(F._zlevel(levels, low).zero, levels, low)] * (2 * d - 1)
     nonzero_b = [(j, y) for j, y in enumerate(B) if former_zany(y, low)]
     for i, x in enumerate(A):
         if former_zany(x, low):

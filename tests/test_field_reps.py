@@ -10,16 +10,21 @@ inverses and gcds also with ``oracles.xgcd_inverse`` and
 two split-pending ones; gcds over Q also with sympy's gcd, on the division
 polynomials of 90c3; minimal polynomials are compared with sympy's
 characteristic polynomial of the multiplication matrix.  The numerator
-helpers are compared, result for result, with their former comprehension
-forms in ``oracles`` on numerators drawn at every int-height of the three
-catalog shapes and at the quadratic top of [2,9,2]; products also on random
-two-level towers that take every branch of the reduction.
+helpers, which keep one flat tuple of integers, are compared, result for
+result, with their former comprehension forms on nested numerators in
+``oracles``, through its ``flatten`` and ``nest``, on numerators drawn at
+every int-height of the three catalog shapes and at the quadratic top of
+[2,9,2]; products also on random two-level towers that take every branch of
+the reduction.  Every operand and result of the benchmark's tower kernels
+serializes to the nested data the reference builds from its flat
+numerators.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 
@@ -29,12 +34,14 @@ from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     NestedTower,
     euclid_gcd,
+    flatten,
     former_zany,
     former_zdiv,
     former_zmul,
     former_zop,
     former_zscale,
     former_zz_pseudo_divmod,
+    nest,
     xgcd_inverse,
 )
 
@@ -46,6 +53,7 @@ from maxflex import (  # noqa: E402
     ZeroDivisorEncountered,
     catalog,
     fields,
+    geometry,
     poly_gcd,
 )
 from maxflex.fields import rep_from_data, rep_to_data  # noqa: E402
@@ -122,17 +130,16 @@ def element(tower, ref, qs, k=None):
     return tower.element(rep_from_data(tower.levels, h, to_data(x, h))), x
 
 
-def ints_of(Z, k):
-    if k == 0:
-        return [Z]
-    return [x for z in Z for x in ints_of(z, k - 1)]
-
-
 def assert_canonical(tower, x):
-    """den > 0, gcd(den, numerators) == 1, shape, and a lossless round trip."""
+    """den > 0, gcd(den, numerators) == 1, shape, and a lossless round trip.
+    The numerators are an int at height 0 and one flat tuple above it; a rep
+    above height 1 carries its tower's level degrees."""
     rep, h = x.rep, tower.height
-    den, Z = rep
-    ints = ints_of(Z, h)
+    den, Z = rep[0], rep[1]
+    ints = [Z] if h == 0 else list(Z)
+    assert len(rep) == (2 if h < 2 else 3)
+    if h >= 2:
+        assert rep[2] == tuple(lv.degree for lv in tower.levels)
     assert isinstance(den, int) and den > 0
     assert len(ints) == tower.absolute_degree
     assert all(isinstance(v, int) for v in ints)
@@ -544,16 +551,23 @@ FACTORS = st.sampled_from((1, -1)) | st.integers(2, 10**9) | st.integers(-10**9,
 
 
 def numerators(levels, k):
-    """Reduced numerators at int-height k on ``levels``, zero entries common."""
+    """Reduced numerators at int-height k on ``levels``, nested as
+    ``oracles.flatten`` takes them, zero entries common."""
     if k == 0:
         return BIG | st.just(0)
-    entry = numerators(levels, k - 1) | st.just(fields._zlevel(levels, k - 1).zero)
+    entry = numerators(levels, k - 1) | st.just(nested_zero(levels, k - 1))
     return st.tuples(*[entry] * levels[k - 1].degree)
 
 
+def nested_zero(levels, k):
+    if k == 0:
+        return 0
+    return (nested_zero(levels, k - 1),) * levels[k - 1].degree
+
+
 def dense_numerators(levels, k):
-    """Numerators at int-height k whose integers are all nonzero, so that a
-    product runs at every level."""
+    """Nested numerators at int-height k whose integers are all nonzero, so
+    that a product runs at every level."""
     if k == 0:
         return BIG.filter(bool)
     return st.tuples(*[dense_numerators(levels, k - 1)] * levels[k - 1].degree)
@@ -561,23 +575,32 @@ def dense_numerators(levels, k):
 
 @pytest.mark.parametrize("shape, k", NUMERATOR_HEIGHTS)
 def test_numerator_helpers_match_their_former_forms(shape, k):
+    """Each helper on flat numerators, read back through ``oracles.nest``,
+    against its former form on the nested ones; the content against the
+    gcd of every integer."""
     levels = shape_tower(shape).levels
     nums = numerators(levels, k)
+
+    def nested(Z):
+        return nest(Z, levels, k)
 
     @settings(max_examples=60, **PROFILE)
     @given(nums, nums, FACTORS)
     def run(A, B, c):
-        assert fields._zany(A, k) == former_zany(A, k)
-        assert fields._zany(B, k) == former_zany(B, k)
+        fa, fb = flatten(A, k), flatten(B, k)
+        assert nested(fa) == A and nested(fb) == B
+        assert fields._zany(fa, k) == former_zany(A, k)
+        assert fields._zany(fb, k) == former_zany(B, k)
         for op in (add, sub):
-            assert fields._zop(op, A, B, k) == former_zop(op, A, B, k)
-        assert fields._zscale(A, c, k) == former_zscale(A, c, k)
+            assert nested(fields._zop(op, fa, fb, k)) == former_zop(op, A, B, k)
+        assert nested(fields._zscale(fa, c, k)) == former_zscale(A, c, k)
         scaled = former_zscale(A, c, k)
-        assert fields._zdiv(scaled, c, k) == former_zdiv(scaled, c, k) == A
-        g = fields._zcontent(A, k, 0)
+        assert nested(fields._zdiv(flatten(scaled, k), c, k)) == former_zdiv(scaled, c, k) == A
+        g = fields._zcontent(fa, k, 0)
+        assert g == gcd(*([fa] if k == 0 else fa))
         if g > 1:
-            assert fields._zdiv(A, g, k) == former_zdiv(A, g, k)
-        assert fields._zmul(levels, k, A, B) == former_zmul(levels, k, A, B)
+            assert nested(fields._zdiv(fa, g, k)) == former_zdiv(A, g, k)
+        assert nested(fields._zmul(levels, k, fa, fb)) == former_zmul(levels, k, A, B)
 
     run()
 
@@ -602,7 +625,8 @@ def test_products_reduce_nothing_at_a_linear_level(shape, monkeypatch):
     @settings(max_examples=EXAMPLES["t4-1-2"], **PROFILE)
     @given(nums, nums)
     def run(A, B):
-        assert fields._zmul(levels, h, A, B) == former_zmul(levels, h, A, B)
+        got = fields._zmul(levels, h, flatten(A, h), flatten(B, h))
+        assert nest(got, levels, h) == former_zmul(levels, h, A, B)
 
     run()
     assert sorted(set(at)) == [2, 4]
@@ -631,7 +655,8 @@ def test_products_match_their_former_form_on_random_two_level_towers(data, draw)
     assert {type(m) for _, m in fields._zlevel(levels, 2).terms} == {int, tuple}
     for k in (1, 2):
         A, B = (draw.draw(numerators(levels, k)) for _ in range(2))
-        assert fields._zmul(levels, k, A, B) == former_zmul(levels, k, A, B)
+        got = fields._zmul(levels, k, flatten(A, k), flatten(B, k))
+        assert nest(got, levels, k) == former_zmul(levels, k, A, B)
 
 
 @settings(max_examples=200, **PROFILE)
@@ -639,3 +664,65 @@ def test_products_match_their_former_form_on_random_two_level_towers(data, draw)
 def test_pseudo_division_matches_its_former_form(f, g, lead):
     g = g + [lead]
     assert fields._zz_pseudo_divmod(f, g) == former_zz_pseudo_divmod(f, g)
+
+
+def kernel_workload():
+    """``perfbench/workloads.py``, run from its source with nothing written
+    next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    namespace = {"__name__": "perfbench_workloads"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+def test_kernel_reps_serialize_to_the_reference_nesting():
+    """Every operand and result of the tower-kernels pass at seed 1, on the
+    three catalog shapes: ``rep_to_data`` equals the nested data that
+    ``NestedTower`` builds from the rep's flat numerators (for results, the
+    data of its own product, inverse or gcd of the operands), and
+    ``rep_from_data`` reads that data back to the same rep."""
+    import random
+
+    bench = kernel_workload()
+    shapes = bench["_catalog_shapes"]()
+    refs = {shape: NestedTower(shapes[shape][0].to_data()) for shape in SHAPES}
+    seen = {shape: set() for shape in SHAPES}
+
+    def check(tower, ref, rep, want=None):
+        """The reference element of rep, after checking its data."""
+        h = tower.height
+        den, Z = rep[0], rep[1]
+        flat = [Fraction(z, den) for z in ([Z] if h == 0 else Z)]
+        x = ref.unflat(flat, h)
+        data = rep_to_data(rep)
+        assert data == to_data(x, h)
+        if want is not None:
+            assert data == to_data(want, h)
+        assert rep_from_data(tower.levels, h, data) == rep
+        return x
+
+    for op, shape, args in bench["_kernel_inputs"](random.Random(1), shapes):
+        tower, ref, h = shapes[shape][0], refs[shape], shapes[shape][0].height
+        seen[shape].add(op)
+        if op == "mul":
+            ra, rb = (check(tower, ref, a.rep) for a in args)
+            check(tower, ref, (args[0] * args[1]).rep, ref.mul(ra, rb, h))
+        elif op == "invert":
+            ra = check(tower, ref, args[0].rep)
+            check(tower, ref, args[0].invert().rep, ref.inverse(ra, h))
+        elif op == "is_zero":
+            ra = check(tower, ref, args[0].rep)
+            assert args[0].is_zero() is ref.is_zero(ra, h) is args[1]
+        elif op == "poly_gcd":
+            f, g = ([check(tower, ref, c) for c in p.coeffs] for p in args[:2])
+            got = poly_gcd(args[0], args[1]).coeffs
+            want = ref.poly_gcd(f, g, h)
+            assert len(got) == len(want)
+            for c, w in zip(got, want):
+                check(tower, ref, c, w)
+        else:
+            e, p, q = args
+            for point in (p, q, geometry.ec_add(e, p, q)):
+                for c in point.coords:
+                    check(tower, ref, c.rep)
+    assert all(ops == set(bench["KERNEL_OPS"]) for ops in seen.values())

@@ -5,7 +5,9 @@ divisor, so no product curve is formed, and ``PlaneCurve`` keeps no
 factorization.  ``fermat_offline_flexes`` yields its flexes, so
 ``fermat_witness`` certifies only the flex it keeps.  A ``WeierstrassModel``
 keeps the rational torsion it has searched, so ``maxflex torsion`` reads the
-psi_3 search its 90c3 build made.
+psi_3 search its 90c3 build made.  The Fermat triangle takes its third
+vertex as -2 times its second, so the model doubles twice where 4 times the
+seed doubled three times.
 """
 
 import ast
@@ -57,6 +59,31 @@ def test_the_witness_certifies_only_the_flex_it_keeps(monkeypatch):
     # the kept flex is the first stated one, [-1:0:1]
     tower = witness["tower"]
     assert witness["T2"] == geometry.ProjPoint(tower, [-tower.one(), tower.zero(), tower.one()])
+
+
+def test_the_triangle_doubles_its_second_vertex(monkeypatch):
+    """One ``fermat_witness(64)``: with the third vertex as 4 times the seed
+    it made 14 model sums, 42 inverses and 693 tower products."""
+    count = {"model sums": 0, "inverses": 0, "products": 0}
+
+    def counted(key, method):
+        def wrapper(*args):
+            count[key] += 1
+            return method(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(weierstrass.WeierstrassModel, "add",
+                        counted("model sums", weierstrass.WeierstrassModel.add))
+    monkeypatch.setattr(TowerElement, "invert", counted("inverses", TowerElement.invert))
+    mul = counted("products", TowerElement.__mul__)
+    monkeypatch.setattr(TowerElement, "__mul__", mul)
+    monkeypatch.setattr(TowerElement, "__rmul__", mul)
+    witness = fermat_witness(64)
+    assert count == {"model sums": 13, "inverses": 41, "products": 676}
+    a, b, c = witness["triangle"].vertices
+    e = witness["structure"]
+    assert geometry.ec_mul(e, -2, b) == c and geometry.ec_mul(e, -2, a) == b
 
 
 @pytest.mark.parametrize("order", [3, 6])

@@ -678,6 +678,36 @@ def test_multiset_search_skips_a_permutation_that_changes_signatures(monkeypatch
         assert (cert.verdict, cert.witnesses) == ("inconclusive", {"searched_box": 3})
 
 
+def _mod6_pair():
+    """A pair that a list with no signature-preserving entry once left
+    searched inconclusive: mod 6, (d, m, class) = (2, 2, 0), (2, 6, (0, 1))
+    against (2, 2, (0, 3)), (2, 6, 0)."""
+    def comp(m, xy, tag):
+        divisor = [("%s%d" % (tag, i), m) for i in range(6 // m)]
+        return ComponentData(2, m, divisor, TorsionClass(6, xy))
+
+    s1 = ArrangementSpec(3, [comp(2, (0, 0), "a"), comp(6, (0, 1), "b")])
+    s2 = ArrangementSpec(3, [comp(2, (0, 3), "c"), comp(6, (0, 0), "d")])
+    return s1, s2
+
+
+def test_a_list_without_a_signature_preserving_entry_is_a_signature_witness(monkeypatch):
+    s1, s2 = _mod6_pair()
+    cert = distinguish(s1, s2, [(1, 0)])
+    assert (cert.verdict, cert.mode) == ("distinguished", "signature-witness")
+    assert cert.witnesses == {
+        "per_permutation": {
+            "(1, 0)": {"component": 0, "signature1": [2, 2, [2, 2, 2]], "signature2": [2, 6, [6]]},
+        },
+    }
+    # a preserving entry names a homeomorphism: the tables are read as before
+    assert distinguish(s1, s2, [(1, 0), (0, 1)]).mode == "multiset-witness"
+    # the witness is re-checked from the components' own signatures
+    monkeypatch.setattr(ComponentData, "signature", lambda self: (2, 2, (2, 2, 2)))
+    with pytest.raises(BackendDisagreement, match="signature witness"):
+        distinguish(s1, s2, [(1, 0)])
+
+
 def _hypothesis_spec_pair():
     """A hypothesis strategy for (spec1, spec2, kind) over the abstract-specs
     shapes and moduli.  ``kind`` "copy" is a re-classed copy as the
@@ -759,10 +789,9 @@ def test_lattice_isomorphisms_agree_with_the_full_search():
 def test_more_admissible_entries_never_distinguish_an_inconclusive_pair():
     # a witness must hold for every admissible permutation (or, for the
     # multiset witness, for every signature-preserving one), so entries
-    # added to the list can only remove witnesses.  The base list holds a
-    # signature-preserving entry: a list without one names no
-    # homeomorphism, and there the multiset search, which needs one, is
-    # not run until an added entry supplies it
+    # added to the list can only remove witnesses.  The base list may hold
+    # no signature-preserving entry: such a list names no homeomorphism and
+    # is a signature witness, so it is never inconclusive
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -770,11 +799,11 @@ def test_more_admissible_entries_never_distinguish_an_inconclusive_pair():
     @hyp.given(_hypothesis_spec_pair(), st.data())
     def check(case, data):
         spec1, spec2, _kind = case
-        preserving = [
-            rho for rho in permutations(range(spec1.k)) if _preserves_signatures(spec1, spec2, rho)
-        ]
-        base = [data.draw(st.sampled_from(preserving))]
+        base = [data.draw(st.permutations(range(spec1.k)).map(tuple))]
         base = _admissible_superset(data.draw, spec1.k, base)
+        if not any(_preserves_signatures(spec1, spec2, rho) for rho in base):
+            assert distinguish(spec1, spec2, base).mode == "signature-witness"
+            seen.add("no preserving entry")
         longer = _admissible_superset(data.draw, spec1.k, base)
         real = torsion._isomorphism
         try:
@@ -782,10 +811,13 @@ def test_more_admissible_entries_never_distinguish_an_inconclusive_pair():
                 torsion._isomorphism = route
                 if distinguish(spec1, spec2, base).verdict == "inconclusive":
                     assert distinguish(spec1, spec2, longer).verdict == "inconclusive"
+                    seen.add("inconclusive")
         finally:
             torsion._isomorphism = real
 
+    seen = set()
     check()
+    assert seen == {"no preserving entry", "inconclusive"}
 
 
 @pytest.fixture(scope="module")
