@@ -20,6 +20,7 @@ from .errors import (
     SingularPoint,
     SpecError,
     UnknownReproduction,
+    WrongFlex,
     WrongOrder,
     ZeroDivisorEncountered,
     ZeroVector,

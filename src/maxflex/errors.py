@@ -34,6 +34,10 @@ class SingularPoint(MaxflexError):
     """A smooth point was required but the gradient vanishes."""
 
 
+class WrongFlex(SingularPoint):
+    """A stated flex whose tangent meets the cubic there with contact below 3."""
+
+
 class LineNotIncident(MaxflexError):
     """A point handed to a line/curve residual operation is off the line or curve."""
 

@@ -24,13 +24,14 @@ cross the boundary: ``FieldTower.rational`` and the coercions take them in,
 
 A sum, a scaling, a content and an exact division of numerators is one
 ``map`` or ``gcd`` over the flat tuple, and a zero test one ``any``, at
-every height.  A product is formed in the integers and reduced by each
-level's modulus with its denominators cleared, a pseudo-remainder whose
-scale is fixed per level, then normalised with one gcd.  That reduction is
-linear, so each coefficient of a product sums the unreduced products of the
-level below, which then reduces the sum once: 2d - 1 reductions at a level
-of degree d, not d^2.  A cleared modulus coefficient constant in the levels
-below is a scaling.  Two cases skip work.  A linear level (the trivial
+every height.  A product is one flat list of ints, laid out as a value,
+reduced by each level's modulus with its denominators cleared, a
+pseudo-remainder whose scale is fixed per level, then normalised with one
+gcd.  That reduction is linear, so each coefficient of a product sums the
+unreduced products of the level below, which then reduces the sum once:
+2d - 1 reductions at a level of degree d, not d^2.  A step scales the list
+with one ``map``; a modulus coefficient constant below is a scaling.  Two
+cases skip work.  A linear level (the trivial
 level a split leaves) adds no entries: it has the numerators and the scale
 of the level below, so a product at it, and the sums of a product above
 it, are those of that level; and a rational operand only scales the other
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, mod, mul, sub
 from types import SimpleNamespace
@@ -265,31 +266,28 @@ def _zmul(levels, k, A, B):
     level's fixed ``scale``."""
     if k == 0:
         return A * B
-    if k == 1:
-        return _zreduce(levels, 1, _zz_mul(A, B))
-    if levels[k - 1].degree == 1:
+    if k > 1 and levels[k - 1].degree == 1:
         # a linear level has the numerators and the scale of the one below
         return _zmul(levels, k - 1, A, B)
     return _zreduce(levels, k, _zraw(levels, k, A, B))
 
 
 def _zraw(levels, k, A, B):
-    """The product of numerators A and B at int-height k >= 2 before level k
-    reduces it: 2d - 1 numerators at int-height k - 1, each reduced below.
-    A reduction is linear, so each of them sums the raw products of level
-    k - 1 and is reduced once: 2d - 1 reductions at level k - 1, not d^2.
-    A linear level below k has the numerators of the level ``low`` below
-    it, so the sums are reduced there.  The integer sums at level 1 add up
-    in place."""
+    """The product of numerators A and B at int-height k >= 1 before level k
+    reduces it: one flat list of 2d - 1 coefficients, each the ints of a
+    numerator at int-height k - 1.  A reduction is linear, so each
+    coefficient sums the raw products of level k - 1 and is reduced once:
+    2d - 1 reductions at level k - 1, not d^2, at the level ``low`` below
+    any linear levels.  The integer sums at level 1 add up in place."""
+    if k == 1:
+        return _zz_mul(A, B)
     d = levels[k - 1].degree
     low = k - 1
     while low > 1 and levels[low - 1].degree == 1:
         low -= 1
     sums = [None] * (2 * d - 1)
-    nonzero_b = []
-    for j, y in enumerate(_zparts(B, k, d)):
-        if any(y):
-            nonzero_b.append((j, y))
+    parts = _zparts(B, k, d)
+    nonzero_b = list(compress(enumerate(parts), map(any, parts)))
     for i, x in enumerate(_zparts(A, k, d)):
         if any(x):
             for j, y in nonzero_b:
@@ -298,23 +296,24 @@ def _zraw(levels, k, A, B):
                     sums[i + j] = _zz_mul(x, y, s)
                 else:
                     p = _zraw(levels, low, x, y)
-                    sums[i + j] = p if s is None else list(map(_zop, repeat(add), s, p,
-                                                               repeat(low - 1)))
+                    sums[i + j] = p if s is None else list(map(add, s, p))
     zero = _zlevel(levels, low).zero
-    for n, s in enumerate(sums):
-        sums[n] = zero if s is None else _zreduce(levels, low, s)
-    return sums
+    P = []
+    for s in sums:
+        P.extend(zero if s is None else _zreduce(levels, low, s))
+    return P
 
 
 def _zreduce(levels, k, P):
-    """2d - 1 numerators P at int-height k - 1, a raw product, reduced by
-    level k's cleared modulus: the numerators at int-height k of its d
-    remaining coefficients, times ``step^(d - 1)``."""
+    """A raw product P from ``_zraw`` (consumed) reduced by level k's cleared
+    modulus: numerators at int-height k, times ``step^(d - 1)``.  A step
+    pops the top coefficient c, scales the rest with one ``map`` and
+    subtracts c times each multiplier: an int, or a product at k - 1."""
     zl = _zlevel(levels, k)
     d = zl.degree
     step = zl.step
-    P = list(P)
-    if k == 1:
+    s = zl.size // d
+    if s == 1:
         for n in range(2 * d - 2, d - 1, -1):
             c = P.pop()
             if step != 1:
@@ -323,24 +322,21 @@ def _zreduce(levels, k, P):
                 for t, m in zl.terms:
                     P[n - d + t] -= c * m
         return tuple(P)
-    low = k - 1
-    # each reduction step scales every lower entry by ``step``; an entry
-    # takes the steps it missed (done - seen[i]) only when it is next used
-    seen = [0] * len(P)
-    done = 0
     for n in range(2 * d - 2, d - 1, -1):
-        c = _zscale(P.pop(), step ** (done - seen[n]), low)
-        done += 1
+        c = P[n * s:]
+        P = list(map(mul, P[:n * s], repeat(step))) if step != 1 else P[:n * s]
         if any(c):
             for t, m in zl.terms:
-                i = n - d + t
-                caught_up = _zscale(P[i], step ** (done - seen[i]), low)
-                cm = _zscale(c, m, low) if type(m) is int else _zmul(levels, low, c, m)
-                P[i] = _zop(sub, caught_up, cm, low)
-                seen[i] = done
-    for i, p in enumerate(P):
-        P[i] = _zscale(p, step ** (done - seen[i]), low)
-    return _zjoin(P, k)
+                i = (n - d + t) * s
+                if type(m) is int:
+                    for x in c:
+                        P[i] -= x * m
+                        i += 1
+                else:
+                    for x in _zmul(levels, k - 1, c, m):
+                        P[i] -= x
+                        i += 1
+    return tuple(P)
 
 
 def _zz_trim(v):

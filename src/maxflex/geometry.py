@@ -58,6 +58,7 @@ from .errors import (
     NonUnique,
     NoSolution,
     SingularPoint,
+    WrongFlex,
     malformed,
 )
 from .fields import (
@@ -720,10 +721,6 @@ class EllipticStructure:
         if tower == self.tower:
             return self
         return EllipticStructure(self.cubic.embedded(tower), self.origin.embedded(tower))
-
-
-class WrongFlex(SingularPoint):
-    pass
 
 
 def _check_on_cubic(*pairs):

@@ -209,9 +209,9 @@ def _horner(coeffs, x, m):
     return acc
 
 
-def _simple_roots_mod(coeffs, p):
-    """The roots in GF(p) of an integer polynomial, or None if one is repeated."""
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+def _simple_roots_mod(coeffs, deriv, p):
+    """The roots in GF(p) of an integer polynomial with derivative ``deriv``,
+    or None if one is repeated."""
     roots = []
     for a in range(p):
         if _horner(coeffs, a, p) == 0:
@@ -242,6 +242,7 @@ def rational_roots(f):
         raise ValueError("zero polynomial")
     qs = f.rational_coeffs()
     ints = coeffs = _integer_coeffs(qs)
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
     # the root 0 has the multiplicity of the power of x stripped off
     out = [(Fraction(0), len(qs) - len(ints))] if qs[0] == 0 else []
     rejected = 0
@@ -250,15 +251,15 @@ def rational_roots(f):
             break
         if coeffs[-1] % p == 0:
             continue
-        roots_p = _simple_roots_mod(coeffs, p)
+        roots_p = _simple_roots_mod(coeffs, deriv, p)
         if roots_p is None:
             rejected += 1
             if rejected == _SQUAREFREE_AFTER:
                 coeffs = _integer_coeffs(squarefree_part(f).rational_coeffs())
+                deriv = [i * c for i, c in enumerate(coeffs)][1:]
             continue
         an = coeffs[-1]
         bound = 2 * abs(coeffs[0] * an)
-        deriv = [i * c for i, c in enumerate(coeffs)][1:]
         for a in roots_p:
             m = p
             while m <= bound:

@@ -38,10 +38,11 @@ from maxflex import (
     tangents_through,
 )
 from maxflex import geometry
-from maxflex.fields import TowerElement, with_splitting
+from maxflex.fields import with_splitting
 from maxflex.geometry import _fulton, is_smooth_curve
 from maxflex.weierstrass import rational_points_of_order, weierstrass_model
 
+from counting import count_calls
 from oracles import (
     former_ec_add,
     form_value,
@@ -797,20 +798,7 @@ def _law_counts(monkeypatch, shape):
     (p, p), (q, q) and (q, p) on a shape's first two points: counts, not
     timings, so they hold on any machine."""
     e, (p, q, *_rest) = catalog_shape(shape)
-    count = {"products": 0, "inverses": 0, "zero tests": 0}
-
-    def counted(key, method):
-        def wrapper(*args):
-            count[key] += 1
-            return method(*args)
-
-        return wrapper
-
-    mul = counted("products", TowerElement.__mul__)
-    monkeypatch.setattr(TowerElement, "__mul__", mul)
-    monkeypatch.setattr(TowerElement, "__rmul__", mul)
-    monkeypatch.setattr(TowerElement, "invert", counted("inverses", TowerElement.invert))
-    monkeypatch.setattr(TowerElement, "is_zero", counted("zero tests", TowerElement.is_zero))
+    count = count_calls(monkeypatch, ("products", "inverses", "zero tests"))
     for a, b in [(p, q), (p, p), (q, q), (q, p)]:
         ec_add(e, a, b)
     return count

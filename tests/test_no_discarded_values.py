@@ -18,25 +18,18 @@ import pytest
 
 from maxflex import QQ, PlaneCurve, catalog, cli, geometry, weierstrass
 from maxflex.catalog import bigon_points, bigon_spec, catalog_entry, fermat_witness
-from maxflex.fields import TowerElement
+
+from counting import count_calls
 
 
 def test_bigon_spec_forms_no_tower_product(monkeypatch):
     entry = catalog_entry("90c3").build(64)
     _tw, e, p, q = bigon_points(entry, 12)
-    products = []
-    mul = TowerElement.__mul__
-
-    def counted(*args):
-        products.append(1)
-        return mul(*args)
-
-    monkeypatch.setattr(TowerElement, "__mul__", counted)
-    monkeypatch.setattr(TowerElement, "__rmul__", counted)
+    count = count_calls(monkeypatch, ("products",))
     for with_line in (True, False):
         spec = bigon_spec(e, p, q, 12, with_line=with_line)
         assert spec.components[-1].divisor == ((p, 6), (q, 6))
-    assert products == []
+    assert count == {"products": 0}
 
 
 def test_a_plane_curve_takes_no_components():
@@ -64,21 +57,8 @@ def test_the_witness_certifies_only_the_flex_it_keeps(monkeypatch):
 def test_the_triangle_doubles_its_second_vertex(monkeypatch):
     """One ``fermat_witness(64)``: with the third vertex as 4 times the seed
     it made 14 model sums, 42 inverses and 693 tower products."""
-    count = {"model sums": 0, "inverses": 0, "products": 0}
-
-    def counted(key, method):
-        def wrapper(*args):
-            count[key] += 1
-            return method(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(weierstrass.WeierstrassModel, "add",
-                        counted("model sums", weierstrass.WeierstrassModel.add))
-    monkeypatch.setattr(TowerElement, "invert", counted("inverses", TowerElement.invert))
-    mul = counted("products", TowerElement.__mul__)
-    monkeypatch.setattr(TowerElement, "__mul__", mul)
-    monkeypatch.setattr(TowerElement, "__rmul__", mul)
+    count = count_calls(monkeypatch, ("inverses", "products"),
+                        [("model sums", weierstrass.WeierstrassModel, "add")])
     witness = fermat_witness(64)
     assert count == {"model sums": 13, "inverses": 41, "products": 676}
     a, b, c = witness["triangle"].vertices

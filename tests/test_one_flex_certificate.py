@@ -17,9 +17,9 @@ import pytest
 
 from maxflex import LineNotIncident, PlaneCurve, line_cubic_residual
 from maxflex.catalog import catalog_entry, fermat_offline_flexes
-from maxflex.fields import TowerElement
 from maxflex.geometry import WrongFlex
 
+from counting import count_calls
 from test_one_backend import defined_functions
 from test_root_loop import callers_of
 
@@ -32,19 +32,7 @@ def fermat_data():
 def test_one_call_counts(monkeypatch, fermat_data):
     """While each flex was tested on the cubic three times and took a second
     gradient for its tangent, one call took 259 products and 99 zero tests."""
-    count = {"products": 0, "zero tests": 0}
-
-    def counted(key, method):
-        def wrapper(*args):
-            count[key] += 1
-            return method(*args)
-
-        return wrapper
-
-    mul = counted("products", TowerElement.__mul__)
-    monkeypatch.setattr(TowerElement, "__mul__", mul)
-    monkeypatch.setattr(TowerElement, "__rmul__", mul)
-    monkeypatch.setattr(TowerElement, "is_zero", counted("zero tests", TowerElement.is_zero))
+    count = count_calls(monkeypatch, ("products", "zero tests"))
     flexes = list(fermat_offline_flexes(fermat_data))
     assert len(flexes) == 6
     assert 0 < count["products"] <= 133
