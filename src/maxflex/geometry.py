@@ -50,7 +50,6 @@ ZeroDivisorEncountered, which callers handle by splitting the tower.
 from __future__ import annotations
 
 from itertools import permutations
-from math import comb
 
 from .errors import (
     CommonComponent,
@@ -92,9 +91,12 @@ def _coerce_elem(tower, value):
 class ProjPoint:
     """A point of the projective plane over a tower.
 
-    Stored in the canonical representative with the first nonzero coordinate
-    scaled to one.  Construction therefore performs sound zero tests and may
-    raise ZeroDivisorEncountered over a split-pending tower.
+    Stored in the canonical representative with the first coordinate that is
+    not structurally zero scaled to one.  That is the first nonzero one:
+    ``is_zero`` answers True only for a structural zero, and otherwise
+    returns False or raises from ``invert``.  So construction takes no zero
+    test, only the one inverse, which raises ZeroDivisorEncountered over a
+    split-pending tower where a sound zero test would have.
     """
 
     __slots__ = ("tower", "coords", "chart")
@@ -105,7 +107,7 @@ class ProjPoint:
             raise ValueError("a projective point needs three coordinates")
         lead = None
         for i, v in enumerate(vals):
-            if not v.is_zero():
+            if not _is_szero(v.rep, tower.height):
                 lead = i
                 break
         if lead is None:
@@ -245,17 +247,21 @@ class BiPoly:
         return BiPoly(self.tower, {(j, i): c for (i, j), c in self.terms.items()})
 
     def translate(self, a, b):
-        """self(u + a, v + b) by binomial expansion."""
+        """self(u + a, v + b): a Taylor shift in u, then one in v, each by
+        repeated synthetic division (``_taylor_shift``)."""
+        t = self.tower
+        a, b = _coerce_elem(t, a), _coerce_elem(t, b)
+        shifted = {}
+        for j, col in _grouped(self.terms, 1).items():
+            for i, c in enumerate(_taylor_shift(col, a, t)):
+                if c is not None:
+                    shifted[(i, j)] = c
         out = {}
-        apow = _powers(self.tower, a, max((i for i, _ in self.terms), default=0))
-        bpow = _powers(self.tower, b, max((j for _, j in self.terms), default=0))
-        for (i, j), c in self.terms.items():
-            for s in range(i + 1):
-                for t in range(j + 1):
-                    coeff = c * (comb(i, s) * comb(j, t)) * apow[i - s] * bpow[j - t]
-                    k = (s, t)
-                    out[k] = out[k] + coeff if k in out else coeff
-        return BiPoly(self.tower, out)
+        for i, row in _grouped(shifted, 0).items():
+            for j, c in enumerate(_taylor_shift(row, b, t)):
+                if c is not None:
+                    out[(i, j)] = c
+        return BiPoly(t, out)
 
     def v_columns(self):
         """Coefficients of powers of v, each a UniPoly in u."""
@@ -293,6 +299,35 @@ def _powers(tower, x, n):
     for _ in range(n):
         out.append(out[-1] * x)
     return out
+
+
+def _grouped(terms, axis):
+    """The dense coefficient lists of ``terms`` along the other exponent, one
+    per value of exponent ``axis``, with None for a missing term."""
+    out = {}
+    for e, c in terms.items():
+        col = out.setdefault(e[axis], [])
+        k = e[1 - axis]
+        col.extend([None] * (k + 1 - len(col)))
+        col[k] = c
+    return out
+
+
+def _taylor_shift(c, a, tower):
+    """The coefficients of c(x + a), for c lowest degree first with None for a
+    zero, by repeated synthetic division: pass i divides by x - a and leaves
+    the remainder in c[i], so after the passes c[k] is the k-th Taylor
+    coefficient at a (Horner's rule).  A zero coefficient multiplies
+    nothing, and a zero shift changes nothing."""
+    if _is_szero(a.rep, tower.height):
+        return c
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            if c[k + 1] is not None:
+                p = a * c[k + 1]
+                c[k] = p if c[k] is None else c[k] + p
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1030,12 @@ def intersection_multiplicity(c, d, p):
 
 
 def _fulton(F, G, tower, bound):
+    """I_0(F, G) by Fulton's recursion (*Algebraic Curves*, section 3.3): a
+    u-order where one form is divisible by v, otherwise a step that cancels
+    the leading term of G(u, 0) against F(u, 0) of no larger degree.  A step
+    subtracts coeff * u^(s - r) * F from G's terms in place, so both forms
+    are copied first; a form divided by v is a new one."""
+    F, G = BiPoly(tower, F.terms), BiPoly(tower, G.terms)
     f = F.restrict_v0()
     g = G.restrict_v0()
     result = 0
@@ -1025,9 +1066,20 @@ def _fulton(F, G, tower, bound):
             raise CommonComponent("inconsistent local forms")
         # kill the leading u-term of g|v=0 with a multiple of F; f stays
         coeff = g.coefficient(s) * f.coefficient(r).invert()
-        G = G - BiPoly(tower, {(s - r, 0): coeff}) * F
+        _subtract_shifted(G.terms, coeff, s - r, F, tower.height)
         g = G.restrict_v0()
     raise RuntimeError("Fulton recursion did not terminate")
+
+
+def _subtract_shifted(terms, coeff, shift, F, h):
+    """terms -= coeff * u^shift * F, in place, in one pass over F's terms."""
+    for (i, j), c in F.terms.items():
+        k = (i + shift, j)
+        x = terms[k] - coeff * c if k in terms else -(coeff * c)
+        if _is_szero(x.rep, h):
+            del terms[k]
+        else:
+            terms[k] = x
 
 
 def _u_order(f):
@@ -1187,7 +1239,16 @@ def _series_pow_table(s, maxexp, order, tower):
 
 
 def branch_series(c, p, order):
-    """Local parametrization of the unique branch of c at the smooth point p."""
+    """Local parametrization of the unique branch of c at the smooth point p.
+
+    In the chart of p, translated so p is the origin, F(u, v) = 0 with
+    dF/dv(0, 0) != 0 (else u and v swap) has the branch u = t,
+    v = sum c_k t^k with v(0) = 0.  The coefficient of t^k in F(t, v(t)) is
+    sum a_ij [t^(k-i)] v^j, in which c_k enters only through a_01 c_k, so
+    c_k = -(the rest) / a_01.  One table pw[e][m] = [t^m] v^e is filled
+    column by column: since v(0) = 0, column k of v^e for e >= 2 reads only
+    c_1 .. c_(k-1), and v^e has no term below t^e.
+    """
     chart = p.chart
     u0, v0 = p.affine()
     F = c.dehomogenize(chart).translate(u0, v0)
@@ -1204,38 +1265,38 @@ def branch_series(c, p, order):
         du, dv = dv, du
         swap = True
     dvinv = dv.invert()
-    # v(t) = sum c_k t^k solved order by order; u(t) = t
-    vs = [t.zero()] * (order + 1)
+    terms = [(i, j, a) for (i, j), a in F.terms.items() if (i, j) != (0, 1) and i <= order]
+    maxv = max([j for _, j, _a in terms] + [1])
+    zero = t.zero()
+    pw = [[t.one()] + [zero] * order] + [[zero] * (order + 1) for _ in range(maxv)]
+    vs = pw[1]
     for k in range(1, order + 1):
-        # coefficient of t^k in F(t, v(t)) with the current partial sum
-        val = _compose_coefficient(F, vs, k, t)
-        ck = -(val * dvinv)
-        vs[k] = ck
-    us = [t.zero()] * (order + 1)
+        for e in range(2, min(maxv, k) + 1):
+            # [t^k] v^e = sum over i of c_i [t^(k-i)] v^(e-1), nonzero for k - i >= e - 1
+            acc = vs[1] * pw[e - 1][k - 1]
+            for i in range(2, k - e + 2):
+                acc = acc + vs[i] * pw[e - 1][k - i]
+            pw[e][k] = acc
+        val = zero
+        for i, j, a in terms:
+            if j == 0:
+                if i == k:
+                    val = val + a
+            elif k - i >= j:
+                val = val + a * pw[j][k - i]
+        vs[k] = -(val * dvinv)
+    us = [zero] * (order + 1)
     if order >= 1:
         us[1] = t.one()
     if swap:
         us, vs = vs, us
-    series = BranchSeries(p, chart, _shifted(us, u0, t), _shifted(vs, v0, t), order)
-    return series
+    return BranchSeries(p, chart, _shifted(us, u0, t), _shifted(vs, v0, t), order)
 
 
 def _shifted(series, c0, tower):
     out = list(series)
     out[0] = out[0] + c0
     return out
-
-
-def _compose_coefficient(F, vs, k, tower):
-    """Coefficient of t^k in F(t, v(t)) for the partial series vs (vs[k] = 0)."""
-    maxv = max((j for _, j in F.terms), default=0)
-    vtab = _series_pow_table(vs, maxv, k, tower)
-    acc = tower.zero()
-    for (i, j), c in F.terms.items():
-        if i > k:
-            continue
-        acc = acc + c * vtab[j][k - i]
-    return acc
 
 
 def _monomial_series(us, vs, exps, order, tower):

@@ -1,11 +1,17 @@
 """Resultants, exact linear algebra, and root finding.
 
-Everything here is exact.  Rational roots are found p-adically: the roots
-mod one small prime are Newton-lifted past the rational-root-theorem bound
-and read off as symmetric residues; each candidate is checked, and its
-multiplicity counted, by exact division of the integer coefficients.  Roots
-in the algebraic closure are produced as conjugate packets: one
-representative per adjoined factor, standing for all of that factor's roots.
+Everything here is exact.  A resultant in one variable, with coefficients
+polynomials in the other, is a subresultant remainder sequence (Collins,
+JACM 1967; Brown and Traub, JACM 1971; Cohen, *A Course in Computational
+Algebraic Number Theory*, Algorithm 3.3.7): each step is a pseudo-division
+and one exact division of the remainder, which keeps the coefficients'
+degrees bounded, and no Sylvester matrix is built.  Rational roots are
+found p-adically: the roots mod one small prime are Newton-lifted past the
+rational-root-theorem bound and read off as symmetric residues; each
+candidate is checked, and its multiplicity counted, by exact division of
+the integer coefficients.  Roots in the algebraic closure are produced as
+conjugate packets: one representative per adjoined factor, standing for
+all of that factor's roots.
 """
 
 from __future__ import annotations
@@ -16,76 +22,100 @@ from math import gcd, lcm
 from .fields import UniPoly, _zz_pseudo_divmod, squarefree_part
 
 # ---------------------------------------------------------------------------
-# determinants and resultants
+# resultants
 # ---------------------------------------------------------------------------
-
-def det_bareiss_poly(matrix, tower):
-    """Fraction-free determinant of a matrix of UniPoly entries."""
-    n = len(matrix)
-    if n == 0:
-        return UniPoly(tower, (Fraction(1),))
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = UniPoly(tower, (Fraction(1),))
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly(tower, ())
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = UniPoly(tower, ())
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
 
 def resultant_bivariate(f_cols, g_cols, tower):
     """Resultant in u of sum f_cols[j]*u**j and sum g_cols[j]*u**j.
 
     The columns are UniPoly in the surviving variable.  Returns a UniPoly
-    over ``tower``; the zero polynomial signals a common factor (or a zero
+    over ``tower``: the determinant of the Sylvester matrix with f's rows
+    first.  The zero polynomial signals a common factor (or a zero
     argument).
+
+    The value comes from a subresultant remainder sequence in u (Collins,
+    JACM 1967; Brown and Traub, JACM 1971), Algorithm 3.3.7 of Cohen, *A
+    Course in Computational Algebraic Number Theory*, without contents.
+    With delta = deg A - deg B, a step pseudo-divides A by B, divides the
+    remainder exactly by g h^delta, and sets g = lc(A) and
+    h = g^delta / h^(delta - 1).  The sign flips for each pair of odd
+    degrees, and once for the initial swap when deg f < deg g and both are
+    odd.  A step skips its scaling when lc(B) is 1, and its division when
+    g h^delta is 1.  Over a split-pending tower a division may raise
+    ZeroDivisorEncountered for the caller to split on.
     """
-    f = list(f_cols)
-    g = list(g_cols)
-    while f and f[-1].is_zero():
-        f.pop()
-    while g and g[-1].is_zero():
-        g.pop()
-    if not f or not g:
+    A = _trimmed(f_cols)
+    B = _trimmed(g_cols)
+    if not A or not B:
         return UniPoly(tower, ())
-    df, dg = len(f) - 1, len(g) - 1
-    if df == 0:
-        return _poly_pow(f[0], dg, tower)
-    if dg == 0:
-        return _poly_pow(g[0], df, tower)
-    n = df + dg
-    zero = UniPoly(tower, ())
-    rows = []
-    for i in range(dg):
-        row = [zero] * n
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(df):
-        row = [zero] * n
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return det_bareiss_poly(rows, tower)
+    negate = False
+    if len(A) < len(B):
+        A, B = B, A
+        negate = len(A) % 2 == 0 and len(B) % 2 == 0
+    g = h = UniPoly(tower, (Fraction(1),))
+    while len(B) > 1:
+        da, db = len(A) - 1, len(B) - 1
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            negate = not negate
+        R = _pseudo_remainder(A, B)
+        d = _times(g, _poly_pow(h, delta, tower))
+        if not _is_one(d):
+            R = [c.exact_div(d) for c in R]
+        A, B = B, R
+        if not B:
+            return UniPoly(tower, ())
+        g = A[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _exact_ratio(_poly_pow(g, delta, tower), _poly_pow(h, delta - 1, tower))
+    # B is a constant in u: Res = B^deg A / h^(deg A - 1), 1 when A is one too
+    da = len(A) - 1
+    res = _exact_ratio(_poly_pow(B[0], da, tower), _poly_pow(h, max(da - 1, 0), tower))
+    return -res if negate else res
+
+
+def _trimmed(cols):
+    out = list(cols)
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def _pseudo_remainder(A, B):
+    """lc(B)^(deg A - deg B + 1) A mod B, Knuth's Algorithm R (*The Art of
+    Computer Programming*, vol. 2, 4.6.1): one pass per quotient term, each
+    scaling the rest of A by lc(B) (skipped when lc(B) is 1) and subtracting
+    the top coefficient times the shifted B."""
+    R = list(A)
+    n = len(B) - 1
+    lb = B[-1]
+    scale = not _is_one(lb)
+    for k in range(len(A) - 1 - n, -1, -1):
+        top = R.pop()
+        for j in range(len(R)):
+            x = lb * R[j] if scale else R[j]
+            R[j] = x - top * B[j - k] if j >= k else x
+    return _trimmed(R)
+
+
+def _is_one(p):
+    return len(p.coeffs) == 1 and p.coeffs[0] == p.tower.one().rep
+
+
+def _times(a, b):
+    return b if _is_one(a) else (a if _is_one(b) else a * b)
+
+
+def _exact_ratio(a, b):
+    return a if _is_one(b) else a.exact_div(b)
 
 
 def _poly_pow(p, n, tower):
     out = UniPoly(tower, (Fraction(1),))
     for _ in range(n):
-        out = out * p
+        out = _times(out, p)
     return out
 
 

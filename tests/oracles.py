@@ -51,6 +51,14 @@ reads a spec's components and its cubic and no class: it sums the
 component points by the group law and walks the sum's multiples, as the
 reference for the orders read off the lattice and its verified
 class -> point map.
+``sylvester_resultant`` keeps the bivariate resultant's former route, the
+fraction-free (Bareiss) determinant of the Sylvester matrix, as the
+reference for the subresultant remainder sequence.  ``binomial_translate``
+keeps ``BiPoly.translate``'s former binomial expansion, as the reference for
+the Taylor shifts by synthetic division, and ``branch_series_by_orders`` the
+former branch expansion, which rebuilt the power table of the partial
+series at every order, as the reference for the one table filled column by
+column.
 """
 
 from collections import namedtuple
@@ -808,3 +816,128 @@ def former_concurrent_line_triples(lines):
         if det.is_zero():
             out.append(triple)
     return out
+
+
+def _det_bareiss_poly(matrix, tower):
+    """Fraction-free determinant of a matrix of UniPoly entries."""
+    from maxflex import UniPoly
+
+    n = len(matrix)
+    if n == 0:
+        return UniPoly(tower, (Fraction(1),))
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = UniPoly(tower, (Fraction(1),))
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return UniPoly(tower, ())
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_div(prev)
+            m[i][k] = UniPoly(tower, ())
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def sylvester_resultant(f_cols, g_cols, tower):
+    """``polysolve.resultant_bivariate``'s former route: the Bareiss
+    determinant of the Sylvester matrix, f's rows first."""
+    from maxflex import UniPoly
+
+    def power(p, n):
+        out = UniPoly(tower, (Fraction(1),))
+        for _ in range(n):
+            out = out * p
+        return out
+
+    f = list(f_cols)
+    g = list(g_cols)
+    while f and f[-1].is_zero():
+        f.pop()
+    while g and g[-1].is_zero():
+        g.pop()
+    if not f or not g:
+        return UniPoly(tower, ())
+    df, dg = len(f) - 1, len(g) - 1
+    if df == 0:
+        return power(f[0], dg)
+    if dg == 0:
+        return power(g[0], df)
+    n = df + dg
+    zero = UniPoly(tower, ())
+    rows = []
+    for i in range(dg):
+        row = [zero] * n
+        for j, c in enumerate(reversed(f)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(df):
+        row = [zero] * n
+        for j, c in enumerate(reversed(g)):
+            row[i + j] = c
+        rows.append(row)
+    return _det_bareiss_poly(rows, tower)
+
+
+def binomial_translate(F, a, b):
+    """F(u + a, v + b) by binomial expansion, ``BiPoly.translate``'s former
+    route."""
+    from math import comb
+
+    from maxflex.geometry import BiPoly, _powers
+
+    out = {}
+    apow = _powers(F.tower, a, max((i for i, _ in F.terms), default=0))
+    bpow = _powers(F.tower, b, max((j for _, j in F.terms), default=0))
+    for (i, j), c in F.terms.items():
+        for s in range(i + 1):
+            for t in range(j + 1):
+                coeff = c * (comb(i, s) * comb(j, t)) * apow[i - s] * bpow[j - t]
+                k = (s, t)
+                out[k] = out[k] + coeff if k in out else coeff
+    return BiPoly(F.tower, out)
+
+
+def branch_series_by_orders(c, p, order):
+    """``geometry.branch_series``' former route: the coefficient of t^k in
+    F(t, v(t)) read, at each order k, from a power table of the partial
+    series built afresh, on a form translated by ``binomial_translate``.
+    Returns the (u, v) coefficient lists."""
+    from maxflex.geometry import _series_pow_table
+
+    chart = p.chart
+    u0, v0 = p.affine()
+    F = binomial_translate(c.dehomogenize(chart), u0, v0)
+    t = c.tower
+    assert F.coefficient(0, 0).is_zero(), "point is not on the curve"
+    dv = F.coefficient(0, 1)
+    swap = dv.is_zero()
+    if swap:
+        F = F.swap()
+        dv = F.coefficient(0, 1)
+    dvinv = dv.invert()
+    maxv = max((j for _, j in F.terms), default=0)
+    vs = [t.zero()] * (order + 1)
+    for k in range(1, order + 1):
+        vtab = _series_pow_table(vs, maxv, k, t)
+        val = t.zero()
+        for (i, j), a in F.terms.items():
+            if i <= k:
+                val = val + a * vtab[j][k - i]
+        vs[k] = -(val * dvinv)
+    us = [t.zero()] * (order + 1)
+    if order >= 1:
+        us[1] = t.one()
+    if swap:
+        us, vs = vs, us
+    us[0] = us[0] + u0
+    vs[0] = vs[0] + v0
+    return us, vs
