@@ -253,12 +253,12 @@ class BiPoly:
         a, b = _coerce_elem(t, a), _coerce_elem(t, b)
         shifted = {}
         for j, col in _grouped(self.terms, 1).items():
-            for i, c in enumerate(_taylor_shift(col, a, t)):
+            for i, c in enumerate(_taylor_shift(col, a)):
                 if c is not None:
                     shifted[(i, j)] = c
         out = {}
         for i, row in _grouped(shifted, 0).items():
-            for j, c in enumerate(_taylor_shift(row, b, t)):
+            for j, c in enumerate(_taylor_shift(row, b)):
                 if c is not None:
                     out[(i, j)] = c
         return BiPoly(t, out)
@@ -313,13 +313,13 @@ def _grouped(terms, axis):
     return out
 
 
-def _taylor_shift(c, a, tower):
+def _taylor_shift(c, a):
     """The coefficients of c(x + a), for c lowest degree first with None for a
     zero, by repeated synthetic division: pass i divides by x - a and leaves
     the remainder in c[i], so after the passes c[k] is the k-th Taylor
     coefficient at a (Horner's rule).  A zero coefficient multiplies
     nothing, and a zero shift changes nothing."""
-    if _is_szero(a.rep, tower.height):
+    if _is_szero(a.rep, a.tower.height):
         return c
     n = len(c) - 1
     for i in range(n):
@@ -1066,13 +1066,14 @@ def _fulton(F, G, tower, bound):
             raise CommonComponent("inconsistent local forms")
         # kill the leading u-term of g|v=0 with a multiple of F; f stays
         coeff = g.coefficient(s) * f.coefficient(r).invert()
-        _subtract_shifted(G.terms, coeff, s - r, F, tower.height)
+        _subtract_shifted(G.terms, coeff, s - r, F)
         g = G.restrict_v0()
     raise RuntimeError("Fulton recursion did not terminate")
 
 
-def _subtract_shifted(terms, coeff, shift, F, h):
+def _subtract_shifted(terms, coeff, shift, F):
     """terms -= coeff * u^shift * F, in place, in one pass over F's terms."""
+    h = coeff.tower.height
     for (i, j), c in F.terms.items():
         k = (i + shift, j)
         x = terms[k] - coeff * c if k in terms else -(coeff * c)

@@ -59,7 +59,7 @@ def resultant_bivariate(f_cols, g_cols, tower):
         if da % 2 == 1 and db % 2 == 1:
             negate = not negate
         R = _pseudo_remainder(A, B)
-        d = _times(g, _poly_pow(h, delta, tower))
+        d = _times(g, _poly_pow(h, delta))
         if not _is_one(d):
             R = [c.exact_div(d) for c in R]
         A, B = B, R
@@ -69,10 +69,10 @@ def resultant_bivariate(f_cols, g_cols, tower):
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _exact_ratio(_poly_pow(g, delta, tower), _poly_pow(h, delta - 1, tower))
-    # B is a constant in u: Res = B^deg A / h^(deg A - 1), 1 when A is one too
+            h = _exact_ratio(_poly_pow(g, delta), _poly_pow(h, delta - 1))
+    # B is a constant in u: Res = B^deg A / h^(deg A - 1), which is 1 when deg A = 0
     da = len(A) - 1
-    res = _exact_ratio(_poly_pow(B[0], da, tower), _poly_pow(h, max(da - 1, 0), tower))
+    res = _exact_ratio(_poly_pow(B[0], da), _poly_pow(h, da - 1))
     return -res if negate else res
 
 
@@ -112,8 +112,8 @@ def _exact_ratio(a, b):
     return a if _is_one(b) else a.exact_div(b)
 
 
-def _poly_pow(p, n, tower):
-    out = UniPoly(tower, (Fraction(1),))
+def _poly_pow(p, n):
+    out = UniPoly(p.tower, (Fraction(1),))
     for _ in range(n):
         out = _times(out, p)
     return out
