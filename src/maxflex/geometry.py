@@ -154,15 +154,6 @@ def _chart_pair(chart):
     return tuple(i for i in range(3) if i != chart)
 
 
-def point_from_affine(tower, chart, u, v):
-    coords = [None, None, None]
-    a, b = _chart_pair(chart)
-    coords[chart] = tower.one()
-    coords[a] = _coerce_elem(tower, u)
-    coords[b] = _coerce_elem(tower, v)
-    return ProjPoint(tower, coords)
-
-
 def cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -196,31 +187,6 @@ class BiPoly:
         if tower is self.tower or tower == self.tower:
             return self
         return BiPoly(tower, {k: c.embedded(tower) for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return BiPoly(self.tower, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] - c if k in out else -c
-        return BiPoly(self.tower, out)
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            out = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    p = c1 * c2
-                    out[k] = out[k] + p if k in out else p
-            return BiPoly(self.tower, out)
-        return BiPoly(self.tower, {k: c * other for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def coefficient(self, i, j):
         return self.terms.get((i, j), self.tower.zero())
@@ -265,40 +231,12 @@ class BiPoly:
 
     def v_columns(self):
         """Coefficients of powers of v, each a UniPoly in u."""
-        dv = max((j for _, j in self.terms), default=-1)
-        cols = []
-        for j in range(dv + 1):
-            coeffs = {}
-            for (i, jj), c in self.terms.items():
-                if jj == j:
-                    coeffs[i] = c
-            n = max(coeffs, default=-1)
-            cols.append(
-                UniPoly(self.tower, [coeffs.get(i, self.tower.zero()) for i in range(n + 1)])
-            )
-        return cols
-
-    def specialize_u(self, u0):
-        """The univariate polynomial in v obtained by substituting u = u0."""
-        upow = _powers(self.tower, u0, max((i for i, _ in self.terms), default=0))
-        cols = {}
-        for (i, j), c in self.terms.items():
-            cols.setdefault(j, []).append((i, c))
-        dv = max(cols, default=-1)
-        out = []
-        for j in range(dv + 1):
-            acc = self.tower.zero()
-            for i, c in cols.get(j, ()):
-                acc = acc + c * upow[i]
-            out.append(acc)
-        return UniPoly(self.tower, out)
-
-
-def _powers(tower, x, n):
-    out = [tower.one()]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
+        t = self.tower
+        cols = _grouped(self.terms, 1)
+        return [
+            UniPoly(t, [t.zero() if c is None else c for c in cols.get(j, ())])
+            for j in range(max(cols, default=-1) + 1)
+        ]
 
 
 def _grouped(terms, axis):
@@ -418,12 +356,10 @@ class PlaneCurve:
         return BiPoly(self.tower, terms)
 
     def normalized(self):
-        """Scale so the lexicographically first nonzero coefficient is one."""
-        for exps in sorted(self.form, reverse=True):
-            c = self.form[exps]
-            if not c.is_zero():
-                return self.scale(c.invert())
-        raise ValueError("zero form")
+        """Scale so the lexicographically first coefficient is one.  A form
+        holds no structural zero, so the inverse is the only zero test: it
+        raises ZeroDivisorEncountered over a split-pending tower."""
+        return self.scale(self.form[max(self.form)].invert())
 
     def embedded(self, tower):
         """The curve over ``tower``, keeping its ``is_smooth_curve`` answer."""
@@ -536,8 +472,6 @@ def _proportional_forms(a, b):
         ca = a.form.get(k)
         cb = b.form.get(k)
         if ca is None or cb is None:
-            if ca is None and cb is None:
-                continue
             missing = ca if cb is None else cb
             if missing.is_zero():
                 continue
@@ -1038,7 +972,7 @@ def _fulton(F, G, tower, bound):
     F, G = BiPoly(tower, F.terms), BiPoly(tower, G.terms)
     f = F.restrict_v0()
     g = G.restrict_v0()
-    result = 0
+    result, h = 0, tower.height
     for _step in range(100000):
         if F.is_zero() or G.is_zero() or result > bound:
             raise CommonComponent("a shared factor passes through the point")
@@ -1064,23 +998,18 @@ def _fulton(F, G, tower, bound):
         if r == 0:
             # F(u,0) is a nonzero constant, but F(0,0) = 0: impossible
             raise CommonComponent("inconsistent local forms")
-        # kill the leading u-term of g|v=0 with a multiple of F; f stays
+        # kill the leading u-term of g|v=0: G -= coeff * u^(s - r) * F; f stays
         coeff = g.coefficient(s) * f.coefficient(r).invert()
-        _subtract_shifted(G.terms, coeff, s - r, F)
+        terms = G.terms
+        for (i, j), c in F.terms.items():
+            k = (i + s - r, j)
+            x = terms[k] - coeff * c if k in terms else -(coeff * c)
+            if _is_szero(x.rep, h):
+                del terms[k]
+            else:
+                terms[k] = x
         g = G.restrict_v0()
     raise RuntimeError("Fulton recursion did not terminate")
-
-
-def _subtract_shifted(terms, coeff, shift, F):
-    """terms -= coeff * u^shift * F, in place, in one pass over F's terms."""
-    h = coeff.tower.height
-    for (i, j), c in F.terms.items():
-        k = (i + shift, j)
-        x = terms[k] - coeff * c if k in terms else -(coeff * c)
-        if _is_szero(x.rep, h):
-            del terms[k]
-        else:
-            terms[k] = x
 
 
 def _u_order(f):
@@ -1152,10 +1081,12 @@ def intersection_points(c, d, tower=None):
         raise CommonComponent("vanishing resultant")
 
     def fiber(ext, x):
+        # F(x, v) and G(x, v): each v-column evaluated at x by Horner's rule
         return _common_roots(
-            F.embedded(ext).specialize_u(x), G.embedded(ext).specialize_u(x), ext,
-            "y", "curves share the line x = const",
-            lambda tw, y0: [record(tw, point_from_affine(tw, 2, x.embedded(tw), y0))],
+            UniPoly(ext, [c.embedded(ext).evaluate(x) for c in cols_f]),
+            UniPoly(ext, [c.embedded(ext).evaluate(x) for c in cols_g]),
+            ext, "y", "curves share the line x = const",
+            lambda tw, y0: [record(tw, ProjPoint(tw, [x.embedded(tw), y0, tw.one()]))],
         )
 
     return records + _at_roots(res, tower, "x", fiber)
@@ -1210,14 +1141,12 @@ class BranchSeries:
     names the dehomogenization chart.
     """
 
-    __slots__ = ("center", "chart", "u_series", "v_series", "order")
+    __slots__ = ("chart", "u_series", "v_series")
 
-    def __init__(self, center, chart, u_series, v_series, order):
-        self.center = center
+    def __init__(self, chart, u_series, v_series):
         self.chart = chart
         self.u_series = u_series
         self.v_series = v_series
-        self.order = order
 
 
 def _series_mul(a, b, order, tower):
@@ -1291,13 +1220,9 @@ def branch_series(c, p, order):
         us[1] = t.one()
     if swap:
         us, vs = vs, us
-    return BranchSeries(p, chart, _shifted(us, u0, t), _shifted(vs, v0, t), order)
-
-
-def _shifted(series, c0, tower):
-    out = list(series)
-    out[0] = out[0] + c0
-    return out
+    us[0] = us[0] + u0
+    vs[0] = vs[0] + v0
+    return BranchSeries(chart, us, vs)
 
 
 def _monomial_series(us, vs, exps, order, tower):

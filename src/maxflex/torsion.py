@@ -70,12 +70,6 @@ class TorsionClass:
             (self.coords[0] + other.coords[0], self.coords[1] + other.coords[1]),
         )
 
-    def __neg__(self):
-        return TorsionClass(self.modulus, (-self.coords[0], -self.coords[1]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, n):
         return TorsionClass(self.modulus, (n * self.coords[0], n * self.coords[1]))
 

@@ -470,12 +470,13 @@ def divide_point(model, n, target, name):
     x(P) runs over the roots of the preimage polynomial through
     ``geometry._at_roots``, one per packet, adjoined at a level named
     ``name`` plus its height; y(P) is taken directly when its discriminant
-    is a rational square or zero, and otherwise from a square-root level
-    named ``name + "y"`` plus its height.  Every candidate is verified by
-    multiplying by n (with a sign fix when it lands on -target); reducible
-    adjoined moduli are split transparently, so the returned towers may be
-    branch towers.  A zero divisor at a level of the model's tower is the
-    caller's to split.
+    is a rational square (zero among them), and otherwise from a square-root
+    level named ``name + "y"`` plus its height, whose squarefree test raises
+    ZeroDivisorEncountered for a discriminant that is a zero divisor.  Every
+    candidate is verified by multiplying by n (with a sign fix when it lands
+    on -target); reducible adjoined moduli are split transparently, so the
+    returned towers may be branch towers.  A zero divisor at a level of the
+    model's tower is the caller's to split.
     """
     half = Fraction(1, 2)
 
@@ -485,8 +486,6 @@ def divide_point(model, n, target, name):
         tower = tw
         if root is not None:
             y0 = (-a + tw.rational(root)) * half
-        elif disc.is_zero():
-            y0 = -a * half
         else:
             sq = UniPoly(tw, (-disc, tw.zero(), tw.one()))
             tower = tw.extend(sq, name="%sy%d" % (name, tw.height))

@@ -59,6 +59,11 @@ the Taylor shifts by synthetic division, and ``branch_series_by_orders`` the
 former branch expansion, which rebuilt the power table of the partial
 series at every order, as the reference for the one table filled column by
 column.
+``specialize_by_powers`` keeps ``BiPoly.specialize_u``'s former route, a
+table of the powers of u0 weighting each term, as the reference for the
+sweep's fibres, which evaluate the resultant's v-columns by Horner's rule,
+and ``v_columns_by_filter`` the former column reader, a filter of the terms
+for each power of v, as the reference for ``v_columns``.
 """
 
 from collections import namedtuple
@@ -887,12 +892,54 @@ def sylvester_resultant(f_cols, g_cols, tower):
     return _det_bareiss_poly(rows, tower)
 
 
+def _powers(tower, x, n):
+    """1, x, ..., x^n, one product each."""
+    out = [tower.one()]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def specialize_by_powers(F, u0):
+    """F(u0, v) as a UniPoly in v, ``BiPoly.specialize_u``'s former route:
+    one table of the powers of u0, and column j the sum of c * u0^i over the
+    terms c u^i v^j."""
+    from maxflex import UniPoly
+
+    t = F.tower
+    upow = _powers(t, u0, max((i for i, _ in F.terms), default=0))
+    cols = {}
+    for (i, j), c in F.terms.items():
+        cols.setdefault(j, []).append((i, c))
+    out = []
+    for j in range(max(cols, default=-1) + 1):
+        acc = t.zero()
+        for i, c in cols.get(j, ()):
+            acc = acc + c * upow[i]
+        out.append(acc)
+    return UniPoly(t, out)
+
+
+def v_columns_by_filter(F):
+    """``BiPoly.v_columns``' former route: column j filters F's terms of
+    v-degree j afresh, for each j up to the v-degree."""
+    from maxflex import UniPoly
+
+    t = F.tower
+    out = []
+    for j in range(max((jj for _, jj in F.terms), default=-1) + 1):
+        coeffs = {i: c for (i, jj), c in F.terms.items() if jj == j}
+        n = max(coeffs, default=-1)
+        out.append(UniPoly(t, [coeffs.get(i, t.zero()) for i in range(n + 1)]))
+    return out
+
+
 def binomial_translate(F, a, b):
     """F(u + a, v + b) by binomial expansion, ``BiPoly.translate``'s former
     route."""
     from math import comb
 
-    from maxflex.geometry import BiPoly, _powers
+    from maxflex.geometry import BiPoly
 
     out = {}
     apow = _powers(F.tower, a, max((i for i, _ in F.terms), default=0))

@@ -169,6 +169,28 @@ def test_tangent_of_line_is_itself():
     assert t == line.normalized() or t.form.keys() == line.normalized().form.keys()
 
 
+def test_proportional_forms_with_unequal_supports():
+    line = PlaneCurve.line(QQ, (2, -3, 1))
+    assert geometry._proportional_forms(line, line.scale(QQ.rational(-5)))
+    assert not geometry._proportional_forms(line, PlaneCurve.line(QQ, (2, -3, 2)))
+    # a term in one form alone, on either side and at either end of the keys
+    for other in ((2, -3, 0), (0, -3, 1), (2, 0, 1)):
+        b = PlaneCurve.line(QQ, other)
+        assert not geometry._proportional_forms(line, b)
+        assert not geometry._proportional_forms(b, line)
+    assert not geometry._proportional_forms(line, PlaneCurve(QQ, 2, {(2, 0, 0): 1}))
+    # a lone coefficient that is a zero divisor is tested, not taken as nonzero
+    t = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1]), name="t")
+
+    def lone(tw):
+        a = PlaneCurve.line(tw, (tw.generator() - tw.one(), tw.one(), tw.zero()))
+        return geometry._proportional_forms(a, PlaneCurve.line(tw, (0, 2, 0)))
+
+    with pytest.raises(ZeroDivisorEncountered):
+        lone(t)
+    assert sorted(r for _tw, r in with_splitting(t, lone)) == [False, True]
+
+
 def test_singular_point_raises():
     nodal = PlaneCurve(QQ, 3, {(2, 0, 1): 1, (0, 2, 1): -1, (3, 0, 0): -1})
     p = ProjPoint(QQ, [0, 0, 1])

@@ -12,7 +12,11 @@ Each route computes a uniquely defined value, so the former route in
   ``binomial_translate``, on cubics and conics over Q, Q(w) and the Fermat
   [2,9,1] tower;
 - ``branch_series`` (one power table filled column by column) against
-  ``branch_series_by_orders``, at the bi-gon points of orders 4, 12 and 8.
+  ``branch_series_by_orders``, at the bi-gon points of orders 4, 12 and 8;
+- the sweep's fibre F(x, v), the v-columns each evaluated at x by Horner's
+  rule, against ``specialize_by_powers``, and ``BiPoly.v_columns`` against
+  ``v_columns_by_filter``, over Q, Q(w), [4,1] and [2,9,1], on forms with an
+  empty middle column and at x = 0.
 
 The counts pin what the new routes cost at the r = 4 bi-gon point of 90c3:
 tower products through ``tests/counting.py``, and the resultant's rep
@@ -25,7 +29,13 @@ from functools import lru_cache
 
 import pytest
 from counting import count_calls
-from oracles import binomial_translate, branch_series_by_orders, sylvester_resultant
+from oracles import (
+    binomial_translate,
+    branch_series_by_orders,
+    specialize_by_powers,
+    sylvester_resultant,
+    v_columns_by_filter,
+)
 
 from maxflex import QQ, UniPoly, catalog, fields, geometry, polysolve
 from maxflex.geometry import BiPoly, branch_series
@@ -159,6 +169,40 @@ def test_taylor_shift_matches_the_binomial_expansion(shape, seed, count):
             assert reps(F.translate(b, a)) == reps(binomial_translate(F, b, a))
 
 
+def column_forms(rng, t, count):
+    """Seeded forms over t: plane forms of degree 2 to 4, and forms whose
+    v-degree 2 column has no v-degree 1 column below it."""
+    forms = [plane_form(rng, t, 2 + n % 3) for n in range(count)]
+    for _ in range(2):
+        terms = {(i, j): element(rng, t) for i in range(3) for j in (0, 2) if rng.random() < 0.8}
+        terms[(rng.randint(0, 2), 2)] = element(rng, t)
+        forms.append(BiPoly(t, terms))
+    return forms
+
+
+@pytest.mark.parametrize(
+    "shape, seed, count", [("q", 8, 12), ("q-w", 9, 6), ("t4-1", 10, 4), ("t2-9-1", 11, 3)]
+)
+def test_column_evaluation_matches_the_power_table(shape, seed, count):
+    t = tower(shape)
+    rng = random.Random(seed)
+    empty_middle = 0
+    for n, F in enumerate(column_forms(rng, t, count)):
+        cols = F.v_columns()
+        assert [c.coeffs for c in cols] == [c.coeffs for c in v_columns_by_filter(F)]
+        empty_middle += len(cols) == 3 and cols[1].is_zero()
+        for x in (t.zero(), element(rng, t)):
+            fibre = UniPoly(t, [c.evaluate(x) for c in cols])
+            assert fibre.coeffs == specialize_by_powers(F, x).coeffs, (F.terms, x)
+        # the sweep's fibres read columns of the base tower inside an extension
+        if n == 0 and shape != "q":
+            G = plane_form(rng, QQ, 3)
+            x = element(rng, t)
+            fibre = UniPoly(t, [c.embedded(t).evaluate(x) for c in G.v_columns()])
+            assert fibre.coeffs == specialize_by_powers(G.embedded(t), x).coeffs
+    assert empty_middle >= 1
+
+
 @lru_cache(maxsize=None)
 def bigon(r):
     tw, E, P, Q = catalog.bigon_points(catalog.catalog_entry("90c3").build(64), r)
@@ -206,3 +250,5 @@ def test_cubic_conic_resultant_costs_at_the_r4_point(monkeypatch):
 def test_the_former_routes_are_gone():
     assert not hasattr(polysolve, "det_bareiss_poly")
     assert not hasattr(geometry, "_compose_coefficient")
+    assert not hasattr(geometry.BiPoly, "specialize_u")
+    assert not hasattr(geometry, "_powers")

@@ -131,6 +131,27 @@ def test_with_splitting_cutoff_reraises_below_base_height():
     assert all(tw.levels[0] == tower.levels[0] for tw, _r in results)
 
 
+def test_normalized_line_splits_on_a_zero_divisor_lead():
+    # over Q[t]/(t^2 - 1) the lead t - 1 of (t - 1)x + y + 3z is a zero divisor
+    tower = QQ.extend(UniPoly.from_rationals(QQ, [-1, 0, 1]), name="t")
+
+    def line(tw):
+        return PlaneCurve.line(tw, [tw.generator() - tw.one(), tw.one(), tw.rational(3)])
+
+    with pytest.raises(ZeroDivisorEncountered):
+        line(tower).normalized()
+    results = with_splitting(tower, lambda tw: line(tw).normalized())
+    assert len(results) == 2
+    leads = set()
+    for tw, normal in results:
+        lead = max(normal.form)
+        assert normal.form[lead] == tw.one()
+        assert normal.contains(ProjPoint(tw, [0, -3, 1]))
+        leads.add(lead)
+    # at t = 1 the x-term vanishes and y leads; at t = -1 it is -2x
+    assert leads == {(1, 0, 0), (0, 1, 0)}
+
+
 def _i_tower():
     return QQ.extend(UniPoly.from_rationals(QQ, [1, 0, 1]), name="i")
 
