@@ -55,7 +55,15 @@ coefficient is inverted once, at the coefficients' height, and the sequence
 stops at a zero remainder or a constant; a monic gcd is made from the last
 inverse taken.  Over the integers a step is a pseudo-division.  The inverse
 of a value constant in its level, or at a linear level, is that of its one
-coefficient.
+coefficient.  At height 2, when level 1 is a quadratic w^2 + p w + q marked
+irreducible and level 2's modulus f has coefficients constant in it, a =
+U + V w is inverted through its norm (Cohen, *A Course in Computational
+Algebraic Number Theory*, on relative norms): conjugation w -> -p - w fixes
+the rational line Q[v]/(f), so a^-1 = abar / N(a) with N(a) = a abar =
+U^2 - p U V + q V^2 on that line, whose inverse is one remainder sequence
+over Q.  a is a unit exactly when N(a) is one; when N(a) is 0 or a zero
+divisor the sequence over Q(w) runs instead and raises the factor at level
+1.  The Fermat tower [2,9,1] reaches this route through its linear level.
 
 Each representation has one division: Z[x] the pseudo-division
 ``_zz_pseudo_divmod`` (Euclid over Q, GF(p) remainders, rational-root
@@ -216,14 +224,15 @@ class _ZLevel:
     with N_t != 0 with its multiplier: N_t, or the int c S_{k-1} when N_t is
     a constant c in the levels below, since a product by it is a scaling.
     ``frame`` is the level's unit certificate frame, built on first use by
-    ``_unit_frame``.
+    ``_unit_frame``, and ``line`` at level 2 the data of the norm inverse,
+    built on first use by ``_norm_line``.
     """
 
     __slots__ = ("degree", "size", "degrees", "cleared", "terms", "step", "scale", "zero",
-                 "one", "frame")
+                 "one", "frame", "line")
 
     def __init__(self, levels, k):
-        self.frame = _UNBUILT
+        self.frame = self.line = _UNBUILT
         modulus = levels[k - 1].modulus
         d = len(modulus) - 1
         below = _zlevel(levels, k - 1)
@@ -461,7 +470,7 @@ def _zmonic(levels, k, g, inv):
 #: common root though M and X have none) is rare.
 _UNIT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579,
                 2147483563, 2147483549, 2147483543, 2147483497)
-_UNBUILT = object()  # ``_ZLevel.frame`` until ``_unit_frame`` builds it
+_UNBUILT = object()  # ``_ZLevel.frame`` and ``line`` until first use builds them
 
 
 def _gf_rem(f, g, p):
@@ -703,6 +712,12 @@ def _rinv(levels, h, a):
         # is: invert the one coefficient (the entries dropped are zero, so
         # its rep is canonical)
         return _lift(levels, k, _rinv(levels, k, _rep(levels, k, a[0], c)), h)
+    if h == 2:
+        line = _norm_line(levels)
+        if line is not None:
+            inv = _rinv_by_norm(line, a)
+            if inv is not None:
+                return inv
     # s A = l g modulo the cleared modulus, g a constant unless A is a zero divisor
     zl, below = _zlevel(levels, h), _zlevel(levels, k)
     den = a[0]
@@ -714,6 +729,51 @@ def _rinv(levels, h, a):
     for i, x in enumerate(s):
         Z[i] = _zscale(_zmul(levels, k, x, inv[1]), den, k)
     return _rnorm(levels, h, l * inv[0] * below.scale, _zjoin(Z, h))
+
+
+def _norm_line(levels):
+    """(line, p, q) for the norm inverse at height 2, built once per level 2:
+    w^2 + p w + q is level 1's modulus (p and q reps at height 0) and
+    ``line`` the levels of the one-level tower Q[v]/(f), f level 2's
+    modulus.  None unless level 1 is a quadratic marked irreducible and
+    every coefficient of f is constant in it."""
+    zl = _zlevel(levels, 2)
+    if zl.line is _UNBUILT:
+        base, top = levels[0], levels[1]
+        zl.line = None
+        if base.degree == 2 and base.irreducible and not any(c[1][1] for c in top.modulus):
+            f = tuple((c[0], c[1][0]) for c in top.modulus)
+            zl.line = ((TowerLevel(top.name, f),), base.modulus[1], base.modulus[0])
+    return zl.line
+
+
+def _rinv_by_norm(line, a):
+    """The inverse abar / N(a) of a rep a = (U + V w) / den at height 2, on
+    the norm line of ``_norm_line``; None when N(a) is no unit there.
+
+    U and V are the level-1 slices of a's numerators, abar = (U - p V) - V w
+    and N(a) = U^2 - p U V + q V^2.  With p = pn/pd and q = qn/qd, U' = pd U
+    - pn V and N = qd U U' + pd qn V V, the products carrying the line's
+    scale S, N(a) = N / (den^2 pd qd S); with 1/N = E/e, a^-1 = (U' E -
+    pd V E w) den qd / e, S cancelling against that of U' E and V E."""
+    lv, (pd, pn), (qd, qn) = line
+    den, Z = a[0], a[1]
+    U, V = Z[0::2], Z[1::2]
+    U1 = _zop(sub, _zscale(U, pd, 1), _zscale(V, pn, 1), 1)
+    N = _zop(add, _zscale(_zmul(lv, 1, U, U1), qd, 1),
+             _zscale(_zmul(lv, 1, V, V), pd * qn, 1), 1)
+    if not any(N):
+        return None
+    try:
+        e, E = _rinv(lv, 1, (1, N))
+    except ZeroDivisorEncountered:
+        return None
+    c = den * qd
+    Z = [0] * len(Z)
+    Z[0::2] = _zscale(_zmul(lv, 1, U1, E), c, 1)
+    Z[1::2] = _zscale(_zmul(lv, 1, V, E), -pd * c, 1)
+    den, Z = _znorm(e, tuple(Z), 2)
+    return (den, Z, a[2])
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +877,11 @@ def _pl_derivative(levels, h, A):
 
 
 def _pl_eval(levels, h, A, x):
-    acc = _rzero(levels, h)
-    for c in reversed(A):
+    """A at x by Horner's rule, started from the leading coefficient."""
+    if not A:
+        return _rzero(levels, h)
+    acc = A[-1]
+    for c in A[-2::-1]:
         acc = _radd(levels, h, _rmul(levels, h, acc, x), c)
     return acc
 

@@ -472,15 +472,15 @@ def _proportional_forms(a, b):
         ca = a.form.get(k)
         cb = b.form.get(k)
         if ca is None or cb is None:
-            missing = ca if cb is None else cb
-            if missing.is_zero():
-                continue
+            # a form holds no structural zero, so this is False or raises on
+            # a split-pending tower
+            (ca if cb is None else cb).is_zero()
             return False
         if ratio is None:
             ratio = ca * cb.invert()
         elif not (ca - ratio * cb).is_zero():
             return False
-    return ratio is not None
+    return True
 
 
 def form_sum(tower, degree, terms):

@@ -450,18 +450,26 @@ def signed_preimage(model, n, pt, target):
     ``model`` and ``target`` live in a prefix of pt's tower and are embedded
     there.  None when pt is off the model or x(n pt) differs from x(target).
     """
-    tower = pt[0].tower
-    m = model.embedded(tower)
-    if not m.on_curve(pt):
-        return None
-    img = m.mul(n, pt)
+    return _signed(model, pt, _multiple(model, n, pt), target)
+
+
+def _multiple(model, n, pt):
+    """n pt on ``model`` embedded in pt's tower; None when pt is off the model
+    or n pt is the point at infinity."""
+    m = model.embedded(pt[0].tower)
+    return m.mul(n, pt) if m.on_curve(pt) else None
+
+
+def _signed(model, pt, img, target):
+    """``signed_preimage`` of pt given its multiple img (or None)."""
     if img is None:
         return None
+    tower = pt[0].tower
     if not (img[0] - target[0].embedded(tower)).is_zero():
         return None
     if (img[1] - target[1].embedded(tower)).is_zero():
         return pt
-    return m.neg(pt)
+    return model.embedded(tower).neg(pt)
 
 
 def divide_point(model, n, target, name):
@@ -475,8 +483,11 @@ def divide_point(model, n, target, name):
     ZeroDivisorEncountered for a discriminant that is a zero divisor.  Every
     candidate is verified by multiplying by n (with a sign fix when it lands
     on -target); reducible adjoined moduli are split transparently, so the
-    returned towers may be branch towers.  A zero divisor at a level of the
-    model's tower is the caller's to split.
+    returned towers may be branch towers.  A candidate's multiple is taken
+    once, and split branches of the comparison with target embed it: an
+    embedding into a branch is a ring map, and every zero test before the
+    split was answered, so the branch would take the same path.  A zero
+    divisor at a level of the model's tower is the caller's to split.
     """
     half = Fraction(1, 2)
 
@@ -491,14 +502,23 @@ def divide_point(model, n, target, name):
             tower = tw.extend(sq, name="%sy%d" % (name, tw.height))
             y0 = (-a.embedded(tower) + tower.generator()) * half
         xx = x0.embedded(tower)
-        return [
-            (final, res)
-            for final, res in with_splitting(
-                tower,
-                lambda t: signed_preimage(model, n, (xx.embedded(t), y0.embedded(t)), target),
-            )
-            if res is not None
-        ]
+
+        def point(t):
+            return (xx.embedded(t), y0.embedded(t))
+
+        out = []
+        for branch, img in with_splitting(tower, lambda t: _multiple(model, n, point(t))):
+            if img is not None:
+                out += [
+                    (final, res)
+                    for final, res in with_splitting(
+                        branch,
+                        lambda t: _signed(model, point(t), (img[0].embedded(t), img[1].embedded(t)),
+                                          target),
+                    )
+                    if res is not None
+                ]
+        return out
 
     return _at_roots(preimage_polynomial(model, n, target[0]), model.tower, name, solve)
 

@@ -22,6 +22,9 @@ prime descent.  ``xgcd_inverse`` keeps the tower inverse's former route, the
 extended Euclid on canonical reps built from ``maxflex.fields``' rep
 helpers, as the reference for the remainder sequence on numerators: the
 same inverse, and the same zero divisor raised on a split-pending tower.
+``euclid_inverse`` keeps the remainder sequence on numerators alone, the
+inverse's route at height 2 before the norm route, as the reference for that
+route: the same inverse, and the same zero divisor.
 ``euclid_gcd`` keeps the polynomial gcd's former route, Euclid on canonical
 reps with the same division as ``xgcd_inverse``, as the reference for the
 gcd on numerators: the same monic gcd and the same zero divisor.
@@ -588,6 +591,31 @@ def xgcd_inverse(levels, h, rep):
         raise ZeroDivisorEncountered(k, [F._rmul(levels, k, c, linv) for c in r0])
     ginv = xgcd_inverse(levels, k, r0[0])
     return F._join(levels, h, [F._rmul(levels, k, c, ginv) for c in s0])
+
+
+def euclid_inverse(levels, h, rep):
+    """The inverse of a rep by the remainder sequence alone: ``fields._rinv``
+    without its norm route at height 2, as the reference for that route.
+    Values constant in their level take this route one height down; every
+    leading coefficient of the sequence is inverted by ``fields._rinv``."""
+    from maxflex import fields as F
+    from maxflex.errors import ZeroDivisorEncountered
+
+    if h == 0:
+        return F._rinv(levels, h, rep)
+    k = h - 1
+    c = F._zbelow(levels, rep[1], h, k)
+    if c is not None:
+        return F._lift(levels, k, euclid_inverse(levels, k, F._rep(levels, k, rep[0], c)), h)
+    zl, below = F._zlevel(levels, h), F._zlevel(levels, k)
+    A = F._ztrim(F._zparts(rep[1], h, zl.degree), k)
+    g, inv, (s, lam) = F._zeuclid(levels, k, list(zl.cleared), A, True)
+    if len(g) > 1:
+        raise ZeroDivisorEncountered(k, F._zmonic(levels, k, g, inv))
+    Z = [below.zero] * zl.degree
+    for i, x in enumerate(s):
+        Z[i] = F._zscale(F._zmul(levels, k, x, inv[1]), rep[0], k)
+    return F._rnorm(levels, h, lam * inv[0] * below.scale, F._zjoin(Z, h))
 
 
 def rep_divmod(levels, h, a, b):

@@ -24,20 +24,27 @@ import pytest
 from maxflex import fields
 
 #: Every numerator helper and rep helper (``_z*``, ``_r*``, ``_pl_*``), and
-#: the helpers that lift, split, join, move or serialize reps or read them
-#: into GF(p).
+#: the helpers that lift, split, join, move or serialize reps, build the line
+#: of the norm inverse or read reps into GF(p).
 CELL_FREE = sorted(
     name for name, obj in vars(fields).items()
     if isinstance(obj, FunctionType) and name.startswith(("_z", "_r", "_pl_"))
 ) + [
     "_lift", "_coeffs", "_join", "_gf_eval", "_frame_at", "_certified_unit", "_moved_reps",
-    "_nested_data", "rep_to_data", "rep_from_data",
+    "_nested_data", "rep_to_data", "rep_from_data", "_norm_line",
 ]
 
 
 @pytest.mark.parametrize("name", CELL_FREE)
 def test_numerator_helper_makes_no_closure_cells(name):
     assert getattr(fields, name).__code__.co_cellvars == ()
+
+
+def test_the_norm_inverse_is_covered():
+    """The route is an ``_r*`` name, picked up with no listing; the helper
+    that builds its line is listed."""
+    assert "_rinv_by_norm" in CELL_FREE[:CELL_FREE.index("_lift")]
+    assert "_norm_line" in CELL_FREE
 
 
 def test_a_generator_over_a_local_makes_a_cell():

@@ -60,14 +60,18 @@ def test_the_triangle_doubles_its_second_vertex(monkeypatch):
     products (``fields._rmul``) are counted beside the element products, so
     work moved below ``TowerElement`` still shows: the smoothness sweep's
     fibres evaluate the resultant's v-columns by Horner's rule in
-    ``_pl_eval``, where four element products used to run, and the rep
-    products stay at 793."""
+    ``_pl_eval``, where four element products used to run.  Horner's rule
+    starts from the leading coefficient, which drops one rep product of
+    zero from each of the two evaluations with a coefficient (793 -> 791),
+    and the trisection takes 3P once per candidate, the split branches of
+    its comparison with T embedding it (13 model sums, 41 inverses, 672
+    products and 791 rep products before)."""
     count = count_calls(monkeypatch, ("inverses", "products"),
                         [("model sums", weierstrass.WeierstrassModel, "add"),
                          ("rep products", fields, "_rmul")])
     witness = fermat_witness(64)
-    assert count == {"model sums": 13, "inverses": 41, "products": 672,
-                     "rep products": 793}
+    assert count == {"model sums": 7, "inverses": 37, "products": 604,
+                     "rep products": 727}
     a, b, c = witness["triangle"].vertices
     e = witness["structure"]
     assert geometry.ec_mul(e, -2, b) == c and geometry.ec_mul(e, -2, a) == b
