@@ -20,7 +20,10 @@ polynomial in the generators (lowest degree first, zero-padded) whose
 coefficients are the entries of Z divided by den.  Reps are canonical:
 residues are reduced and gcd(den, every entry of Z) == 1.  Fractions only
 cross the boundary: ``FieldTower.rational`` and the coercions take them in,
-``as_rational`` and ``rational_coeffs`` hand them out.
+``as_rational`` and ``rational_coeffs`` hand them out.  ``rep_to_data``
+serializes a rep in one pass over its flat numerators: one ``map`` of gcds
+against den, one of "p/q" formatting, and the strings grouped by the rep's
+level degrees.
 
 A sum, a scaling, a content and an exact division of numerators is one
 ``map`` or ``gcd`` over the flat tuple, and a zero test one ``any``, at
@@ -35,7 +38,15 @@ cases skip work.  A linear level (the trivial
 level a split leaves) adds no entries: it has the numerators and the scale
 of the level below, so a product at it, and the sums of a product above
 it, are those of that level; and a rational operand only scales the other
-operand's numerators, which are already reduced.  The numerator helpers and
+operand's numerators, which are already reduced.  At height 2 over a
+quadratic level 1 w^2 + p w + q, when every coefficient of level 2's modulus
+f is constant in level 1, a product runs on the rational line Q[v]/(f)
+(Karatsuba-Ofman's three products): a = U + V w times b = U' + V' w is UU'
+- q VV' + ((U + V)(U' + V') - UU' - VV' - p VV') w, formed with level 1's
+denominators cleared, and each half is reduced by one table the line builds
+from ``_zreduce``, row n the reduction of v^n for n = d .. 2d - 2, one dot
+product per entry, to exactly the integers of the stepwise route.  Every
+other level reduces step by step.  The numerator helpers and
 the rep arithmetic on them (``_z*``, ``_r*``, ``_pl_*``) hold no
 comprehension over their locals: on CPython <= 3.11 one makes its function
 build closure cells on every call, even on a branch that never runs it, so
@@ -55,15 +66,16 @@ coefficient is inverted once, at the coefficients' height, and the sequence
 stops at a zero remainder or a constant; a monic gcd is made from the last
 inverse taken.  Over the integers a step is a pseudo-division.  The inverse
 of a value constant in its level, or at a linear level, is that of its one
-coefficient.  At height 2, when level 1 is a quadratic w^2 + p w + q marked
-irreducible and level 2's modulus f has coefficients constant in it, a =
-U + V w is inverted through its norm (Cohen, *A Course in Computational
-Algebraic Number Theory*, on relative norms): conjugation w -> -p - w fixes
-the rational line Q[v]/(f), so a^-1 = abar / N(a) with N(a) = a abar =
-U^2 - p U V + q V^2 on that line, whose inverse is one remainder sequence
-over Q.  a is a unit exactly when N(a) is one; when N(a) is 0 or a zero
-divisor the sequence over Q(w) runs instead and raises the factor at level
-1.  The Fermat tower [2,9,1] reaches this route through its linear level.
+coefficient.  At height 2, on the rational line of a product, a = U + V w
+is inverted through its norm (Cohen, *A Course in Computational Algebraic
+Number Theory*, on relative norms) when level 1 is also marked
+irreducible; the line itself does not need that, only the inverse does.
+Conjugation w -> -p - w fixes the line Q[v]/(f), so a^-1 = abar / N(a) with
+N(a) = a abar = U^2 - p U V + q V^2 on that line, whose inverse is one
+remainder sequence over Q.  a is a unit exactly when N(a) is one; when N(a)
+is 0 or a zero divisor the sequence over Q(w) runs instead and raises the
+factor at level 1.  The Fermat tower [2,9,1] reaches the line, for products
+and inverses, through its linear level.
 
 Each representation has one division: Z[x] the pseudo-division
 ``_zz_pseudo_divmod`` (Euclid over Q, GF(p) remainders, rational-root
@@ -224,8 +236,8 @@ class _ZLevel:
     with N_t != 0 with its multiplier: N_t, or the int c S_{k-1} when N_t is
     a constant c in the levels below, since a product by it is a scaling.
     ``frame`` is the level's unit certificate frame, built on first use by
-    ``_unit_frame``, and ``line`` at level 2 the data of the norm inverse,
-    built on first use by ``_norm_line``.
+    ``_unit_frame``, and ``line`` at level 2 the rational line of products
+    and the norm inverse, built on first use by ``_zline``.
     """
 
     __slots__ = ("degree", "size", "degrees", "cleared", "terms", "step", "scale", "zero",
@@ -278,6 +290,10 @@ def _zmul(levels, k, A, B):
     if k > 1 and levels[k - 1].degree == 1:
         # a linear level has the numerators and the scale of the one below
         return _zmul(levels, k - 1, A, B)
+    if k == 2:
+        line = _zline(levels)
+        if line is not None:
+            return _zline_mul(line, A, B)
     return _zreduce(levels, k, _zraw(levels, k, A, B))
 
 
@@ -346,6 +362,61 @@ def _zreduce(levels, k, P):
                         P[i] -= x
                         i += 1
     return tuple(P)
+
+
+def _zline(levels):
+    """The rational line of level 2, built once per level 2: (line, cleared,
+    scale, columns), or None unless level 1 is a quadratic and every
+    coefficient of level 2's modulus f is constant in it.
+
+    ``line`` holds the levels of the one-level tower Q[v]/(f) and
+    ``cleared`` is level 1's cleared modulus (q, p, D1), D1 w^2 + p w + q.
+    Row n of the table, n = d .. 2d - 2 for f of degree d, is ``_zreduce``
+    of v^n on the line, and ``columns[t]`` holds entry t of every row, so
+    entry t of the reduction of H, of degree <= 2d - 2, is scale H_t + the
+    sum of H_n columns[t][n - d].  Table and scale carry D1^(d - 1) beside
+    the line's own scale, so that ``_zline_mul`` gives level 2's scale."""
+    zl = _zlevel(levels, 2)
+    if zl.line is _UNBUILT:
+        base, top = levels[0], levels[1]
+        zl.line = None
+        if base.degree == 2 and not any(c[1][1] for c in top.modulus):
+            lv = (TowerLevel(top.name, tuple((c[0], c[1][0]) for c in top.modulus)),)
+            d = top.degree
+            below = _zlevel(levels, 1)
+            factor = below.scale ** (d - 1)  # level 1's scale is D1
+            rows = []
+            for n in range(d, 2 * d - 1):
+                P = [0] * (2 * d - 1)
+                P[n] = 1
+                rows.append(_zscale(_zreduce(lv, 1, P), factor, 1))
+            zl.line = (lv, below.cleared, factor * _zlevel(lv, 1).scale, tuple(zip(*rows)))
+    return zl.line
+
+
+def _zline_mul(line, A, B):
+    """The product of numerators A = U + V w and B = U' + V' w at int-height
+    2 on the rational line of ``_zline``, reduced, times level 2's scale: what
+    ``_zreduce`` makes of ``_zraw``'s product, from three products on the
+    line (Karatsuba-Ofman).  U and V are the level-1 slices; with M = (U +
+    V)(U' + V') and level 1's modulus cleared to D1 w^2 + p w + q, D1 A B =
+    (D1 UU' - q VV') + (D1 (M - UU' - VV') - p VV') w, and each half, of
+    degree 2d - 2, reduces by the line's table."""
+    _, (q, p, D1), S, cols = line
+    U, V, U1, V1 = A[0::2], A[1::2], B[0::2], B[1::2]
+    UU = _zz_mul(U, U1)
+    VV = _zz_mul(V, V1)
+    M = _zz_mul(list(map(add, U, V)), list(map(add, U1, V1)))
+    W = map(sub, M, map(add, UU, VV))
+    X = list(map(sub, _zscale(UU, D1, 1), _zscale(VV, q, 1)))
+    Y = list(map(sub, _zscale(W, D1, 1), _zscale(VV, p, 1)))
+    d = len(cols)
+    Xt, Yt = X[d:], Y[d:]
+    Z = []
+    for t, col in enumerate(cols):
+        Z.append(S * X[t] + sum(map(mul, Xt, col)))
+        Z.append(S * Y[t] + sum(map(mul, Yt, col)))
+    return tuple(Z)
 
 
 def _zz_trim(v):
@@ -732,46 +803,34 @@ def _rinv(levels, h, a):
 
 
 def _norm_line(levels):
-    """(line, p, q) for the norm inverse at height 2, built once per level 2:
-    w^2 + p w + q is level 1's modulus (p and q reps at height 0) and
-    ``line`` the levels of the one-level tower Q[v]/(f), f level 2's
-    modulus.  None unless level 1 is a quadratic marked irreducible and
-    every coefficient of f is constant in it."""
-    zl = _zlevel(levels, 2)
-    if zl.line is _UNBUILT:
-        base, top = levels[0], levels[1]
-        zl.line = None
-        if base.degree == 2 and base.irreducible and not any(c[1][1] for c in top.modulus):
-            f = tuple((c[0], c[1][0]) for c in top.modulus)
-            zl.line = ((TowerLevel(top.name, f),), base.modulus[1], base.modulus[0])
-    return zl.line
+    """The line of ``_zline`` when the norm inverse may run on it, level 1
+    marked irreducible; else None."""
+    return _zline(levels) if levels[0].irreducible else None
 
 
 def _rinv_by_norm(line, a):
     """The inverse abar / N(a) of a rep a = (U + V w) / den at height 2, on
-    the norm line of ``_norm_line``; None when N(a) is no unit there.
+    the line of ``_zline``; None when N(a) is no unit there.
 
-    U and V are the level-1 slices of a's numerators, abar = (U - p V) - V w
-    and N(a) = U^2 - p U V + q V^2.  With p = pn/pd and q = qn/qd, U' = pd U
-    - pn V and N = qd U U' + pd qn V V, the products carrying the line's
-    scale S, N(a) = N / (den^2 pd qd S); with 1/N = E/e, a^-1 = (U' E -
-    pd V E w) den qd / e, S cancelling against that of U' E and V E."""
-    lv, (pd, pn), (qd, qn) = line
+    U and V are the level-1 slices of a's numerators.  With level 1's
+    modulus cleared to D1 w^2 + p w + q, abar = (U' / D1 - V w) / den for U'
+    = D1 U - p V, and N = U U' + q V V, the products carrying the scale S of
+    the line's one level, is N(a) D1 den^2 S; with 1/N = E/e, a^-1 = (U' E -
+    D1 V E w) den / e, S cancelling against that of U' E and V E."""
+    lv, (q, p, D1) = line[0], line[1]
     den, Z = a[0], a[1]
     U, V = Z[0::2], Z[1::2]
-    U1 = _zop(sub, _zscale(U, pd, 1), _zscale(V, pn, 1), 1)
-    N = _zop(add, _zscale(_zmul(lv, 1, U, U1), qd, 1),
-             _zscale(_zmul(lv, 1, V, V), pd * qn, 1), 1)
+    U1 = _zop(sub, _zscale(U, D1, 1), _zscale(V, p, 1), 1)
+    N = _zop(add, _zmul(lv, 1, U, U1), _zscale(_zmul(lv, 1, V, V), q, 1), 1)
     if not any(N):
         return None
     try:
         e, E = _rinv(lv, 1, (1, N))
     except ZeroDivisorEncountered:
         return None
-    c = den * qd
     Z = [0] * len(Z)
-    Z[0::2] = _zscale(_zmul(lv, 1, U1, E), c, 1)
-    Z[1::2] = _zscale(_zmul(lv, 1, V, E), -pd * c, 1)
+    Z[0::2] = _zscale(_zmul(lv, 1, U1, E), den, 1)
+    Z[1::2] = _zscale(_zmul(lv, 1, V, E), -D1 * den, 1)
     den, Z = _znorm(e, tuple(Z), 2)
     return (den, Z, a[2])
 
@@ -1219,8 +1278,9 @@ class TowerElement:
         rep = self.rep
         if not self.tower.levels:
             # a rational keeps the hash of its Fraction: curve_y_solutions
-            # returns its y-values in set order, and bigon_points takes the
-            # first, so the reports depend on this order
+            # returns its y-values in set order, which the tower-kernels pass
+            # digests and test_rational_torsion_points_come_in_a_pinned_order
+            # depend on; no report byte moves under a plain tuple hash
             rep = Fraction(rep[1], rep[0])
         return hash((self.tower, rep))
 
@@ -1466,20 +1526,21 @@ def with_splitting(tower, fn, base_height=0):
 
 def rep_to_data(rep):
     """A rep as nested lists, one list per level, of "p/q" strings; a rep
-    above height 1 is nested by its own level degrees."""
+    above height 1 is nested by its own level degrees.  Each entry over den
+    is reduced by its own gcd and formatted in one pass over the flat
+    numerators, then the strings are grouped level by level."""
     den, Z = rep[0], rep[1]
     if type(Z) is int:
-        den, Z = _znorm(den, Z, 0)
-        return "%d/%d" % (Z, den)
-    return _nested_data(den, Z, rep[2] if len(rep) > 2 else (len(Z),))
-
-
-def _nested_data(den, Z, degrees):
-    """``rep_to_data`` of flat numerators Z over den at the level degrees."""
-    if len(degrees) == 1:
-        return list(map(rep_to_data, zip(repeat(den), Z)))
-    parts = _zparts(Z, len(degrees), degrees[-1])
-    return list(map(_nested_data, repeat(den), parts, repeat(degrees[:-1])))
+        g = gcd(Z, den)
+        return "%d/%d" % (Z // g, den // g)
+    if den == 1:
+        out = list(map("%d/1".__mod__, Z))
+    else:
+        g = list(map(gcd, Z, repeat(den)))
+        out = list(map("%d/%d".__mod__, zip(map(floordiv, Z, g), map(floordiv, repeat(den), g))))
+    for d in rep[2][:-1] if len(rep) > 2 else ():
+        out = list(map(list, zip(*[iter(out)] * d)))
+    return out
 
 
 def rep_from_data(levels, h, data):

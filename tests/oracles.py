@@ -67,6 +67,12 @@ table of the powers of u0 weighting each term, as the reference for the
 sweep's fibres, which evaluate the resultant's v-columns by Horner's rule,
 and ``v_columns_by_filter`` the former column reader, a filter of the terms
 for each power of v, as the reference for ``v_columns``.
+``stepwise_zmul`` keeps a product's route at int-height 2 before the
+rational line, ``_zraw``'s raw product reduced by ``_zreduce`` step by step,
+as the reference for the three products on the line and its table; and
+``nested_rep_data`` keeps ``rep_to_data``'s former form, which reduced and
+formatted each entry through one call per level, as the reference for the
+one pass over the flat numerators.
 """
 
 from collections import namedtuple
@@ -616,6 +622,33 @@ def euclid_inverse(levels, h, rep):
     for i, x in enumerate(s):
         Z[i] = F._zscale(F._zmul(levels, k, x, inv[1]), rep[0], k)
     return F._rnorm(levels, h, lam * inv[0] * below.scale, F._zjoin(Z, h))
+
+
+def stepwise_zmul(levels, A, B):
+    """The product at int-height 2 of numerators A and B by ``_zraw`` and
+    ``_zreduce``, reduced step by step whether or not level 2 has a line."""
+    from maxflex import fields as F
+
+    return F._zreduce(levels, 2, F._zraw(levels, 2, A, B))
+
+
+def nested_rep_data(rep):
+    """``fields.rep_to_data``'s former form: a rep as nested lists of "p/q"
+    strings, each entry reduced on its own, nested by recursion on the
+    rep's level degrees (the length of Z at height 1)."""
+    den, Z = rep[0], rep[1]
+    if isinstance(Z, int):
+        g = gcd(den, Z)
+        return "%d/%d" % (Z // g, den // g)
+    return _nested(den, Z, rep[2] if len(rep) > 2 else (len(Z),))
+
+
+def _nested(den, Z, degrees):
+    if len(degrees) == 1:
+        return [nested_rep_data((den, z)) for z in Z]
+    d = degrees[-1]
+    s = len(Z) // d
+    return [_nested(den, Z[i * s:(i + 1) * s], degrees[:-1]) for i in range(d)]
 
 
 def rep_divmod(levels, h, a, b):

@@ -23,15 +23,16 @@ import pytest
 
 from maxflex import fields
 
-#: Every numerator helper and rep helper (``_z*``, ``_r*``, ``_pl_*``), and
-#: the helpers that lift, split, join, move or serialize reps, build the line
-#: of the norm inverse or read reps into GF(p).
+#: Every numerator helper and rep helper (``_z*``, ``_r*``, ``_pl_*``; the
+#: rational line's ``_zline`` and ``_zline_mul`` among them), and the helpers
+#: that lift, split, join, move or serialize reps, gate the line of the norm
+#: inverse or read reps into GF(p).
 CELL_FREE = sorted(
     name for name, obj in vars(fields).items()
     if isinstance(obj, FunctionType) and name.startswith(("_z", "_r", "_pl_"))
 ) + [
     "_lift", "_coeffs", "_join", "_gf_eval", "_frame_at", "_certified_unit", "_moved_reps",
-    "_nested_data", "rep_to_data", "rep_from_data", "_norm_line",
+    "rep_to_data", "rep_from_data", "_norm_line",
 ]
 
 
@@ -41,9 +42,11 @@ def test_numerator_helper_makes_no_closure_cells(name):
 
 
 def test_the_norm_inverse_is_covered():
-    """The route is an ``_r*`` name, picked up with no listing; the helper
-    that builds its line is listed."""
-    assert "_rinv_by_norm" in CELL_FREE[:CELL_FREE.index("_lift")]
+    """The route is an ``_r*`` name and the line's builder and product are
+    ``_z*`` names, picked up with no listing; the gate of the norm inverse
+    is listed."""
+    for name in ("_rinv_by_norm", "_zline", "_zline_mul"):
+        assert name in CELL_FREE[:CELL_FREE.index("_lift")]
     assert "_norm_line" in CELL_FREE
 
 
