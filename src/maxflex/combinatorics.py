@@ -15,22 +15,28 @@ certificates built on top.
 The point profiles a fingerprint keeps are the module's only incidence data.
 Each point is profiled once, in the sweep of its first two incident pieces,
 and ``check_incidence`` and the bi-gon clauses of ``verify_bigon`` are read
-from the profiles, so each arrangement is swept once.
+from the profiles, so each arrangement is swept once.  A sweep first counts,
+from resultants and restrictions over the base tower, the points where its
+pair alone crosses: one record per polynomial, with no point built.  It
+builds the rest.  Records are compared with their orbits expanded, so counted
+and built records of the same points serialize alike.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
-from .errors import CommonComponent
-from .fields import rep_to_data, with_splitting
+from .errors import CommonComponent, ZeroDivisorEncountered
+from .fields import poly_gcd, rep_to_data, squarefree_part, with_splitting
 from .geometry import (
+    _affine_records,
+    _infinity_records,
     cross,
     intersection_multiplicity,
-    intersection_points,
     is_smooth_curve,
 )
+from .polysolve import resultant_bivariate
 
 
 def _point_key(point, base, orbit):
@@ -73,7 +79,8 @@ class Fingerprint:
 
     def __init__(self, piece_data, points):
         # piece_data: tuple of (degree, smooth) per piece, piece 0 distinguished;
-        # points: the point profiles of _point_profiles, keyed by _point_key
+        # points: the point profiles of _point_profiles, keyed by _point_key or,
+        # for a counted record, by its pair and polynomial
         self.piece_data = tuple(piece_data)
         self.points = points
         self.records = tuple((entry["pairs"], entry["orbit"]) for entry in points.values())
@@ -97,10 +104,9 @@ class Fingerprint:
         return best
 
     def _serialize(self, sigma):
-        recs = [mapped for mapped, orbit in _record_multiset(self, sigma) for _ in range(orbit)]
         payload = {
             "pieces": [list(pd) for pd in self.piece_data],
-            "points": recs,
+            "points": _record_multiset(self, sigma),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -144,16 +150,40 @@ def _point_profiles(herd, tower):
     """Full local profiles of all pairwise intersection points.
 
     A point on pieces a < b < ... is profiled once, in the (a, b) sweep, the
-    first to find it.  Every sweep still tests incidence on all pieces under
-    local tower splitting, so the splits that separate accidentally-merged
-    conjugate packets are forced before a point of another pair's sweep is
-    passed over.  A key met twice raises CommonComponent.
+    first to find it.  A sweep first takes the records ``_counted``
+    certifies, one per polynomial (a zero divisor there builds the sweep),
+    then builds the rest: every built point still tests incidence on all
+    pieces under local tower splitting, so the splits that separate
+    accidentally-merged conjugate packets are forced before a point of
+    another pair's sweep is passed over.  The pieces' resultants are taken
+    once each.  A key met twice raises CommonComponent.
     Returns {key: {"pairs": {(a, b): mult}, "incident": set, "orbit": int}}.
     """
     profiles = {}
     n = len(herd)
+    cols = [piece.dehomogenize(2).v_columns() for piece in herd]
+    resultants = {}
+
+    def res(a, b):
+        if (a, b) not in resultants:
+            resultants[a, b] = resultant_bivariate(cols[a], cols[b], tower)
+        return resultants[a, b]
+
     for i, j in combinations(range(n), 2):
-        for rec in intersection_points(herd[i], herd[j], tower):
+        try:
+            line, h = _counted(herd, cols, res, i, j)
+        except ZeroDivisorEncountered:
+            line = h = None
+        # one sweep counts on z = 0 or in the chart z = 1, never both: a
+        # pair with the line z = 0 has a constant resultant
+        for poly in (line, h):
+            if poly is not None:
+                key = ("counted", (i, j), tuple(str(rep_to_data(c)) for c in poly.coeffs))
+                profiles[key] = {"pairs": {(i, j): 1}, "incident": {i, j}, "orbit": poly.degree}
+        records = [] if line is not None else _infinity_records(herd[i], herd[j], tower)
+        R = res(i, j)
+        records += _affine_records(cols[i], cols[j], R if h is None else R.exact_div(h), tower)
+        for rec in records:
 
             def profile(tw, rec=rec):
                 pt = rec.point.embedded(tw)
@@ -177,6 +207,51 @@ def _point_profiles(herd, tower):
                     raise CommonComponent("two intersection points share one key")
                 profiles[key] = {"pairs": pairs, "incident": set(incident), "orbit": orbit}
     return profiles
+
+
+def _counted(herd, cols, res, i, j):
+    """(line, h): None or monic polynomials over the base tower, each root
+    standing for a point where pieces i and j alone cross.
+
+    ``line`` needs one piece to be the line z = 0.  At [x0 : 1 : 0], I_p is
+    then the multiplicity of x0 in g(x) = G(x, 1, 0) for the other piece G,
+    so g squarefree of full degree ([1:0:0] off G) and coprime to every
+    other piece's restriction certifies the line's points.  ``h`` holds the
+    simple roots of R = Res_y(F_i, F_j) where a leading y-coefficient is
+    nonzero, so the fibre holds one common point, with I_p = 1 (the
+    resultant form of Bezout's theorem; Walker, *Algebraic Curves*, 1950),
+    less the roots of Res_y(F_i, F_k) for every other piece k (all of them
+    when that resultant is zero).
+    """
+    others = [k for k in range(len(herd)) if k != i and k != j]
+    line = None
+    for a, b in ((i, j), (j, i)):
+        if set(herd[a].form) == {(0, 0, 1)}:
+            g = herd[b].dehomogenize(1).restrict_v0()
+            if (
+                g.degree == herd[b].degree
+                and poly_gcd(g, g.derivative()).degree == 0
+                and all(
+                    poly_gcd(g, herd[k].dehomogenize(1).restrict_v0()).degree == 0
+                    for k in others
+                )
+            ):
+                line = g.monic()
+    R = res(i, j)
+    if R.degree < 1:
+        return line, None
+    h = squarefree_part(R)
+    lc_i, lc_j = cols[i][-1], cols[j][-1]
+    shared = chain(
+        [R.exact_div(h)],  # the multiple roots
+        [poly_gcd(lc_i, lc_j)] if lc_i.degree >= 1 and lc_j.degree >= 1 else [],
+        (res(min(i, k), max(i, k)) for k in others),
+    )
+    for g in shared:
+        h = h.exact_div(poly_gcd(h, g))
+        if h.degree < 1:
+            return line, None
+    return line, h
 
 
 def fingerprint(pieces, tower=None):
@@ -236,6 +311,9 @@ def _group_signature(f, group):
 
 
 def _record_multiset(f, sigma=None):
+    """The sorted pair lists of f's records under the relabeling sigma, each
+    repeated by its orbit, so that a conjugate packet counts as its points
+    whichever factors over the base tower grouped them."""
     if sigma is None:
         sigma = range(len(f.piece_data))
     recs = []
@@ -244,7 +322,7 @@ def _record_multiset(f, sigma=None):
             (min(sigma[i], sigma[j]), max(sigma[i], sigma[j]), m)
             for (i, j), m in pairs.items()
         )
-        recs.append((tuple(mapped), orbit))
+        recs += [mapped] * orbit
     recs.sort()
     return recs
 

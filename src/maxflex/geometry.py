@@ -1052,32 +1052,44 @@ def intersection_points(c, d, tower=None):
     tower = tower or c.tower
     cc = c.embedded(tower)
     dd = d.embedded(tower)
+    records = _infinity_records(cc, dd, tower)
+    cols_f = cc.dehomogenize(2).v_columns()
+    cols_g = dd.dehomogenize(2).v_columns()
+    res = resultant_bivariate(cols_f, cols_g, tower)
+    return records + _affine_records(cols_f, cols_g, res, tower)
 
-    def record(tw, pt):
-        return IntersectionRecord(pt, tw, tw.absolute_degree // tower.absolute_degree)
 
-    # points on the line z = 0: c(x0, 1, 0) = d(x0, 1, 0) = 0, and [1:0:0]
+def _record(base, tw, pt):
+    return IntersectionRecord(pt, tw, tw.absolute_degree // base.absolute_degree)
+
+
+def _infinity_records(cc, dd, tower):
+    """The records of ``intersection_points`` on the line z = 0: the points
+    (x0 : 1 : 0) with c(x0, 1, 0) = d(x0, 1, 0) = 0, and [1:0:0] first when
+    both restrictions drop in degree."""
     uf = cc.dehomogenize(1).restrict_v0()
     ug = dd.dehomogenize(1).restrict_v0()
     records = _common_roots(
         uf, ug, tower, "w", "z divides both curves",
-        lambda tw, x0: [record(tw, ProjPoint(tw, [x0, tw.one(), tw.zero()]))],
+        lambda tw, x0: [_record(tower, tw, ProjPoint(tw, [x0, tw.one(), tw.zero()]))],
     )
     if uf.degree < cc.degree and ug.degree < dd.degree:
-        records.insert(0, record(tower, ProjPoint(tower, [1, 0, 0])))
+        records.insert(0, _record(tower, tower, ProjPoint(tower, [1, 0, 0])))
+    return records
 
-    # affine chart z = 1: the x-roots of Res_y, then the common y-roots above each
-    F = cc.dehomogenize(2)
-    G = dd.dehomogenize(2)
-    cols_f = F.v_columns()
-    cols_g = G.v_columns()
+
+def _affine_records(cols_f, cols_g, xpoly, tower):
+    """The records of ``intersection_points`` in the chart z = 1 over the
+    roots of ``xpoly``, a factor of Res_y of the curves' v-columns (the
+    resultant itself for every affine point): the common y-roots above each.
+    Curves that are both unions of lines through [0:1:0] meet in no affine
+    point; a shared vertical line or a zero ``xpoly`` raises CommonComponent.
+    """
     if len(cols_f) == 1 and len(cols_g) == 1:
-        # both curves are unions of lines through [0:1:0]
         if poly_gcd(cols_f[0], cols_g[0]).degree >= 1:
             raise CommonComponent("curves share a vertical line")
-        return records
-    res = resultant_bivariate(cols_f, cols_g, tower)
-    if res.is_zero():
+        return []
+    if xpoly.is_zero():
         raise CommonComponent("vanishing resultant")
 
     def fiber(ext, x):
@@ -1086,10 +1098,10 @@ def intersection_points(c, d, tower=None):
             UniPoly(ext, [c.embedded(ext).evaluate(x) for c in cols_f]),
             UniPoly(ext, [c.embedded(ext).evaluate(x) for c in cols_g]),
             ext, "y", "curves share the line x = const",
-            lambda tw, y0: [record(tw, ProjPoint(tw, [x.embedded(tw), y0, tw.one()]))],
+            lambda tw, y0: [_record(tower, tw, ProjPoint(tw, [x.embedded(tw), y0, tw.one()]))],
         )
 
-    return records + _at_roots(res, tower, "x", fiber)
+    return _at_roots(xpoly, tower, "x", fiber)
 
 
 def _at_roots(h, tower, hint, fn):

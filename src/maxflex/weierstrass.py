@@ -444,15 +444,6 @@ def preimage_polynomial(model, n, x):
     return div.multiplication_numerator(n) - UniPoly(model.tower, (x,)) * den
 
 
-def signed_preimage(model, n, pt, target):
-    """Whichever of pt and -pt has n-th multiple ``target``, or None.
-
-    ``model`` and ``target`` live in a prefix of pt's tower and are embedded
-    there.  None when pt is off the model or x(n pt) differs from x(target).
-    """
-    return _signed(model, pt, _multiple(model, n, pt), target)
-
-
 def _multiple(model, n, pt):
     """n pt on ``model`` embedded in pt's tower; None when pt is off the model
     or n pt is the point at infinity."""
@@ -461,7 +452,10 @@ def _multiple(model, n, pt):
 
 
 def _signed(model, pt, img, target):
-    """``signed_preimage`` of pt given its multiple img (or None)."""
+    """Whichever of pt and -pt has ``target`` as its multiple img (img None
+    when pt is off the model or its multiple is the point at infinity), or
+    None.  ``model`` and ``target`` live in a prefix of pt's tower and are
+    embedded there; None too when x(img) differs from x(target)."""
     if img is None:
         return None
     tower = pt[0].tower

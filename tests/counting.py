@@ -13,9 +13,9 @@ ELEMENT_METHODS = {
 
 
 def _counted(count, key, method):
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         count[key] += 1
-        return method(*args)
+        return method(*args, **kwargs)
 
     return wrapper
 

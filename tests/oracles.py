@@ -537,6 +537,39 @@ def sweep_profiles(pieces, tower):
     return profiles
 
 
+def orbit_expanded(profiles):
+    """The (pairs, incident) of every profile, repeated by its orbit and
+    sorted: the points the profiles stand for, however they are grouped into
+    records."""
+    return sorted(
+        (sorted(entry["pairs"].items()), sorted(entry["incident"]))
+        for entry in profiles.values()
+        for _ in range(entry["orbit"])
+    )
+
+
+def assert_matches_sweeps(points, oracle):
+    """A fingerprint's profiles against ``sweep_profiles``: every built record
+    has the oracle's key, in the oracle's order, and its profile; the counted
+    records stand for the oracle's other points."""
+    built = {key: entry for key, entry in points.items() if key[0] != "counted"}
+    assert list(built) == [key for key in oracle if key in built]
+    assert all(oracle[key] == entry for key, entry in built.items())
+    counted = {key: entry for key, entry in points.items() if key[0] == "counted"}
+    rest = {key: entry for key, entry in oracle.items() if key not in built}
+    assert orbit_expanded(counted) == orbit_expanded(rest)
+
+
+def signed_preimage(model, n, pt, target):
+    """Whichever of pt and -pt has n-th multiple ``target``, or None: the
+    check ``divide_point`` makes on each candidate, through ``_multiple`` and
+    ``_signed``.  None when pt is off the model or x(n pt) differs from
+    x(target)."""
+    from maxflex.weierstrass import _multiple, _signed
+
+    return _signed(model, pt, _multiple(model, n, pt), target)
+
+
 def walked_order(p, bound, add, is_origin):
     """Least n <= bound with n*p at the origin, or None, adding p once per step."""
     acc = p

